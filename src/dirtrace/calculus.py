@@ -30,14 +30,13 @@ from .errors import NonIntegrablePairing, ValidationError
 from .fields import ScalarField, get_field
 from .geometry import Direction, Domain
 from .quadrature import (
+    _FLOOR_EPS,
     IntegralResult,
     QuadratureSpec,
     chord_grid,
     volume_integral,
 )
 from .trace import chord_trace_values
-
-_FLOOR_EPS = 32.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,14 @@ def _ibp_sides(u, v, domain, theta, n_offsets, order):
     vv = np.asarray(v.eval_many(flat), dtype=float).reshape(grid.n_chords, order)
     du = np.asarray(u.dderiv_many(flat, theta), dtype=float).reshape(uu.shape)
     dv = np.asarray(v.dderiv_many(flat, theta), dtype=float).reshape(uu.shape)
-    per_chord = ((uu * dv + vv * du) @ w) * (0.5 * grid.lengths) * grid.chord_dt
+    chord_dt = grid.chord_dt
+    per_chord = ((uu * dv + vv * du) @ w) * (0.5 * grid.lengths) * chord_dt
     lhs = float(np.sum(per_chord))
     lhs_scale = float(np.sum(np.abs(per_chord)))
 
     up, um = chord_trace_values(u, grid, order)
     vp, vm = chord_trace_values(v, grid, order)
-    terms = (up * vp - um * vm) * grid.chord_dt
+    terms = (up * vp - um * vm) * chord_dt
     rhs = float(np.sum(terms))
     rhs_scale = float(np.sum(np.abs(terms)))
     if not (np.isfinite(lhs) and np.isfinite(rhs)):

@@ -11,7 +11,9 @@ Exit codes: 0 on success, 2 for invalid configuration, 3 when a checked
 invariant fails beyond tolerance (or a computation cannot be completed
 reliably).  A --tolerance below the run's own reported error also exits 3:
 a gate passes only when both the discrepancy and the error bar are within
-the tolerance, so it never certifies more than the run can resolve.
+the tolerance, so it never certifies more than the run can resolve.  Only
+the subcommands with a gate (measure, ibp, consistency) take --tolerance;
+the others reject it with exit 2.
 """
 
 from __future__ import annotations
@@ -72,11 +74,12 @@ def _write_json(path: Path, config: dict, results: dict) -> None:
 
 
 def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
-    lines = [f"# dirtrace {__version__} config {_config_hash(config)}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    # one line at a time: a table of atoms can run to many megabytes as text
+    with path.open("w") as fh:
+        fh.write(f"# dirtrace {__version__} config {_config_hash(config)}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
     print(path)
 
 
@@ -371,6 +374,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gauss", type=int, default=8, choices=(4, 8, 16))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mc-samples", type=int, default=20000)
+
+
+def _add_tolerance(p: argparse.ArgumentParser) -> None:
+    # only the subcommands that gate on a tolerance take the flag
     p.add_argument("--tolerance", type=float, default=None)
 
 
@@ -403,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain(p)
     _add_direction(p)
     _add_common(p)
+    _add_tolerance(p)
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("trace", help="trace field and trace inequalities")
@@ -418,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     _add_common(p)
+    _add_tolerance(p)
     p.set_defaults(func=_cmd_ibp)
 
     p = sub.add_parser("lebesgue", help="trace versus chord averages")
@@ -460,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--directions", type=int, default=8)
     _add_common(p)
+    _add_tolerance(p)
     p.set_defaults(func=_cmd_consistency)
 
     return parser

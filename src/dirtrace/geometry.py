@@ -8,6 +8,11 @@ boundary measures and traces are all read off chords, so every domain kind
 below only has to answer two questions: is a point inside, and what are
 the chords of a given line.
 
+Chords travel as one flat table for a whole batch of offsets: parallel
+arrays (rows, alpha, beta), where rows[i] indexes the offset whose line
+carries chord i, sorted by (row, alpha).  Every stage below works on the
+whole table with array operations on the row boundaries.
+
 Chords are computed in closed form where the boundary allows it (interval
 unions, polygons, the cubic cusp, circle/slit constructions, and the
 axis-aligned sections of the Cantor constructions) and otherwise by
@@ -65,6 +70,39 @@ def _worker_count() -> int:
 
 def _cross(a, b) -> float:
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _no_chords():
+    return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+
+
+def _min(a, b):
+    """Elementwise min(a, b) that keeps a on ties, as Python's min does
+    (so -0.0 against 0.0 keeps a's sign)."""
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    """Elementwise max(a, b) with Python's tie rule, as in `_min`."""
+    return np.where(b > a, b, a)
+
+
+def _two_pieces(rows, left_lo, left_hi, left_ok, right_lo, right_hi, right_ok):
+    """Flat table giving each chord a left and a right piece, kept where ok.
+
+    The pieces of one chord stay in place, left before right, so a table
+    sorted by (row, alpha) stays sorted when the pieces split its chords.
+    """
+    ok = np.column_stack((left_ok, right_ok)).ravel()
+    return (np.repeat(rows, 2)[ok],
+            np.column_stack((left_lo, right_lo)).ravel()[ok],
+            np.column_stack((left_hi, right_hi)).ravel()[ok])
+
+
+def _row_starts(rows, n: int) -> np.ndarray:
+    """Index of the first chord of each of n rows in a row-sorted table, and
+    the end of the table as entry n."""
+    return np.searchsorted(rows, np.arange(n + 1))
 
 
 class Direction:
@@ -213,16 +251,19 @@ class Domain:
         raise NotImplementedError
 
     # -- optional closed forms ----------------------------------------------
-    def coordinate_slices(self, fixed_axis: int, value: float):
-        """Open intervals of the moving coordinate along an axis line.
+    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
+        """Open intervals of the moving coordinate along axis lines.
 
-        `fixed_axis` is the coordinate held at `value`; intervals are in the
-        other coordinate.  Return None when no closed form exists.
+        `fixed_axis` is the coordinate held at values[i] on line i;
+        intervals are in the other coordinate.  Returns the flat table
+        (rows, lo, hi) sorted by (row, lo), or None when no closed form
+        exists.
         """
         return None
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
-        """Closed-form chords for arbitrary directions, or None."""
+        """Closed-form chords for arbitrary directions as a flat table
+        (rows, alpha, beta) sorted by (row, alpha), or None."""
         return None
 
     def offset_breakpoints(self, theta: Direction):
@@ -399,76 +440,53 @@ class Polygon(Domain):
         tv = theta.vector
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
-        n = ts.size
-        svals: list[list[float]] = [[] for _ in range(n)]
         cpt = _cross(p, tv)
+        rows, svals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for A, B in zip(self._edge_from, self._edge_to):
             E = B - A
             denom = _cross(E, tv)
             if abs(denom) <= 1e-14 * max(self._scale, 1.0):
                 continue
             u = (ts * cpt - _cross(A, tv)) / denom
-            valid = (u >= -1e-12) & (u <= 1.0 + 1e-12)
-            if not np.any(valid):
-                continue
-            s_edge = float(A @ tv) + u * float(E @ tv)
-            for i in np.nonzero(valid)[0]:
-                svals[i].append(float(s_edge[i]))
-        return _pair_candidates(self, theta, ts, svals)
+            valid = np.nonzero((u >= -1e-12) & (u <= 1.0 + 1e-12))[0]
+            rows.append(valid)
+            svals.append(float(A @ tv) + u[valid] * float(E @ tv))
+        return _pair_candidates(self, theta, ts, np.concatenate(rows),
+                                np.concatenate(svals))
 
 
-def _pair_candidates(domain, theta, ts, svals):
-    """Turn per-offset crossing parameters into inside intervals.
+def _pair_candidates(domain, theta, ts, rows, svals):
+    """Turn flat crossings (row, s) into a flat table of inside intervals.
 
-    Candidate cells between consecutive crossings are classified by a single
-    batched membership test at their midpoints, then adjacent inside cells
-    are merged.  Robust against duplicate crossings at vertices.
+    Crossings closer than a rounding tolerance to the previous one on
+    their line are dropped (a line through a vertex crosses two edges
+    there).  The cells between consecutive crossings are classified by
+    one batched membership test at their midpoints, and each run of
+    adjacent inside cells becomes one chord.
     """
     tv = theta.vector
     p = theta.perp_vector
     tol = 1e-12 * max(domain.diameter, 1.0)
-    cells = []  # (offset index, lo, hi)
-    for i, vals in enumerate(svals):
-        if len(vals) < 2:
-            continue
-        arr = np.sort(np.asarray(vals))
-        keep = np.concatenate(([True], np.diff(arr) > tol))
-        arr = arr[keep]
-        for k in range(len(arr) - 1):
-            cells.append((i, arr[k], arr[k + 1]))
-    out = [np.empty((0, 2)) for _ in range(len(ts))]
-    if not cells:
-        return out
-    cell_arr = np.asarray([(c[1], c[2]) for c in cells])
-    rows = np.asarray([c[0] for c in cells])
-    mids = 0.5 * (cell_arr[:, 0] + cell_arr[:, 1])
+    order = np.lexsort((svals, rows))
+    rows, svals = rows[order], svals[order]
+    keep = np.ones(rows.size, dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (np.diff(svals) > tol)
+    rows, svals = rows[keep], svals[keep]
+    cell = rows[1:] == rows[:-1]
+    if not np.any(cell):
+        return _no_chords()
+    rows, lo, hi = rows[:-1][cell], svals[:-1][cell], svals[1:][cell]
+    mids = 0.5 * (lo + hi)
     pts = ts[rows, None] * p[None, :] + mids[:, None] * tv[None, :]
     inside = domain.contains_many(pts)
-    for i in range(len(ts)):
-        sel = rows == i
-        if not np.any(sel):
-            continue
-        segs = cell_arr[sel]
-        ins = inside[sel]
-        merged = []
-        cur = None
-        for (lo, hi), flag in zip(segs, ins):
-            if not flag:
-                if cur is not None:
-                    merged.append(cur)
-                    cur = None
-                continue
-            if cur is not None and lo <= cur[1] + tol:
-                cur = (cur[0], hi)
-            else:
-                if cur is not None:
-                    merged.append(cur)
-                cur = (lo, hi)
-        if cur is not None:
-            merged.append(cur)
-        if merged:
-            out[i] = np.asarray(merged)
-    return out
+    # neighbouring cells of one line share their endpoint, so a run of
+    # inside cells is one chord from the run's first lo to its last hi
+    linked = inside[1:] & inside[:-1] & (rows[1:] == rows[:-1])
+    start = inside.copy()
+    start[1:] &= ~linked
+    end = inside.copy()
+    end[:-1] &= ~linked
+    return rows[start], lo[start], hi[end]
 
 
 # ---------------------------------------------------------------------------
@@ -504,19 +522,18 @@ class Cusp(Domain):
         x, y = pts[:, 0], pts[:, 1]
         return (y > 0.0) & (y < 1.0) & (np.abs(x) < y * y * y)
 
-    def coordinate_slices(self, fixed_axis: int, value: float):
-        if fixed_axis == 1:  # horizontal line at height value
-            if not (0.0 < value < 1.0):
-                return []
-            w = value**3
-            return [(-w, w)]
-        # vertical line at x = value
-        if not (-1.0 < value < 1.0):
-            return []
-        lo = abs(value) ** (1.0 / 3.0)
-        if lo >= 1.0:
-            return []
-        return [(lo, 1.0)]
+    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
+        # Powers go through Python's float pow: numpy's power rounds
+        # differently in the last bit.
+        if fixed_axis == 1:  # horizontal lines at heights values
+            rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
+            w = np.array([v**3 for v in values[rows].tolist()])
+            return rows, -w, w
+        # vertical lines at x = values
+        rows = np.nonzero((values > -1.0) & (values < 1.0))[0]
+        lo = np.array([abs(v) ** (1.0 / 3.0) for v in values[rows].tolist()])
+        keep = lo < 1.0
+        return rows[keep], lo[keep], np.ones(np.count_nonzero(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -571,29 +588,38 @@ class ConeUnionCantor(Domain):
             out[band] = self._dist(x[band]) < y[band]
         return out
 
-    def apex_slice(self, height: float) -> list[tuple[float, float]]:
-        """Open horizontal section {x : dist(x, C) < height}."""
-        h = float(height)
-        if h <= 0.0:
-            return []
-        long = self._gap_lengths > 2.0 * h
-        pieces = []
-        cur = -h
-        for c, d in self._gaps_sorted[long, :2]:
-            pieces.append((cur, c + h))
-            cur = d - h
-        pieces.append((cur, 1.0 + h))
-        return pieces
+    def apex_slices(self, heights: np.ndarray):
+        """Open horizontal sections {x : dist(x, C) < h}, one per height
+        (all positive), as a flat table (rows, lo, hi).
 
-    def coordinate_slices(self, fixed_axis: int, value: float):
+        A section is cut by every gap longer than 2h.  Those are the gaps
+        ranked above some count in length, so each distinct count lays
+        out its pieces once for all heights that share it.
+        """
+        h = np.asarray(heights, dtype=float)
+        lengths = np.sort(self._gap_lengths)
+        counts = lengths.size - np.searchsorted(lengths, 2.0 * h, side="right")
+        parts = [_no_chords()]
+        for count in np.unique(counts):
+            rows = np.nonzero(counts == count)[0]
+            hg = h[rows, None]
+            long = self._gap_lengths > 2.0 * h[rows[0]]
+            c, d = self._gaps_sorted[long, 0], self._gaps_sorted[long, 1]
+            parts.append((np.repeat(rows, count + 1),
+                          np.hstack((-hg, d - hg)).ravel(),
+                          np.hstack((c + hg, 1.0 + hg)).ravel()))
+        rows, lo, hi = (np.concatenate(col) for col in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        return rows[order], lo[order], hi[order]
+
+    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         if fixed_axis == 1:
-            if not (0.0 < value < 1.0):
-                return []
-            return self.apex_slice(value)
-        d = float(self._dist(np.array([value]))[0])
-        if d >= 1.0:
-            return []
-        return [(d, 1.0)]
+            rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
+            sub, lo, hi = self.apex_slices(values[rows])
+            return rows[sub], lo, hi
+        d = self._dist(values)
+        rows = np.nonzero(d < 1.0)[0]
+        return rows, d[rows], np.ones(rows.size)
 
 
 class Bicone(Domain):
@@ -651,47 +677,37 @@ class Bicone(Domain):
         if theta.is_axis():
             return None
         ts = np.asarray(ts, dtype=float)
-        raw = _scan_slices(self, theta, ts)
+        rows, alpha, beta = _scan_slices(self, theta, ts)
         tv = theta.vector
         p = theta.perp_vector
-        if tv[1] == 0.0:
-            return raw
         s_star = -(ts * p[1]) / tv[1]
 
-        hits = []  # (line index, segment index, lo, hi)
-        for i, segs in enumerate(raw):
-            segs = np.asarray(segs, dtype=float).reshape(-1, 2)
-            raw[i] = segs
-            k = np.nonzero((segs[:, 0] < s_star[i]) & (s_star[i] < segs[:, 1]))[0]
-            if k.size:
-                hits.append((i, int(k[0]), segs[k[0], 0], segs[k[0], 1]))
-        if not hits:
-            return raw
-
-        idx = np.array([h[0] for h in hits])
-        los = np.array([h[2] for h in hits])
-        his = np.array([h[3] for h in hits])
+        on_chord = s_star[rows]
+        hit = np.nonzero((alpha < on_chord) & (on_chord < beta))[0]
+        hit = hit[np.unique(rows[hit], return_index=True)[1]]
+        if not hit.size:
+            return rows, alpha, beta
+        idx = rows[hit]
         stars = s_star[idx]
         cross = ts[idx, None] * p[None, :] + stars[:, None] * tv[None, :]
         outside = ~self.contains_many(cross)
-        end_a = _refine_boundary_many(self, ts[idx], tv, p, los, stars)
-        start_b = _refine_boundary_many(self, ts[idx], tv, p, his, stars)
-        for m, (i, k, lo, hi) in enumerate(hits):
-            if not outside[m]:
-                continue
-            raw[i] = np.concatenate(
-                [raw[i][:k], [(lo, end_a[m]), (start_b[m], hi)], raw[i][k + 1 :]],
-                axis=0,
-            )
-        return raw
+        end_a = _refine_boundary_many(self, ts[idx], tv, p, alpha[hit], stars)
+        start_b = _refine_boundary_many(self, ts[idx], tv, p, beta[hit], stars)
+        cut = hit[outside]
+        split = np.zeros(rows.size, dtype=bool)
+        split[cut] = True
+        left_hi, right_lo = beta.copy(), np.zeros(rows.size)
+        left_hi[cut], right_lo[cut] = end_a[outside], start_b[outside]
+        return _two_pieces(rows, alpha, left_hi, np.ones(rows.size, dtype=bool),
+                           right_lo, beta, split)
 
-    def coordinate_slices(self, fixed_axis: int, value: float):
+    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         if fixed_axis == 1:
-            return self.upper.coordinate_slices(1, abs(value))
-        d = float(self.upper._dist(np.array([value]))[0])
-        if d >= 1.0:
-            return []
-        return [(-1.0, -d), (d, 1.0)]
+            return self.upper.coordinate_slices(1, np.abs(values))
+        d = self.upper._dist(values)
+        rows = np.nonzero(d < 1.0)[0]
+        d, one, yes = d[rows], np.ones(rows.size), np.ones(rows.size, dtype=bool)
+        return _two_pieces(rows, -one, -d, yes, d, one, yes)
 
 
 class CantorComb(Domain):
@@ -753,62 +769,66 @@ class CantorComb(Domain):
         ts = np.asarray(ts, dtype=float)
         c = self._gaps_sorted[:, 0]
         d = self._gaps_sorted[:, 1]
-        out = []
-        for t in ts:
-            bx = t * p[0]
-            by = t * p[1]
-            sx = sorted(((0.0 - bx) / tv[0], (1.0 - bx) / tv[0]))
-            s_ym1 = (-1.0 - by) / tv[1]
-            s_y0 = (0.0 - by) / tv[1]
-            s_y1 = (1.0 - by) / tv[1]
-            low = (max(min(s_ym1, s_y0), sx[0]), min(max(s_ym1, s_y0), sx[1]))
-            up_lo, up_hi = min(s_y0, s_y1), max(s_y0, s_y1)
+        bx = ts * p[0]
+        by = ts * p[1]
+        x0, x1 = (0.0 - bx) / tv[0], (1.0 - bx) / tv[0]
+        s_ym1 = (-1.0 - by) / tv[1]
+        s_y0 = (0.0 - by) / tv[1]
+        s_y1 = (1.0 - by) / tv[1]
+        low_lo = _max(_min(s_ym1, s_y0), _min(x0, x1))
+        low_hi = _min(_max(s_ym1, s_y0), np.where(x1 < x0, x0, x1))
+        up_lo, up_hi = _min(s_y0, s_y1), _max(s_y0, s_y1)
 
-            sc = (c - bx) / tv[0]
-            sd = (d - bx) / tv[0]
-            glo = np.maximum(np.minimum(sc, sd), up_lo)
-            ghi = np.minimum(np.maximum(sc, sd), up_hi)
-            keep = ghi > glo
-            pieces = np.column_stack((glo[keep], ghi[keep]))
+        # gap columns above the axis, in blocks of about 2**20 (line, gap) cells
+        step = max(1, 2**20 // c.size)
+        parts = [_no_chords()]
+        for start in range(0, ts.size, step):
+            block = slice(start, start + step)
+            sc = (c[None, :] - bx[block, None]) / tv[0]
+            sd = (d[None, :] - bx[block, None]) / tv[0]
+            glo = np.maximum(np.minimum(sc, sd), up_lo[block, None])
+            ghi = np.minimum(np.maximum(sc, sd), up_hi[block, None])
+            r, k = np.nonzero(ghi > glo)
+            parts.append((r + start, glo[r, k], ghi[r, k]))
+        prow, plo, phi = (np.concatenate(col) for col in zip(*parts))
 
-            segs = []
-            if low[1] > low[0]:
-                x_star = bx + s_y0 * tv[0]
-                j = np.searchsorted(c, x_star) - 1
-                joined = False
-                if 0 <= j < c.size and c[j] < x_star < d[j]:
-                    # crossing inside a gap: its column continues the
-                    # lower chord
-                    touch = np.isclose(pieces, s_y0, rtol=0.0, atol=1e-12)
-                    col = np.nonzero(touch.any(axis=1))[0]
-                    if col.size:
-                        k = int(col[0])
-                        lo = min(low[0], pieces[k, 0])
-                        hi = max(low[1], pieces[k, 1])
-                        segs.append((lo, hi))
-                        pieces = np.delete(pieces, k, axis=0)
-                        joined = True
-                if not joined:
-                    segs.append(low)
-            if pieces.size:
-                segs.extend(map(tuple, pieces))
-            segs.sort()
-            out.append(np.asarray(segs) if segs else np.empty((0, 2)))
-        return out
+        # lower rectangle chords; where the axis crossing falls inside a
+        # gap, the first column touching it continues the lower chord
+        lows = np.nonzero(low_hi > low_lo)[0]
+        lo, hi = low_lo[lows], low_hi[lows]
+        x_star = bx[lows] + s_y0[lows] * tv[0]
+        j = np.maximum(np.searchsorted(c, x_star) - 1, 0)
+        in_gap = (c[j] < x_star) & (x_star < d[j])
+        s0 = s_y0[prow]
+        touch = np.nonzero((np.abs(plo - s0) <= 1e-12) | (np.abs(phi - s0) <= 1e-12))[0]
+        touch = touch[np.unique(prow[touch], return_index=True)[1]]
+        touch = touch[np.isin(prow[touch], lows[in_gap])]
+        at = np.searchsorted(lows, prow[touch])
+        lo[at] = _min(lo[at], plo[touch])
+        hi[at] = _max(hi[at], phi[touch])
+        rest = np.ones(prow.size, dtype=bool)
+        rest[touch] = False
+        rows = np.concatenate((lows, prow[rest]))
+        lo = np.concatenate((lo, plo[rest]))
+        hi = np.concatenate((hi, phi[rest]))
+        order = np.lexsort((hi, lo, rows))
+        return rows[order], lo[order], hi[order]
 
-    def coordinate_slices(self, fixed_axis: int, value: float):
+    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         if fixed_axis == 1:
-            if not (-1.0 < value < 1.0):
-                return []
-            if value < 0.0:
-                return [(0.0, 1.0)]
-            return [tuple(cd) for cd in self._gaps_sorted]
-        if not (0.0 < value < 1.0):
-            return []
-        d = float(_cantor.distance_many(np.array([value]), self.ratio, self.scheme)[0])
-        if d > 0.0:
-            return [(-1.0, 1.0)]
-        return [(-1.0, 0.0)]
+            below = np.nonzero((values > -1.0) & (values < 0.0))[0]
+            above = np.nonzero((values >= 0.0) & (values < 1.0))[0]
+            n = self._gaps_sorted.shape[0]
+            rows = np.concatenate((below, np.repeat(above, n)))
+            lo = np.concatenate((np.zeros(below.size),
+                                 np.tile(self._gaps_sorted[:, 0], above.size)))
+            hi = np.concatenate((np.ones(below.size),
+                                 np.tile(self._gaps_sorted[:, 1], above.size)))
+            order = np.argsort(rows, kind="stable")
+            return rows[order], lo[order], hi[order]
+        rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
+        d = _cantor.distance_many(values[rows], self.ratio, self.scheme)
+        return rows, np.full(rows.size, -1.0), np.where(d > 0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -877,46 +897,32 @@ class DiskMinusCantor(Domain):
         b = base @ tv
         c = (base * base).sum(axis=1) - self.RADIUS**2
         disc = b * b - c
-        out = []
-        for i, t in enumerate(ts):
-            if disc[i] <= 0.0:
-                out.append(np.empty((0, 2)))
-                continue
-            root = math.sqrt(disc[i])
-            lo, hi = -b[i] - root, -b[i] + root
-            splits = self._slit_splits(t, tv, p, lo, hi)
-            pieces = []
-            cur = lo
-            for s in splits:
-                pieces.append((cur, s))
-                cur = s
-            pieces.append((cur, hi))
-            out.append(np.asarray(pieces))
-        return out
-
-    def _slit_splits(self, t, tv, p, lo, hi) -> list[float]:
+        rows = np.nonzero(disc > 0.0)[0]
+        root = np.sqrt(disc[rows])
+        lo, hi = -b[rows] - root, -b[rows] + root
+        # every retained Cantor point the open disk chord crosses splits it
+        t = ts[rows]
         if tv[1] != 0.0:
-            s0 = (0.0 - t * p[1]) / tv[1]
-            if not (lo < s0 < hi):
-                return []
-            x0 = t * p[0] + s0 * tv[0]
-            if 0.0 <= x0 <= 1.0 and float(
-                _cantor.distance_many(np.array([x0]), self.ratio, self.scheme)[0]
-            ) == 0.0:
-                return [s0]
-            return []
-        # Horizontal line: it meets the slit only when it sits exactly on
-        # the axis, in which case every retained Cantor point splits it.
-        if t * p[1] != 0.0:
-            return []
-        splits = []
-        pieces = [0.0] + [v for cd in self._gaps_sorted for v in cd] + [1.0]
-        endpoints = sorted(set(pieces))
-        for e in endpoints:
-            s = (e - t * p[0]) / tv[0]
-            if lo < s < hi:
-                splits.append(s)
-        return sorted(splits)
+            split = (0.0 - t * p[1]) / tv[1]
+            x0 = t * p[0] + split * tv[0]
+            on = np.nonzero((lo < split) & (split < hi) & (x0 >= 0.0) & (x0 <= 1.0))[0]
+            on = on[_cantor.distance_many(x0[on], self.ratio, self.scheme) == 0.0]
+            cut_rows, cuts = rows[on], split[on]
+        else:
+            # A horizontal line meets the slit only when it sits exactly
+            # on the axis, and then every retained point splits it.
+            ends = np.unique(np.concatenate(([0.0], self._gaps_sorted.ravel(), [1.0])))
+            axis = np.nonzero(t * p[1] == 0.0)[0]
+            s = (ends[None, :] - t[axis, None] * p[0]) / tv[0]
+            inner = (lo[axis, None] < s) & (s < hi[axis, None])
+            cut_rows = np.broadcast_to(rows[axis, None], s.shape)[inner]
+            cuts = s[inner]
+        pts_rows = np.concatenate((rows, cut_rows, rows))
+        pts = np.concatenate((lo, cuts, hi))
+        order = np.lexsort((pts, pts_rows))
+        pts_rows, pts = pts_rows[order], pts[order]
+        piece = pts_rows[1:] == pts_rows[:-1]
+        return pts_rows[:-1][piece], pts[:-1][piece], pts[1:][piece]
 
 
 # ---------------------------------------------------------------------------
@@ -973,46 +979,24 @@ class SlitRectangle(Domain):
     def line_slices(self, theta: Direction, ts: np.ndarray):
         tv = theta.vector
         p = theta.perp_vector
-        rect_slices = self._rect.line_slices(theta, ts)
-        out = []
-        for t, segs in zip(np.asarray(ts, dtype=float), rect_slices):
-            if segs.size == 0:
-                out.append(segs)
-                continue
-            if tv[0] != 0.0:
-                s_star = (self.slit_x - t * p[0]) / tv[0]
-                y_star = t * p[1] + s_star * tv[1]
-                if not (self.slit_y0 <= y_star <= self.slit_y1):
-                    out.append(segs)
-                    continue
-                pieces = []
-                for lo, hi in segs:
-                    if lo < s_star < hi:
-                        pieces.append((lo, s_star))
-                        pieces.append((s_star, hi))
-                    else:
-                        pieces.append((lo, hi))
-                out.append(np.asarray(pieces))
-            else:
-                # vertical line: remove the closed slit range when on it
-                if t * p[0] != self.slit_x:
-                    out.append(segs)
-                    continue
-                sgn = tv[1]
-                cut_lo = min(self.slit_y0 * sgn, self.slit_y1 * sgn)
-                cut_hi = max(self.slit_y0 * sgn, self.slit_y1 * sgn)
-                pieces = []
-                for lo, hi in segs:
-                    a, b = max(lo, cut_lo), min(hi, cut_hi)
-                    if a >= b:
-                        pieces.append((lo, hi))
-                        continue
-                    if lo < a:
-                        pieces.append((lo, a))
-                    if b < hi:
-                        pieces.append((b, hi))
-                out.append(np.asarray(pieces) if pieces else np.empty((0, 2)))
-        return out
+        rows, lo, hi = self._rect.line_slices(theta, ts)
+        t = np.asarray(ts, dtype=float)[rows]
+        if tv[0] != 0.0:
+            # the slit removes one point of the line: split the chord there
+            s_star = (self.slit_x - t * p[0]) / tv[0]
+            y_star = t * p[1] + s_star * tv[1]
+            cut = ((self.slit_y0 <= y_star) & (y_star <= self.slit_y1)
+                   & (lo < s_star) & (s_star < hi))
+            return _two_pieces(rows, lo, np.where(cut, s_star, hi), np.ones(rows.size, dtype=bool),
+                               s_star, hi, cut)
+        # vertical line: remove the closed slit range when on it
+        sgn = tv[1]
+        cut_lo = min(self.slit_y0 * sgn, self.slit_y1 * sgn)
+        cut_hi = max(self.slit_y0 * sgn, self.slit_y1 * sgn)
+        a, b = _max(lo, cut_lo), _min(hi, cut_hi)
+        cut = (t * p[0] == self.slit_x) & (a < b)
+        return _two_pieces(rows, lo, np.where(cut, a, hi), ~cut | (lo < a),
+                           b, hi, cut & (b < hi))
 
 
 # ---------------------------------------------------------------------------
@@ -1033,21 +1017,13 @@ def hyperplane_range(domain: Domain, theta: Direction) -> tuple[float, float]:
 def _axis_slices(domain: Domain, theta: Direction, ts: np.ndarray):
     tv = theta.vector
     moving = 0 if tv[0] != 0.0 else 1
-    fixed = 1 - moving
-    sign = tv[moving]
-    out = []
-    for t in np.asarray(ts, dtype=float):
-        segs = domain.coordinate_slices(fixed, float(t))
-        if segs is None:
-            return None
-        if not len(segs):
-            out.append(np.empty((0, 2)))
-            continue
-        arr = np.asarray(segs, dtype=float)
-        if sign < 0:
-            arr = np.column_stack((-arr[::-1, 1], -arr[::-1, 0]))
-        out.append(arr)
-    return out
+    flat = domain.coordinate_slices(1 - moving, np.asarray(ts, dtype=float))
+    if flat is None or tv[moving] > 0:
+        return flat
+    # reversed direction: negate and reverse the chords of every line
+    rows, lo, hi = flat
+    order = np.lexsort((-np.arange(rows.size), rows))
+    return rows[order], -hi[order], -lo[order]
 
 
 def _scan_slices(domain: Domain, theta: Direction, ts: np.ndarray):
@@ -1081,7 +1057,7 @@ def _scan_slices(domain: Domain, theta: Direction, ts: np.ndarray):
         rr, cc = np.nonzero(delta)
         kind = delta[rr, cc]  # +1 enter, -1 exit
         if rr.size == 0:
-            return [np.empty((0, 2)) for _ in tc]
+            return _no_chords()
         pin = np.where(kind > 0, s[cc + 1], s[cc])
         pout = np.where(kind > 0, s[cc], s[cc + 1])
         tvals = tc[rr]
@@ -1091,19 +1067,10 @@ def _scan_slices(domain: Domain, theta: Direction, ts: np.ndarray):
             ins = domain.contains_many(mpts)
             pin = np.where(ins, mid, pin)
             pout = np.where(ins, pout, mid)
-        res = []
-        for local_i in range(tc.size):
-            sel = rr == local_i
-            if not np.any(sel):
-                res.append(np.empty((0, 2)))
-                continue
-            ends = pout[sel]
-            kinds = kind[sel]
-            # transitions come out ordered in s; enters and exits alternate
-            alphas = ends[kinds > 0]
-            betas = ends[kinds < 0]
-            res.append(np.column_stack((alphas, betas)))
-        return res
+        # transitions come out ordered by line, then s; on every line
+        # enters and exits alternate, starting with an enter
+        enter = kind > 0
+        return rr[enter] + start, pout[enter], pout[~enter]
 
     workers = _worker_count()
     if workers > 1 and len(chunks) > 1:
@@ -1111,10 +1078,8 @@ def _scan_slices(domain: Domain, theta: Direction, ts: np.ndarray):
             parts = list(pool.map(do_chunk, chunks))
     else:
         parts = [do_chunk(c) for c in chunks]
-    out: list[np.ndarray] = []
-    for part in parts:
-        out.extend(part)
-    return out
+    rows, alpha, beta = (np.concatenate(col) for col in zip(*[_no_chords()] + parts))
+    return rows, alpha, beta
 
 
 def _refine_boundary_many(domain, ts, tv, p, s_in, s_out) -> np.ndarray:
@@ -1137,72 +1102,54 @@ def _refine_boundary_many(domain, ts, tv, p, s_in, s_out) -> np.ndarray:
     return s_in
 
 
-def _finalize_slices(domain, theta, ts, raw, eps):
+def _finalize_slices(domain, theta, ts, rows, alpha, beta, eps):
     """Drop short chords, nudge endpoints outside, compute per-slice flags."""
     tv = theta.vector
-    p = theta.perp_vector if domain.dim == 2 else None
+    p = theta.perp_vector
     # Exact endpoints only have rounding noise, so closed-form kinds keep
     # chords all the way down to machine scale.
     short = eps if eps > EPS_CLOSED else EPS_EXACT
-    flags = np.zeros(len(raw), dtype=bool)
-    cleaned = []
-    for i, segs in enumerate(raw):
-        segs = np.asarray(segs, dtype=float).reshape(-1, 2)
-        if segs.size:
-            gaps_prev = np.diff(np.concatenate([segs[:, 1][:-1, None], segs[:, 0][1:, None]], axis=1), axis=1)
-            lengths = segs[:, 1] - segs[:, 0]
-            # A gap of exactly zero is a slit: two maximal intervals that
-            # share an excluded endpoint.  Only positive gaps below the
-            # resolution are unresolved features.
-            if np.any(lengths < RESOLUTION_FACTOR * short) or (
-                gaps_prev.size
-                and np.any(
-                    (gaps_prev > 0.0) & (gaps_prev < RESOLUTION_FACTOR * short)
-                )
-            ):
-                flags[i] = True
-            segs = segs[lengths > short]
-        cleaned.append(segs)
+    limit = RESOLUTION_FACTOR * short
+    lengths = beta - alpha
+    gaps = alpha[1:] - beta[:-1]
+    # A gap of exactly zero is a slit: two maximal intervals that share an
+    # excluded endpoint.  Only positive gaps below the resolution are
+    # unresolved features.
+    thin = lengths < limit
+    thin[1:] |= (rows[1:] == rows[:-1]) & (gaps > 0.0) & (gaps < limit)
+    flags = np.zeros(ts.size, dtype=bool)
+    flags[rows[thin]] = True
+    keep = lengths > short
+    rows, alpha, beta = rows[keep], alpha[keep], beta[keep]
+    if not rows.size:
+        return rows, alpha, beta, flags
     # endpoint nudging: every retained endpoint must fail membership
-    counts = [len(c) for c in cleaned]
-    total = int(np.sum(counts))
-    if total and domain.dim == 2:
-        allseg = np.concatenate([c for c in cleaned if len(c)], axis=0)
-        tvals = np.concatenate(
-            [np.full(len(c), ts[i]) for i, c in enumerate(cleaned) if len(c)]
-        )
-        for col, sign in ((0, -1.0), (1, 1.0)):
-            svals = allseg[:, col].copy()
-            pts = tvals[:, None] * p[None, :] + svals[:, None] * tv[None, :]
-            bad = domain.contains_many(pts)
-            it = 0
-            while np.any(bad) and it < 10:
-                stepv = np.maximum(np.abs(svals[bad]) * 2.0**-50, 1e-15 * max(domain.diameter, 1.0))
-                svals[bad] = svals[bad] + sign * stepv * 2.0**it
-                pts = tvals[bad, None] * p[None, :] + svals[bad, None] * tv[None, :]
-                newbad = domain.contains_many(pts)
-                tmp = bad.copy()
-                tmp[bad] = newbad
-                bad = tmp
-                it += 1
-            allseg[:, col] = svals
-        # write back
-        pos = 0
-        rebuilt = []
-        for c in cleaned:
-            n = len(c)
-            rebuilt.append(allseg[pos : pos + n])
-            pos += n
-        cleaned = rebuilt
-    return cleaned, flags
+    tvals = ts[rows]
+    ends = []
+    for svals, sign in ((alpha.copy(), -1.0), (beta.copy(), 1.0)):
+        pts = tvals[:, None] * p[None, :] + svals[:, None] * tv[None, :]
+        bad = domain.contains_many(pts)
+        it = 0
+        while np.any(bad) and it < 10:
+            stepv = np.maximum(np.abs(svals[bad]) * 2.0**-50, 1e-15 * max(domain.diameter, 1.0))
+            svals[bad] = svals[bad] + sign * stepv * 2.0**it
+            pts = tvals[bad, None] * p[None, :] + svals[bad, None] * tv[None, :]
+            newbad = domain.contains_many(pts)
+            tmp = bad.copy()
+            tmp[bad] = newbad
+            bad = tmp
+            it += 1
+        ends.append(svals)
+    return rows, ends[0], ends[1], flags
 
 
-def slice_lines(domain: Domain, theta: Direction, ts) -> tuple[list[np.ndarray], np.ndarray]:
-    """Chord intervals for a batch of hyperplane offsets.
+def chord_table(domain: Domain, theta: Direction, ts):
+    """Chords of a batch of hyperplane offsets as one flat table.
 
-    Returns (intervals, flags): intervals[i] is a (k_i, 2) array of open
-    (alpha, beta) pairs for offset ts[i]; flags[i] is True when the slice
-    hit the resolution limit and should be skipped by quadrature.
+    Returns (rows, alpha, beta, flags): chord i is the open interval
+    ]alpha[i], beta[i][ of the line at offset ts[rows[i]], sorted by
+    (row, alpha); flags[j] is True when the slice of offset j hit the
+    resolution limit and should be skipped by quadrature.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if domain.dim == 1:
@@ -1210,7 +1157,8 @@ def slice_lines(domain: Domain, theta: Direction, ts) -> tuple[list[np.ndarray],
             raise ValidationError("only interval unions are supported in 1D")
         sign = 1 if theta.vector[0] > 0 else -1
         segs = domain.slices_1d(sign)
-        return [segs.copy() for _ in ts], np.zeros(ts.size, dtype=bool)
+        return (np.repeat(np.arange(ts.size), len(segs)), np.tile(segs[:, 0], ts.size),
+                np.tile(segs[:, 1], ts.size), np.zeros(ts.size, dtype=bool))
 
     raw = domain.line_slices(theta, ts)
     eps = getattr(domain, "slice_eps", EPS_CLOSED)
@@ -1220,7 +1168,21 @@ def slice_lines(domain: Domain, theta: Direction, ts) -> tuple[list[np.ndarray],
     if raw is None:
         raw = _scan_slices(domain, theta, ts)
         eps = EPS_SCAN
-    return _finalize_slices(domain, theta, ts, raw, eps)
+    return _finalize_slices(domain, theta, ts, *raw, eps)
+
+
+def slice_lines(domain: Domain, theta: Direction, ts) -> tuple[list[np.ndarray], np.ndarray]:
+    """Chord intervals for a batch of hyperplane offsets.
+
+    Returns (intervals, flags): intervals[i] is a (k_i, 2) array of open
+    (alpha, beta) pairs for offset ts[i]; flags[i] is True when the slice
+    hit the resolution limit and should be skipped by quadrature.  This
+    splits `chord_table` by offset.
+    """
+    rows, alpha, beta, flags = chord_table(domain, theta, ts)
+    table = np.column_stack((alpha, beta))
+    starts = _row_starts(rows, flags.size)
+    return [table[a:b] for a, b in zip(starts[:-1], starts[1:])], flags
 
 
 def chords(domain: Domain, theta: Direction, y) -> list[Chord]:
@@ -1261,6 +1223,44 @@ def exit_point(domain: Domain, x, theta: Direction) -> np.ndarray:
     return x + exit_distance(domain, x, theta) * theta.vector
 
 
+def offset_normal(theta: Direction) -> np.ndarray:
+    """Unit normal of the offset hyperplane (the zero vector in 1D, where
+    the one line runs through the origin)."""
+    return np.zeros(1) if theta.dim == 1 else theta.perp_vector
+
+
+def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
+                offsets=None):
+    """The chord exiting at each point, for a batch of points.
+
+    Point i is looked up on the line at offsets[i] (by default the line
+    through the point).  Its chord is the one whose exit endpoint lies
+    nearest to the point, the first of equals.  Returns (t, alpha, beta,
+    found): the offsets, the chords (NaN where none is found) and whether
+    that endpoint is within r_match on a slice that is not flagged.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, theta.dim)
+    n = points.shape[0]
+    perp = offset_normal(theta)
+    if offsets is None:
+        offsets = np.zeros(n) if theta.dim == 1 else points @ perp
+    offsets = np.asarray(offsets, dtype=float)
+    rows, alpha, beta, flags = chord_table(domain, theta, offsets)
+    exits = offsets[rows, None] * perp[None, :] + beta[:, None] * theta.vector[None, :]
+    dist = np.linalg.norm(exits - points[rows], axis=1)
+    order = np.lexsort((dist, rows))
+    starts = _row_starts(rows, n)
+    lines = np.nonzero(starts[:-1] < starts[1:])[0]
+    best = order[starts[lines]]
+    ok = (dist[best] <= r_match) & ~flags[lines]
+    lines, best = lines[ok], best[ok]
+    found = np.zeros(n, dtype=bool)
+    found[lines] = True
+    a, b = np.full(n, np.nan), np.full(n, np.nan)
+    a[lines], b[lines] = alpha[best], beta[best]
+    return offsets, a, b, found
+
+
 def opposite_endpoint(
     domain: Domain, z, theta: Direction, r_match: float | None = None
 ) -> tuple[np.ndarray, float]:
@@ -1271,24 +1271,12 @@ def opposite_endpoint(
     """
     if r_match is None:
         r_match = 1e-6 * max(domain.diameter, 1.0)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if domain.dim == 2:
-        s = float(z @ theta.vector)
-        clist = chords(domain, theta, z)
-    else:
-        s = float(z[0] * theta.vector[0])
-        clist = chords(domain, theta, None)
-    best = None
-    for ch in clist:
-        err = abs(ch.beta - s)
-        if err <= r_match and (best is None or err < best[0]):
-            best = (err, ch)
-    if best is None:
+    t, alpha, beta, found = exit_chords(domain, theta, z, r_match)
+    if not found[0]:
         raise NotDirectionalBoundary(
-            f"{z.tolist()} is not an exit point for {theta!r}"
+            f"{np.ravel(z).tolist()} is not an exit point for {theta!r}"
         )
-    ch = best[1]
-    return ch.endpoint_minus, ch.length
+    return t[0] * offset_normal(theta) + alpha[0] * theta.vector, float(beta[0] - alpha[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _gauss
 from .errors import NotDirectionalBoundary, ValidationError
-from .geometry import Direction, Domain, Polygon, slice_lines
+from .geometry import Direction, Domain, Polygon, exit_chords
 from .quadrature import IntegralResult, QuadratureSpec, boundary_integral, chord_grid
 
 
@@ -115,23 +115,6 @@ def _edge_normals(vertices: np.ndarray):
     return edges, normals
 
 
-def _chord_length_at(domain: Domain, theta: Direction, z: np.ndarray,
-                     r_match: float) -> float:
-    """Length of the chord exiting at boundary point z."""
-    t = float(z @ theta.perp_vector)
-    rows, _ = slice_lines(domain, theta, np.array([t]))
-    segs = rows[0]
-    if segs.shape[0]:
-        exits = t * theta.perp_vector[None, :] + segs[:, 1:2] * theta.vector[None, :]
-        dist = np.linalg.norm(exits - z[None, :], axis=1)
-        k = int(np.argmin(dist))
-        if dist[k] <= r_match:
-            return float(segs[k, 1] - segs[k, 0])
-    raise NotDirectionalBoundary(
-        f"no chord in direction {theta.vector} exits at {z}"
-    )
-
-
 @dataclass(frozen=True)
 class PolygonDensityReport:
     theta: Direction
@@ -178,16 +161,18 @@ def polygon_density_report(poly: Polygon, theta: Direction,
             if 1e-12 < tau < 1.0 - 1e-12:
                 taus.append(tau)
         taus = sorted(taus)
+        pieces = [(t0, t1) for t0, t1 in zip(taus[:-1], taus[1:]) if t1 - t0 >= 1e-13]
+        mids = np.concatenate([t0 + (gx + 1.0) * 0.5 * (t1 - t0) for t0, t1 in pieces])
+        pts = a[None, :] + mids[:, None] * edges[i][None, :]
+        _, alpha, beta, found = exit_chords(poly, theta, pts, r_match)
+        if not np.all(found):
+            raise NotDirectionalBoundary(
+                f"no chord in direction {theta.vector} exits at {pts[~found][0]}"
+            )
+        ells = (beta - alpha).reshape(len(pieces), gx.size)
         acc = 0.0
-        for t0, t1 in zip(taus[:-1], taus[1:]):
-            if t1 - t0 < 1e-13:
-                continue
-            mids = t0 + (gx + 1.0) * 0.5 * (t1 - t0)
-            pts = a[None, :] + mids[:, None] * edges[i][None, :]
-            ells = np.array([
-                _chord_length_at(poly, theta, z, r_match) for z in pts
-            ])
-            acc += (t1 - t0) * 0.5 * float(gw @ ells)
+        for (t0, t1), piece_ells in zip(pieces, ells):
+            acc += (t1 - t0) * 0.5 * float(gw @ piece_ells)
         closed[i] = acc * elen * proj
 
     mu = measure_atoms(poly, theta, spec)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _gauss
 from .errors import UnresolvedSingularity, ValidationError
-from .geometry import Direction, Domain, hyperplane_range, slice_lines
+from .geometry import Direction, Domain, chord_table, hyperplane_range, offset_normal
 
 _GAUSS_ORDERS = (4, 8, 16)
 
@@ -109,6 +109,18 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
     return np.concatenate(ts_parts), np.concatenate(w_parts)
 
 
+def points_along(base: np.ndarray, s: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Points base + s * vec, with one line foot per row of base (n, d) and
+    s (n,) or (n, q) the parameters along each line; shape s.shape + (d,).
+
+    Built one coordinate at a time, because numpy broadcasts over a short
+    last axis slowly; the arithmetic per element is the same.
+    """
+    lead = (-1,) + (1,) * (s.ndim - 1)
+    return np.stack([base[:, k].reshape(lead) + s * vec[k] for k in range(base.shape[1])],
+                    axis=-1)
+
+
 class ChordGrid:
     """All chords of a domain for one direction at one offset resolution.
 
@@ -124,60 +136,70 @@ class ChordGrid:
             ts = np.zeros(1)
             dt = 1.0
             widths = np.ones(1)
-            perp = np.zeros(1)
         else:
             lo, hi = hyperplane_range(domain, theta)
             dt = (hi - lo) / n_offsets
             ts, widths = _offset_cells(domain, theta, lo, hi, n_offsets)
-            perp = theta.perp_vector
-        rows, flags = slice_lines(domain, theta, ts)
+        rows, alpha, beta, flags = chord_table(domain, theta, ts)
+        keep = ~flags[rows]
 
-        t_list, a_list, b_list, idx_list = [], [], [], []
-        for k, row in enumerate(rows):
-            if flags[k] or row.shape[0] == 0:
-                continue
-            t_list.append(np.full(row.shape[0], ts[k]))
-            a_list.append(row[:, 0])
-            b_list.append(row[:, 1])
-            idx_list.append(np.full(row.shape[0], k, dtype=np.int64))
-        if t_list:
-            self.t = np.concatenate(t_list)
-            self.alpha = np.concatenate(a_list)
-            self.beta = np.concatenate(b_list)
-            self.offset_index = np.concatenate(idx_list)
-        else:
-            self.t = np.zeros(0)
-            self.alpha = np.zeros(0)
-            self.beta = np.zeros(0)
-            self.offset_index = np.zeros(0, dtype=np.int64)
-
+        self.offset_index = rows[keep]
+        self.alpha = alpha[keep]
+        self.beta = beta[keep]
         self.offsets = ts
         self.offset_widths = widths
         self.dt = float(dt)
         self.flagged_offsets = int(np.count_nonzero(flags))
         self.lengths = self.beta - self.alpha
-        self.chord_dt = widths[self.offset_index]
-        self.weights = self.lengths * self.chord_dt
-        self.base = self.t[:, None] * perp[None, :]
-        vec = theta.vector
-        self.endpoint_plus = self.base + self.beta[:, None] * vec
-        self.endpoint_minus = self.base + self.alpha[:, None] * vec
-        for arr in (self.t, self.alpha, self.beta, self.offset_index,
-                    self.lengths, self.chord_dt, self.weights, self.base,
-                    self.endpoint_plus, self.endpoint_minus):
+        self._perp = offset_normal(theta)
+        for arr in (self.offsets, self.offset_widths, self.offset_index,
+                    self.alpha, self.beta, self.lengths):
             arr.setflags(write=False)
+
+    # Arrays that are cheap to derive are derived on demand rather than
+    # kept with every cached grid; callers that use one several times keep
+    # it in a local.
+    @property
+    def t(self) -> np.ndarray:
+        """Offset of each chord's line."""
+        return self.offsets[self.offset_index]
+
+    @property
+    def chord_dt(self) -> np.ndarray:
+        """Offset cell width of each chord's line."""
+        return self.offset_widths[self.offset_index]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Atom weight of each chord: its length times its cell width."""
+        return self.lengths * self.chord_dt
+
+    @property
+    def base(self) -> np.ndarray:
+        """Foot of each chord's line on the offset hyperplane, (n, d)."""
+        t = self.t
+        return np.column_stack([t * p for p in self._perp])
+
+    @property
+    def endpoint_plus(self) -> np.ndarray:
+        """Exit endpoint of each chord, (n, d)."""
+        return points_along(self.base, self.beta, self.theta.vector)
+
+    @property
+    def endpoint_minus(self) -> np.ndarray:
+        """Entry endpoint of each chord, (n, d)."""
+        return points_along(self.base, self.alpha, self.theta.vector)
 
     @property
     def n_chords(self) -> int:
-        return self.t.shape[0]
+        return self.alpha.shape[0]
 
     def gauss_points(self, order: int):
         """Nodes along every chord: points (n, q, d), arc offsets s (n, q),
         reference weights w (q,) with w.sum() == 2."""
         x, w = _gauss.nodes(order)
         s = self.alpha[:, None] + (x[None, :] + 1.0) * 0.5 * self.lengths[:, None]
-        pts = self.base[:, None, :] + s[..., None] * self.theta.vector
-        return pts, s, w
+        return points_along(self.base, s, self.theta.vector), s, w
 
 
 _cache_lock = threading.Lock()
@@ -220,7 +242,7 @@ def _volume_value(domain, fe, theta, n_offsets, order, panel=None):
         return 0.0, 0.0, grid.flagged_offsets
     if panel is None:
         pts, _, w = grid.gauss_points(order)
-        vals = np.asarray(fe(pts.reshape(-1, grid.base.shape[1])), dtype=float)
+        vals = np.asarray(fe(pts.reshape(-1, grid.dim)), dtype=float)
         vals = vals.reshape(grid.n_chords, order)
         half_len = 0.5 * grid.lengths
         row_dt = grid.chord_dt
@@ -231,12 +253,12 @@ def _volume_value(domain, fe, theta, n_offsets, order, panel=None):
         x, w = _gauss.nodes(order)
         m = np.maximum(1, np.ceil(grid.lengths / panel).astype(np.int64))
         ci = np.repeat(np.arange(grid.n_chords), m)
-        pj = np.concatenate([np.arange(k) for k in m])
+        pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
         plen = grid.lengths[ci] / m[ci]
         a = grid.alpha[ci] + pj * plen
         s = a[:, None] + (x[None, :] + 1.0) * 0.5 * plen[:, None]
-        pts = grid.base[ci][:, None, :] + s[..., None] * theta.vector
-        vals = np.asarray(fe(pts.reshape(-1, grid.base.shape[1])), dtype=float)
+        pts = points_along(grid.base[ci], s, theta.vector)
+        vals = np.asarray(fe(pts.reshape(-1, grid.dim)), dtype=float)
         vals = vals.reshape(s.shape)
         half_len = 0.5 * plen
         row_dt = grid.chord_dt[ci]

@@ -30,13 +30,14 @@ from .errors import (
     NotDirectionalBoundary,
     ValidationError,
 )
-from .geometry import Direction, Domain, slice_lines
+from .geometry import Direction, Domain, exit_chords, offset_normal
 from .measure import measure_atoms
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     chord_grid,
     norm_theta,
+    points_along,
     volume_integral,
 )
 
@@ -152,41 +153,38 @@ def trace_norm_sq(fld, domain: Domain, theta: Direction,
                           spec.n_offsets, spec.gauss_order, method="trace_norm_sq")
 
 
-def _single_chord(domain: Domain, theta: Direction, z: np.ndarray):
+def _exit_chord(domain: Domain, theta: Direction, z):
     """The chord whose exit endpoint is z, as (t, alpha, beta)."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if domain.dim == 1:
-        t = 0.0
-        perp = np.zeros(1)
-    else:
-        perp = theta.perp_vector
-        t = float(z @ perp)
-    rows, _ = slice_lines(domain, theta, np.array([t]))
-    segs = rows[0]
-    if segs.shape[0]:
-        exits = t * perp[None, :] + segs[:, 1:2] * theta.vector[None, :]
-        dist = np.linalg.norm(exits - z[None, :], axis=1)
-        k = int(np.argmin(dist))
-        if dist[k] <= _match_radius(domain):
-            return t, float(segs[k, 0]), float(segs[k, 1])
-    raise NotDirectionalBoundary(
-        f"{z} is not an exit point for direction {theta.vector}"
-    )
+    t, a, b, found = exit_chords(domain, theta, z, _match_radius(domain))
+    if not found[0]:
+        raise NotDirectionalBoundary(
+            f"{np.ravel(z)} is not an exit point for direction {theta.vector}"
+        )
+    return t, a, b
+
+
+def _exit_traces(fld, theta: Direction, t, a, b, order: int) -> np.ndarray:
+    """Exit trace of the field on each chord ]a, b[ of the line at offset
+    t, one Gauss rule per chord; NaN where the integrand is not finite."""
+    x, w = _gauss.nodes(order)
+    s = a[:, None] + (x + 1.0) * 0.5 * (b - a)[:, None]
+    perp = offset_normal(theta)
+    pts = t[:, None, None] * perp + s[..., None] * theta.vector
+    flat = pts.reshape(-1, perp.size)
+    u = np.asarray(fld.eval_many(flat), dtype=float).reshape(s.shape)
+    du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(s.shape)
+    finite = np.all(np.isfinite(u), axis=1) & np.all(np.isfinite(du), axis=1)
+    values = 0.5 * np.sum(w * (u + (s - a[:, None]) * du), axis=1)
+    return np.where(finite, values, np.nan)
 
 
 def directional_trace(fld, domain: Domain, theta: Direction, z,
                       order: int = 16) -> float:
     """Trace of the field at one boundary point, along one direction."""
-    t, a, b = _single_chord(domain, theta, np.asarray(z, dtype=float))
-    x, w = _gauss.nodes(order)
-    s = a + (x + 1.0) * 0.5 * (b - a)
-    perp = np.zeros(domain.dim) if domain.dim == 1 else theta.perp_vector
-    pts = t * perp[None, :] + s[:, None] * theta.vector[None, :]
-    u = np.asarray(fld.eval_many(pts), dtype=float)
-    du = np.asarray(fld.dderiv_many(pts, theta), dtype=float)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(du))):
+    value = _exit_traces(fld, theta, *_exit_chord(domain, theta, z), order)[0]
+    if not np.isfinite(value):
         raise DivergentChordIntegral("chord integrand not finite")
-    return float(0.5 * np.sum(w * (u + (s - a) * du)))
+    return float(value)
 
 
 def lebesgue_average(fld, domain: Domain, theta: Direction, z, eps: float,
@@ -194,12 +192,11 @@ def lebesgue_average(fld, domain: Domain, theta: Direction, z, eps: float,
     """Average of the field over the last eps of the chord into z."""
     if eps <= 0.0:
         raise ValidationError("eps must be positive")
-    t, a, b = _single_chord(domain, theta, np.asarray(z, dtype=float))
-    h = min(eps, b - a)
+    t, a, b = _exit_chord(domain, theta, z)
+    h = min(eps, float(b[0] - a[0]))
     x, w = _gauss.nodes(order)
     back = (x + 1.0) * 0.5 * h
-    perp = np.zeros(domain.dim) if domain.dim == 1 else theta.perp_vector
-    pts = t * perp[None, :] + (b - back)[:, None] * theta.vector[None, :]
+    pts = t[0] * offset_normal(theta)[None, :] + (b[0] - back)[:, None] * theta.vector[None, :]
     u = np.asarray(fld.eval_many(pts), dtype=float)
     return float(0.5 * np.sum(w * u))
 
@@ -230,7 +227,7 @@ def lebesgue_comparison(fld, domain: Domain, theta: Direction, eps: float,
         h = np.minimum(eps, grid.lengths)
         back = (x[None, :] + 1.0) * 0.5 * h[:, None]
         s = grid.beta[:, None] - back
-        pts = grid.base[:, None, :] + s[..., None] * grid.theta.vector
+        pts = points_along(grid.base, s, grid.theta.vector)
         u = np.asarray(fld.eval_many(pts.reshape(-1, pts.shape[-1])), dtype=float)
         means = 0.5 * (u.reshape(s.shape) @ w)
         return float(np.sum(grid.weights * (gplus - means) ** 2))
@@ -359,38 +356,13 @@ def _batched_traces(fld, domain: Domain, theta: Direction, probes: np.ndarray,
                     order: int, r_match: float) -> np.ndarray:
     """Trace of the field at each probe along theta, NaN when unreachable.
 
-    Reachability is decided by slicing the domain through each probe and
-    demanding a chord that exits there.
+    A probe is reachable when the slice of the domain through it has a
+    chord exiting there.
     """
-    n = probes.shape[0]
-    out = np.full(n, np.nan)
-    if domain.dim == 1:
-        ts = np.zeros(n)
-        perp = np.zeros(1)
-    else:
-        perp = theta.perp_vector
-        ts = probes @ perp
-    rows, flags = slice_lines(domain, theta, ts)
-    x, w = _gauss.nodes(order)
-    vec = theta.vector
-    for i in range(n):
-        if flags[i]:
-            continue
-        segs = rows[i]
-        if not segs.shape[0]:
-            continue
-        exits = ts[i] * perp[None, :] + segs[:, 1:2] * vec[None, :]
-        dist = np.linalg.norm(exits - probes[i][None, :], axis=1)
-        k = int(np.argmin(dist))
-        if dist[k] > r_match:
-            continue
-        a, b = float(segs[k, 0]), float(segs[k, 1])
-        s = a + (x + 1.0) * 0.5 * (b - a)
-        pts = ts[i] * perp[None, :] + s[:, None] * vec[None, :]
-        u = np.asarray(fld.eval_many(pts), dtype=float)
-        du = np.asarray(fld.dderiv_many(pts, theta), dtype=float)
-        if np.all(np.isfinite(u)) and np.all(np.isfinite(du)):
-            out[i] = 0.5 * np.sum(w * (u + (s - a) * du))
+    t, a, b, found = exit_chords(domain, theta, probes, r_match)
+    out = np.full(probes.shape[0], np.nan)
+    if np.any(found):
+        out[found] = _exit_traces(fld, theta, t[found], a[found], b[found], order)
     return out
 
 
@@ -401,28 +373,13 @@ def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
     Each input atom yields two probe points, one per shifted offset; rows
     are NaN when the shifted line carries no usable chord.
     """
-    n = points.shape[0]
-    out = np.full((2 * n, points.shape[1]), np.nan)
-    if n == 0:
-        return out
     shifts = np.array([-dt / 3.0, dt / 3.0])
     ts = (offsets[:, None] + shifts[None, :]).reshape(-1)
-    rows, flags = slice_lines(domain, theta, ts)
-    vec = theta.vector
-    if domain.dim == 1:
-        perp = np.zeros(1)
-    else:
-        perp = theta.perp_vector
-    for i in range(2 * n):
-        if flags[i]:
-            continue
-        segs = rows[i]
-        if not segs.shape[0]:
-            continue
-        exits = ts[i] * perp[None, :] + segs[:, 1:2] * vec[None, :]
-        base = points[i // 2]
-        dist = np.linalg.norm(exits - base[None, :], axis=1)
-        out[i] = exits[int(np.argmin(dist))]
+    t, _, b, found = exit_chords(domain, theta, np.repeat(points, 2, axis=0),
+                                 np.inf, offsets=ts)
+    out = np.full((ts.size, points.shape[1]), np.nan)
+    out[found] = (t[found, None] * offset_normal(theta)[None, :]
+                  + b[found, None] * theta.vector[None, :])
     return out
 
 

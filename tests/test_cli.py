@@ -1,10 +1,14 @@
 """Command line driver: files, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from dirtrace.cli import main
+from dirtrace.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FAST = ["--ny", "256", "--mc-samples", "100"]
 
@@ -79,6 +83,27 @@ def test_measure_tolerance_below_error_exits_3(tmp_path):
 def test_bad_flag_exits_2(tmp_path, capsys):
     assert main(["staircase", "--domain", "square"]) == 2
     capsys.readouterr()
+
+
+def test_tolerance_without_a_gate_exits_2(tmp_path, capsys):
+    # trace has no tolerance gate, so the flag must not be accepted and
+    # silently dropped
+    code = main(["trace", "--domain", "square", "--field", "x1x2", "--ny", "64",
+                 "--tolerance", "1e-30", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_commands_parse():
+    commands = [line.strip() for line in README.read_text().splitlines()
+                if line.strip().startswith("python3 -m dirtrace ")]
+    assert len(commands) == 8
+    parser = build_parser()
+    for command in commands:
+        argv = shlex.split(command)[3:]
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_version_flag(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dirtrace import fractal, geometry
+from dirtrace import fractal, geometry, quadrature
 from dirtrace.errors import PointOutsideDomain, NotDirectionalBoundary, UnknownName
 from dirtrace.geometry import (
     Bicone,
@@ -143,7 +143,8 @@ def test_scan_agrees_with_closed_form():
     lo, hi = geometry.hyperplane_range(sq, theta)
     ts = lo + (hi - lo) * np.linspace(0.08, 0.92, 9)
     closed, _ = slice_lines(sq, theta, ts)
-    scanned = _scan_slices(sq, theta, ts)
+    rows, alpha, beta = _scan_slices(sq, theta, ts)
+    scanned = [np.column_stack((alpha, beta))[rows == i] for i in range(ts.size)]
     for a, b in zip(closed, scanned):
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b, atol=2.0 * EPS_SCAN)
@@ -264,3 +265,81 @@ def test_json_roundtrip(name):
 def test_json_unknown_kind():
     with pytest.raises(UnknownName):
         domain_from_json({"kind": "dodecahedron"})
+
+
+# --- exit-chord lookup -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["square", "triangle", "crack_square",
+                                  "disk_minus_cantor", "omega_C", "bicone"])
+@pytest.mark.parametrize("angle", [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi])
+def test_exit_chords_round_trip_on_axis_grids(name, angle):
+    # on axis lines the offset of an exit point comes out exactly, so the
+    # lookup re-slices the very line of the chord and must return it
+    dom = fractal.named_domain(name)
+    theta = Direction.from_angle(angle)
+    grid = quadrature.chord_grid(dom, theta, 64)
+    t, alpha, beta, found = geometry.exit_chords(
+        dom, theta, grid.endpoint_plus, 1e-6 * dom.diameter)
+    assert grid.n_chords > 0 and np.all(found)
+    np.testing.assert_array_equal(t, grid.t)
+    np.testing.assert_array_equal(alpha, grid.alpha)
+    np.testing.assert_array_equal(beta, grid.beta)
+
+
+def test_exit_chords_round_trip_with_explicit_offsets():
+    dom = fractal.named_domain("cantor_comb", level=4)
+    theta = Direction.from_angle(0.9)
+    grid = quadrature.chord_grid(dom, theta, 64)
+    _, alpha, beta, found = geometry.exit_chords(
+        dom, theta, grid.endpoint_plus, 1e-6 * dom.diameter, offsets=grid.t)
+    assert np.all(found)
+    np.testing.assert_array_equal(alpha, grid.alpha)
+    np.testing.assert_array_equal(beta, grid.beta)
+
+
+def test_exit_chords_interior_point_is_not_found():
+    sq = unit_square()
+    _, alpha, beta, found = geometry.exit_chords(
+        sq, E1, np.array([[0.5, 0.5], [1.0, 0.5]]), 1e-6)
+    assert found.tolist() == [False, True]
+    assert np.isnan(alpha[0]) and np.isnan(beta[0])
+    assert (alpha[1], beta[1]) == pytest.approx((0.0, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("name, theta, point", [
+    ("square", Direction.from_angle(0.25 * np.pi), (0.0, 0.0)),
+    ("triangle", Direction.from_angle(-np.pi / 3.0), (0.0, 1.0)),
+])
+def test_line_through_polygon_vertices_has_one_chord(name, theta, point):
+    # both edges at a vertex report the crossing; it must count once
+    dom = fractal.named_domain(name)
+    t = float(np.asarray(point) @ theta.perp_vector)
+    intervals, flags = slice_lines(dom, theta, np.array([t]))
+    assert intervals[0].shape == (1, 2) and not flags[0]
+    lo, hi = intervals[0][0]
+    mid = t * theta.perp_vector + 0.5 * (lo + hi) * theta.vector
+    assert dom.contains(mid)
+
+
+@pytest.mark.parametrize("name, angle", [
+    (name, angle)
+    for name in ("square", "triangle", "crack_square", "disk_minus_cantor",
+                 "omega_C", "bicone", "cusp", "cantor_comb")
+    for angle in (0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi, 0.9)
+    # the slit disk solves its lines with one matrix-vector product, whose
+    # rounding on oblique lines depends on the batch
+    if not (name == "disk_minus_cantor" and angle == 0.9)
+])
+def test_batched_slicing_matches_one_line_at_a_time(name, angle):
+    dom = fractal.named_domain(name, level=6) if name == "cantor_comb" else (
+        fractal.named_domain(name))
+    theta = Direction.from_angle(angle)
+    lo, hi = geometry.hyperplane_range(dom, theta)
+    ts = np.concatenate([lo + (hi - lo) * np.linspace(0.0, 1.0, 13), [0.0, 0.5]])
+    batch, flags = slice_lines(dom, theta, ts)
+    assert len(batch) == ts.size
+    for t, segs, flag in zip(ts, batch, flags):
+        one, one_flags = slice_lines(dom, theta, [t])
+        np.testing.assert_array_equal(segs, one[0])
+        assert flag == one_flags[0]

@@ -138,3 +138,27 @@ def test_consistency_one_dimensional_crack():
     report_json = rep.to_json()
     assert report_json["verdict"] == "out"
     assert report_json["witnesses"]
+
+
+@pytest.mark.parametrize("name, field", [("square", "sincos"),
+                                         ("crack_square", "crack_2d"),
+                                         ("omega_C", "x1x2")])
+def test_batched_traces_match_directional_trace(name, field):
+    # Probes are the exit atoms of all four axis directions, looked up
+    # along each of them: some are reachable, some are not.  Axis lines
+    # keep each probe's offset exact, whatever the batch it is computed in.
+    dom = fractal.named_domain(name)
+    fld = get_field(field)
+    directions = direction_table(4)
+    probes = np.concatenate([
+        trace.measure_atoms(dom, theta, SPEC).points[::37] for theta in directions])
+    r_match = trace._match_radius(dom)
+    for theta in directions:
+        values = trace._batched_traces(fld, dom, theta, probes, 16, r_match)
+        assert 0 < np.count_nonzero(np.isfinite(values)) < probes.shape[0]
+        for z, value in zip(probes, values):
+            if np.isfinite(value):
+                assert trace.directional_trace(fld, dom, theta, z, order=16) == value
+            else:
+                with pytest.raises(NotDirectionalBoundary):
+                    trace.directional_trace(fld, dom, theta, z, order=16)
