@@ -24,7 +24,6 @@ from .errors import (
 )
 from .geometry import (
     Bicone,
-    BoundaryPoint,
     CantorComb,
     Chord,
     ConeUnionCantor,

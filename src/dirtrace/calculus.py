@@ -36,7 +36,7 @@ from .quadrature import (
     chord_grid,
     volume_integral,
 )
-from .trace import chord_trace_values
+from .trace import chord_trace_values, node_values, traces_from_nodes
 
 
 @dataclass(frozen=True)
@@ -72,29 +72,33 @@ class IbpReport:
 
 
 def _ibp_sides(u, v, domain, theta, n_offsets, order):
-    """(lhs, rhs, lhs scale, rhs scale, flags) on one chord grid."""
+    """(lhs, rhs, lhs scale, rhs scale, flags, bracket <G+u, G+v> -
+    <G-u, G-v>) on one chord grid, from one evaluation of each field at
+    the Gauss nodes."""
     grid = chord_grid(domain, theta, n_offsets)
     if grid.n_chords == 0:
-        return 0.0, 0.0, 0.0, 0.0, grid.flagged_offsets
-    pts, _, w = grid.gauss_points(order)
-    flat = pts.reshape(-1, pts.shape[-1])
-    uu = np.asarray(u.eval_many(flat), dtype=float).reshape(grid.n_chords, order)
-    vv = np.asarray(v.eval_many(flat), dtype=float).reshape(grid.n_chords, order)
-    du = np.asarray(u.dderiv_many(flat, theta), dtype=float).reshape(uu.shape)
-    dv = np.asarray(v.dderiv_many(flat, theta), dtype=float).reshape(uu.shape)
-    chord_dt = grid.chord_dt
-    per_chord = ((uu * dv + vv * du) @ w) * (0.5 * grid.lengths) * chord_dt
+        return 0.0, 0.0, 0.0, 0.0, grid.flagged_offsets, 0.0
+    pts, s, w = grid.gauss_points(order)
+    uu, du = node_values(u, theta, pts, s.shape)
+    vv, dv = node_values(v, theta, pts, s.shape)
+    lengths, chord_dt = grid.lengths, grid.chord_dt
+    per_chord = ((uu * dv + vv * du) @ w) * (0.5 * lengths) * chord_dt
     lhs = float(np.sum(per_chord))
     lhs_scale = float(np.sum(np.abs(per_chord)))
 
-    up, um = chord_trace_values(u, grid, order)
-    vp, vm = chord_trace_values(v, grid, order)
+    up, um = traces_from_nodes(uu, du, s, w, grid)
+    vp, vm = traces_from_nodes(vv, dv, s, w, grid)
     terms = (up * vp - um * vm) * chord_dt
     rhs = float(np.sum(terms))
     rhs_scale = float(np.sum(np.abs(terms)))
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise NonIntegrablePairing("boundary pairing failed to produce finite sums")
-    return lhs, rhs, lhs_scale, rhs_scale, grid.flagged_offsets
+    gu_plus, gu_minus = _paired(up, um, lengths)
+    gv_plus, gv_minus = _paired(vp, vm, lengths)
+    weights = lengths * chord_dt
+    bracket = (float(np.sum(weights * gu_plus * gv_plus))
+               - float(np.sum(weights * gu_minus * gv_minus)))
+    return lhs, rhs, lhs_scale, rhs_scale, grid.flagged_offsets, bracket
 
 
 def integration_by_parts(u: ScalarField, v: ScalarField, domain: Domain,
@@ -102,10 +106,10 @@ def integration_by_parts(u: ScalarField, v: ScalarField, domain: Domain,
                          spec: QuadratureSpec | None = None) -> IbpReport:
     """Both sides of the chord-paired integration by parts identity."""
     spec = spec or QuadratureSpec()
-    lhs, rhs, ls, rs, flags = _ibp_sides(u, v, domain, theta,
-                                         spec.n_offsets, spec.gauss_order)
-    lhs_c, rhs_c, _, _, _ = _ibp_sides(u, v, domain, theta,
-                                       spec.coarse().n_offsets, spec.gauss_order)
+    lhs, rhs, ls, rs, flags, _ = _ibp_sides(u, v, domain, theta,
+                                            spec.n_offsets, spec.gauss_order)
+    lhs_c, rhs_c, _, _, _, _ = _ibp_sides(u, v, domain, theta,
+                                          spec.coarse().n_offsets, spec.gauss_order)
     err_lhs = abs(lhs - lhs_c) + _FLOOR_EPS * (ls + 1.0)
     err_rhs = abs(rhs - rhs_c) + _FLOOR_EPS * (rs + 1.0)
     if abs(rhs - rhs_c) > max(0.4 * abs(rhs), 1e3):
@@ -134,18 +138,24 @@ class PairedBoundaryField:
         return float(np.sum(self.weights * self.minus * other.minus))
 
 
+def _paired(a, b, lengths):
+    """G+ and G- = (a + b +- (a - b) / length) / 2 from exit trace a, entry
+    trace b."""
+    diff = (a - b) / lengths
+    return 0.5 * (a + b + diff), 0.5 * (a + b - diff)
+
+
 def paired_boundary_field(fld: ScalarField, domain: Domain, theta: Direction,
                           spec: QuadratureSpec | None = None) -> PairedBoundaryField:
     """G+- = (a + b +- (a - b) / length) / 2 from exit trace a, entry trace b."""
     spec = spec or QuadratureSpec()
     grid = chord_grid(domain, theta, spec.n_offsets)
-    a, b = chord_trace_values(fld, grid, spec.gauss_order)
-    diff = (a - b) / grid.lengths
+    plus, minus = _paired(*chord_trace_values(fld, grid, spec.gauss_order), grid.lengths)
     return PairedBoundaryField(
         theta=theta,
         points=grid.endpoint_plus,
-        plus=0.5 * (a + b + diff),
-        minus=0.5 * (a + b - diff),
+        plus=plus,
+        minus=minus,
         weights=grid.weights,
         lengths=grid.lengths,
     )
@@ -172,18 +182,10 @@ def paired_identity(u: ScalarField, v: ScalarField, domain: Domain,
                     spec: QuadratureSpec | None = None) -> PairedIdentityReport:
     """<G+u, G+v> - <G-u, G-v> against the volume pairing of u and v."""
     spec = spec or QuadratureSpec()
-
-    def bracket_at(s: QuadratureSpec) -> float:
-        gu = paired_boundary_field(u, domain, theta, s)
-        gv = paired_boundary_field(v, domain, theta, s)
-        return gu.inner_plus(gv) - gu.inner_minus(gv)
-
-    lhs, _, ls, _, _ = _ibp_sides(u, v, domain, theta,
-                                  spec.n_offsets, spec.gauss_order)
-    lhs_c, _, _, _, _ = _ibp_sides(u, v, domain, theta,
-                                   spec.coarse().n_offsets, spec.gauss_order)
-    bracket = bracket_at(spec)
-    bracket_c = bracket_at(spec.coarse())
+    lhs, _, ls, _, _, bracket = _ibp_sides(u, v, domain, theta,
+                                           spec.n_offsets, spec.gauss_order)
+    lhs_c, _, _, _, _, bracket_c = _ibp_sides(u, v, domain, theta,
+                                              spec.coarse().n_offsets, spec.gauss_order)
     return PairedIdentityReport(
         theta=theta,
         volume_pairing=lhs,

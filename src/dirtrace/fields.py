@@ -325,16 +325,3 @@ def parse_field(spec: str) -> ScalarField:
         except ValueError:
             raise ValidationError(f"bad field parameter value {value!r} in {spec!r}")
     return get_field(name.strip(), **params)
-
-
-def fd_gradient(fld: ScalarField, pts, step: float) -> np.ndarray:
-    """Central-difference gradient, the independent cross-check."""
-    arr = np.asarray(pts, dtype=float)
-    out = np.empty_like(arr)
-    for axis in range(arr.shape[1]):
-        hi = arr.copy()
-        lo = arr.copy()
-        hi[:, axis] += step
-        lo[:, axis] -= step
-        out[:, axis] = (fld.eval_many(hi) - fld.eval_many(lo)) / (2.0 * step)
-    return out

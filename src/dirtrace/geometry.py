@@ -13,24 +13,19 @@ arrays (rows, alpha, beta), where rows[i] indexes the offset whose line
 carries chord i, sorted by (row, alpha).  Every stage below works on the
 whole table with array operations on the row boundaries.
 
-Chords are computed in closed form where the boundary allows it (interval
-unions, polygons, the cubic cusp, circle/slit constructions, and the
-axis-aligned sections of the Cantor constructions) and otherwise by
-sampling membership along the line at a fixed fraction of the diameter,
-then bisecting every sign change.  Closed-form endpoints are exact up to
-rounding (guarded by EPS_CLOSED); bisected endpoints are accurate to
-EPS_SCAN.  Chord endpoints always fail membership, chords shorter than
-the kind's endpoint tolerance are dropped, and a slice is flagged when
-two sign changes sit closer than RESOLUTION_FACTOR times that tolerance
-(a thin feature at the limit of resolution).
+Chords are computed in closed form for every kind: interval unions,
+polygons, the cubic cusp (batched cubic roots), circle/slit constructions,
+the Cantor comb, and the Cantor cone unions (the line minus the triangles
+over the gaps).  Endpoints are exact up to rounding.  Chord endpoints
+always fail membership, chords shorter than EPS_EXACT are dropped, and a
+slice is flagged when two crossings sit closer than RESOLUTION_FACTOR
+times that length (a thin feature at the limit of resolution).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,30 +37,13 @@ from .errors import (
     ValidationError,
 )
 
-# Endpoint tolerance for closed-form chord construction (rounding guard).
-EPS_CLOSED = 1e-10
-# Endpoint tolerance for scan-and-bisect chord construction.
-EPS_SCAN = 1e-7
 # Shortest closed-form chord kept.  Closed-form endpoints are exact to
 # rounding, so only machine-noise lengths are meaningless; near-degenerate
 # chords (a cusp tip) carry real measure and must survive.
 EPS_EXACT = 1e-13
-# Membership sampling step along scanned rays, as a fraction of diameter.
-SCAN_STEP_FRACTION = 1e-4
-# Two sign changes closer than this multiple of the endpoint tolerance
-# raise the per-slice resolution flag.
+# Two crossings closer than this multiple of EPS_EXACT raise the per-slice
+# resolution flag.
 RESOLUTION_FACTOR = 4.0
-
-_SCAN_CHUNK_POINTS = 2_000_000
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DIRTRACE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 def _cross(a, b) -> float:
@@ -85,6 +63,17 @@ def _min(a, b):
 def _max(a, b):
     """Elementwise max(a, b) with Python's tie rule, as in `_min`."""
     return np.where(b > a, b, a)
+
+
+def _at_least(g0, slope: float, k):
+    """Closed range {s : g0 + s * slope >= k} of each line, as (lo, hi)
+    with infinite ends; empty where lo > hi."""
+    if slope == 0.0:
+        lo = np.where(g0 >= k, -np.inf, np.inf)
+        return lo, -lo
+    bound = (k - g0) / slope
+    inf = np.full(bound.shape, np.inf)
+    return (bound, inf) if slope > 0.0 else (-inf, bound)
 
 
 def _two_pieces(rows, left_lo, left_hi, left_ok, right_lo, right_hi, right_ok):
@@ -221,15 +210,6 @@ class Chord:
         return self.base + s * self.direction.vector
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A boundary point together with the direction it was reached along."""
-
-    point: np.ndarray
-    direction: Direction
-    side: int  # +1: exit endpoint of the chord, -1: entry endpoint
-
-
 class Domain:
     """Base class: membership plus chord decompositions."""
 
@@ -288,10 +268,6 @@ class Domain:
     def volume(self) -> float | None:
         """Exact Lebesgue measure when known in closed form."""
         return None
-
-    @property
-    def endpoint_tolerance(self) -> float:
-        return EPS_CLOSED
 
     def cache_key(self) -> tuple:
         return (self.kind, tuple(sorted(self.params().items(), key=lambda kv: kv[0])))
@@ -373,6 +349,8 @@ class Polygon(Domain):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValidationError("polygon needs at least 3 planar vertices")
+        if _edges_meet(v):
+            raise ValidationError("polygon edges intersect: the vertex list is not simple")
         v.setflags(write=False)
         self.vertices = v
         lo = v.min(axis=0)
@@ -455,6 +433,21 @@ class Polygon(Domain):
                                 np.concatenate(svals))
 
 
+def _edges_meet(v) -> bool:
+    """Whether two non-adjacent edges of the closed polygon v share a point
+    (an all-pairs test, fine at polygon sizes)."""
+    i, j = np.triu_indices(len(v), k=2)
+    i, j = i[(i > 0) | (j < len(v) - 1)], j[(i > 0) | (j < len(v) - 1)]
+    a, b = v, np.roll(v, -1, axis=0)
+    ends = ((a[i], b[i], a[j]), (a[i], b[i], b[j]), (a[j], b[j], a[i]), (a[j], b[j], b[i]))
+    sides = [np.sign(_cross((q - p).T, (r - p).T)) for p, q, r in ends]
+    meet = (sides[0] * sides[1] < 0) & (sides[2] * sides[3] < 0)
+    for d, (p, q, r) in zip(sides, ends):
+        # an endpoint on the line of the other edge, within its extent
+        meet |= (d == 0) & np.all((np.minimum(p, q) <= r) & (r <= np.maximum(p, q)), axis=1)
+    return bool(np.any(meet))
+
+
 def _pair_candidates(domain, theta, ts, rows, svals):
     """Turn flat crossings (row, s) into a flat table of inside intervals.
 
@@ -534,6 +527,40 @@ class Cusp(Domain):
         lo = np.array([abs(v) ** (1.0 / 3.0) for v in values[rows].tolist()])
         keep = lo < 1.0
         return rows[keep], lo[keep], np.ones(np.count_nonzero(keep))
+
+    def line_slices(self, theta: Direction, ts: np.ndarray):
+        """Cells between the crossings with y = 0, y = 1 and x = +-y**3.
+
+        With x = x0 + m y on the line, the curve crossings are the roots of
+        y**3 -+ (m y + x0): companion-matrix eigenvalues for all lines at
+        once, polished by a Newton step in s.  Real parts of complex pairs
+        are kept; a spurious crossing only splits cells that
+        `_pair_candidates` joins again.
+        """
+        if theta.is_axis():
+            return None
+        vx, vy = theta.vector
+        p = theta.perp_vector
+        ts = np.asarray(ts, dtype=float)
+        bx, by = ts * p[0], ts * p[1]
+        m = vx / vy
+        x0 = bx - m * by
+        rows, svals = [np.arange(ts.size)] * 2, [-by / vy, (1.0 - by) / vy]
+        for sign in (1.0, -1.0):
+            comp = np.zeros((ts.size, 3, 3))
+            comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+            comp[:, 0, 2], comp[:, 1, 2] = sign * x0, sign * m
+            y = np.linalg.eigvals(comp).real
+            s = (y - by[:, None]) / vy
+            slope = 3.0 * vy * y * y - sign * vx
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (y * y * y - sign * (bx[:, None] + s * vx)) / slope
+            s = np.where(np.isfinite(step), s - step, s)
+            y = by[:, None] + s * vy
+            line, k = np.nonzero((y > 0.0) & (y < 1.0))
+            rows.append(line)
+            svals.append(s[line, k])
+        return _pair_candidates(self, theta, ts, np.concatenate(rows), np.concatenate(svals))
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +648,68 @@ class ConeUnionCantor(Domain):
         rows = np.nonzero(d < 1.0)[0]
         return rows, d[rows], np.ones(rows.size)
 
+    def line_slices(self, theta: Direction, ts: np.ndarray):
+        if theta.is_axis():
+            return None
+        p = theta.perp_vector
+        ts = np.asarray(ts, dtype=float)
+        return self._oblique_chords(ts * p[0], ts * p[1], *theta.vector)
+
+    def _oblique_chords(self, bx, by, vx: float, vy: float):
+        """Flat chord table of the lines (bx, by) + s (vx, vy), vx, vy != 0.
+
+        In the band 0 < y < 1 the complement is the closed wedges x + y <= 0
+        and x - y >= 1 and the triangles {y >= 0, x - y >= c, x + y <= d}
+        over the gaps (c, d) up to `level`, each an s-interval of a line.
+        A gap's triangle lies in the triangle over every surviving interval
+        around it, so the gap tree is walked only below triangles a line meets.
+        """
+        n = bx.size
+        u0, w0 = bx - by, bx + by
+        du, dw = vx - vy, vx + vy
+        # y >= 0 bounds both the band and every triangle, so the axis
+        # crossing is one computed number per line
+        y_lo, y_hi = _at_least(by, vy, 0.0)
+        top_lo, top_hi = _at_least(-by, -vy, -1.0)
+        band_lo, band_hi = np.maximum(y_lo, top_lo), np.minimum(y_hi, top_hi)
+
+        def triangle(line, c, d):
+            lo_c, hi_c = _at_least(u0[line], du, c)
+            lo_d, hi_d = _at_least(-w0[line], -dw, -d)
+            return (np.maximum(np.maximum(y_lo[line], lo_c), lo_d),
+                    np.minimum(np.minimum(y_hi[line], hi_c), hi_d))
+
+        all_lines = np.arange(n)
+        removed = [(all_lines, *_at_least(-w0, -dw, 0.0)),
+                   (all_lines, *_at_least(u0, du, 1.0))]
+        line, a, b = all_lines, np.zeros(n), np.ones(n)
+        for depth in range(self.level + 1):
+            lo, hi = triangle(line, a, b)
+            meets = lo <= hi
+            line, a, b = line[meets], a[meets], b[meets]
+            c, d = _cantor._split(a, b, depth, self.ratio, self.scheme)
+            lo, hi = triangle(line, c, d)
+            hit = lo <= hi
+            removed.append((line[hit], lo[hit], hi[hit]))
+            line = np.concatenate((line, line))
+            a, b = np.concatenate((a, d)), np.concatenate((c, b))
+        rows, r_lo, r_hi = (np.concatenate(col) for col in zip(*removed))
+        # clipped to the band the removed intervals are disjoint
+        r_lo, r_hi = np.maximum(r_lo, band_lo[rows]), np.minimum(r_hi, band_hi[rows])
+        cut = r_lo <= r_hi
+        rows, r_lo, r_hi = rows[cut], r_lo[cut], r_hi[cut]
+        # a piece starts at the band's entry or after a removed interval,
+        # and ends where the next removed interval starts
+        rows = np.concatenate((all_lines, rows))
+        nxt = np.concatenate((np.full(n, -np.inf), r_lo))
+        start = np.concatenate((band_lo, r_hi))
+        order = np.lexsort((nxt, rows))
+        rows, nxt, start = rows[order], nxt[order], start[order]
+        end = band_hi[rows]
+        end[:-1] = np.where(rows[1:] == rows[:-1], nxt[1:], end[:-1])
+        keep = end > start
+        return rows[keep], start[keep], end[keep]
+
 
 class Bicone(Domain):
     """Cone union together with its mirror image across the x-axis."""
@@ -663,43 +752,31 @@ class Bicone(Domain):
         mirrored[:, 1] = np.abs(mirrored[:, 1])
         return self.upper.contains_many(mirrored) & (pts[:, 1] != 0.0)
 
-    # Scan endpoints carry bisection noise, so flag with the scan epsilon.
-    slice_eps = EPS_SCAN
-
     def line_slices(self, theta: Direction, ts: np.ndarray):
-        """Scanned slices with the waist pinch restored.
+        """Cone chords of the line, and for y < 0 those of its mirror image
+        (base and direction y -> -y), whose point at s mirrors the line's.
 
-        The two halves meet only on the x-axis, where every point fails
-        membership.  A point sample can straddle that pinch without
-        noticing it, so any scanned chord containing the axis crossing is
-        split there and both new endpoints are refined by bisection.
+        Both halves end at the same computed axis crossing, so pieces that
+        meet there abut with a zero gap; where that point passes membership
+        (it misses the axis by a rounding error next to a Cantor point),
+        they are one chord.
         """
         if theta.is_axis():
             return None
-        ts = np.asarray(ts, dtype=float)
-        rows, alpha, beta = _scan_slices(self, theta, ts)
         tv = theta.vector
         p = theta.perp_vector
-        s_star = -(ts * p[1]) / tv[1]
-
-        on_chord = s_star[rows]
-        hit = np.nonzero((alpha < on_chord) & (on_chord < beta))[0]
-        hit = hit[np.unique(rows[hit], return_index=True)[1]]
-        if not hit.size:
-            return rows, alpha, beta
-        idx = rows[hit]
-        stars = s_star[idx]
-        cross = ts[idx, None] * p[None, :] + stars[:, None] * tv[None, :]
-        outside = ~self.contains_many(cross)
-        end_a = _refine_boundary_many(self, ts[idx], tv, p, alpha[hit], stars)
-        start_b = _refine_boundary_many(self, ts[idx], tv, p, beta[hit], stars)
-        cut = hit[outside]
-        split = np.zeros(rows.size, dtype=bool)
-        split[cut] = True
-        left_hi, right_lo = beta.copy(), np.zeros(rows.size)
-        left_hi[cut], right_lo[cut] = end_a[outside], start_b[outside]
-        return _two_pieces(rows, alpha, left_hi, np.ones(rows.size, dtype=bool),
-                           right_lo, beta, split)
+        ts = np.asarray(ts, dtype=float)
+        bx, by = ts * p[0], ts * p[1]
+        halves = (self.upper._oblique_chords(bx, by, tv[0], tv[1]),
+                  self.upper._oblique_chords(bx, -by, tv[0], -tv[1]))
+        rows, lo, hi = (np.concatenate(col) for col in zip(*halves))
+        order = np.lexsort((lo, rows))
+        rows, lo, hi = rows[order], lo[order], hi[order]
+        meet = np.nonzero((rows[1:] == rows[:-1]) & (hi[:-1] == lo[1:]))[0]
+        at = ts[rows[meet], None] * p[None, :] + hi[meet, None] * tv[None, :]
+        join = meet[self.contains_many(at)]
+        hi[join] = hi[join + 1]
+        return tuple(np.delete(col, join + 1) for col in (rows, lo, hi))
 
     def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         if fixed_axis == 1:
@@ -757,8 +834,8 @@ class CantorComb(Domain):
     def line_slices(self, theta: Direction, ts: np.ndarray):
         """Exact oblique slices from the gap table.
 
-        The teeth meet any non-axis line in a set a point scan cannot
-        see, so the chords above the axis are built per gap column and
+        The teeth meet any non-axis line in a set no membership sample
+        resolves, so the chords above the axis are built per gap column and
         joined with the lower rectangle chord when the axis crossing
         falls inside the same gap.
         """
@@ -893,9 +970,10 @@ class DiskMinusCantor(Domain):
         tv = theta.vector
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
-        base = ts[:, None] * p[None, :] - self.CENTER[None, :]
-        b = base @ tv
-        c = (base * base).sum(axis=1) - self.RADIUS**2
+        bx, by = ts * p[0] - self.CENTER[0], ts * p[1] - self.CENTER[1]
+        # elementwise, so that a line's chords do not depend on its batch
+        b = bx * tv[0] + by * tv[1]
+        c = (bx * bx + by * by) - self.RADIUS**2
         disc = b * b - c
         rows = np.nonzero(disc > 0.0)[0]
         root = np.sqrt(disc[rows])
@@ -1026,90 +1104,13 @@ def _axis_slices(domain: Domain, theta: Direction, ts: np.ndarray):
     return rows[order], -hi[order], -lo[order]
 
 
-def _scan_slices(domain: Domain, theta: Direction, ts: np.ndarray):
-    tv = theta.vector
-    p = theta.perp_vector
-    ts = np.asarray(ts, dtype=float)
-    lo, hi = domain.bbox
-    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-    proj = corners @ tv
-    step = SCAN_STEP_FRACTION * domain.diameter
-    smin = float(proj.min()) - 2.0 * step
-    smax = float(proj.max()) + 2.0 * step
-    ns = int(math.ceil((smax - smin) / step)) + 1
-    s = np.linspace(smin, smax, ns)
-    n_iter = int(math.ceil(math.log2(max(s[1] - s[0], EPS_SCAN) / EPS_SCAN))) + 2
-
-    rows_per_chunk = max(1, _SCAN_CHUNK_POINTS // ns)
-    chunks = [
-        (start, min(start + rows_per_chunk, ts.size))
-        for start in range(0, ts.size, rows_per_chunk)
-    ]
-
-    def do_chunk(bounds):
-        start, stop = bounds
-        tc = ts[start:stop]
-        pts = tc[:, None, None] * p[None, None, :] + s[None, :, None] * tv[None, None, :]
-        mask = domain.contains_many(pts.reshape(-1, 2)).reshape(tc.size, ns)
-        mask[:, 0] = False
-        mask[:, -1] = False
-        delta = np.diff(mask.astype(np.int8), axis=1)
-        rr, cc = np.nonzero(delta)
-        kind = delta[rr, cc]  # +1 enter, -1 exit
-        if rr.size == 0:
-            return _no_chords()
-        pin = np.where(kind > 0, s[cc + 1], s[cc])
-        pout = np.where(kind > 0, s[cc], s[cc + 1])
-        tvals = tc[rr]
-        for _ in range(n_iter):
-            mid = 0.5 * (pin + pout)
-            mpts = tvals[:, None] * p[None, :] + mid[:, None] * tv[None, :]
-            ins = domain.contains_many(mpts)
-            pin = np.where(ins, mid, pin)
-            pout = np.where(ins, pout, mid)
-        # transitions come out ordered by line, then s; on every line
-        # enters and exits alternate, starting with an enter
-        enter = kind > 0
-        return rr[enter] + start, pout[enter], pout[~enter]
-
-    workers = _worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(do_chunk, chunks))
-    else:
-        parts = [do_chunk(c) for c in chunks]
-    rows, alpha, beta = (np.concatenate(col) for col in zip(*[_no_chords()] + parts))
-    return rows, alpha, beta
-
-
-def _refine_boundary_many(domain, ts, tv, p, s_in, s_out) -> np.ndarray:
-    """Bisect between inside and outside line parameters, one pair per line.
-
-    Returns the inside-side bounds, so open chords built from them stay
-    inside the domain.
-    """
-    s_in = np.array(s_in, dtype=float)
-    s_out = np.array(s_out, dtype=float)
-    for _ in range(60):
-        mid = 0.5 * (s_in + s_out)
-        live = (mid != s_in) & (mid != s_out)
-        if not np.any(live):
-            break
-        pts = ts[:, None] * p[None, :] + mid[:, None] * tv[None, :]
-        inside = domain.contains_many(pts)
-        s_in = np.where(live & inside, mid, s_in)
-        s_out = np.where(live & ~inside, mid, s_out)
-    return s_in
-
-
-def _finalize_slices(domain, theta, ts, rows, alpha, beta, eps):
+def _finalize_slices(domain, theta, ts, rows, alpha, beta):
     """Drop short chords, nudge endpoints outside, compute per-slice flags."""
     tv = theta.vector
     p = theta.perp_vector
-    # Exact endpoints only have rounding noise, so closed-form kinds keep
-    # chords all the way down to machine scale.
-    short = eps if eps > EPS_CLOSED else EPS_EXACT
-    limit = RESOLUTION_FACTOR * short
+    # Exact endpoints only have rounding noise, so chords are kept all the
+    # way down to machine scale.
+    short, limit = EPS_EXACT, RESOLUTION_FACTOR * EPS_EXACT
     lengths = beta - alpha
     gaps = alpha[1:] - beta[:-1]
     # A gap of exactly zero is a slit: two maximal intervals that share an
@@ -1161,14 +1162,11 @@ def chord_table(domain: Domain, theta: Direction, ts):
                 np.tile(segs[:, 1], ts.size), np.zeros(ts.size, dtype=bool))
 
     raw = domain.line_slices(theta, ts)
-    eps = getattr(domain, "slice_eps", EPS_CLOSED)
     if raw is None and theta.is_axis():
         raw = _axis_slices(domain, theta, ts)
-        eps = EPS_CLOSED
     if raw is None:
-        raw = _scan_slices(domain, theta, ts)
-        eps = EPS_SCAN
-    return _finalize_slices(domain, theta, ts, *raw, eps)
+        raise ValidationError(f"no closed-form chords for kind {domain.kind!r} along {theta!r}")
+    return _finalize_slices(domain, theta, ts, *raw)
 
 
 def slice_lines(domain: Domain, theta: Direction, ts) -> tuple[list[np.ndarray], np.ndarray]:
@@ -1210,9 +1208,8 @@ def exit_distance(domain: Domain, x, theta: Direction) -> float:
         raise PointOutsideDomain(f"{x.tolist()} is not inside the domain")
     s = float(x @ theta.vector) if domain.dim == 2 else float(x[0] * theta.vector[0])
     for ch in chords(domain, theta, x if domain.dim == 2 else None):
-        if ch.alpha - 4.0 * domain.endpoint_tolerance <= s <= ch.beta + 4.0 * domain.endpoint_tolerance:
-            if ch.alpha <= s <= ch.beta:
-                return ch.beta - s
+        if ch.alpha <= s <= ch.beta:
+            return ch.beta - s
     raise PointOutsideDomain(
         f"no chord through {x.tolist()} along {theta!r}; tangential ray?"
     )
@@ -1243,7 +1240,10 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
     n = points.shape[0]
     perp = offset_normal(theta)
     if offsets is None:
-        offsets = np.zeros(n) if theta.dim == 1 else points @ perp
+        # one coordinate at a time: a matrix-vector product rounds
+        # differently by batch size, and a point must get the same offset
+        # in every batch
+        offsets = np.zeros(n) if theta.dim == 1 else points[:, 0] * perp[0] + points[:, 1] * perp[1]
     offsets = np.asarray(offsets, dtype=float)
     rows, alpha, beta, flags = chord_table(domain, theta, offsets)
     exits = offsets[rows, None] * perp[None, :] + beta[:, None] * theta.vector[None, :]

@@ -46,6 +46,29 @@ def _match_radius(domain: Domain) -> float:
     return 1e-6 * max(domain.diameter, 1.0)
 
 
+def node_values(fld, theta: Direction, pts, shape):
+    """Field values and chord derivatives at Gauss nodes pts (n, q, d),
+    each reshaped to `shape`; raises when either is not finite."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    u = np.asarray(fld.eval_many(flat), dtype=float).reshape(shape)
+    du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(shape)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(du))):
+        raise DivergentChordIntegral(
+            "chord integrand not finite at a quadrature node"
+        )
+    return u, du
+
+
+def traces_from_nodes(u, du, s, w, grid):
+    """Exit and entry traces of the grid's chords from the values u and
+    chord derivatives du at their Gauss nodes s (n, q), reference weights w."""
+    rise = s - grid.alpha[:, None]
+    fall = grid.beta[:, None] - s
+    gplus = 0.5 * ((u + rise * du) @ w)
+    gminus = 0.5 * ((u - fall * du) @ w)
+    return gplus, gminus
+
+
 def chord_trace_values(fld, grid, order: int):
     """Exit and entry traces for every chord of a grid.
 
@@ -54,18 +77,7 @@ def chord_trace_values(fld, grid, order: int):
     if grid.n_chords == 0:
         return np.zeros(0), np.zeros(0)
     pts, s, w = grid.gauss_points(order)
-    flat = pts.reshape(-1, pts.shape[-1])
-    u = np.asarray(fld.eval_many(flat), dtype=float).reshape(s.shape)
-    du = np.asarray(fld.dderiv_many(flat, grid.theta), dtype=float).reshape(s.shape)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(du))):
-        raise DivergentChordIntegral(
-            "chord integrand not finite at a quadrature node"
-        )
-    rise = s - grid.alpha[:, None]
-    fall = grid.beta[:, None] - s
-    gplus = 0.5 * ((u + rise * du) @ w)
-    gminus = 0.5 * ((u - fall * du) @ w)
-    return gplus, gminus
+    return traces_from_nodes(*node_values(fld, grid.theta, pts, s.shape), s, w, grid)
 
 
 @dataclass(frozen=True)

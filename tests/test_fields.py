@@ -5,8 +5,21 @@ import pytest
 
 from dirtrace import fields
 from dirtrace.errors import UnknownName, ValidationError
-from dirtrace.fields import fd_gradient, get_field, parse_field
+from dirtrace.fields import ScalarField, get_field, parse_field
 from dirtrace.geometry import Direction
+
+
+def fd_gradient(fld: ScalarField, pts, step: float) -> np.ndarray:
+    """Central-difference gradient, the independent cross-check."""
+    arr = np.asarray(pts, dtype=float)
+    out = np.empty_like(arr)
+    for axis in range(arr.shape[1]):
+        hi = arr.copy()
+        lo = arr.copy()
+        hi[:, axis] += step
+        lo[:, axis] -= step
+        out[:, axis] = (fld.eval_many(hi) - fld.eval_many(lo)) / (2.0 * step)
+    return out
 
 
 def test_registry_contents():

@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
-from dirtrace import fractal, geometry, quadrature
-from dirtrace.errors import PointOutsideDomain, NotDirectionalBoundary, UnknownName
+from dirtrace import _cantor, fractal, geometry, quadrature
+from dirtrace.errors import (
+    NotDirectionalBoundary,
+    PointOutsideDomain,
+    UnknownName,
+    ValidationError,
+)
 from dirtrace.geometry import (
     Bicone,
     CantorComb,
     Cusp,
     Direction,
-    EPS_SCAN,
     IntervalUnion,
     Polygon,
-    _scan_slices,
     chords,
     direction_table,
     domain_from_json,
@@ -22,6 +25,7 @@ from dirtrace.geometry import (
     opposite_endpoint,
     slice_lines,
 )
+from scan_oracle import EPS_SCAN, scan_slices
 
 E1 = Direction([1.0, 0.0])
 E2 = Direction([0.0, 1.0])
@@ -143,7 +147,7 @@ def test_scan_agrees_with_closed_form():
     lo, hi = geometry.hyperplane_range(sq, theta)
     ts = lo + (hi - lo) * np.linspace(0.08, 0.92, 9)
     closed, _ = slice_lines(sq, theta, ts)
-    rows, alpha, beta = _scan_slices(sq, theta, ts)
+    rows, alpha, beta = scan_slices(sq, theta, ts)
     scanned = [np.column_stack((alpha, beta))[rows == i] for i in range(ts.size)]
     for a, b in zip(closed, scanned):
         assert a.shape == b.shape
@@ -188,7 +192,7 @@ def test_bicone_vertical_slices():
 
 
 def test_bicone_oblique_chords_split_at_the_axis():
-    # any scanned chord that crosses y = 0 at a point off the set must be
+    # any chord that crosses y = 0 at a point off the set must be
     # split there; surviving chords never straddle an excluded crossing
     dom = Bicone(level=10)
     theta = Direction.from_angle(np.pi / 4.0)
@@ -327,9 +331,6 @@ def test_line_through_polygon_vertices_has_one_chord(name, theta, point):
     for name in ("square", "triangle", "crack_square", "disk_minus_cantor",
                  "omega_C", "bicone", "cusp", "cantor_comb")
     for angle in (0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi, 0.9)
-    # the slit disk solves its lines with one matrix-vector product, whose
-    # rounding on oblique lines depends on the batch
-    if not (name == "disk_minus_cantor" and angle == 0.9)
 ])
 def test_batched_slicing_matches_one_line_at_a_time(name, angle):
     dom = fractal.named_domain(name, level=6) if name == "cantor_comb" else (
@@ -343,3 +344,95 @@ def test_batched_slicing_matches_one_line_at_a_time(name, angle):
         one, one_flags = slice_lines(dom, theta, [t])
         np.testing.assert_array_equal(segs, one[0])
         assert flag == one_flags[0]
+
+
+# --- closed forms against the scan oracle ------------------------------------
+
+# The exact diagonal keeps x - y (and on the bicone's mirror image x + y)
+# constant along every line.
+ORACLE_DIRECTIONS = [Direction.from_angle(angle) for angle in
+                     (0.3, 0.25 * np.pi, 0.8, 0.75 * np.pi, 1.2, 2.9, 0.8 + np.pi)]
+ORACLE_DIRECTIONS.append(Direction([1.0, 1.0]))
+
+
+def _vector_id(theta):
+    return ",".join(repr(float(c)) for c in theta.vector)
+
+
+@pytest.mark.parametrize("name", ["omega_C", "bicone", "cusp"])
+@pytest.mark.parametrize("theta", ORACLE_DIRECTIONS, ids=_vector_id)
+def test_oblique_closed_forms_agree_with_the_scan(name, theta):
+    dom = fractal.named_domain(name)
+    p, tv = theta.perp_vector, theta.vector
+    lo, hi = geometry.hyperplane_range(dom, theta)
+    ts = lo + (hi - lo) * (np.arange(64) + 0.5) / 64
+    rows, alpha, beta, flags = geometry.chord_table(dom, theta, ts)
+    assert rows.size and not np.any(flags)
+
+    def points(s):
+        return ts[rows, None] * p[None, :] + s[:, None] * tv[None, :]
+
+    assert np.all(dom.contains_many(points(0.5 * (alpha + beta))))
+    assert not np.any(dom.contains_many(points(alpha)))
+    assert not np.any(dom.contains_many(points(beta)))
+
+    s_rows, s_alpha, s_beta = scan_slices(dom, theta, ts)
+    count = np.bincount(rows, minlength=ts.size)
+    s_count = np.bincount(s_rows, minlength=ts.size)
+    assert np.all(count >= s_count)
+    same = np.nonzero(count == s_count)[0]
+    assert same.size >= ts.size // 2
+    mine, theirs = np.isin(rows, same), np.isin(s_rows, same)
+    np.testing.assert_allclose(alpha[mine], s_alpha[theirs], atol=2.0 * EPS_SCAN)
+    np.testing.assert_allclose(beta[mine], s_beta[theirs], atol=2.0 * EPS_SCAN)
+
+
+@pytest.mark.parametrize("theta", ORACLE_DIRECTIONS, ids=_vector_id)
+def test_bicone_pieces_abut_exactly_at_the_axis(theta):
+    # Lines through Cantor points that end no gap, and through gaps deeper
+    # than the level: both halves reach the axis there, and the piece above
+    # and the piece below share the computed crossing exactly.
+    dom = Bicone()
+    p, tv = theta.perp_vector, theta.vector
+    a, b = _cantor.level_intervals(dom.level + 2)
+    deep = 0.5 * (b[0::2] + a[1::2])[:4]
+    ts = np.concatenate(([0.0, 0.1, 0.25, 0.75], deep)) * p[0]
+    intervals, flags = slice_lines(dom, theta, ts)
+    assert not np.any(flags)
+    pairs = 0
+    for t, segs in zip(ts, intervals):
+        s_star = -(t * p[1]) / tv[1]
+        for left, right in zip(segs[:-1], segs[1:]):
+            if abs(left[1] - s_star) <= 1e-9 and abs(right[0] - s_star) <= 1e-9:
+                assert left[1] == right[0]
+                pairs += 1
+    assert pairs >= 4
+
+
+def test_kind_without_closed_forms_is_rejected():
+    class Disk(geometry.Domain):
+        kind = "disk"
+        dim = 2
+        bbox = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+
+        def contains_many(self, pts):
+            return np.sum(np.asarray(pts) ** 2, axis=1) < 1.0
+
+    with pytest.raises(ValidationError):
+        slice_lines(Disk(), Direction.from_angle(0.3), np.array([0.0]))
+
+
+# --- polygons ----------------------------------------------------------------
+
+BOWTIE = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+def test_self_intersecting_polygon_is_rejected():
+    with pytest.raises(ValidationError):
+        Polygon(BOWTIE)
+    with pytest.raises(ValidationError):
+        domain_from_json({"kind": "polygon", "params": {"vertices": BOWTIE}})
+    # a vertex touching a non-adjacent edge is not simple either
+    with pytest.raises(ValidationError):
+        Polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (1.0, 0.0), (0.0, 2.0)])
+    Polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 0.5), (0.0, 1.0)])

@@ -162,3 +162,21 @@ def test_batched_traces_match_directional_trace(name, field):
             else:
                 with pytest.raises(NotDirectionalBoundary):
                     trace.directional_trace(fld, dom, theta, z, order=16)
+
+
+@pytest.mark.parametrize("name", ["square", "disk_minus_cantor", "bicone"])
+def test_batched_traces_match_directional_trace_on_oblique_probes(name):
+    # Oblique offsets are computed one coordinate at a time, so a probe
+    # gets the same trace in a batch as on its own.
+    dom = fractal.named_domain(name)
+    fld = get_field("x1x2")
+    directions = direction_table(8)
+    probes = np.concatenate([
+        trace.measure_atoms(dom, theta, SPEC).points[::23] for theta in directions])
+    r_match = trace._match_radius(dom)
+    for theta in directions[1::2]:
+        values = trace._batched_traces(fld, dom, theta, probes, 8, r_match)
+        assert np.count_nonzero(np.isfinite(values)) > 0
+        for z, value in zip(probes, values):
+            if np.isfinite(value):
+                assert trace.directional_trace(fld, dom, theta, z, order=8) == value
