@@ -41,6 +41,9 @@ from .quadrature import QuadratureSpec, h1_norm
 
 _CONFIG_ERRORS = (ValidationError, UnknownName, InvalidRatio, OverlappingGaps)
 
+# CSV rows formatted per write; larger chunks raise peak memory, not speed.
+_CSV_CHUNK_ROWS = 64
+
 
 def _config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -60,26 +63,38 @@ def _np_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _write_json(path: Path, config: dict, results: dict) -> None:
+def _report_path(args, config: dict, suffix: str) -> Path:
+    """<out>/<command>_<config hash>.<suffix>, creating <out> if needed."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / f"{args.command}_{_config_hash(config)}.{suffix}"
+
+
+def _write_json(args, config: dict, results: dict) -> None:
     payload = {
         "version": __version__,
         "config": config,
         "config_hash": _config_hash(config),
         "results": results,
     }
+    path = _report_path(args, config, "json")
     path.write_text(
         json.dumps(payload, sort_keys=True, indent=2, default=_np_default) + "\n"
     )
     print(path)
 
 
-def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
-    # one line at a time: a table of atoms can run to many megabytes as text
+def _write_csv(args, config: dict, header: list[str], rows) -> None:
+    # a few rows at a time: a table of atoms can run to many megabytes as text
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%r"] * len(header)) + "\n"
+    path = _report_path(args, config, "csv")
     with path.open("w") as fh:
         fh.write(f"# dirtrace {__version__} config {_config_hash(config)}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for start in range(0, table.shape[0], _CSV_CHUNK_ROWS):
+            chunk = table[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.write("".join(line % tuple(r) for r in chunk))
     print(path)
 
 
@@ -138,10 +153,7 @@ def _cmd_measure(args) -> int:
     res = total_mass_result(domain, theta, spec)
     config = _common_config(args, domain=args.domain,
                             theta=list(map(float, theta.vector)))
-    tag = _config_hash(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"measure_{tag}.csv", config, mu.row_header(), mu.to_rows())
+    _write_csv(args, config, mu.row_header(), mu.to_rows())
 
     results = {
         "total_mass": res.value,
@@ -158,7 +170,7 @@ def _cmd_measure(args) -> int:
         )
         if not results["mass_matches_volume"]:
             code = 3
-    _write_json(out / f"measure_{tag}.json", config, results)
+    _write_json(args, config, results)
     return code
 
 
@@ -171,10 +183,7 @@ def _cmd_trace(args) -> int:
     report = trace.trace_inequalities(fld, domain, theta, spec)
     config = _common_config(args, domain=args.domain, field=args.field,
                             theta=list(map(float, theta.vector)))
-    tag = _config_hash(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"trace_{tag}.csv", config, tf.row_header(), tf.to_rows())
+    _write_csv(args, config, tf.row_header(), tf.to_rows())
     results = {
         "trace_norm_sq": report.trace_sq,
         "pair_sum_sq": report.pair_sum_sq,
@@ -189,7 +198,7 @@ def _cmd_trace(args) -> int:
         "error": report.error,
         "holds": report.holds,
     }
-    _write_json(out / f"trace_{tag}.json", config, results)
+    _write_json(args, config, results)
     return 0 if report.holds else 3
 
 
@@ -205,13 +214,11 @@ def _cmd_ibp(args) -> int:
         tol = max(3.0 * (report.err_lhs + report.err_rhs), 1e-12)
     config = _common_config(args, domain=args.domain, u=args.u, v=args.v,
                             theta=list(map(float, theta.vector)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ok = report.residual <= tol and report.err_lhs + report.err_rhs <= tol
     results = report.to_json()
     results["tolerance"] = tol
     results["within_tolerance"] = ok
-    _write_json(out / f"ibp_{_config_hash(config)}.json", config, results)
+    _write_json(args, config, results)
     return 0 if ok else 3
 
 
@@ -224,8 +231,6 @@ def _cmd_lebesgue(args) -> int:
               for eps in args.eps]
     config = _common_config(args, domain=args.domain, field=args.field,
                             theta=list(map(float, theta.vector)), eps=args.eps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ok = all(c.deviation_sq <= c.bound + 3.0 * c.error for c in checks)
     results = {
         "checks": [
@@ -239,7 +244,7 @@ def _cmd_lebesgue(args) -> int:
         ],
         "within_bound": ok,
     }
-    _write_json(out / f"lebesgue_{_config_hash(config)}.json", config, results)
+    _write_json(args, config, results)
     return 0 if ok else 3
 
 
@@ -258,11 +263,7 @@ def _cmd_nu(args) -> int:
     seq = calculus.nu_sequence(fld, levels, h1, spec.gauss_order) if levels >= 1 else None
     config = _common_config(args, domain=args.domain, field=args.field,
                             levels=levels)
-    tag = _config_hash(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"nu_{tag}.csv", config,
-               ["n", "y_n", "nu", "nu_mirror", "gap"], rows)
+    _write_csv(args, config, ["n", "y_n", "nu", "nu_mirror", "gap"], rows)
     results = {
         "h1_norm": h1,
         "values": [r[2] for r in rows],
@@ -277,7 +278,7 @@ def _cmd_nu(args) -> int:
         results["bounds_hold"] = seq.bounds_hold
         if fld.smooth and not seq.bounds_hold:
             code = 3
-    _write_json(out / f"nu_{tag}.json", config, results)
+    _write_json(args, config, results)
     return code
 
 
@@ -299,12 +300,8 @@ def _cmd_staircase(args) -> int:
                             scheme=args.scheme, pmax=args.pmax,
                             alpha=args.alpha, beta=args.beta,
                             margin=args.margin)
-    tag = _config_hash(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"staircase_{tag}.csv", config, ["t", "value"],
-               stair.to_rows())
-    _write_json(out / f"staircase_{tag}.json", config, {
+    _write_csv(args, config, ["t", "value"], stair.to_rows())
+    _write_json(args, config, {
         "segments": stair.segment_count,
         "sup_steps": sups,
         "sup_bounds": bounds,
@@ -343,9 +340,7 @@ def _cmd_oned(args) -> int:
             })
     config = _common_config(args, domain=args.domain, field=args.field,
                             n=list(args.n))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / f"oned_{_config_hash(config)}.json", config, results)
+    _write_json(args, config, results)
     return 0
 
 
@@ -361,10 +356,7 @@ def _cmd_consistency(args) -> int:
                                       tolerance=args.tolerance)
     config = _common_config(args, domain=args.domain, field=args.field,
                             directions=args.directions)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / f"consistency_{_config_hash(config)}.json", config,
-                report.to_json())
+    _write_json(args, config, report.to_json())
     return 0
 
 

@@ -162,21 +162,13 @@ def _prepare_gaps(gaps, alpha: float, beta: float, margin: float):
     return a, b, orig
 
 
-def _breakpoints(segments, alpha: float, beta: float) -> np.ndarray:
-    ts = [alpha]
-    vs = [0.0]
-    value = 0.0
-    for c, d, m in segments:
-        if c > ts[-1]:
-            ts.append(c)
-            vs.append(value)
-        value += 2.0 ** (-m)
-        ts.append(d)
-        vs.append(value)
-    if beta > ts[-1]:
-        ts.append(beta)
-        vs.append(value)
-    out = np.column_stack([np.asarray(ts), np.asarray(vs)])
+def _breakpoints(c, d, m) -> np.ndarray:
+    """Rows (t, value) for gap-separated segments [c, d] of masses 2**-m: (c,
+    value before) and (d, value after); sums of dyadic masses are exact."""
+    after = np.cumsum(2.0 ** -m)
+    before = np.concatenate([[0.0], after[:-1]])
+    out = np.column_stack([np.column_stack([c, d]).ravel(),
+                           np.column_stack([before, after]).ravel()])
     out.setflags(write=False)
     return out
 
@@ -195,34 +187,33 @@ def staircase_levels(gaps, alpha: float, beta: float, p_max: int,
             f"p_max must be an integer in [0, {MAX_STAIRCASE_DEPTH}], got {p_max!r}"
         )
     a, b, orig = _prepare_gaps(gaps, alpha, beta, margin)
-    lengths = b - a
+    # Split preference of each gap: longest first, ties to the smallest
+    # original index; the sentinel lets a reduceat range end at len(a).
+    order = np.lexsort((orig, -(b - a)))
+    rank = np.append(np.argsort(order), order.size)
 
-    segments: list[tuple[float, float, int]] = [(alpha, beta, 0)]
-    out = [Staircase(_breakpoints(segments, alpha, beta), 0, alpha, beta)]
+    # Segments [c, d] with masses 2**-m, in order along the window.
+    c, d, m = np.array([alpha], dtype=float), np.array([beta], dtype=float), np.zeros(1, int)
+    out = [Staircase(_breakpoints(c, d, m), 0, alpha, beta)]
     for p in range(1, p_max + 1):
-        refined: list[tuple[float, float, int]] = []
-        changed = False
-        for c, d, m in segments:
-            lo = int(np.searchsorted(a, c, side="left"))
-            hi = int(np.searchsorted(b, d, side="right"))
-            if hi <= lo:
-                refined.append((c, d, m))
-                continue
-            run = lengths[lo:hi]
-            best = np.nonzero(run == run.max())[0]
-            # Ties resolve toward the smallest original gap index.
-            pick = lo + best[np.argmin(orig[lo + best])] if len(best) > 1 else lo + best[0]
-            refined.append((c, float(a[pick]), m + 1))
-            refined.append((float(b[pick]), d, m + 1))
-            changed = True
-        segments = refined
-        out.append(Staircase(_breakpoints(segments, alpha, beta), p, alpha, beta))
-        if not changed:
+        # Gaps lo .. hi-1 lie inside their segment.
+        lo = np.searchsorted(a, c, side="left")
+        hi = np.searchsorted(b, d, side="right")
+        split = hi > lo
+        if not np.any(split):
             # All gaps consumed; later rounds would be identical.
-            final = out[-1].breakpoints
-            for q in range(p + 1, p_max + 1):
-                out.append(Staircase(final, q, alpha, beta))
+            out += [Staircase(out[-1].breakpoints, q, alpha, beta)
+                    for q in range(p, p_max + 1)]
             break
+        bounds = np.column_stack([lo[split], hi[split]]).ravel()
+        pick = order[np.minimum.reduceat(rank, bounds)[::2]]
+        reps = 1 + split
+        left = (np.cumsum(reps) - reps)[split]
+        c, d, m = np.repeat(c, reps), np.repeat(d, reps), np.repeat(m, reps)
+        d[left] = a[pick]
+        c[left + 1] = b[pick]
+        m += np.repeat(split, reps)
+        out.append(Staircase(_breakpoints(c, d, m), p, alpha, beta))
     return out
 
 
@@ -247,7 +238,6 @@ DOMAIN_NAMES = (
     "omega_C",
     "bicone",
     "cusp",
-    "square_minus_cantor",
     "disk_minus_cantor",
     "cantor_comb",
     "cantor_complement",
@@ -292,9 +282,8 @@ def named_domain(name: str, **params) -> geometry.Domain:
     if key == "cusp":
         _no_params(params)
         return geometry.Cusp()
-    if key in ("square_minus_cantor", "disk_minus_cantor"):
-        # One construction under two historical names: the disk of radius 2
-        # around (1/2, 0) with the Cantor slit removed.
+    if key == "disk_minus_cantor":
+        # The disk of radius 2 around (1/2, 0) with the Cantor slit removed.
         return geometry.DiskMinusCantor(**_cantor_kind_params(params, 1.0 / 3.0, 12, "third"))
     if key == "cantor_comb":
         return geometry.CantorComb(**_cantor_kind_params(params, 0.25, 12, "rho"))

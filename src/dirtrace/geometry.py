@@ -1290,8 +1290,6 @@ _KINDS = {
     "bicone": Bicone,
     "cantor_comb": CantorComb,
     "disk_minus_cantor": DiskMinusCantor,
-    # The slit-disk construction travels under two historical names.
-    "square_minus_cantor": DiskMinusCantor,
     "slit_rectangle": SlitRectangle,
 }
 

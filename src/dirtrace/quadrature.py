@@ -100,25 +100,24 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
     edges = np.concatenate([[lo], cuts, [hi]])
     seg = np.diff(edges)
     counts = np.maximum(1, np.rint(n_offsets * seg / span).astype(np.int64))
-    ts_parts = []
-    w_parts = []
-    for left, length, m in zip(edges[:-1], seg, counts):
-        h = length / m
-        ts_parts.append(left + (np.arange(m) + 0.5) * h)
-        w_parts.append(np.full(m, h))
-    return np.concatenate(ts_parts), np.concatenate(w_parts)
+    h = np.repeat(seg / counts, counts)
+    k = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(edges[:-1], counts) + (k + 0.5) * h, h
 
 
 def points_along(base: np.ndarray, s: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Points base + s * vec, with one line foot per row of base (n, d) and
     s (n,) or (n, q) the parameters along each line; shape s.shape + (d,).
 
-    Built one coordinate at a time, because numpy broadcasts over a short
-    last axis slowly; the arithmetic per element is the same.
+    Written into one array one coordinate at a time, because numpy broadcasts
+    over a short last axis slowly; the arithmetic per element is the same.
     """
     lead = (-1,) + (1,) * (s.ndim - 1)
-    return np.stack([base[:, k].reshape(lead) + s * vec[k] for k in range(base.shape[1])],
-                    axis=-1)
+    out = np.empty(s.shape + (base.shape[1],))
+    for k in range(base.shape[1]):
+        np.multiply(s, vec[k], out=out[..., k])
+        out[..., k] += base[:, k].reshape(lead)
+    return out
 
 
 class ChordGrid:
@@ -236,14 +235,20 @@ def default_direction(domain: Domain) -> Direction:
     return Direction([1.0, 0.0])
 
 
+def _chord_sum(vals, w, half_len, row_dt):
+    """(value, scale) of the Gauss rule with node values vals (n, q) over chords."""
+    if not np.all(np.isfinite(vals)):
+        raise UnresolvedSingularity("integrand not finite on a chord quadrature node")
+    per_chord = (vals @ w) * half_len * row_dt
+    return float(np.sum(per_chord)), float(np.sum(np.abs(per_chord)))
+
+
 def _volume_value(domain, fe, theta, n_offsets, order, panel=None):
     grid = chord_grid(domain, theta, n_offsets)
     if grid.n_chords == 0:
         return 0.0, 0.0, grid.flagged_offsets
     if panel is None:
-        pts, _, w = grid.gauss_points(order)
-        vals = np.asarray(fe(pts.reshape(-1, grid.dim)), dtype=float)
-        vals = vals.reshape(grid.n_chords, order)
+        pts, s, w = grid.gauss_points(order)
         half_len = 0.5 * grid.lengths
         row_dt = grid.chord_dt
     else:
@@ -257,19 +262,18 @@ def _volume_value(domain, fe, theta, n_offsets, order, panel=None):
         plen = grid.lengths[ci] / m[ci]
         a = grid.alpha[ci] + pj * plen
         s = a[:, None] + (x[None, :] + 1.0) * 0.5 * plen[:, None]
-        pts = points_along(grid.base[ci], s, theta.vector)
-        vals = np.asarray(fe(pts.reshape(-1, grid.dim)), dtype=float)
-        vals = vals.reshape(s.shape)
+        pts = points_along(np.multiply.outer(grid.t[ci], grid._perp), s, theta.vector)
         half_len = 0.5 * plen
         row_dt = grid.chord_dt[ci]
-    if not np.all(np.isfinite(vals)):
+    vals = np.asarray(fe(pts.reshape(-1, grid.dim)), dtype=float).reshape(s.shape)
+    return _chord_sum(vals, w, half_len, row_dt) + (grid.flagged_offsets,)
+
+
+def _check_settled(value: float, coarse: float) -> None:
+    if abs(value - coarse) > max(_DIVERGENCE_RATIO * abs(value), _DIVERGENCE_SCALE):
         raise UnresolvedSingularity(
-            "integrand not finite on a chord quadrature node"
+            f"integral fails to settle under refinement: {value!r} vs {coarse!r}"
         )
-    per_chord = (vals @ w) * half_len * row_dt
-    value = float(np.sum(per_chord))
-    scale = float(np.sum(np.abs(per_chord)))
-    return value, scale, grid.flagged_offsets
 
 
 def volume_integral(domain: Domain, f, spec: QuadratureSpec | None = None,
@@ -295,10 +299,7 @@ def volume_integral(domain: Domain, f, spec: QuadratureSpec | None = None,
         rule, _, _ = _volume_value(domain, fe, theta, spec.n_offsets,
                                    alt_order, panel)
         error += abs(value - rule)
-    if diff > max(_DIVERGENCE_RATIO * abs(value), _DIVERGENCE_SCALE):
-        raise UnresolvedSingularity(
-            f"integral fails to settle under refinement: {value!r} vs {coarse!r}"
-        )
+    _check_settled(value, coarse)
     return IntegralResult(value, error, flags, spec.n_offsets, spec.gauss_order)
 
 
@@ -352,10 +353,13 @@ def norm_theta(fld, domain: Domain, theta: Direction,
     Chords are sliced along theta itself, so the derivative direction and
     the integration direction agree.
     """
-    def integrand(pts):
-        return fld.eval_many(pts) ** 2 + fld.dderiv_many(pts, theta) ** 2
+    return float(np.sqrt(volume_integral(domain, _theta_integrand(fld, theta), spec,
+                                         theta).value))
 
-    return float(np.sqrt(volume_integral(domain, integrand, spec, theta).value))
+
+def _theta_integrand(fld, theta: Direction):
+    """u^2 + (du/dtheta)^2, the integrand of `norm_theta`."""
+    return lambda pts: fld.eval_many(pts) ** 2 + fld.dderiv_many(pts, theta) ** 2
 
 
 def h1_norm(fld, domain: Domain, spec: QuadratureSpec | None = None,

@@ -35,8 +35,11 @@ from .measure import measure_atoms
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
+    _check_settled,
+    _chord_sum,
+    _theta_integrand,
+    _volume_value,
     chord_grid,
-    norm_theta,
     points_along,
     volume_integral,
 )
@@ -133,9 +136,19 @@ class TraceField:
 
 def trace_field(fld, domain: Domain, theta: Direction,
                 spec: QuadratureSpec | None = None) -> TraceField:
-    spec = spec or QuadratureSpec()
+    return _trace_field(fld, domain, theta, spec or QuadratureSpec())[0]
+
+
+def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
+    """The trace field, and the volume rule of u^2 + (du/dtheta)^2 (what
+    `norm_theta` squares) from the same node values."""
     grid = chord_grid(domain, theta, spec.n_offsets)
-    gplus, gminus = chord_trace_values(fld, grid, spec.gauss_order)
+    gplus, gminus, norm_sq = np.zeros(0), np.zeros(0), 0.0
+    if grid.n_chords:
+        pts, s, w = grid.gauss_points(spec.gauss_order)
+        u, du = node_values(fld, theta, pts, s.shape)
+        gplus, gminus = traces_from_nodes(u, du, s, w, grid)
+        norm_sq = _chord_sum(u**2 + du**2, w, 0.5 * grid.lengths, grid.chord_dt)[0]
     return TraceField(
         theta=theta,
         points=grid.endpoint_plus,
@@ -149,7 +162,7 @@ def trace_field(fld, domain: Domain, theta: Direction,
         n_offsets=spec.n_offsets,
         gauss_order=spec.gauss_order,
         flagged_offsets=grid.flagged_offsets,
-    )
+    ), norm_sq
 
 
 def trace_norm_sq(fld, domain: Domain, theta: Direction,
@@ -297,10 +310,14 @@ class TraceInequalityReport:
 def trace_inequalities(fld, domain: Domain, theta: Direction,
                        spec: QuadratureSpec | None = None) -> TraceInequalityReport:
     spec = spec or QuadratureSpec()
-    fine = trace_field(fld, domain, theta, spec)
-    coarse = trace_field(fld, domain, theta, spec.coarse())
-    nrm = norm_theta(fld, domain, theta, spec)
-    nrm_c = norm_theta(fld, domain, theta, spec.coarse())
+    fine, sq = _trace_field(fld, domain, theta, spec)
+    coarse, sq_c = _trace_field(fld, domain, theta, spec.coarse())
+    # norm_theta at both resolutions; only the n/4 grid adds field evaluations
+    _check_settled(sq, sq_c)
+    sq_q = _volume_value(domain, _theta_integrand(fld, theta), theta,
+                         spec.coarse().coarse().n_offsets, spec.gauss_order)[0]
+    _check_settled(sq_c, sq_q)
+    nrm, nrm_c = float(np.sqrt(sq)), float(np.sqrt(sq_c))
     error = (
         abs(fine.norm_sq() - coarse.norm_sq())
         + abs(fine.pair_sum_sq() - coarse.pair_sum_sq())

@@ -2,11 +2,14 @@
 
 import json
 import shlex
+from argparse import Namespace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dirtrace.cli import build_parser, main
+from dirtrace import __version__
+from dirtrace.cli import _CSV_CHUNK_ROWS, _config_hash, _write_csv, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -166,3 +169,34 @@ def test_consistency_report_cli(tmp_path):
     assert code == 0
     payload = json.loads(next(tmp_path.glob("consistency_*.json")).read_text())
     assert payload["results"]["verdict"] == "out"
+
+
+def _old_csv(config, header, rows):
+    # the writer before chunking: one repr(float(x)) per element
+    text = f"# dirtrace {__version__} config {_config_hash(config)}\n"
+    text += ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join(repr(float(x)) for x in row) + "\n"
+    return text
+
+
+@pytest.mark.parametrize("case", ["specials", "empty", "long", "tuples"])
+def test_csv_writer_matches_per_element_repr(tmp_path, case, capsys):
+    header = ["a", "b", "c"]
+    if case == "specials":
+        rows = np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e16, 1e-5],
+                         [5e-324, 0.1, -2.5], [1.0 / 3.0, 2.0**-1074, 1e300]])
+    elif case == "empty":
+        rows = np.zeros((0, 3))
+    elif case == "long":
+        rows = np.random.default_rng(3).standard_normal((2 * _CSV_CHUNK_ROWS + 7, 3))
+        rows[::5] *= 1e-300
+    else:
+        # nu-style rows: an int level next to floats
+        header = ["n", "y_n", "nu", "nu_mirror", "gap"]
+        rows = [(n, 0.5 * 3.0**-n, 0.1 * n, -0.0, float("nan")) for n in range(4)]
+    config = {"command": "measure", "case": case}
+    _write_csv(Namespace(out=str(tmp_path), command="measure"), config, header, rows)
+    capsys.readouterr()
+    (path,) = tmp_path.glob("measure_*.csv")
+    assert path.read_text() == _old_csv(config, header, rows)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dirtrace import fractal
+import staircase_oracle
+from dirtrace import fractal, geometry
 from dirtrace.errors import InvalidRatio, OverlappingGaps, UnknownName, ValidationError
 
 
@@ -65,6 +66,60 @@ def test_staircase_rows_roundtrip():
     np.testing.assert_allclose(f(rows[:, 0]), rows[:, 1], atol=1e-12)
 
 
+def _assert_matches_oracle(gaps, alpha, beta, p_max, margin=0.0):
+    levels = fractal.staircase_levels(gaps, alpha, beta, p_max, margin=margin)
+    expected = staircase_oracle.staircase_levels(gaps, alpha, beta, p_max, margin=margin)
+    assert len(levels) == len(expected) == p_max + 1
+    for got, (breakpoints, p) in zip(levels, expected):
+        assert got.p_max == p
+        assert got.breakpoints.dtype == breakpoints.dtype
+        assert got.breakpoints.shape == breakpoints.shape
+        assert got.breakpoints.tobytes() == breakpoints.tobytes()
+
+
+@pytest.mark.parametrize("level", range(13))
+def test_staircase_matches_oracle_on_middle_thirds(level):
+    _assert_matches_oracle(fractal.cantor_gaps(1.0 / 3.0, level), 0.0, 1.0, 12)
+
+
+def test_staircase_matches_oracle_on_rho_gaps_and_windows():
+    _assert_matches_oracle(fractal.cantor_gaps(0.25, 8, "rho"), 0.0, 1.0, 12)
+    # a window wider than the gaps, with integer end points
+    _assert_matches_oracle(fractal.cantor_gaps(1.0 / 3.0, 6), -0.5, 1.5, 14)
+    _assert_matches_oracle(fractal.cantor_gaps(1.0 / 3.0, 5), -1, 2, 8)
+    # no gaps at all: every round is the ramp
+    _assert_matches_oracle(np.zeros((0, 2)), 0.0, 1.0, 4)
+
+
+@pytest.mark.parametrize("margin", [1e-3, 0.01, 0.2, 0.45])
+def test_staircase_matches_oracle_with_margin(margin):
+    # 0.45 shrinks every gap of [0, 1] to nothing; 0.2 keeps only the first
+    _assert_matches_oracle(fractal.cantor_gaps(1.0 / 3.0, 6), 0, 1, 10, margin)
+    _assert_matches_oracle(np.array([[0.0, 0.3], [0.3, 0.5], [0.9, 1.0]]),
+                           0.0, 1.0, 6, margin)
+
+
+def test_staircase_matches_oracle_on_tied_gaps_in_shuffled_order():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        # dyadic end points, so equal lengths are exactly equal
+        starts = np.sort(rng.choice(np.arange(1, 120), n, replace=False)) * 4.0
+        lengths = rng.choice([1.0, 2.0], n)
+        gaps = np.column_stack([starts, starts + lengths]) / 512.0
+        _assert_matches_oracle(gaps[rng.permutation(n)], 0.0, 1.0,
+                               int(rng.integers(0, 12)))
+
+
+def test_staircase_matches_oracle_past_exhaustion():
+    # three gaps are used up after two rounds; later rounds repeat the last
+    gaps = np.array([[0.1, 0.2], [0.45, 0.55], [0.8, 0.9]])
+    _assert_matches_oracle(gaps, 0.0, 1.0, 20)
+    levels = fractal.staircase_levels(gaps, 0.0, 1.0, 20)
+    assert [s.p_max for s in levels] == list(range(21))
+    assert levels[-1].breakpoints.tobytes() == levels[3].breakpoints.tobytes()
+
+
 def test_overlapping_gaps_rejected():
     with pytest.raises(OverlappingGaps):
         fractal.build_staircase(np.array([[0.2, 0.5], [0.4, 0.7]]))
@@ -106,6 +161,15 @@ def test_named_domain_catalogue(name):
     lo, hi = dom.bbox
     assert np.all(np.asarray(hi) > np.asarray(lo))
     assert dom.diameter > 0.0
+
+
+def test_square_minus_cantor_alias_is_gone():
+    # the name described a disk; the disk is "disk_minus_cantor"
+    assert "square_minus_cantor" not in fractal.DOMAIN_NAMES
+    with pytest.raises(UnknownName):
+        fractal.named_domain("square_minus_cantor")
+    with pytest.raises(UnknownName):
+        geometry.domain_from_json({"kind": "square_minus_cantor", "params": {}})
 
 
 def test_named_domain_parameter_handling():

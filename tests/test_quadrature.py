@@ -14,6 +14,7 @@ from dirtrace.quadrature import (
     chord_grid,
     h1_norm,
     norm_theta,
+    points_along,
     volume_integral,
     volume_integral_mc,
 )
@@ -170,3 +171,35 @@ def test_non_finite_integrand_is_rejected():
     sq = Polygon([(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)])
     with pytest.raises(UnresolvedSingularity):
         volume_integral(sq, worst, SPEC, Direction([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 4)])
+def test_points_along_matches_stacked_coordinates(shape):
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((9, 2))
+    s = rng.standard_normal(shape) * 10.0
+    vec = Direction.from_angle(0.7).vector
+    lead = (-1,) + (1,) * (s.ndim - 1)
+    stacked = np.stack([base[:, k].reshape(lead) + s * vec[k] for k in range(2)], axis=-1)
+    got = points_along(base, s, vec)
+    assert got.shape == s.shape + (2,)
+    assert got.tobytes() == stacked.tobytes()
+
+
+def test_offset_cells_match_piecewise_loop():
+    # per-piece midpoint grids, concatenated: the construction the cells keep
+    tri = fractal.named_domain("triangle")
+    for angle in np.linspace(0.0, 6.0, 13):
+        theta = Direction.from_angle(angle)
+        lo, hi = -0.3, 1.4
+        cuts = np.unique(tri.offset_breakpoints(theta))
+        cuts = cuts[(cuts > lo + 1e-13 * 1.7) & (cuts < hi - 1e-13 * 1.7)]
+        edges = np.concatenate([[lo], cuts, [hi]])
+        counts = np.maximum(1, np.rint(257 * np.diff(edges) / (hi - lo)).astype(np.int64))
+        ts, ws = [], []
+        for left, length, m in zip(edges[:-1], np.diff(edges), counts):
+            ts.append(left + (np.arange(m) + 0.5) * (length / m))
+            ws.append(np.full(m, length / m))
+        got_t, got_w = _offset_cells(tri, theta, lo, hi, 257)
+        assert got_t.tobytes() == np.concatenate(ts).tobytes()
+        assert got_w.tobytes() == np.concatenate(ws).tobytes()

@@ -1,5 +1,7 @@
 """Directional traces, Lebesgue comparisons and cross-direction agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from dirtrace import fractal, trace
 from dirtrace.errors import NotDirectionalBoundary, ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import Cusp, Direction, Polygon, direction_table
-from dirtrace.quadrature import QuadratureSpec
+from dirtrace.quadrature import QuadratureSpec, norm_theta
 
 E1 = Direction([1.0, 0.0])
 SPEC = QuadratureSpec(n_offsets=512, gauss_order=8, mc_samples=100, seed=0)
@@ -180,3 +182,46 @@ def test_batched_traces_match_directional_trace_on_oblique_probes(name):
         for z, value in zip(probes, values):
             if np.isfinite(value):
                 assert trace.directional_trace(fld, dom, theta, z, order=8) == value
+
+
+def _counted(fld, counts):
+    def wrapper(fn):
+        def inner(pts):
+            counts.append(len(pts))
+            return fn(pts)
+        return inner
+    return dataclasses.replace(fld, _eval=wrapper(fld._eval), _grad=wrapper(fld._grad))
+
+
+def _separate_inequalities(fld, domain, theta, spec):
+    # the report built from separate trace_field and norm_theta calls, each
+    # evaluating the field on its own grids
+    fine = trace.trace_field(fld, domain, theta, spec)
+    coarse = trace.trace_field(fld, domain, theta, spec.coarse())
+    nrm = norm_theta(fld, domain, theta, spec)
+    nrm_c = norm_theta(fld, domain, theta, spec.coarse())
+    error = (
+        abs(fine.norm_sq() - coarse.norm_sq())
+        + abs(fine.pair_sum_sq() - coarse.pair_sum_sq())
+        + abs(fine.diff_quotient_sq() - coarse.diff_quotient_sq())
+        + abs(nrm**2 - nrm_c**2)
+        + 1e-12 * (1.0 + nrm**2)
+    )
+    return trace.TraceInequalityReport(theta, fine.norm_sq(), fine.pair_sum_sq(),
+                                       fine.diff_quotient_sq(), nrm**2,
+                                       domain.diameter, error)
+
+
+@pytest.mark.parametrize("name,field", [("square", "x1x2"), ("triangle", "sin1"),
+                                        ("omega_C", "x1x2"), ("cusp", "x1px2")])
+def test_trace_inequalities_reuse_the_trace_nodes(name, field):
+    dom = fractal.named_domain(name)
+    theta = Direction.from_angle(0.8)
+    for spec in (SPEC, QuadratureSpec(n_offsets=256, gauss_order=16)):
+        shared, separate = [], []
+        got = trace.trace_inequalities(_counted(get_field(field), shared), dom, theta, spec)
+        want = _separate_inequalities(_counted(get_field(field), separate), dom, theta, spec)
+        assert repr(got) == repr(want)
+        # u and its gradient once per node on the n and n/2 grids, where
+        # the separate calls evaluate both twice
+        assert sum(shared) < sum(separate)
