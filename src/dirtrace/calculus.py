@@ -30,10 +30,10 @@ from .errors import NonIntegrablePairing, ValidationError
 from .fields import ScalarField, get_field
 from .geometry import Direction, Domain
 from .quadrature import (
-    _FLOOR_EPS,
-    IntegralResult,
     QuadratureSpec,
+    _check_settled,
     chord_grid,
+    refined,
     volume_integral,
 )
 from .trace import chord_trace_values, node_values, traces_from_nodes
@@ -71,14 +71,14 @@ class IbpReport:
         }
 
 
-def _ibp_sides(u, v, domain, theta, n_offsets, order):
-    """(lhs, rhs, lhs scale, rhs scale, flags, bracket <G+u, G+v> -
-    <G-u, G-v>) on one chord grid, from one evaluation of each field at
-    the Gauss nodes."""
-    grid = chord_grid(domain, theta, n_offsets)
+def _ibp_sides(u, v, domain, theta, spec):
+    """((lhs, rhs, bracket <G+u, G+v> - <G-u, G-v>), their scales) on
+    spec's chord grid, from one evaluation of each field at the Gauss
+    nodes."""
+    grid = chord_grid(domain, theta, spec.n_offsets)
     if grid.n_chords == 0:
-        return 0.0, 0.0, 0.0, 0.0, grid.flagged_offsets, 0.0
-    pts, s, w = grid.gauss_points(order)
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    pts, s, w = grid.gauss_points(spec.gauss_order)
     uu, du = node_values(u, theta, pts, s.shape)
     vv, dv = node_values(v, theta, pts, s.shape)
     lengths, chord_dt = grid.lengths, grid.chord_dt
@@ -98,7 +98,7 @@ def _ibp_sides(u, v, domain, theta, n_offsets, order):
     weights = lengths * chord_dt
     bracket = (float(np.sum(weights * gu_plus * gv_plus))
                - float(np.sum(weights * gu_minus * gv_minus)))
-    return lhs, rhs, lhs_scale, rhs_scale, grid.flagged_offsets, bracket
+    return (lhs, rhs, bracket), (lhs_scale, rhs_scale, abs(bracket))
 
 
 def integration_by_parts(u: ScalarField, v: ScalarField, domain: Domain,
@@ -106,16 +106,10 @@ def integration_by_parts(u: ScalarField, v: ScalarField, domain: Domain,
                          spec: QuadratureSpec | None = None) -> IbpReport:
     """Both sides of the chord-paired integration by parts identity."""
     spec = spec or QuadratureSpec()
-    lhs, rhs, ls, rs, flags, _ = _ibp_sides(u, v, domain, theta,
-                                            spec.n_offsets, spec.gauss_order)
-    lhs_c, rhs_c, _, _, _, _ = _ibp_sides(u, v, domain, theta,
-                                          spec.coarse().n_offsets, spec.gauss_order)
-    err_lhs = abs(lhs - lhs_c) + _FLOOR_EPS * (ls + 1.0)
-    err_rhs = abs(rhs - rhs_c) + _FLOOR_EPS * (rs + 1.0)
-    if abs(rhs - rhs_c) > max(0.4 * abs(rhs), 1e3):
-        raise NonIntegrablePairing(
-            f"boundary pairing does not settle under refinement: {rhs!r} vs {rhs_c!r}"
-        )
+    (lhs, rhs, _), (err_lhs, err_rhs, _), (_, rhs_c, _) = refined(
+        lambda s: _ibp_sides(u, v, domain, theta, s), spec)
+    _check_settled(rhs, rhs_c, NonIntegrablePairing, "boundary pairing does not settle")
+    flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
     return IbpReport(theta, lhs, rhs, err_lhs, err_rhs, flags,
                      spec.n_offsets, spec.gauss_order)
 
@@ -182,16 +176,14 @@ def paired_identity(u: ScalarField, v: ScalarField, domain: Domain,
                     spec: QuadratureSpec | None = None) -> PairedIdentityReport:
     """<G+u, G+v> - <G-u, G-v> against the volume pairing of u and v."""
     spec = spec or QuadratureSpec()
-    lhs, _, ls, _, _, bracket = _ibp_sides(u, v, domain, theta,
-                                           spec.n_offsets, spec.gauss_order)
-    lhs_c, _, _, _, _, bracket_c = _ibp_sides(u, v, domain, theta,
-                                              spec.coarse().n_offsets, spec.gauss_order)
+    (lhs, _, bracket), (err_lhs, _, err_bracket), _ = refined(
+        lambda s: _ibp_sides(u, v, domain, theta, s), spec)
     return PairedIdentityReport(
         theta=theta,
         volume_pairing=lhs,
         bracket=bracket,
-        err_volume=abs(lhs - lhs_c) + _FLOOR_EPS * (ls + 1.0),
-        err_bracket=abs(bracket - bracket_c) + _FLOOR_EPS * (abs(bracket) + 1.0),
+        err_volume=err_lhs,
+        err_bracket=err_bracket,
     )
 
 
@@ -254,7 +246,13 @@ def nu_sequence(fld: ScalarField, n_max: int, h1_norm_value: float,
     """Stages 0..n_max with increment bounds and a limit enclosure."""
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    values = np.array([nu_value(fld, n, order) for n in range(n_max + 1)])
+    return _nu_sequence([nu_value(fld, n, order) for n in range(n_max + 1)], h1_norm_value)
+
+
+def _nu_sequence(stage_values, h1_norm_value: float) -> NuSequence:
+    """The sequence of the stage values nu_0 .. nu_n_max, n_max >= 1."""
+    values = np.array(stage_values)
+    n_max = values.size - 1
     increments = np.abs(np.diff(values))
     stages = np.arange(n_max)
     bounds = 2.0 ** ((1.0 - stages) / 2.0) * h1_norm_value

@@ -179,8 +179,7 @@ def _cmd_trace(args) -> int:
     theta = _direction_from(args, domain.dim)
     spec = _spec_from(args)
     fld = fields.parse_field(args.field)
-    tf = trace.trace_field(fld, domain, theta, spec)
-    report = trace.trace_inequalities(fld, domain, theta, spec)
+    report, tf = trace._trace_inequalities(fld, domain, theta, spec)
     config = _common_config(args, domain=args.domain, field=args.field,
                             theta=list(map(float, theta.vector)))
     _write_csv(args, config, tf.row_header(), tf.to_rows())
@@ -260,7 +259,8 @@ def _cmd_nu(args) -> int:
         lower = calculus.nu_value(fld, n, spec.gauss_order, mirror=True)
         rows.append((n, y, upper, lower, upper - lower))
     h1 = h1_norm(fld, domain, spec)
-    seq = calculus.nu_sequence(fld, levels, h1, spec.gauss_order) if levels >= 1 else None
+    # the stage values of the rows, not computed again by nu_sequence
+    seq = calculus._nu_sequence([r[2] for r in rows], h1) if levels >= 1 else None
     config = _common_config(args, domain=args.domain, field=args.field,
                             levels=levels)
     _write_csv(args, config, ["n", "y_n", "nu", "nu_mirror", "gap"], rows)

@@ -71,14 +71,6 @@ def cantor_intervals(level: int, ratio: float = 1.0 / 3.0, scheme: str = "third"
     return _cantor.level_intervals(level, ratio, scheme)
 
 
-def cantor_removed_length(ratio: float, level: int) -> float:
-    return _cantor.removed_length(ratio, level)
-
-
-def cantor_total_gap_length(ratio: float) -> float:
-    return _cantor.total_gap_length(ratio)
-
-
 @dataclass(frozen=True)
 class Staircase:
     """Piecewise affine nondecreasing function on [alpha, beta].

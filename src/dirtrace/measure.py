@@ -25,7 +25,7 @@ import numpy as np
 from . import _gauss
 from .errors import NotDirectionalBoundary, ValidationError
 from .geometry import Direction, Domain, Polygon, exit_chords
-from .quadrature import IntegralResult, QuadratureSpec, boundary_integral, chord_grid
+from .quadrature import IntegralResult, QuadratureSpec, boundary_integral, chord_grid, refined
 
 
 @dataclass(frozen=True)
@@ -220,19 +220,16 @@ def reflection_check(domain: Domain, theta: Direction, predicate,
     the set.
     """
     spec = spec or QuadratureSpec()
-    forward = measure_atoms(domain, theta, spec)
-    backward = measure_atoms(domain, -theta, spec)
-    lhs = backward.restrict_mass(predicate)
-    mask = np.asarray(predicate(forward.opposite), dtype=bool)
-    rhs = float(np.sum(forward.weights[mask]))
 
-    coarse = spec.coarse()
-    fwd_c = measure_atoms(domain, theta, coarse)
-    bwd_c = measure_atoms(domain, -theta, coarse)
-    lhs_c = bwd_c.restrict_mass(predicate)
-    mask_c = np.asarray(predicate(fwd_c.opposite), dtype=bool)
-    rhs_c = float(np.sum(fwd_c.weights[mask_c]))
-    err = abs(lhs - lhs_c) + abs(rhs - rhs_c) + 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+    def evaluate(s):
+        forward = measure_atoms(domain, theta, s)
+        backward = measure_atoms(domain, -theta, s)
+        lhs = backward.restrict_mass(predicate)
+        mask = np.asarray(predicate(forward.opposite), dtype=bool)
+        return (lhs, float(np.sum(forward.weights[mask]))), 0.0
+
+    (lhs, rhs), errors, _ = refined(evaluate, spec, floor=0.0)
+    err = sum(errors) + 1e-12 * (1.0 + abs(lhs) + abs(rhs))
     return ReflectionCheck(lhs, rhs, err)
 
 

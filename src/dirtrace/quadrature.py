@@ -8,11 +8,17 @@ integrals weight the exit endpoint of each chord by chord length times
 offset step, which is exactly the atom weight of the directional
 boundary measure.
 
-Error estimates are the absolute difference against the half-resolution
-grid, plus a floating point floor proportional to the summed magnitude
-(so an error of zero is never reported, even when both grids agree to
-the last bit).  Offsets whose slice carried the thin-feature flag are
-excluded from all sums and surface as a flag count in every result.
+Every error estimate comes from `refined`: the absolute difference
+against the half-resolution grid plus a float floor (so an error of zero
+is never reported, even when both grids agree to the last bit).  The
+floor is `_FLOOR_EPS` (32 eps) times (magnitude + 1) per value in
+`volume_integral`, `boundary_integral`, `trace_norm_sq`,
+`lebesgue_comparison`, `integration_by_parts` and `paired_identity`;
+`trace_inequalities` and `reflection_check` add 1e-12 (1 + magnitude)
+once to their summed differences, and the default tolerance of
+`consistency_report` floors its largest mass difference at 1e-12.
+Offsets whose slice carried the thin-feature flag are excluded from all
+sums and surface as a flag count in every result.
 
 Summation order is fixed (offset-major, then interval order along the
 line) and uses numpy's deterministic pairwise reduction, so repeated
@@ -243,19 +249,20 @@ def _chord_sum(vals, w, half_len, row_dt):
     return float(np.sum(per_chord)), float(np.sum(np.abs(per_chord)))
 
 
-def _volume_value(domain, fe, theta, n_offsets, order, panel=None):
-    grid = chord_grid(domain, theta, n_offsets)
+def _volume_value(domain, fe, theta, spec, panel=None):
+    """(value, scale) of the chord rule for the integral of fe on spec's grid."""
+    grid = chord_grid(domain, theta, spec.n_offsets)
     if grid.n_chords == 0:
-        return 0.0, 0.0, grid.flagged_offsets
+        return 0.0, 0.0
     if panel is None:
-        pts, s, w = grid.gauss_points(order)
+        pts, s, w = grid.gauss_points(spec.gauss_order)
         half_len = 0.5 * grid.lengths
         row_dt = grid.chord_dt
     else:
         # Composite rule: chords much longer than the integrand's feature
         # scale are cut into panels so the per-chord Gauss error cannot
         # hide below the offset refinement difference.
-        x, w = _gauss.nodes(order)
+        x, w = _gauss.nodes(spec.gauss_order)
         m = np.maximum(1, np.ceil(grid.lengths / panel).astype(np.int64))
         ci = np.repeat(np.arange(grid.n_chords), m)
         pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
@@ -266,14 +273,24 @@ def _volume_value(domain, fe, theta, n_offsets, order, panel=None):
         half_len = 0.5 * plen
         row_dt = grid.chord_dt[ci]
     vals = np.asarray(fe(pts.reshape(-1, grid.dim)), dtype=float).reshape(s.shape)
-    return _chord_sum(vals, w, half_len, row_dt) + (grid.flagged_offsets,)
+    return _chord_sum(vals, w, half_len, row_dt)
 
 
-def _check_settled(value: float, coarse: float) -> None:
+def _check_settled(value: float, coarse: float, error=UnresolvedSingularity,
+                   what: str = "integral fails to settle") -> None:
     if abs(value - coarse) > max(_DIVERGENCE_RATIO * abs(value), _DIVERGENCE_SCALE):
-        raise UnresolvedSingularity(
-            f"integral fails to settle under refinement: {value!r} vs {coarse!r}"
-        )
+        raise error(f"{what} under refinement: {value!r} vs {coarse!r}")
+
+
+def refined(evaluate, spec: QuadratureSpec, floor: float = _FLOOR_EPS):
+    """(fine, |fine - coarse| + floor * (scale + 1), coarse) from
+    `evaluate(s) -> (values, scales)` at spec, then at spec.coarse(): floats,
+    or lists of floats where `evaluate` returns sequences."""
+    fine, scale = evaluate(spec)
+    coarse, _ = evaluate(spec.coarse())
+    fine, scale, coarse = (np.asarray(a, dtype=float) for a in (fine, scale, coarse))
+    error = np.abs(fine - coarse) + floor * (scale + 1.0)
+    return fine.tolist(), error.tolist(), coarse.tolist()
 
 
 def volume_integral(domain: Domain, f, spec: QuadratureSpec | None = None,
@@ -288,30 +305,13 @@ def volume_integral(domain: Domain, f, spec: QuadratureSpec | None = None,
     spec = spec or QuadratureSpec()
     theta = direction or default_direction(domain)
     fe = _as_eval(f)
-    value, scale, flags = _volume_value(domain, fe, theta, spec.n_offsets,
-                                        spec.gauss_order, panel)
-    coarse, _, _ = _volume_value(domain, fe, theta, spec.coarse().n_offsets,
-                                 spec.gauss_order, panel)
-    diff = abs(value - coarse)
-    error = diff + _FLOOR_EPS * (scale + 1.0)
+    value, error, coarse = refined(lambda s: _volume_value(domain, fe, theta, s, panel), spec)
     if panel is not None:
-        alt_order = 4 if spec.gauss_order != 4 else 8
-        rule, _, _ = _volume_value(domain, fe, theta, spec.n_offsets,
-                                   alt_order, panel)
-        error += abs(value - rule)
+        alt = replace(spec, gauss_order=4 if spec.gauss_order != 4 else 8)
+        error += abs(value - _volume_value(domain, fe, theta, alt, panel)[0])
     _check_settled(value, coarse)
+    flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
     return IntegralResult(value, error, flags, spec.n_offsets, spec.gauss_order)
-
-
-def _boundary_value(domain, ge, theta, n_offsets):
-    grid = chord_grid(domain, theta, n_offsets)
-    if grid.n_chords == 0:
-        return 0.0, 0.0, grid.flagged_offsets
-    vals = np.asarray(ge(grid.endpoint_plus), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise UnresolvedSingularity("boundary integrand not finite at an atom")
-    terms = grid.weights * vals
-    return float(np.sum(terms)), float(np.sum(np.abs(terms))), grid.flagged_offsets
 
 
 def boundary_integral(domain: Domain, theta: Direction, g,
@@ -319,9 +319,19 @@ def boundary_integral(domain: Domain, theta: Direction, g,
     """Integral of g against the direction-theta boundary measure."""
     spec = spec or QuadratureSpec()
     ge = _as_eval(g)
-    value, scale, flags = _boundary_value(domain, ge, theta, spec.n_offsets)
-    coarse, _, _ = _boundary_value(domain, ge, theta, spec.coarse().n_offsets)
-    error = abs(value - coarse) + _FLOOR_EPS * (scale + 1.0)
+
+    def evaluate(s):
+        grid = chord_grid(domain, theta, s.n_offsets)
+        if grid.n_chords == 0:
+            return 0.0, 0.0
+        vals = np.asarray(ge(grid.endpoint_plus), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise UnresolvedSingularity("boundary integrand not finite at an atom")
+        terms = grid.weights * vals
+        return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+    value, error, _ = refined(evaluate, spec)
+    flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
     return IntegralResult(value, error, flags, spec.n_offsets, spec.gauss_order,
                           method="boundary_atoms")
 

@@ -41,6 +41,7 @@ from .quadrature import (
     _volume_value,
     chord_grid,
     points_along,
+    refined,
     volume_integral,
 )
 
@@ -169,12 +170,15 @@ def trace_norm_sq(fld, domain: Domain, theta: Direction,
                   spec: QuadratureSpec | None = None) -> IntegralResult:
     """Boundary L2 norm squared of the trace, with refinement error."""
     spec = spec or QuadratureSpec()
-    fine = trace_field(fld, domain, theta, spec)
-    coarse = trace_field(fld, domain, theta, spec.coarse())
-    value = fine.norm_sq()
-    scale = float(np.sum(np.abs(fine.weights * fine.values**2)))
-    error = abs(value - coarse.norm_sq()) + 32.0 * np.finfo(float).eps * (scale + 1.0)
-    return IntegralResult(value, error, fine.flagged_offsets,
+
+    def evaluate(s):
+        # every term is nonnegative, so the sum is its own magnitude
+        value = trace_field(fld, domain, theta, s).norm_sq()
+        return value, value
+
+    value, error, _ = refined(evaluate, spec)
+    flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
+    return IntegralResult(value, error, flags,
                           spec.n_offsets, spec.gauss_order, method="trace_norm_sq")
 
 
@@ -243,23 +247,22 @@ def lebesgue_comparison(fld, domain: Domain, theta: Direction, eps: float,
     """
     spec = spec or QuadratureSpec()
 
-    def gap_sq(n_offsets: int) -> float:
-        grid = chord_grid(domain, theta, n_offsets)
+    def gap_sq(sp: QuadratureSpec):
+        grid = chord_grid(domain, theta, sp.n_offsets)
         if grid.n_chords == 0:
-            return 0.0
-        gplus, _ = chord_trace_values(fld, grid, spec.gauss_order)
-        x, w = _gauss.nodes(spec.gauss_order)
+            return 0.0, 0.0
+        gplus, _ = chord_trace_values(fld, grid, sp.gauss_order)
+        x, w = _gauss.nodes(sp.gauss_order)
         h = np.minimum(eps, grid.lengths)
         back = (x[None, :] + 1.0) * 0.5 * h[:, None]
         s = grid.beta[:, None] - back
         pts = points_along(grid.base, s, grid.theta.vector)
         u = np.asarray(fld.eval_many(pts.reshape(-1, pts.shape[-1])), dtype=float)
         means = 0.5 * (u.reshape(s.shape) @ w)
-        return float(np.sum(grid.weights * (gplus - means) ** 2))
+        value = float(np.sum(grid.weights * (gplus - means) ** 2))
+        return value, abs(value)
 
-    value = gap_sq(spec.n_offsets)
-    coarse = gap_sq(spec.coarse().n_offsets)
-    error = abs(value - coarse) + 32.0 * np.finfo(float).eps * (abs(value) + 1.0)
+    value, error, _ = refined(gap_sq, spec)
 
     def dsq(pts):
         return fld.dderiv_many(pts, theta) ** 2
@@ -309,31 +312,30 @@ class TraceInequalityReport:
 
 def trace_inequalities(fld, domain: Domain, theta: Direction,
                        spec: QuadratureSpec | None = None) -> TraceInequalityReport:
-    spec = spec or QuadratureSpec()
-    fine, sq = _trace_field(fld, domain, theta, spec)
-    coarse, sq_c = _trace_field(fld, domain, theta, spec.coarse())
+    return _trace_inequalities(fld, domain, theta, spec or QuadratureSpec())[0]
+
+
+def _trace_inequalities(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
+    """The report, and the trace field of spec's grid it was computed from."""
+    passes = []
+
+    def evaluate(s):
+        tf, sq = _trace_field(fld, domain, theta, s)
+        passes.append((tf, sq))
+        # in the report's field order; norm_theta_sq squares the rounded norm,
+        # as norm_theta(...) ** 2 does
+        nrm = float(np.sqrt(sq))
+        return (tf.norm_sq(), tf.pair_sum_sq(), tf.diff_quotient_sq(), nrm**2), 0.0
+
+    values, errors, _ = refined(evaluate, spec, floor=0.0)
+    (fine, sq), (_, sq_c) = passes
     # norm_theta at both resolutions; only the n/4 grid adds field evaluations
     _check_settled(sq, sq_c)
     sq_q = _volume_value(domain, _theta_integrand(fld, theta), theta,
-                         spec.coarse().coarse().n_offsets, spec.gauss_order)[0]
+                         spec.coarse().coarse())[0]
     _check_settled(sq_c, sq_q)
-    nrm, nrm_c = float(np.sqrt(sq)), float(np.sqrt(sq_c))
-    error = (
-        abs(fine.norm_sq() - coarse.norm_sq())
-        + abs(fine.pair_sum_sq() - coarse.pair_sum_sq())
-        + abs(fine.diff_quotient_sq() - coarse.diff_quotient_sq())
-        + abs(nrm**2 - nrm_c**2)
-        + 1e-12 * (1.0 + nrm**2)
-    )
-    return TraceInequalityReport(
-        theta=theta,
-        trace_sq=fine.norm_sq(),
-        pair_sum_sq=fine.pair_sum_sq(),
-        diff_quotient_sq=fine.diff_quotient_sq(),
-        norm_theta_sq=nrm**2,
-        diameter=domain.diameter,
-        error=error,
-    )
+    error = sum(errors) + 1e-12 * (1.0 + values[3])
+    return TraceInequalityReport(theta, *values, domain.diameter, error), fine
 
 
 @dataclass(frozen=True)
@@ -470,11 +472,10 @@ def consistency_report(fld, domain: Domain, directions,
     if tolerance is None:
         # Ten times the measure-mass refinement error, a crude but
         # configuration-independent scale for quadrature noise.
-        errs = []
-        for theta in directions:
-            fine = measure_atoms(domain, theta, spec)
-            coarse = measure_atoms(domain, theta, spec.coarse())
-            errs.append(abs(fine.total_mass() - coarse.total_mass()))
+        _, errs, _ = refined(
+            lambda s: ([measure_atoms(domain, theta, s).total_mass()
+                        for theta in directions], 0.0),
+            spec, floor=0.0)
         tolerance = 10.0 * max(max(errs), 1e-12)
 
     spreads = np.zeros(probes.shape[0])
@@ -489,18 +490,13 @@ def consistency_report(fld, domain: Domain, directions,
     n_transient = 0
     bad_idx = np.nonzero(bad)[0]
     if bad_idx.size:
-        jit_pts = {}
-        for idx in bad_idx:
-            key = int(sources[idx])
-            jit_pts.setdefault(key, []).append(idx)
+        # the two jittered probes of bad_idx[k] go to rows 2k and 2k + 1
         jittered = np.full((2 * bad_idx.size, probes.shape[1]), np.nan)
-        row_of = {int(i): 2 * k for k, i in enumerate(bad_idx)}
-        for src, idxs in jit_pts.items():
-            idxs = np.asarray(idxs)
-            jp = _jittered_probes(domain, directions[src], probes[idxs],
-                                  offsets[idxs], float(dts[idxs[0]]))
-            for k, i in enumerate(idxs):
-                jittered[row_of[int(i)] : row_of[int(i)] + 2] = jp[2 * k : 2 * k + 2]
+        for src in np.unique(sources[bad_idx]):
+            k = np.nonzero(sources[bad_idx] == src)[0]
+            idxs = bad_idx[k]
+            jittered[(2 * k[:, None] + [0, 1]).ravel()] = _jittered_probes(
+                domain, directions[src], probes[idxs], offsets[idxs], float(dts[idxs[0]]))
 
         ok = np.all(np.isfinite(jittered), axis=1)
         jvalues = np.full((jittered.shape[0], len(directions)), np.nan)
@@ -516,11 +512,9 @@ def consistency_report(fld, domain: Domain, directions,
                 np.nanmax(jvalues, axis=1) - np.nanmin(jvalues, axis=1),
                 0.0,
             )
-        for i in bad_idx:
-            r = row_of[int(i)]
-            if not (jspread[r] > tolerance and jspread[r + 1] > tolerance):
-                persistent[i] = False
-                n_transient += 1
+        transient = ~((jspread[0::2] > tolerance) & (jspread[1::2] > tolerance))
+        persistent[bad_idx[transient]] = False
+        n_transient = int(np.count_nonzero(transient))
 
     probed_mass = float(np.sum(weights[shared]))
     disagreement = (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dirtrace import calculus
+from dirtrace import calculus, quadrature, trace
 from dirtrace.fields import get_field
 from dirtrace.geometry import Bicone, Cusp, Direction, Polygon
 from dirtrace.quadrature import QuadratureSpec, h1_norm
@@ -53,6 +53,21 @@ def test_paired_identity_golden():
     assert rep.volume_pairing == pytest.approx(5.0 / 6.0, abs=1e-6)
     assert rep.bracket == pytest.approx(5.0 / 6.0, abs=1e-6)
     assert rep.passes(3.0)
+
+
+def test_error_fields_are_plain_floats():
+    u, v = get_field("x1x2"), get_field("sin1")
+    theta = Direction.from_angle(0.35)
+    reports = [
+        quadrature.volume_integral(unit_square(), u, SPEC, theta),
+        quadrature.boundary_integral(unit_square(), theta, u, SPEC),
+        trace.trace_norm_sq(u, unit_square(), theta, SPEC),
+        trace.lebesgue_comparison(u, unit_square(), theta, 0.01, SPEC),
+        calculus.integration_by_parts(u, v, unit_square(), theta, SPEC),
+        calculus.paired_identity(u, v, unit_square(), theta, SPEC),
+    ]
+    for report in reports:
+        assert "np.float64" not in repr(report)
 
 
 def test_paired_boundary_field_products():

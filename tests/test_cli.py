@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirtrace import __version__
-from dirtrace.cli import _CSV_CHUNK_ROWS, _config_hash, _write_csv, build_parser, main
+from dirtrace import __version__, calculus
+from dirtrace.cli import _CSV_CHUNK_ROWS, _config_hash, _write_csv, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -98,15 +98,15 @@ def test_tolerance_without_a_gate_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_readme_commands_parse():
+def test_readme_commands_run(tmp_path, capsys):
     commands = [line.strip() for line in README.read_text().splitlines()
                 if line.strip().startswith("python3 -m dirtrace ")]
     assert len(commands) == 8
-    parser = build_parser()
     for command in commands:
         argv = shlex.split(command)[3:]
-        args = parser.parse_args(argv)
-        assert args.command == argv[0]
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0, command
+        assert list((tmp_path / argv[0]).glob(f"{argv[0]}_*.json"))
+    capsys.readouterr()
 
 
 def test_version_flag(capsys):
@@ -124,6 +124,25 @@ def test_staircase_files(tmp_path):
     assert all(s <= b + 1e-15 for s, b in zip(res["sup_steps"], res["sup_bounds"]))
     csv = next(tmp_path.glob("staircase_*.csv")).read_text().splitlines()
     assert csv[1] == "t,value"
+
+
+def test_nu_evaluates_each_stage_once_per_height(tmp_path, monkeypatch, capsys):
+    calls = []
+    stage_mean = calculus._stage_mean
+    monkeypatch.setattr(calculus, "_stage_mean",
+                        lambda *a: calls.append(a) or stage_mean(*a))
+    assert run(["nu", "--domain", "omega_C", "--field", "sign_y",
+                "--levels", "8"], tmp_path) == 0
+    capsys.readouterr()
+    # upper and mirrored stage 0..8, none again for the increments
+    assert len(calls) == 18
+
+
+def test_nu_rejects_a_bad_stage_before_computing_the_norm(tmp_path, capsys):
+    # cusp_pow is infinite at the mirrored heights and on the bicone's lower
+    # half: the stage values are computed, and fail, before the H1 norm
+    assert run(["nu", "--domain", "bicone", "--field", "cusp_pow"], tmp_path) != 0
+    assert "not finite on a stage interval" in capsys.readouterr().err
 
 
 def test_nu_gap_of_jump_field(tmp_path):

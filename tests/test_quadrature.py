@@ -15,6 +15,7 @@ from dirtrace.quadrature import (
     h1_norm,
     norm_theta,
     points_along,
+    refined,
     volume_integral,
     volume_integral_mc,
 )
@@ -203,3 +204,22 @@ def test_offset_cells_match_piecewise_loop():
         got_t, got_w = _offset_cells(tri, theta, lo, hi, 257)
         assert got_t.tobytes() == np.concatenate(ts).tobytes()
         assert got_w.tobytes() == np.concatenate(ws).tobytes()
+
+
+def test_refined_pairs_spec_with_its_coarse_grid():
+    seen = []
+
+    def evaluate(spec):
+        seen.append(spec)
+        return (0.25, 2.0, -1.0), (3.0, 0.0, 1e6)
+
+    spec = QuadratureSpec(n_offsets=300, gauss_order=16)
+    fine, error, coarse = refined(evaluate, spec, floor=1e-10)
+    assert seen == [spec, spec.coarse()]
+    assert seen[1].n_offsets == 150 and seen[1].gauss_order == 16
+    assert fine == coarse == [0.25, 2.0, -1.0]
+    # equal passes leave exactly the floor, and the errors are plain floats
+    assert error == [1e-10 * 4.0, 1e-10 * 1.0, 1e-10 * (1e6 + 1.0)]
+    assert all(type(e) is float for e in error)
+    value, err, _ = refined(lambda s: (1.0 / s.n_offsets, 0.0), spec, floor=0.0)
+    assert (value, err) == (1.0 / 300, abs(1.0 / 300 - 1.0 / 150))

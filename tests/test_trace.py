@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dirtrace import fractal, trace
+from dirtrace import cli, fields, fractal, trace
 from dirtrace.errors import NotDirectionalBoundary, ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import Cusp, Direction, Polygon, direction_table
@@ -225,3 +225,20 @@ def test_trace_inequalities_reuse_the_trace_nodes(name, field):
         # u and its gradient once per node on the n and n/2 grids, where
         # the separate calls evaluate both twice
         assert sum(shared) < sum(separate)
+
+
+def test_cli_trace_evaluates_no_more_than_the_inequalities(tmp_path, monkeypatch, capsys):
+    # the CLI writes the fine trace field the inequality pass built
+    # instead of building it a second time
+    dom = fractal.named_domain("omega_C")
+    spec = QuadratureSpec(n_offsets=256, gauss_order=8)
+    alone, via_cli = [], []
+    trace.trace_inequalities(_counted(get_field("x1x2"), alone), dom,
+                             Direction.from_angle(0.8), spec)
+    parse = fields.parse_field
+    monkeypatch.setattr(fields, "parse_field", lambda text: _counted(parse(text), via_cli))
+    code = cli.main(["trace", "--domain", "omega_C", "--field", "x1x2", "--angle", "0.8",
+                     "--ny", "256", "--gauss", "8", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert 0 < sum(via_cli) <= sum(alone)
