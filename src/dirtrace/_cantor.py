@@ -11,10 +11,16 @@ gap from the middle of every surviving interval, level by level:
 Gaps are indexed m = 1, 2, 3, ... in binary-tree order: the gap of the
 root interval is m = 1, and the gaps of the two children of interval m
 are 2m and 2m+1.  Depth(m) = floor(log2 m).
+
+Distances come from a descent through the construction.  Its first levels
+are one sorted search in a table of the gaps of depth <= 12, built with
+gap_table once per (ratio, scheme) and cached read-only, so every point
+starts from the floats the level-by-level descent computes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +32,11 @@ from .errors import InvalidRatio
 DESCENT_FLOOR = 1e-15
 
 _MAX_DEPTH = 80
+
+# Gaps of depth <= _SEED_LEVEL (8,191 of them) seed every descent.  Each
+# level shrinks an interval at most 3x, so no depth-13 interval is shorter
+# than 3**-13 >> DESCENT_FLOOR and the floor never fires before the seed.
+_SEED_LEVEL = 12
 
 
 def _check_ratio(ratio: float) -> None:
@@ -84,6 +95,12 @@ def gap_table(ratio: float, level: int, scheme: str = "third") -> np.ndarray:
     return out
 
 
+def sorted_gaps(ratio: float, level: int, scheme: str = "third") -> np.ndarray:
+    """The gaps of gap_table(ratio, level, scheme) as rows (c, d), left to right."""
+    gaps = gap_table(ratio, level, scheme)
+    return gaps[np.argsort(gaps[:, 0], kind="stable"), :2]
+
+
 def level_intervals(level: int, ratio: float = 1.0 / 3.0, scheme: str = "third"):
     """Surviving closed intervals (a_m, b_m) after `level` removal rounds."""
     _check_ratio(ratio)
@@ -102,11 +119,26 @@ def level_intervals(level: int, ratio: float = 1.0 / 3.0, scheme: str = "third")
     return a, b
 
 
+@functools.lru_cache(maxsize=None)
+def _seed(ratio: float, scheme: str):
+    """Surviving intervals [lo[k], hi[k]] between the sorted gaps (c, d) of
+    depth <= _SEED_LEVEL: hi[k] = c[k] and lo[k + 1] = d[k]."""
+    gaps = sorted_gaps(ratio, _SEED_LEVEL, scheme)
+    lo = np.concatenate(([0.0], gaps[:, 1]))
+    hi = np.append(gaps[:, 0], 1.0)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
 def distance_many(x: np.ndarray, ratio: float = 1.0 / 3.0, scheme: str = "third") -> np.ndarray:
     """Exact distance from each point to the Cantor set, by recursive descent.
 
-    The descent never enumerates gaps: each point follows its own branch of
-    the construction until it falls in a gap (distance to the nearer gap
+    One search in the cached sorted gaps of depth <= _SEED_LEVEL stands in
+    for the first levels: a point inside one of them is done, any other
+    starts at depth _SEED_LEVEL + 1 from its surviving interval, whose ends
+    are the floats the level-by-level descent computes (x = c goes left,
+    x = d goes right).  From there each point follows its own branch of the
+    construction until it falls in a gap (distance to the nearer gap
     endpoint) or the bracket drops below DESCENT_FLOOR (distance 0).
     """
     _check_ratio(ratio)
@@ -118,12 +150,22 @@ def distance_many(x: np.ndarray, ratio: float = 1.0 / 3.0, scheme: str = "third"
     above = flat > 1.0
     dist[below] = -flat[below]
     dist[above] = flat[above] - 1.0
-    active = ~(below | above)
-    idx = np.nonzero(active)[0]
+    idx = np.nonzero(~(below | above))[0]
     xa = flat[idx]
-    a = np.zeros(xa.shape)
-    b = np.ones(xa.shape)
-    for depth in range(_MAX_DEPTH):
+    lo, hi = _seed(ratio, scheme)
+    # k gaps have c < x: x lies in gap k - 1, (hi[k - 1], lo[k]), or in the
+    # interval after it.  Where rounding gives c == d (tiny ratios), x = c
+    # goes left here and right in the descent: either way distance 0.
+    k = np.searchsorted(hi[:-1], xa)
+    a = lo[k]
+    b = hi[k]
+    in_gap = xa < a
+    if np.any(in_gap):
+        g = np.minimum(xa[in_gap] - hi[k[in_gap] - 1], a[in_gap] - xa[in_gap])
+        dist[idx[in_gap]] = g
+        keep = ~in_gap
+        idx, xa, a, b = idx[keep], xa[keep], a[keep], b[keep]
+    for depth in range(_SEED_LEVEL + 1, _MAX_DEPTH):
         if idx.size == 0:
             break
         c, d = _split(a, b, depth, ratio, scheme)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cantor, _gauss
-from .errors import NonIntegrablePairing, ValidationError
+from .errors import NonIntegrablePairing, UnresolvedSingularity, ValidationError
 from .fields import ScalarField, get_field
 from .geometry import Direction, Domain
 from .quadrature import (
@@ -208,7 +208,7 @@ def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     pts[:, 1] = height
     vals = np.asarray(fld.eval_many(pts), dtype=float).reshape(mids.shape)
     if not np.all(np.isfinite(vals)):
-        raise ValidationError("field not finite on a stage interval")
+        raise UnresolvedSingularity("field not finite on a stage interval")
     # Normalizing by the weight sum computed with the same matmul kernel
     # keeps constant fields exact: each row becomes x / x.
     means = (vals @ w) / (np.ones_like(vals) @ w)

@@ -573,14 +573,10 @@ class ConeUnionCantor(Domain):
     kind = "cone_union_cantor"
 
     def __init__(self, ratio: float = 1.0 / 3.0, level: int = 12, scheme: str = "third"):
-        _cantor._check_ratio(ratio)
-        _cantor._check_scheme(ratio, scheme)
+        self._gaps_sorted = _cantor.sorted_gaps(ratio, level, scheme)
         self.ratio = float(ratio)
         self.level = int(level)
         self.scheme = scheme
-        gaps = _cantor.gap_table(ratio, level, scheme)
-        order = np.argsort(gaps[:, 0], kind="stable")
-        self._gaps_sorted = gaps[order]
         self._gap_lengths = self._gaps_sorted[:, 1] - self._gaps_sorted[:, 0]
 
     @property
@@ -793,14 +789,10 @@ class CantorComb(Domain):
     kind = "cantor_comb"
 
     def __init__(self, ratio: float = 0.25, level: int = 12, scheme: str = "rho"):
-        _cantor._check_ratio(ratio)
-        _cantor._check_scheme(ratio, scheme)
+        self._gaps_sorted = _cantor.sorted_gaps(ratio, level, scheme)
         self.ratio = float(ratio)
         self.level = int(level)
         self.scheme = scheme
-        gaps = _cantor.gap_table(ratio, level, scheme)
-        order = np.argsort(gaps[:, 0], kind="stable")
-        self._gaps_sorted = gaps[order][:, :2]
 
     @property
     def dim(self) -> int:
@@ -921,14 +913,10 @@ class DiskMinusCantor(Domain):
     RADIUS = 2.0
 
     def __init__(self, ratio: float = 1.0 / 3.0, level: int = 12, scheme: str = "third"):
-        _cantor._check_ratio(ratio)
-        _cantor._check_scheme(ratio, scheme)
+        self._gaps_sorted = _cantor.sorted_gaps(ratio, level, scheme)
         self.ratio = float(ratio)
         self.level = int(level)
         self.scheme = scheme
-        gaps = _cantor.gap_table(ratio, level, scheme)
-        order = np.argsort(gaps[:, 0], kind="stable")
-        self._gaps_sorted = gaps[order][:, :2]
 
     @property
     def dim(self) -> int:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import cantor_oracle
 from dirtrace import _cantor
 from dirtrace.errors import InvalidRatio
 
@@ -107,3 +108,38 @@ def test_ratio_validation():
         _cantor.gap_table(0.25, 2, "third")
     with pytest.raises(InvalidRatio):
         _cantor.gap_table(1.0 / 3.0, 2, "nope")
+
+
+def _oracle_points(ratio, scheme):
+    """Uniform draws, gap ends at depths 3-20 with their neighbouring floats,
+    the ends of the depth-14 surviving intervals, and special values."""
+    rng = np.random.default_rng(7)
+    # every gap at depths 3-12, where the sorted table hands over to the descent
+    ends = [_cantor.gap_table(ratio, 12, scheme)[7:, :2].ravel()]
+    # gaps at depths 13-20 along random branches, split as the descent splits
+    a, b = np.zeros(256), np.ones(256)
+    for depth in range(21):
+        c, d = _cantor._split(a, b, depth, ratio, scheme)
+        if depth >= 13:
+            ends.append(np.concatenate((c, d)))
+        right = rng.random(a.size) < 0.5
+        a, b = np.where(right, d, a), np.where(right, b, c)
+    ends = np.concatenate(ends)
+    lo, hi = _cantor.level_intervals(14, ratio, scheme)
+    return np.concatenate((
+        rng.uniform(-0.2, 1.2, 4000),
+        ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+        lo[::7], hi[::7],
+        [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 5e-324],
+    ))
+
+
+@pytest.mark.parametrize("ratio,scheme", [
+    (1.0 / 3.0, "third"), (1.0 / 3.0, "rho"), (0.3, "rho"),
+    (0.25, "rho"), (0.1, "rho"), (1e-3, "rho"),
+])
+def test_distance_many_is_bit_identical_to_the_level_by_level_descent(ratio, scheme):
+    x = _oracle_points(ratio, scheme)
+    got = _cantor.distance_many(x, ratio, scheme)
+    want = cantor_oracle.distance_many(x, ratio, scheme)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()

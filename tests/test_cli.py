@@ -140,8 +140,9 @@ def test_nu_evaluates_each_stage_once_per_height(tmp_path, monkeypatch, capsys):
 
 def test_nu_rejects_a_bad_stage_before_computing_the_norm(tmp_path, capsys):
     # cusp_pow is infinite at the mirrored heights and on the bicone's lower
-    # half: the stage values are computed, and fail, before the H1 norm
-    assert run(["nu", "--domain", "bicone", "--field", "cusp_pow"], tmp_path) != 0
+    # half: the stage values are computed, and fail, before the H1 norm.
+    # The configuration is valid, so this is a computation error (3), not 2
+    assert run(["nu", "--domain", "bicone", "--field", "cusp_pow"], tmp_path) == 3
     assert "not finite on a stage interval" in capsys.readouterr().err
 
 
@@ -199,12 +200,28 @@ def _old_csv(config, header, rows):
     return text
 
 
-@pytest.mark.parametrize("case", ["specials", "empty", "long", "tuples"])
+@pytest.mark.parametrize("case", ["specials", "signed_zeros", "nan_payloads", "repeats",
+                                  "empty", "long", "tuples"])
 def test_csv_writer_matches_per_element_repr(tmp_path, case, capsys):
     header = ["a", "b", "c"]
     if case == "specials":
         rows = np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e16, 1e-5],
                          [5e-324, 0.1, -2.5], [1.0 / 3.0, 2.0**-1074, 1e300]])
+    elif case == "signed_zeros":
+        # one chunk, 0.0 and -0.0 in the same column
+        rows = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -1.0]])
+    elif case == "nan_payloads":
+        bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF,
+                         0x7FF4000000000000, 0x7FF8000000000000, 0xFFF8000000000000],
+                        dtype=np.uint64)
+        rows = bits.view(np.float64).reshape(3, 3)
+        assert np.isnan(rows).all() and np.signbit(rows).any()
+    elif case == "repeats":
+        # few distinct values, so repeats span the chunk boundaries
+        rng = np.random.default_rng(5)
+        values = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, -2.5, np.nan, 1e-300])
+        rows = rng.choice(values, size=(2 * _CSV_CHUNK_ROWS + 11, 3))
     elif case == "empty":
         rows = np.zeros((0, 3))
     elif case == "long":
