@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidRatio
+from .errors import InvalidRatio, ValidationError
 
 # Recursive descent stops refining once the bracketing interval is this
 # short; points that deep are reported as lying on the set.
@@ -38,10 +38,20 @@ _MAX_DEPTH = 80
 # than 3**-13 >> DESCENT_FLOOR and the floor never fires before the seed.
 _SEED_LEVEL = 12
 
+# Gap tables beyond this level exceed float feature resolution anyway.
+MAX_LEVEL = 24
+
 
 def _check_ratio(ratio: float) -> None:
     if not (0.0 < ratio <= 1.0 / 3.0):
         raise InvalidRatio(f"ratio must lie in ]0, 1/3], got {ratio!r}")
+
+
+def _check_level(level: int) -> None:
+    if not isinstance(level, (int, np.integer)) or not (0 <= level <= MAX_LEVEL):
+        raise ValidationError(
+            f"level must be an integer in [0, {MAX_LEVEL}], got {level!r}"
+        )
 
 
 def _split(a: np.ndarray, b: np.ndarray, depth: int, ratio: float, scheme: str):

@@ -19,24 +19,17 @@ staircases differ by at most 2**-(p+1) in the sup norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import _cantor, geometry
+from ._cantor import MAX_LEVEL, _check_level
 from .errors import OverlappingGaps, UnknownName, ValidationError
 
-# Gap tables beyond this level exceed float feature resolution anyway.
-MAX_LEVEL = 24
 # Each staircase round can only halve segment masses; beyond this the
 # masses fall under double precision resolution.
 MAX_STAIRCASE_DEPTH = 48
-
-
-def _check_level(level: int) -> None:
-    if not isinstance(level, (int, np.integer)) or not (0 <= level <= MAX_LEVEL):
-        raise ValidationError(
-            f"level must be an integer in [0, {MAX_LEVEL}], got {level!r}"
-        )
 
 
 def cantor_gaps(ratio: float, level: int, scheme: str = "third") -> np.ndarray:
@@ -221,37 +214,28 @@ def sup_difference(first: Staircase, second: Staircase) -> float:
     return float(np.max(np.abs(first(ts) - second(ts))))
 
 
-_UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-_UNIT_TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-
-DOMAIN_NAMES = (
-    "square",
-    "triangle",
-    "omega_C",
-    "bicone",
-    "cusp",
-    "disk_minus_cantor",
-    "cantor_comb",
-    "cantor_complement",
-    "crack_interval",
-    "crack_square",
-)
+def _cantor_complement(ratio: float = 0.25, level: int = 12, scheme: str = "rho"):
+    return geometry.IntervalUnion(cantor_gaps(ratio, level, scheme))
 
 
-def _cantor_kind_params(params: dict, ratio: float, level: int, scheme: str) -> dict:
-    unknown = set(params) - {"ratio", "level", "scheme"}
-    if unknown:
-        raise ValidationError(f"unexpected parameters: {sorted(unknown)}")
-    return {
-        "ratio": float(params.get("ratio", ratio)),
-        "level": int(params.get("level", level)),
-        "scheme": str(params.get("scheme", scheme)),
-    }
-
-
-def _no_params(params: dict) -> None:
-    if params:
-        raise ValidationError(f"unexpected parameters: {sorted(params)}")
+# name -> (constructor, whether it takes the ratio/level/scheme overrides);
+# the constructors' defaults are the catalogue's.
+_CATALOGUE = {
+    "square": (partial(geometry.Polygon, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]), False),
+    "triangle": (partial(geometry.Polygon, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), False),
+    "omega_C": (geometry.ConeUnionCantor, True),
+    "bicone": (geometry.Bicone, True),
+    "cusp": (geometry.Cusp, False),
+    # the disk of radius 2 around (1/2, 0) with the Cantor slit removed
+    "disk_minus_cantor": (geometry.DiskMinusCantor, True),
+    "cantor_comb": (geometry.CantorComb, True),
+    "cantor_complement": (_cantor_complement, True),
+    "crack_interval": (partial(geometry.IntervalUnion, [(0.0, 1.0), (1.0, 2.0)]), False),
+    "crack_square": (partial(geometry.SlitRectangle, 0.0, 1.0, -1.0, 1.0, 0.5, 0.0, 1.0), False),
+}
+DOMAIN_NAMES = tuple(_CATALOGUE)
+_BY_KEY = {name.lower(): entry for name, entry in _CATALOGUE.items()}
+_BY_KEY["cone_union_cantor"] = _CATALOGUE["omega_C"]
 
 
 def named_domain(name: str, **params) -> geometry.Domain:
@@ -260,34 +244,13 @@ def named_domain(name: str, **params) -> geometry.Domain:
     Cantor-based kinds accept ratio, level and scheme overrides; the
     remaining kinds take no parameters.
     """
-    key = str(name).strip().lower()
-    if key == "square":
-        _no_params(params)
-        return geometry.Polygon(_UNIT_SQUARE)
-    if key == "triangle":
-        _no_params(params)
-        return geometry.Polygon(_UNIT_TRIANGLE)
-    if key in ("omega_c", "cone_union_cantor"):
-        return geometry.ConeUnionCantor(**_cantor_kind_params(params, 1.0 / 3.0, 12, "third"))
-    if key == "bicone":
-        return geometry.Bicone(**_cantor_kind_params(params, 1.0 / 3.0, 12, "third"))
-    if key == "cusp":
-        _no_params(params)
-        return geometry.Cusp()
-    if key == "disk_minus_cantor":
-        # The disk of radius 2 around (1/2, 0) with the Cantor slit removed.
-        return geometry.DiskMinusCantor(**_cantor_kind_params(params, 1.0 / 3.0, 12, "third"))
-    if key == "cantor_comb":
-        return geometry.CantorComb(**_cantor_kind_params(params, 0.25, 12, "rho"))
-    if key == "cantor_complement":
-        kw = _cantor_kind_params(params, 0.25, 12, "rho")
-        return geometry.IntervalUnion(cantor_gaps(kw["ratio"], kw["level"], kw["scheme"]))
-    if key == "crack_interval":
-        _no_params(params)
-        return geometry.IntervalUnion([(0.0, 1.0), (1.0, 2.0)])
-    if key == "crack_square":
-        _no_params(params)
-        return geometry.SlitRectangle(0.0, 1.0, -1.0, 1.0, 0.5, 0.0, 1.0)
-    raise UnknownName(
-        f"unknown domain {name!r}; known names: {', '.join(DOMAIN_NAMES)}"
-    )
+    entry = _BY_KEY.get(str(name).strip().lower())
+    if entry is None:
+        raise UnknownName(
+            f"unknown domain {name!r}; known names: {', '.join(DOMAIN_NAMES)}"
+        )
+    make, cantor = entry
+    unknown = set(params) - ({"ratio", "level", "scheme"} if cantor else set())
+    if unknown:
+        raise ValidationError(f"unexpected parameters: {sorted(unknown)}")
+    return make(**params)

@@ -214,12 +214,9 @@ class Domain:
     """Base class: membership plus chord decompositions."""
 
     kind: str = ""
+    dim: int = 2
 
     # -- mandatory interface -------------------------------------------------
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
     @property
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -285,6 +282,7 @@ class Domain:
 
 class IntervalUnion(Domain):
     kind = "interval_union"
+    dim = 1
 
     def __init__(self, intervals) -> None:
         arr = np.asarray(intervals, dtype=float)
@@ -298,10 +296,6 @@ class IntervalUnion(Domain):
             raise ValidationError("intervals overlap")
         arr.setflags(write=False)
         self.intervals = arr
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     @property
     def bbox(self):
@@ -359,10 +353,6 @@ class Polygon(Domain):
         self._scale = float(np.linalg.norm(hi - lo))
         self._edge_from = v
         self._edge_to = np.roll(v, -1, axis=0)
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def bbox(self):
@@ -492,10 +482,6 @@ class Cusp(Domain):
     kind = "cusp"
 
     @property
-    def dim(self) -> int:
-        return 2
-
-    @property
     def bbox(self):
         return np.array([-1.0, 0.0]), np.array([1.0, 1.0])
 
@@ -567,21 +553,28 @@ class Cusp(Domain):
 # Cantor cone union, bicone, comb
 
 
-class ConeUnionCantor(Domain):
+class _CantorKind(Domain):
+    """A domain built on the Cantor set of ratio `ratio` and `scheme`, whose
+    chords see the gaps removed up to depth `level`."""
+
+    def __init__(self, ratio: float = 1.0 / 3.0, level: int = 12, scheme: str = "third"):
+        _cantor._check_level(level)
+        self.ratio = float(ratio)
+        self.level = int(level)
+        self.scheme = str(scheme)
+        self._gaps_sorted = _cantor.sorted_gaps(self.ratio, self.level, self.scheme)
+
+    def params(self) -> dict:
+        return {"ratio": self.ratio, "level": self.level, "scheme": self.scheme}
+
+    def _dist(self, x: np.ndarray) -> np.ndarray:
+        return _cantor.distance_many(x, self.ratio, self.scheme)
+
+
+class ConeUnionCantor(_CantorKind):
     """Union of open cones {|x - a| < y < 1} over Cantor apex points a."""
 
     kind = "cone_union_cantor"
-
-    def __init__(self, ratio: float = 1.0 / 3.0, level: int = 12, scheme: str = "third"):
-        self._gaps_sorted = _cantor.sorted_gaps(ratio, level, scheme)
-        self.ratio = float(ratio)
-        self.level = int(level)
-        self.scheme = scheme
-        self._gap_lengths = self._gaps_sorted[:, 1] - self._gaps_sorted[:, 0]
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def bbox(self):
@@ -595,12 +588,6 @@ class ConeUnionCantor(Domain):
     def volume(self) -> float:
         r2 = self.ratio * self.ratio
         return 2.0 - r2 / (4.0 * (1.0 - 2.0 * r2))
-
-    def params(self) -> dict:
-        return {"ratio": self.ratio, "level": self.level, "scheme": self.scheme}
-
-    def _dist(self, x: np.ndarray) -> np.ndarray:
-        return _cantor.distance_many(x, self.ratio, self.scheme)
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -620,13 +607,14 @@ class ConeUnionCantor(Domain):
         out its pieces once for all heights that share it.
         """
         h = np.asarray(heights, dtype=float)
-        lengths = np.sort(self._gap_lengths)
+        gap_lengths = self._gaps_sorted[:, 1] - self._gaps_sorted[:, 0]
+        lengths = np.sort(gap_lengths)
         counts = lengths.size - np.searchsorted(lengths, 2.0 * h, side="right")
         parts = [_no_chords()]
         for count in np.unique(counts):
             rows = np.nonzero(counts == count)[0]
             hg = h[rows, None]
-            long = self._gap_lengths > 2.0 * h[rows[0]]
+            long = gap_lengths > 2.0 * h[rows[0]]
             c, d = self._gaps_sorted[long, 0], self._gaps_sorted[long, 1]
             parts.append((np.repeat(rows, count + 1),
                           np.hstack((-hg, d - hg)).ravel(),
@@ -708,7 +696,8 @@ class ConeUnionCantor(Domain):
 
 
 class Bicone(Domain):
-    """Cone union together with its mirror image across the x-axis."""
+    """Cone union together with its mirror image across the x-axis; its
+    Cantor parameters are those of the cone union `upper`."""
 
     kind = "bicone"
 
@@ -716,24 +705,8 @@ class Bicone(Domain):
         self.upper = ConeUnionCantor(ratio, level, scheme)
 
     @property
-    def ratio(self) -> float:
-        return self.upper.ratio
-
-    @property
-    def level(self) -> int:
-        return self.upper.level
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
     def bbox(self):
         return np.array([-1.0, -1.0]), np.array([2.0, 1.0])
-
-    @property
-    def diameter(self) -> float:
-        return math.sqrt(13.0)
 
     @property
     def volume(self) -> float:
@@ -783,35 +756,21 @@ class Bicone(Domain):
         return _two_pieces(rows, -one, -d, yes, d, one, yes)
 
 
-class CantorComb(Domain):
+class CantorComb(_CantorKind):
     """Open square with Cantor teeth: full lower half, gap columns above."""
 
     kind = "cantor_comb"
 
     def __init__(self, ratio: float = 0.25, level: int = 12, scheme: str = "rho"):
-        self._gaps_sorted = _cantor.sorted_gaps(ratio, level, scheme)
-        self.ratio = float(ratio)
-        self.level = int(level)
-        self.scheme = scheme
-
-    @property
-    def dim(self) -> int:
-        return 2
+        super().__init__(ratio, level, scheme)
 
     @property
     def bbox(self):
         return np.array([0.0, -1.0]), np.array([1.0, 1.0])
 
     @property
-    def diameter(self) -> float:
-        return math.sqrt(5.0)
-
-    @property
     def volume(self) -> float:
         return 1.0 + _cantor.total_gap_length(self.ratio)
-
-    def params(self) -> dict:
-        return {"ratio": self.ratio, "level": self.level, "scheme": self.scheme}
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -820,7 +779,7 @@ class CantorComb(Domain):
         upper = inx & (y >= 0.0)
         out = inx & (y < 0.0)
         if np.any(upper):
-            out[upper] = _cantor.distance_many(x[upper], self.ratio, self.scheme) > 0.0
+            out[upper] = self._dist(x[upper]) > 0.0
         return out
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
@@ -896,7 +855,7 @@ class CantorComb(Domain):
             order = np.argsort(rows, kind="stable")
             return rows[order], lo[order], hi[order]
         rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
-        d = _cantor.distance_many(values[rows], self.ratio, self.scheme)
+        d = self._dist(values[rows])
         return rows, np.full(rows.size, -1.0), np.where(d > 0.0, 1.0, 0.0)
 
 
@@ -904,23 +863,13 @@ class CantorComb(Domain):
 # Disk with a Cantor slit removed
 
 
-class DiskMinusCantor(Domain):
+class DiskMinusCantor(_CantorKind):
     """Open disk around (1/2, 0) of radius 2 minus the Cantor set on the axis."""
 
     kind = "disk_minus_cantor"
 
     CENTER = np.array([0.5, 0.0])
     RADIUS = 2.0
-
-    def __init__(self, ratio: float = 1.0 / 3.0, level: int = 12, scheme: str = "third"):
-        self._gaps_sorted = _cantor.sorted_gaps(ratio, level, scheme)
-        self.ratio = float(ratio)
-        self.level = int(level)
-        self.scheme = scheme
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def bbox(self):
@@ -935,13 +884,10 @@ class DiskMinusCantor(Domain):
     def volume(self) -> float:
         return math.pi * self.RADIUS**2
 
-    def params(self) -> dict:
-        return {"ratio": self.ratio, "level": self.level, "scheme": self.scheme}
-
     def _on_slit(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         on = (y == 0.0) & (x >= 0.0) & (x <= 1.0)
         if np.any(on):
-            d = _cantor.distance_many(x[on], self.ratio, self.scheme)
+            d = self._dist(x[on])
             res = np.zeros(on.shape, dtype=bool)
             res[on] = d == 0.0
             return res
@@ -972,7 +918,7 @@ class DiskMinusCantor(Domain):
             split = (0.0 - t * p[1]) / tv[1]
             x0 = t * p[0] + split * tv[0]
             on = np.nonzero((lo < split) & (split < hi) & (x0 >= 0.0) & (x0 <= 1.0))[0]
-            on = on[_cantor.distance_many(x0[on], self.ratio, self.scheme) == 0.0]
+            on = on[self._dist(x0[on]) == 0.0]
             cut_rows, cuts = rows[on], split[on]
         else:
             # A horizontal line meets the slit only when it sits exactly
@@ -1009,10 +955,6 @@ class SlitRectangle(Domain):
         self._rect = Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
     @property
-    def dim(self) -> int:
-        return 2
-
-    @property
     def bbox(self):
         return np.array([self.x0, self.y0]), np.array([self.x1, self.y1])
 
@@ -1041,6 +983,11 @@ class SlitRectangle(Domain):
         inside = (x > self.x0) & (x < self.x1) & (y > self.y0) & (y < self.y1)
         on_slit = (x == self.slit_x) & (y >= self.slit_y0) & (y <= self.slit_y1)
         return inside & ~on_slit
+
+    def offset_breakpoints(self, theta: Direction):
+        # the rectangle's kinks and the offsets of the two slit ends
+        ends = np.array([(self.slit_x, self.slit_y0), (self.slit_x, self.slit_y1)])
+        return np.concatenate((self._rect.offset_breakpoints(theta), ends @ theta.perp_vector))
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
         tv = theta.vector
@@ -1286,25 +1233,13 @@ def domain_from_json(payload: dict) -> Domain:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ValidationError("domain JSON needs a 'kind' entry")
     kind = payload["kind"]
-    params = payload.get("params", {})
     extra = set(payload) - {"kind", "params"}
     if extra:
         raise ValidationError(f"unknown domain keys: {sorted(extra)}")
     cls = _KINDS.get(kind)
     if cls is None:
         raise UnknownName(f"unknown domain kind {kind!r}")
-    if kind == "interval_union":
-        return cls(params["intervals"])
-    if kind == "polygon":
-        return cls(params["vertices"])
-    if kind == "slit_rectangle":
-        return cls(**params)
-    if kind == "cusp":
-        if params:
-            raise ValidationError("cusp takes no parameters")
-        return cls()
-    allowed = {"ratio", "level", "scheme"}
-    bad = set(params) - allowed
-    if bad:
-        raise ValidationError(f"unknown parameters {sorted(bad)} for kind {kind!r}")
-    return cls(**params)
+    try:
+        return cls(**payload.get("params", {}))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad parameters for kind {kind!r}: {exc}") from exc

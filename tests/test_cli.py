@@ -1,6 +1,7 @@
 """Command line driver: files, determinism, exit codes."""
 
 import json
+import re
 import shlex
 from argparse import Namespace
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirtrace import __version__, calculus
+from dirtrace import __version__, _cantor, calculus, fields, fractal
 from dirtrace.cli import _CSV_CHUNK_ROWS, _config_hash, _write_csv, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -47,6 +48,33 @@ def test_unknown_domain_exits_2(tmp_path, capsys):
     code = run(["measure", "--domain", "heptagon"], tmp_path)
     assert code == 2
     assert "unknown domain" in capsys.readouterr().err
+
+
+def _refuse_gap_tables(*args):
+    raise RuntimeError("a rejected level reached the gap table")
+
+
+@pytest.mark.parametrize("name", ["omega_C", "bicone", "disk_minus_cantor", "cantor_comb"])
+def test_level_beyond_the_bound_exits_2(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_cantor, "sorted_gaps", _refuse_gap_tables)
+    code = run(["measure", "--domain", name, "--level", str(fractal.MAX_LEVEL + 1)], tmp_path)
+    assert code == 2
+    assert "level must be an integer" in capsys.readouterr().err
+
+
+def _readme_list(lead: str) -> list[str]:
+    """The comma-separated backquoted names that follow `lead` in README,
+    with line breaks read as spaces."""
+    text = " ".join(README.read_text().split()).split(lead, 1)[1]
+    names = re.match(r"\s*((?:`[^`]+`,\s*)*`[^`]+`)", text).group(1)
+    return re.findall(r"`([^`]+)`", names)
+
+
+def test_readme_lists_the_catalogues():
+    assert tuple(_readme_list("Named domains:")) == fractal.DOMAIN_NAMES
+    cantor = [name for name, (_, overrides) in fractal._CATALOGUE.items() if overrides]
+    assert _readme_list("`--ratio/--level/--scheme` overrides:") == cantor
+    assert sorted(_readme_list("Fields are named by formula:")) == list(fields.field_names())
 
 
 def test_unattainable_tolerance_exits_3(tmp_path):

@@ -257,13 +257,47 @@ def test_polygon_offset_breakpoints_are_vertex_projections():
 # --- serialization ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["square", "cusp", "bicone", "omega_C",
-                                  "cantor_comb", "crack_square", "crack_interval"])
+@pytest.mark.parametrize("name", fractal.DOMAIN_NAMES)
 def test_json_roundtrip(name):
     dom = fractal.named_domain(name)
     clone = domain_from_json(dom.to_json())
     assert clone.kind == dom.kind
     assert clone.cache_key() == dom.cache_key()
+    assert clone.params() == dom.params()
+    # built apart, not through the grid cache, which keys on cache_key
+    theta = Direction.from_angle(0.3) if dom.dim == 2 else Direction([1.0])
+    grid, twin = (quadrature.ChordGrid(d, theta, 64) for d in (dom, clone))
+    for attr in ("offsets", "offset_widths", "offset_index", "alpha", "beta"):
+        np.testing.assert_array_equal(getattr(twin, attr), getattr(grid, attr))
+
+
+def _refuse_gap_tables(*args):
+    raise RuntimeError("a rejected parameter set reached the gap table")
+
+
+# Parameter sets each kind must reject, beside an unknown key.
+_BAD_PARAMS = {
+    "interval_union": [{}, {"intervals": "x"}],
+    "polygon": [{}, {"vertices": "x"}],
+    "cusp": [{"ratio": 0.25}],
+    "cone_union_cantor": [{"level": "x"}, {"level": 25}, {"ratio": "x"}],
+    "bicone": [{"level": "x"}, {"level": 25}, {"ratio": "x"}],
+    "cantor_comb": [{"level": "x"}, {"level": 25}, {"ratio": "x"}],
+    "disk_minus_cantor": [{"level": "x"}, {"level": -1}, {"ratio": None}],
+    "slit_rectangle": [{"x0": 0.0, "x1": 1.0},
+                       dict(x0=0.0, x1=1.0, y0=-1.0, y1=1.0, slit_x=0.5, slit_y0=0.0, slit_y1="x")],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(geometry._KINDS))
+def test_json_rejects_bad_parameters(kind, monkeypatch):
+    good = next(d for d in map(fractal.named_domain, fractal.DOMAIN_NAMES)
+                if d.kind == kind).params()
+    # every rejection must come before a gap table is built
+    monkeypatch.setattr(_cantor, "sorted_gaps", _refuse_gap_tables)
+    for params in _BAD_PARAMS[kind] + [dict(good, extra=1)]:
+        with pytest.raises(ValidationError):
+            domain_from_json({"kind": kind, "params": params})
 
 
 def test_json_unknown_kind():
@@ -394,7 +428,7 @@ def test_bicone_pieces_abut_exactly_at_the_axis(theta):
     # and the piece below share the computed crossing exactly.
     dom = Bicone()
     p, tv = theta.perp_vector, theta.vector
-    a, b = _cantor.level_intervals(dom.level + 2)
+    a, b = _cantor.level_intervals(dom.upper.level + 2)
     deep = 0.5 * (b[0::2] + a[1::2])[:4]
     ts = np.concatenate(([0.0, 0.1, 0.25, 0.75], deep)) * p[0]
     intervals, flags = slice_lines(dom, theta, ts)

@@ -223,3 +223,11 @@ def test_refined_pairs_spec_with_its_coarse_grid():
     assert all(type(e) is float for e in error)
     value, err, _ = refined(lambda s: (1.0 / s.n_offsets, 0.0), spec, floor=0.0)
     assert (value, err) == (1.0 / 300, abs(1.0 / 300 - 1.0 / 150))
+
+
+def test_crack_square_volume_at_its_slit_end_kinks():
+    # offset cells end at the offsets of the slit ends as at the corners
+    dom = fractal.named_domain("crack_square")
+    res = volume_integral(dom, get_field("one"), QuadratureSpec(n_offsets=4096),
+                          Direction.from_angle(0.7))
+    assert abs(res.value - 2.0) <= 1e-11
