@@ -16,10 +16,15 @@ whole table with array operations on the row boundaries.
 Chords are computed in closed form for every kind: interval unions,
 polygons, the cubic cusp (batched cubic roots), circle/slit constructions,
 the Cantor comb, and the Cantor cone unions (the line minus the triangles
-over the gaps).  Endpoints are exact up to rounding.  Chord endpoints
-always fail membership, chords shorter than EPS_EXACT are dropped, and a
-slice is flagged when two crossings sit closer than RESOLUTION_FACTOR
-times that length (a thin feature at the limit of resolution).
+over the gaps).  Endpoints are exact up to rounding.  Chords shorter
+than EPS_EXACT are dropped, and a slice is flagged when two crossings sit
+closer than RESOLUTION_FACTOR times that length (a thin feature at the
+limit of resolution).  Endpoints are nudged outward, in at most ten
+doubling steps, until they fail membership: both endpoints of every chord
+of `chord_table` (and so of every grid), and both endpoints of every chord
+an `exit_chords` lookup returns.  The one known exception is where an
+oblique line crosses a slit: no rounded point of the line lies on the
+slit, so the nudge steps across it and the endpoint stays inside.
 """
 
 from __future__ import annotations
@@ -353,6 +358,8 @@ class Polygon(Domain):
         self._scale = float(np.linalg.norm(hi - lo))
         self._edge_from = v
         self._edge_to = np.roll(v, -1, axis=0)
+        d = v[:, None, :] - v[None, :, :]
+        self._diameter = float(np.sqrt((d * d).sum(axis=2)).max())
 
     @property
     def bbox(self):
@@ -360,8 +367,7 @@ class Polygon(Domain):
 
     @property
     def diameter(self) -> float:
-        d = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((d * d).sum(axis=2)).max())
+        return self._diameter
 
     @property
     def volume(self) -> float:
@@ -1039,10 +1045,8 @@ def _axis_slices(domain: Domain, theta: Direction, ts: np.ndarray):
     return rows[order], -hi[order], -lo[order]
 
 
-def _finalize_slices(domain, theta, ts, rows, alpha, beta):
-    """Drop short chords, nudge endpoints outside, compute per-slice flags."""
-    tv = theta.vector
-    p = theta.perp_vector
+def _trim(ts, rows, alpha, beta):
+    """Drop short chords and compute the per-slice flags."""
     # Exact endpoints only have rounding noise, so chords are kept all the
     # way down to machine scale.
     short, limit = EPS_EXACT, RESOLUTION_FACTOR * EPS_EXACT
@@ -1056,38 +1060,38 @@ def _finalize_slices(domain, theta, ts, rows, alpha, beta):
     flags = np.zeros(ts.size, dtype=bool)
     flags[rows[thin]] = True
     keep = lengths > short
-    rows, alpha, beta = rows[keep], alpha[keep], beta[keep]
-    if not rows.size:
-        return rows, alpha, beta, flags
-    # endpoint nudging: every retained endpoint must fail membership
-    tvals = ts[rows]
-    ends = []
-    for svals, sign in ((alpha.copy(), -1.0), (beta.copy(), 1.0)):
-        pts = tvals[:, None] * p[None, :] + svals[:, None] * tv[None, :]
-        bad = domain.contains_many(pts)
-        it = 0
-        while np.any(bad) and it < 10:
-            stepv = np.maximum(np.abs(svals[bad]) * 2.0**-50, 1e-15 * max(domain.diameter, 1.0))
-            svals[bad] = svals[bad] + sign * stepv * 2.0**it
-            pts = tvals[bad, None] * p[None, :] + svals[bad, None] * tv[None, :]
-            newbad = domain.contains_many(pts)
-            tmp = bad.copy()
-            tmp[bad] = newbad
-            bad = tmp
-            it += 1
-        ends.append(svals)
-    return rows, ends[0], ends[1], flags
+    return rows[keep], alpha[keep], beta[keep], flags
 
 
-def chord_table(domain: Domain, theta: Direction, ts):
-    """Chords of a batch of hyperplane offsets as one flat table.
+def _nudge_out(domain, theta, t, s, sign: float) -> np.ndarray:
+    """Endpoints s on the lines at offsets t, each moved along sign * theta
+    until it fails membership (at most ten doubling steps).
 
-    Returns (rows, alpha, beta, flags): chord i is the open interval
-    ]alpha[i], beta[i][ of the line at offset ts[rows[i]], sorted by
-    (row, alpha); flags[j] is True when the slice of offset j hit the
-    resolution limit and should be skipped by quadrature.
+    Each endpoint moves by its own membership results only, so a subset of
+    a table nudges to the same floats as the whole table.  Interval-union
+    endpoints are exact and come back as they are.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if domain.dim == 1 or not s.size:
+        return s
+    tv = theta.vector
+    p = theta.perp_vector
+    s = s.copy()
+    bad = domain.contains_many(t[:, None] * p[None, :] + s[:, None] * tv[None, :])
+    it = 0
+    while np.any(bad) and it < 10:
+        stepv = np.maximum(np.abs(s[bad]) * 2.0**-50, 1e-15 * max(domain.diameter, 1.0))
+        s[bad] = s[bad] + sign * stepv * 2.0**it
+        pts = t[bad, None] * p[None, :] + s[bad, None] * tv[None, :]
+        newbad = domain.contains_many(pts)
+        tmp = bad.copy()
+        tmp[bad] = newbad
+        bad = tmp
+        it += 1
+    return s
+
+
+def _trimmed_table(domain: Domain, theta: Direction, ts: np.ndarray):
+    """`chord_table` before its endpoints are nudged."""
     if domain.dim == 1:
         if not isinstance(domain, IntervalUnion):
             raise ValidationError("only interval unions are supported in 1D")
@@ -1101,7 +1105,23 @@ def chord_table(domain: Domain, theta: Direction, ts):
         raw = _axis_slices(domain, theta, ts)
     if raw is None:
         raise ValidationError(f"no closed-form chords for kind {domain.kind!r} along {theta!r}")
-    return _finalize_slices(domain, theta, ts, *raw)
+    return _trim(ts, *raw)
+
+
+def chord_table(domain: Domain, theta: Direction, ts):
+    """Chords of a batch of hyperplane offsets as one flat table.
+
+    Returns (rows, alpha, beta, flags): chord i is the open interval
+    ]alpha[i], beta[i][ of the line at offset ts[rows[i]], sorted by
+    (row, alpha); flags[j] is True when the slice of offset j hit the
+    resolution limit and should be skipped by quadrature.  Both endpoints
+    of every chord are nudged outside (see the module docstring).
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    rows, alpha, beta, flags = _trimmed_table(domain, theta, ts)
+    t = ts[rows]
+    return (rows, _nudge_out(domain, theta, t, alpha, -1.0),
+            _nudge_out(domain, theta, t, beta, 1.0), flags)
 
 
 def slice_lines(domain: Domain, theta: Direction, ts) -> tuple[list[np.ndarray], np.ndarray]:
@@ -1170,6 +1190,16 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
     nearest to the point, the first of equals.  Returns (t, alpha, beta,
     found): the offsets, the chords (NaN where none is found) and whether
     that endpoint is within r_match on a slice that is not flagged.
+
+    Only candidate chords are nudged: those on unflagged lines whose exit
+    before nudging lies within r_match + slack of the point.  Ten nudging
+    rounds move an endpoint by at most 1023 * max(|beta| 2**-50,
+    1e-15 max(diameter, 1)); with |t| + |beta| in place of |beta|, 2**11
+    times that step also covers the rounding of both distances.  A chord
+    outside the candidates is therefore farther than r_match after
+    nudging, and the nearest chord and its ties are all candidates: the
+    result is that of nudging every chord.  With r_match = inf every chord
+    on an unflagged line is a candidate.
     """
     points = np.asarray(points, dtype=float).reshape(-1, theta.dim)
     n = points.shape[0]
@@ -1180,19 +1210,29 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
         # in every batch
         offsets = np.zeros(n) if theta.dim == 1 else points[:, 0] * perp[0] + points[:, 1] * perp[1]
     offsets = np.asarray(offsets, dtype=float)
-    rows, alpha, beta, flags = chord_table(domain, theta, offsets)
-    exits = offsets[rows, None] * perp[None, :] + beta[:, None] * theta.vector[None, :]
-    dist = np.linalg.norm(exits - points[rows], axis=1)
+
+    def exit_gaps(rows, beta):
+        exits = offsets[rows, None] * perp[None, :] + beta[:, None] * theta.vector[None, :]
+        return np.linalg.norm(exits - points[rows], axis=1)
+
+    rows, alpha, beta, flags = _trimmed_table(domain, theta, offsets)
+    t = offsets[rows]
+    step = np.maximum((np.abs(t) + np.abs(beta)) * 2.0**-50, 1e-15 * max(domain.diameter, 1.0))
+    cand = (exit_gaps(rows, beta) <= r_match + 2.0**11 * step) & ~flags[rows]
+    rows, alpha, t = rows[cand], alpha[cand], t[cand]
+    beta = _nudge_out(domain, theta, t, beta[cand], 1.0)
+    dist = exit_gaps(rows, beta)
     order = np.lexsort((dist, rows))
     starts = _row_starts(rows, n)
     lines = np.nonzero(starts[:-1] < starts[1:])[0]
     best = order[starts[lines]]
-    ok = (dist[best] <= r_match) & ~flags[lines]
+    ok = dist[best] <= r_match
     lines, best = lines[ok], best[ok]
     found = np.zeros(n, dtype=bool)
     found[lines] = True
     a, b = np.full(n, np.nan), np.full(n, np.nan)
-    a[lines], b[lines] = alpha[best], beta[best]
+    a[lines] = _nudge_out(domain, theta, t[best], alpha[best], -1.0)
+    b[lines] = beta[best]
     return offsets, a, b, found
 
 

@@ -19,6 +19,7 @@ clean report says "not refuted", not "proved".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,6 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Direction, Domain, exit_chords, offset_normal
-from .measure import measure_atoms
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -216,11 +216,15 @@ def directional_trace(fld, domain: Domain, theta: Direction, z,
     return float(value)
 
 
+def _check_depth(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValidationError(f"eps must be finite and positive, got {eps!r}")
+
+
 def lebesgue_average(fld, domain: Domain, theta: Direction, z, eps: float,
                      order: int = 16) -> float:
     """Average of the field over the last eps of the chord into z."""
-    if eps <= 0.0:
-        raise ValidationError("eps must be positive")
+    _check_depth(eps)
     t, a, b = _exit_chord(domain, theta, z)
     h = min(eps, float(b[0] - a[0]))
     x, w = _gauss.nodes(order)
@@ -245,6 +249,7 @@ def lebesgue_comparison(fld, domain: Domain, theta: Direction, eps: float,
     The gap integral is bounded by eps times the diameter times the
     squared chord-derivative norm.
     """
+    _check_depth(eps)
     spec = spec or QuadratureSpec()
 
     def gap_sq(sp: QuadratureSpec):
@@ -431,6 +436,11 @@ def consistency_report(fld, domain: Domain, directions,
     directions = list(directions)
     if len(directions) < 2:
         raise ValidationError("need at least two directions")
+    if (isinstance(probes_per_direction, bool)
+            or not isinstance(probes_per_direction, (int, np.integer))
+            or probes_per_direction < 1):
+        raise ValidationError(
+            f"probes_per_direction must be an integer >= 1, got {probes_per_direction!r}")
     r_match = _match_radius(domain)
 
     probe_pts = []
@@ -439,16 +449,21 @@ def consistency_report(fld, domain: Domain, directions,
     probe_off = []
     probe_dt = []
     for idx, theta in enumerate(directions):
-        mu = measure_atoms(domain, theta, spec)
-        if mu.n_atoms == 0:
+        grid = chord_grid(domain, theta, spec.n_offsets)
+        if grid.n_chords == 0:
             continue
-        stride = max(1, mu.n_atoms // probes_per_direction)
-        sel = np.arange(0, mu.n_atoms, stride)
-        probe_pts.append(mu.points[sel])
-        probe_wts.append(mu.weights[sel])
-        probe_src.append(np.full(sel.size, idx))
-        probe_off.append(mu.offsets[sel])
-        probe_dt.append(np.full(sel.size, mu.dt))
+        # every stride-th atom of the direction's measure: its exit point,
+        # weight and offset
+        stride = max(1, grid.n_chords // probes_per_direction)
+        line = grid.offset_index[::stride]
+        t = grid.offsets[line]
+        beta = grid.beta[::stride]
+        probe_pts.append(points_along(t[:, None] * offset_normal(theta)[None, :], beta,
+                                      theta.vector))
+        probe_wts.append(grid.lengths[::stride] * grid.offset_widths[line])
+        probe_src.append(np.full(beta.size, idx))
+        probe_off.append(t)
+        probe_dt.append(np.full(beta.size, grid.dt))
     if not probe_pts:
         raise InsufficientOverlap("no boundary atoms to probe")
     probes = np.concatenate(probe_pts)
@@ -473,7 +488,7 @@ def consistency_report(fld, domain: Domain, directions,
         # Ten times the measure-mass refinement error, a crude but
         # configuration-independent scale for quadrature noise.
         _, errs, _ = refined(
-            lambda s: ([measure_atoms(domain, theta, s).total_mass()
+            lambda s: ([float(np.sum(chord_grid(domain, theta, s.n_offsets).weights))
                         for theta in directions], 0.0),
             spec, floor=0.0)
         tolerance = 10.0 * max(max(errs), 1e-12)

@@ -211,6 +211,14 @@ def test_lebesgue_report(tmp_path):
     assert payload["results"]["within_bound"] is True
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+def test_lebesgue_depth_outside_the_theory_exits_2(eps, tmp_path, capsys):
+    code = run(["lebesgue", "--domain", "square", "--field", "x1", "--eps", eps], tmp_path)
+    assert code == 2
+    assert "eps must be finite and positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_consistency_report_cli(tmp_path):
     code = run(["consistency", "--domain", "crack_square", "--field",
                 "crack_2d", "--directions", "4"], tmp_path)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dirtrace import cli, fields, fractal, trace
+from dirtrace import cli, fields, fractal, measure, quadrature, trace
 from dirtrace.errors import NotDirectionalBoundary, ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import Cusp, Direction, Polygon, direction_table
@@ -72,6 +72,16 @@ def test_lebesgue_average_clamps_to_chord():
         trace.lebesgue_average(fld, sq, E1, (1.0, 0.5), eps=0.0)
 
 
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+def test_lebesgue_depth_outside_the_theory_is_rejected(eps):
+    sq = unit_square()
+    fld = get_field("x1")
+    with pytest.raises(ValidationError):
+        trace.lebesgue_average(fld, sq, E1, (1.0, 0.5), eps=eps)
+    with pytest.raises(ValidationError):
+        trace.lebesgue_comparison(fld, sq, E1, eps, SPEC)
+
+
 def test_lebesgue_comparison_bound_and_decay():
     sq = unit_square()
     fld = get_field("x1x2")
@@ -132,6 +142,24 @@ def test_consistency_needs_two_directions():
         trace.consistency_report(get_field("x1"), unit_square(), [E1], SPEC)
 
 
+@pytest.mark.parametrize("probes", [0, -3, 2.5, True, "40"])
+def test_consistency_rejects_a_bad_probe_count(probes):
+    with pytest.raises(ValidationError):
+        trace.consistency_report(get_field("sincos"), unit_square(),
+                                 direction_table(4, start_angle=0.3), SPEC,
+                                 probes_per_direction=probes)
+
+
+def test_consistency_probes_every_atom_at_one_probe_per_atom():
+    # as many probes as atoms: the stride is one and every atom is probed
+    dom, directions = unit_square(), direction_table(4, start_angle=0.3)
+    atoms = sum(quadrature.chord_grid(dom, theta, SPEC.n_offsets).n_chords
+                for theta in directions)
+    rep = trace.consistency_report(get_field("sincos"), dom, directions, SPEC,
+                                   probes_per_direction=np.int64(10**6))
+    assert rep.n_probes == atoms
+
+
 def test_consistency_one_dimensional_crack():
     dom = fractal.named_domain("crack_interval")
     rep = trace.consistency_report(get_field("crack_1d"), dom,
@@ -153,7 +181,7 @@ def test_batched_traces_match_directional_trace(name, field):
     fld = get_field(field)
     directions = direction_table(4)
     probes = np.concatenate([
-        trace.measure_atoms(dom, theta, SPEC).points[::37] for theta in directions])
+        measure.measure_atoms(dom, theta, SPEC).points[::37] for theta in directions])
     r_match = trace._match_radius(dom)
     for theta in directions:
         values = trace._batched_traces(fld, dom, theta, probes, 16, r_match)
@@ -174,7 +202,7 @@ def test_batched_traces_match_directional_trace_on_oblique_probes(name):
     fld = get_field("x1x2")
     directions = direction_table(8)
     probes = np.concatenate([
-        trace.measure_atoms(dom, theta, SPEC).points[::23] for theta in directions])
+        measure.measure_atoms(dom, theta, SPEC).points[::23] for theta in directions])
     r_match = trace._match_radius(dom)
     for theta in directions[1::2]:
         values = trace._batched_traces(fld, dom, theta, probes, 8, r_match)
