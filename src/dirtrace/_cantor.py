@@ -21,7 +21,6 @@ starts from the floats the level-by-level descent computes.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -227,24 +226,3 @@ def max_useful_level(ratio: float, feature: float) -> int:
     while ratio ** (level + 1) >= feature and level < _MAX_DEPTH:
         level += 1
     return level
-
-
-def interval_length(ratio: float, level: int) -> float:
-    """Length of a surviving interval at the given depth."""
-    _check_ratio(ratio)
-    if abs(ratio - 1.0 / 3.0) < 1e-15:
-        return 3.0 ** (-level)
-    length = 1.0
-    for k in range(level):
-        length = 0.5 * (length - ratio ** (k + 1))
-    return length
-
-
-def gap_count(level: int) -> int:
-    return 2 ** (level + 1) - 1
-
-
-def depth_of_index(m: int) -> int:
-    if m < 1:
-        raise ValueError("gap index is 1-based")
-    return int(math.floor(math.log2(m)))

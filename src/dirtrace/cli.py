@@ -105,21 +105,17 @@ def _write_csv(args, config: dict, header: list[str], rows) -> None:
 
 
 def _spec_from(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        n_offsets=args.ny,
-        gauss_order=args.gauss,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-    )
+    return QuadratureSpec(n_offsets=args.ny, gauss_order=args.gauss, seed=args.seed)
+
+
+def _domain_overrides(args) -> dict:
+    """The --ratio, --level and --scheme values given on the command line."""
+    return {key: getattr(args, key) for key in ("ratio", "level", "scheme")
+            if getattr(args, key, None) is not None}
 
 
 def _domain_from(args):
-    params = {}
-    for key in ("ratio", "level", "scheme"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return fractal.named_domain(args.domain, **params)
+    return fractal.named_domain(args.domain, **_domain_overrides(args))
 
 
 def _direction_from(args, dim: int) -> Direction:
@@ -141,11 +137,14 @@ def _direction_from(args, dim: int) -> Direction:
 
 
 def _common_config(args, **extra) -> dict:
+    # domain overrides that were given join the config, so runs that differ
+    # only in them write different reports
     cfg = {
         "command": args.command,
         "ny": args.ny,
         "gauss": args.gauss,
         "seed": args.seed,
+        **_domain_overrides(args),
     }
     cfg.update(extra)
     return cfg
@@ -302,8 +301,7 @@ def _cmd_staircase(args) -> int:
     ok = monotone and endpoints_exact and all(
         s <= b + 1e-15 for s, b in zip(sups, bounds)
     )
-    config = _common_config(args, ratio=args.ratio, level=args.level,
-                            scheme=args.scheme, pmax=args.pmax,
+    config = _common_config(args, pmax=args.pmax,
                             alpha=args.alpha, beta=args.beta,
                             margin=args.margin)
     _write_csv(args, config, ["t", "value"], stair.to_rows())
@@ -371,7 +369,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ny", type=int, default=4096, help="offset grid size")
     p.add_argument("--gauss", type=int, default=8, choices=(4, 8, 16))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-samples", type=int, default=20000)
 
 
 def _add_tolerance(p: argparse.ArgumentParser) -> None:

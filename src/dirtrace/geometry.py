@@ -1236,16 +1236,22 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
     return offsets, a, b, found
 
 
+def match_radius(domain: Domain) -> float:
+    """Default distance within which a point counts as a chord's exit:
+    1e-6 of the diameter (of 1 for smaller domains)."""
+    return 1e-6 * max(domain.diameter, 1.0)
+
+
 def opposite_endpoint(
     domain: Domain, z, theta: Direction, r_match: float | None = None
 ) -> tuple[np.ndarray, float]:
     """Other endpoint of the chord exiting at z, and the chord's length.
 
-    z must lie on the exit set of theta up to r_match (default 1e-6 of the
-    diameter); otherwise NotDirectionalBoundary is raised.
+    z must lie on the exit set of theta up to r_match (default
+    `match_radius`); otherwise NotDirectionalBoundary is raised.
     """
     if r_match is None:
-        r_match = 1e-6 * max(domain.diameter, 1.0)
+        r_match = match_radius(domain)
     t, alpha, beta, found = exit_chords(domain, theta, z, r_match)
     if not found[0]:
         raise NotDirectionalBoundary(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _gauss
 from .errors import NotDirectionalBoundary, ValidationError
-from .geometry import Direction, Domain, Polygon, exit_chords
+from .geometry import Direction, Domain, Polygon, exit_chords, match_radius
 from .quadrature import IntegralResult, QuadratureSpec, boundary_integral, chord_grid, refined
 
 
@@ -138,8 +138,7 @@ def polygon_density_report(poly: Polygon, theta: Direction,
     verts = np.asarray(poly.vertices, dtype=float)
     edges, normals = _edge_normals(verts)
     n_edges = verts.shape[0]
-    scale = max(poly.diameter, 1.0)
-    r_match = 1e-6 * scale
+    r_match = match_radius(poly)
     gx, gw = _gauss.nodes(8)
 
     perp = theta.perp_vector

@@ -8,140 +8,108 @@ membership question and, when it passes, builds the continuous
 approximant: truncate, keep the longest intervals until the leftover
 length is below 2**-n, and bridge across everything unselected with
 staircases that stay constant on unselected intervals.
+
+A function here is one field restricted to one `IntervalUnion`.  One
+16-point Gauss rule per interval, laid out as an (intervals, 16) array,
+serves every interval at once: one field evaluation gives both one-sided
+traces of every interval, the H1 norm and the Sobolev distance of an
+approximant.  Per-interval sums run along the rows (`np.sum(..., axis=1)`,
+whose rounding does not depend on how many rows there are), and sums
+over intervals accumulate in interval order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
 from . import _gauss
-from .errors import NotInH1tr, ValidationError
+from .errors import NotInH1tr
 from .fractal import Staircase, build_staircase
 from .geometry import IntervalUnion
 
 _ORDER = 16
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One interval with a smooth function and its derivative on it."""
-
-    a: float
-    b: float
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
+def _in_order(terms: np.ndarray) -> float:
+    """Sum of terms added one after the other, as a running total would."""
+    return float(np.cumsum(terms)[-1])
 
 
 class PiecewiseH1:
-    """A function given piecewise on a finite union of open intervals."""
+    """A field restricted to a finite union of open intervals."""
 
-    def __init__(self, pieces) -> None:
-        pieces = sorted(pieces, key=lambda p: p.a)
-        if not pieces:
-            raise ValidationError("need at least one piece")
-        for p in pieces:
-            if not (p.a < p.b):
-                raise ValidationError("each piece needs a < b")
-        for left, right in zip(pieces[:-1], pieces[1:]):
-            if right.a < left.b:
-                raise ValidationError("pieces overlap")
-        self.pieces = list(pieces)
-        self._starts = np.array([p.a for p in pieces])
-        self._ends = np.array([p.b for p in pieces])
+    def __init__(self, field, domain: IntervalUnion) -> None:
+        self.field = field
+        self.domain = domain
 
     @classmethod
     def from_field(cls, fld, intervals) -> "PiecewiseH1":
-        arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
+        return cls(fld, IntervalUnion(np.asarray(intervals, dtype=float).reshape(-1, 2)))
 
-        def f(t, _fld=fld):
-            return np.asarray(_fld.eval_many(np.asarray(t, float)[:, None]), float)
+    def _values(self, t: np.ndarray) -> np.ndarray:
+        return np.asarray(self.field.eval_many(t.reshape(-1, 1)), float).reshape(t.shape)
 
-        def df(t, _fld=fld):
-            return np.asarray(_fld.grad_many(np.asarray(t, float)[:, None]))[:, 0]
+    @cached_property
+    def _rule(self):
+        """Gauss nodes t, weights w, values u and derivatives du, each
+        (intervals, 16)."""
+        a, b = self.domain.intervals.T
+        x, w = _gauss.nodes(_ORDER)
+        t = a[:, None] + (x + 1.0) * 0.5 * (b - a)[:, None]
+        du = np.asarray(self.field.grad_many(t.reshape(-1, 1)))[:, 0].reshape(t.shape)
+        return t, w * (0.5 * (b - a))[:, None], self._values(t), du
 
-        return cls([Piece(float(a), float(b), f, df) for a, b in arr])
+    def traces(self):
+        """(at a, at b): the canonical one-sided values of every interval
+        ]a, b[ at its left and its right endpoint."""
+        t, w, u, du = self._rule
+        a, b = self.domain.intervals.T
+        ell = b - a
+        left = np.sum(w * (u - (b[:, None] - t) * du), axis=1) / ell
+        right = np.sum(w * (u + (t - a[:, None]) * du), axis=1) / ell
+        return left, right
 
-    @property
-    def domain(self) -> IntervalUnion:
-        return IntervalUnion(np.column_stack([self._starts, self._ends]))
-
-    def _locate(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._starts, x, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        inside = (x > self._starts[idx]) & (x < self._ends[idx])
-        return np.where(inside, idx, -1)
+    def _at(self, x, values) -> np.ndarray:
+        x = np.asarray(x, dtype=float).reshape(-1)
+        inside = self.domain.contains_many(x)
+        out = np.full(x.shape, np.nan)
+        out[inside] = values(x[inside][:, None])
+        return out
 
     def eval_many(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        idx = self._locate(x)
-        out = np.full(x.shape, np.nan)
-        for i, piece in enumerate(self.pieces):
-            sel = idx == i
-            if np.any(sel):
-                out[sel] = piece.f(x[sel])
-        return out
+        return self._at(x, self.field.eval_many)
 
     def deriv_many(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        idx = self._locate(x)
-        out = np.full(x.shape, np.nan)
-        for i, piece in enumerate(self.pieces):
-            sel = idx == i
-            if np.any(sel):
-                out[sel] = piece.df(x[sel])
-        return out
-
-    def piece_nodes(self, i: int):
-        piece = self.pieces[i]
-        x, w = _gauss.nodes(_ORDER)
-        t = piece.a + (x + 1.0) * 0.5 * (piece.b - piece.a)
-        scale = 0.5 * (piece.b - piece.a)
-        return t, w * scale
-
-    def piece_trace(self, i: int, side: int) -> float:
-        """Canonical one-sided value at an endpoint of piece i.
-
-        side +1 gives the value at b (exit along the positive direction),
-        side -1 the value at a.
-        """
-        piece = self.pieces[i]
-        t, w = self.piece_nodes(i)
-        ell = piece.b - piece.a
-        u = piece.f(t)
-        du = piece.df(t)
-        if side > 0:
-            vals = u + (t - piece.a) * du
-        else:
-            vals = u - (piece.b - t) * du
-        return float(np.sum(w * vals) / ell)
+        return self._at(x, lambda p: np.asarray(self.field.grad_many(p))[:, 0])
 
     def h1_norm_sq(self) -> float:
-        total = 0.0
-        for i, piece in enumerate(self.pieces):
-            t, w = self.piece_nodes(i)
-            total += float(np.sum(w * (piece.f(t) ** 2 + piece.df(t) ** 2)))
-        return total
+        _, w, u, du = self._rule
+        return _in_order(np.sum(w * (u ** 2 + du ** 2), axis=1))
 
     def max_abs(self, samples: int = 64) -> float:
-        worst = 0.0
-        for piece in self.pieces:
-            t = np.linspace(piece.a, piece.b, samples + 2)[1:-1]
-            worst = max(worst, float(np.max(np.abs(piece.f(t)))))
-        return worst
+        """Largest |u| at `samples` interior points per interval (intervals
+        where u is NaN somewhere are passed over)."""
+        a, b = self.domain.intervals.T
+        t = np.linspace(a, b, samples + 2, axis=1)[:, 1:-1]
+        peaks = np.max(np.abs(self._values(t)), axis=1)
+        return float(np.fmax.reduce(peaks, initial=0.0))
+
+
+def _shared_ends(arr: np.ndarray) -> np.ndarray:
+    """Whether the right end of each row of sorted intervals but the last
+    is the left end of the next."""
+    scale = max(float(arr[-1, 1] - arr[0, 0]), 1.0)
+    return np.abs(arr[1:, 0] - arr[:-1, 1]) <= 1e-12 * scale
 
 
 def isolated_points(intervals) -> np.ndarray:
     """Endpoints shared by two adjacent intervals."""
     arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
-    order = np.argsort(arr[:, 0], kind="stable")
-    arr = arr[order]
-    scale = max(float(arr[-1, 1] - arr[0, 0]), 1.0)
-    shared = np.abs(arr[1:, 0] - arr[:-1, 1]) <= 1e-12 * scale
-    return arr[:-1, 1][shared]
+    arr = arr[np.argsort(arr[:, 0], kind="stable")]
+    return arr[:-1, 1][_shared_ends(arr)]
 
 
 @dataclass(frozen=True)
@@ -169,25 +137,21 @@ class MembershipReport:
 
 def membership_report(u: PiecewiseH1, tolerance: float | None = None) -> MembershipReport:
     """Do one-sided traces agree at every isolated boundary point?"""
-    intervals = np.column_stack([u._starts, u._ends])
-    scale = max(float(u._ends[-1] - u._starts[0]), 1.0)
+    arr = u.domain.intervals
     if tolerance is None:
-        tolerance = 1e-8 * scale
-    witnesses = []
-    isolated = []
-    for i in range(len(u.pieces) - 1):
-        if abs(u.pieces[i + 1].a - u.pieces[i].b) > 1e-12 * scale:
-            continue
-        z = u.pieces[i].b
-        isolated.append(z)
-        left = u.piece_trace(i, +1)
-        right = u.piece_trace(i + 1, -1)
-        if abs(left - right) > tolerance:
-            witnesses.append(MembershipWitness(z, left, right))
+        tolerance = 1e-8 * max(u.domain.diameter, 1.0)
+    shared = _shared_ends(arr)
+    at_a, at_b = u.traces()
+    # the value from the left of each shared point, then from its right
+    left, right = at_b[:-1][shared], at_a[1:][shared]
+    isolated = arr[:-1, 1][shared]
+    bad = np.abs(left - right) > tolerance
+    witnesses = [MembershipWitness(*w) for w in
+                 zip(isolated[bad].tolist(), left[bad].tolist(), right[bad].tolist())]
     return MembershipReport(
         verdict="out" if witnesses else "in",
         tolerance=float(tolerance),
-        isolated=np.asarray(isolated),
+        isolated=isolated,
         witnesses=witnesses,
     )
 
@@ -252,83 +216,59 @@ def continuous_approximation(u: PiecewiseH1, n: int,
         truncation = 1.0 + u.max_abs()
     M = float(truncation)
 
-    lengths = u._ends - u._starts
+    intervals = u.domain.intervals
+    starts, ends = intervals.T
+    lengths = ends - starts
+    # Longest first while the remainder, the total less the lengths taken
+    # so far subtracted one at a time, exceeds 2**-n.
     order = np.argsort(-lengths, kind="stable")
-    target = 2.0 ** (-n)
-    remaining = float(np.sum(lengths))
-    selected_mask = np.zeros(len(u.pieces), dtype=bool)
-    for idx in order:
-        if remaining <= target:
-            break
-        selected_mask[idx] = True
-        remaining -= float(lengths[idx])
-
-    alpha = float(u._starts[0])
-    beta = float(u._ends[-1])
-
-    # Maximal closed windows between consecutive selected intervals.
+    remaining = np.cumsum(np.concatenate([[np.sum(lengths)], -lengths[order]]))
+    selected_mask = np.zeros(lengths.size, dtype=bool)
+    selected_mask[order[:np.count_nonzero(remaining[:-1] > 2.0 ** (-n))]] = True
     sel_idx = np.nonzero(selected_mask)[0]
-    edges = [(float(u._starts[i]), float(u._ends[i]), int(i)) for i in sel_idx]
-    windows = []
-    prev_end = alpha
-    prev_piece = None
-    for a, b, i in edges:
-        if a > prev_end:
-            windows.append((prev_end, a, prev_piece, i))
-        prev_end = b
-        prev_piece = i
-    if prev_end < beta:
-        windows.append((prev_end, beta, prev_piece, None))
-    if not edges:
-        windows = [(alpha, beta, None, None)]
+    unsel = np.nonzero(~selected_mask)[0]
 
-    components = []
-    for lo, hi, left_piece, right_piece in windows:
-        if hi - lo <= 0.0:
-            continue
-        inner = [
-            (float(u._starts[k]), float(u._ends[k]))
-            for k in range(len(u.pieces))
-            if not selected_mask[k] and u._starts[k] >= lo - 1e-14 and u._ends[k] <= hi + 1e-14
-        ]
-        left_val = (
-            float(np.clip(u.piece_trace(left_piece, +1), -M, M))
-            if left_piece is not None else None
-        )
-        right_val = (
-            float(np.clip(u.piece_trace(right_piece, -1), -M, M))
-            if right_piece is not None else None
-        )
-        if left_val is None and right_val is None:
-            left_val = right_val = 0.0
-        elif left_val is None:
-            left_val = right_val
-        elif right_val is None:
-            right_val = left_val
-        # Enough rounds to consume every gap (worst case one per round).
-        p_need = min(len(inner) + 1, 48)
-        margin = 1e-9 * (hi - lo)
-        stair = build_staircase(np.asarray(inner).reshape(-1, 2), lo, hi,
-                                p_need, margin=margin)
-        components.append(BridgeComponent(lo, hi, left_val, right_val, stair))
+    # Maximal closed windows between consecutive selected intervals, with
+    # the selected neighbour on each side (-1 at the ends of the union).
+    lo = np.concatenate([starts[:1], ends[sel_idx]])
+    hi = np.concatenate([starts[sel_idx], ends[-1:]])
+    left_nb = np.concatenate([[-1], sel_idx])
+    right_nb = np.concatenate([sel_idx, [-1]])
+    keep = hi > lo
+    lo, hi, left_nb, right_nb = lo[keep], hi[keep], left_nb[keep], right_nb[keep]
+    # The unselected intervals inside each window are those in first:last;
+    # each unselected interval is bridged by the first window reaching it.
+    first = np.searchsorted(starts, lo - 1e-14, side="left")
+    last = np.searchsorted(ends, hi + 1e-14, side="right")
+    owner = np.searchsorted(hi + 1e-12, ends[unsel], side="left")
+    owned = np.searchsorted(owner, np.arange(lo.size + 1), side="left")
 
-    # Sobolev distance: exact zero on selected pieces when the truncation
+    at_a, at_b = u.traces()
+    from_left, from_right = np.clip(at_b, -M, M), np.clip(at_a, -M, M)
+    t, w, uu, du = u._rule
+    # Sobolev distance: exact zero on selected intervals when the truncation
     # is inactive there; everything else integrates numerically.
-    dist_sq = 0.0
-    comp_by_span = components
-    for k, piece in enumerate(u.pieces):
-        t, w = u.piece_nodes(k)
-        uu = piece.f(t)
-        du = piece.df(t)
-        if selected_mask[k]:
-            vv = np.clip(uu, -M, M)
-            dv = np.where(np.abs(uu) < M, du, 0.0)
-        else:
-            comp = next(c for c in comp_by_span if c.lo - 1e-12 <= piece.a and piece.b <= c.hi + 1e-12)
-            frac = comp.stair(t)
-            vv = comp.left_value + (comp.right_value - comp.left_value) * frac
-            dv = (comp.right_value - comp.left_value) * _stair_slope(comp.stair, t)
-        dist_sq += float(np.sum(w * ((vv - uu) ** 2 + (dv - du) ** 2)))
+    vv = np.clip(uu, -M, M)
+    dv = np.where(np.abs(uu) < M, du, 0.0)
+    components = []
+    for k, (a, b, i, j) in enumerate(zip(lo.tolist(), hi.tolist(),
+                                         left_nb.tolist(), right_nb.tolist())):
+        # a side without a selected neighbour takes the other side's value,
+        # and both are 0 when nothing is selected
+        left_val = float(from_left[i]) if i >= 0 else None
+        right_val = float(from_right[j]) if j >= 0 else left_val
+        if left_val is None:
+            left_val = right_val = 0.0 if right_val is None else right_val
+        inner = intervals[first[k]:last[k]][~selected_mask[first[k]:last[k]]]
+        # Enough rounds to consume every gap (worst case one per round).
+        stair = build_staircase(inner, a, b, min(len(inner) + 1, 48),
+                                margin=1e-9 * (b - a))
+        components.append(BridgeComponent(a, b, left_val, right_val, stair))
+        rows = unsel[owned[k]:owned[k + 1]]
+        step = right_val - left_val
+        vv[rows] = left_val + step * stair(t[rows])
+        dv[rows] = step * _stair_slope(stair, t[rows])
+    dist_sq = _in_order(np.sum(w * ((vv - uu) ** 2 + (dv - du) ** 2), axis=1))
 
     return ApproximationResult(
         n=n,
@@ -336,6 +276,6 @@ def continuous_approximation(u: PiecewiseH1, n: int,
         distance=float(np.sqrt(dist_sq)),
         selected=sel_idx,
         unselected_length=float(np.sum(lengths[~selected_mask])),
-        window=(alpha, beta),
+        window=(float(starts[0]), float(ends[-1])),
         components=components,
     )

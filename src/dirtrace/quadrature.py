@@ -126,6 +126,21 @@ def points_along(base: np.ndarray, s: np.ndarray, vec: np.ndarray) -> np.ndarray
     return out
 
 
+def _feet(t: np.ndarray, perp: np.ndarray) -> np.ndarray:
+    """Foot t * perp of the line at each offset t, (n, d), one coordinate
+    at a time."""
+    return np.column_stack([t * p for p in perp])
+
+
+def chord_nodes(theta: Direction, t, alpha, length, order: int):
+    """Gauss nodes on the chords ]alpha, alpha + length[ of the lines at
+    offsets t (arrays (n,)): points (n, q, d), arc offsets s (n, q) and
+    reference weights w (q,) with w.sum() == 2."""
+    x, w = _gauss.nodes(order)
+    s = alpha[:, None] + (x + 1.0) * 0.5 * length[:, None]
+    return points_along(_feet(t, offset_normal(theta)), s, theta.vector), s, w
+
+
 class ChordGrid:
     """All chords of a domain for one direction at one offset resolution.
 
@@ -182,8 +197,7 @@ class ChordGrid:
     @property
     def base(self) -> np.ndarray:
         """Foot of each chord's line on the offset hyperplane, (n, d)."""
-        t = self.t
-        return np.column_stack([t * p for p in self._perp])
+        return _feet(self.t, self._perp)
 
     @property
     def endpoint_plus(self) -> np.ndarray:
@@ -200,11 +214,8 @@ class ChordGrid:
         return self.alpha.shape[0]
 
     def gauss_points(self, order: int):
-        """Nodes along every chord: points (n, q, d), arc offsets s (n, q),
-        reference weights w (q,) with w.sum() == 2."""
-        x, w = _gauss.nodes(order)
-        s = self.alpha[:, None] + (x[None, :] + 1.0) * 0.5 * self.lengths[:, None]
-        return points_along(self.base, s, self.theta.vector), s, w
+        """Nodes along every chord, as `chord_nodes` gives them."""
+        return chord_nodes(self.theta, self.t, self.alpha, self.lengths, order)
 
 
 _cache_lock = threading.Lock()
@@ -262,14 +273,12 @@ def _volume_value(domain, fe, theta, spec, panel=None):
         # Composite rule: chords much longer than the integrand's feature
         # scale are cut into panels so the per-chord Gauss error cannot
         # hide below the offset refinement difference.
-        x, w = _gauss.nodes(spec.gauss_order)
         m = np.maximum(1, np.ceil(grid.lengths / panel).astype(np.int64))
         ci = np.repeat(np.arange(grid.n_chords), m)
         pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
         plen = grid.lengths[ci] / m[ci]
-        a = grid.alpha[ci] + pj * plen
-        s = a[:, None] + (x[None, :] + 1.0) * 0.5 * plen[:, None]
-        pts = points_along(np.multiply.outer(grid.t[ci], grid._perp), s, theta.vector)
+        pts, s, w = chord_nodes(theta, grid.t[ci], grid.alpha[ci] + pj * plen, plen,
+                                spec.gauss_order)
         half_len = 0.5 * plen
         row_dt = grid.chord_dt[ci]
     vals = np.asarray(fe(pts.reshape(-1, grid.dim)), dtype=float).reshape(s.shape)

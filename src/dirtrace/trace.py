@@ -31,7 +31,7 @@ from .errors import (
     NotDirectionalBoundary,
     ValidationError,
 )
-from .geometry import Direction, Domain, exit_chords, offset_normal
+from .geometry import Direction, Domain, exit_chords, match_radius, offset_normal
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -40,14 +40,11 @@ from .quadrature import (
     _theta_integrand,
     _volume_value,
     chord_grid,
+    chord_nodes,
     points_along,
     refined,
     volume_integral,
 )
-
-
-def _match_radius(domain: Domain) -> float:
-    return 1e-6 * max(domain.diameter, 1.0)
 
 
 def node_values(fld, theta: Direction, pts, shape):
@@ -184,7 +181,7 @@ def trace_norm_sq(fld, domain: Domain, theta: Direction,
 
 def _exit_chord(domain: Domain, theta: Direction, z):
     """The chord whose exit endpoint is z, as (t, alpha, beta)."""
-    t, a, b, found = exit_chords(domain, theta, z, _match_radius(domain))
+    t, a, b, found = exit_chords(domain, theta, z, match_radius(domain))
     if not found[0]:
         raise NotDirectionalBoundary(
             f"{np.ravel(z)} is not an exit point for direction {theta.vector}"
@@ -195,11 +192,8 @@ def _exit_chord(domain: Domain, theta: Direction, z):
 def _exit_traces(fld, theta: Direction, t, a, b, order: int) -> np.ndarray:
     """Exit trace of the field on each chord ]a, b[ of the line at offset
     t, one Gauss rule per chord; NaN where the integrand is not finite."""
-    x, w = _gauss.nodes(order)
-    s = a[:, None] + (x + 1.0) * 0.5 * (b - a)[:, None]
-    perp = offset_normal(theta)
-    pts = t[:, None, None] * perp + s[..., None] * theta.vector
-    flat = pts.reshape(-1, perp.size)
+    pts, s, w = chord_nodes(theta, t, a, b - a, order)
+    flat = pts.reshape(-1, pts.shape[-1])
     u = np.asarray(fld.eval_many(flat), dtype=float).reshape(s.shape)
     du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(s.shape)
     finite = np.all(np.isfinite(u), axis=1) & np.all(np.isfinite(du), axis=1)
@@ -441,7 +435,7 @@ def consistency_report(fld, domain: Domain, directions,
             or probes_per_direction < 1):
         raise ValidationError(
             f"probes_per_direction must be an integer >= 1, got {probes_per_direction!r}")
-    r_match = _match_radius(domain)
+    r_match = match_radius(domain)
 
     probe_pts = []
     probe_wts = []

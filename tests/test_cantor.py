@@ -21,13 +21,14 @@ def test_gap_table_first_levels():
 def test_gap_count_matches_table():
     for level in range(5):
         table = _cantor.gap_table(1.0 / 3.0, level)
-        assert table.shape[0] == _cantor.gap_count(level) == 2 ** (level + 1) - 1
+        assert table.shape[0] == 2 ** (level + 1) - 1
 
 
 def test_depth_column_is_heap_depth():
+    # gap m (1-based heap index) lies at depth floor(log2 m)
     table = _cantor.gap_table(0.25, 4, scheme="rho")
     m = np.arange(1, table.shape[0] + 1)
-    assert np.array_equal(table[:, 2], [_cantor.depth_of_index(k) for k in m])
+    assert np.array_equal(table[:, 2], [int(k).bit_length() - 1 for k in m])
 
 
 @pytest.mark.parametrize("ratio,scheme", [(1.0 / 3.0, "third"), (0.25, "rho"), (0.1, "rho")])
@@ -91,12 +92,15 @@ def test_total_gap_length():
 
 
 def test_interval_length_shrinks_geometrically():
-    for level in range(5):
-        ratio = 0.25
-        expect = _cantor.interval_length(ratio, level)
-        starts, ends = _cantor.level_intervals(level, ratio, "rho")
-        np.testing.assert_allclose(ends - starts, expect, atol=1e-14)
-    assert _cantor.interval_length(1.0 / 3.0, 4) == pytest.approx(3.0 ** -4, abs=1e-15)
+    # L_k = (L_{k-1} - ratio**k) / 2 from L_0 = 1, in closed form; 3**-k at
+    # ratio 1/3
+    for ratio, scheme in ((0.25, "rho"), (1.0 / 3.0, "third")):
+        for level in range(5):
+            expect = 2.0 ** -level * (1.0 - ratio * ((2.0 * ratio) ** level - 1.0)
+                                      / (2.0 * ratio - 1.0))
+            starts, ends = _cantor.level_intervals(level, ratio, scheme)
+            np.testing.assert_allclose(ends - starts, expect, atol=1e-14)
+    assert expect == pytest.approx(3.0 ** -4, abs=1e-15)
 
 
 def test_ratio_validation():

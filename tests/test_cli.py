@@ -14,7 +14,7 @@ from dirtrace.cli import _CSV_CHUNK_ROWS, _config_hash, _write_csv, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-FAST = ["--ny", "256", "--mc-samples", "100"]
+FAST = ["--ny", "256"]
 
 
 def run(argv, tmp_path):
@@ -124,6 +124,30 @@ def test_tolerance_without_a_gate_exits_2(tmp_path, capsys):
     assert code == 2
     assert "--tolerance" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_mc_samples_flag_is_gone(tmp_path, capsys):
+    # no subcommand runs a Monte Carlo integral, so the flag is not accepted
+    code = main(["measure", "--domain", "square", "--mc-samples", "100",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "--mc-samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_domain_overrides_are_in_the_config(tmp_path, capsys):
+    argv = ["measure", "--domain", "omega_C", "--angle", "0.35", "--ny", "64"]
+    for level in (4, 5):
+        assert main(argv + ["--level", str(level), "--out", str(tmp_path)]) == 0
+    reports = sorted(tmp_path.glob("measure_*.json"))
+    assert len(reports) == 2 and len(list(tmp_path.glob("measure_*.csv"))) == 2
+    configs = [json.loads(path.read_text())["config"] for path in reports]
+    assert sorted(cfg["level"] for cfg in configs) == [4, 5]
+    # a run without overrides records none of them
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    config = json.loads(next((tmp_path / "plain").glob("measure_*.json")).read_text())["config"]
+    assert not {"ratio", "level", "scheme"} & set(config)
+    capsys.readouterr()
 
 
 def test_readme_commands_run(tmp_path, capsys):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import oned_oracle
 from dirtrace import fractal, oned
-from dirtrace.errors import NotInH1tr
+from dirtrace.errors import NotInH1tr, ValidationError
 from dirtrace.fields import get_field
 
 
@@ -86,3 +87,93 @@ def test_truncation_caps_the_approximant():
     vals = res.eval_many(xs, u)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) <= 0.25 + 1e-12
+
+
+def test_piecewise_rejects_overlapping_and_empty_intervals():
+    fld = get_field("x1")
+    with pytest.raises(ValidationError):
+        oned.PiecewiseH1.from_field(fld, [(0.0, 1.0), (0.5, 2.0)])
+    with pytest.raises(ValidationError):
+        oned.PiecewiseH1.from_field(fld, [])
+    with pytest.raises(ValidationError):
+        oned.PiecewiseH1.from_field(fld, [(1.0, 1.0)])
+
+
+# (intervals, field) pairs checked against the piece-at-a-time oracle: the
+# crack in and out of H1_tr, a union with two shared endpoints, and Cantor
+# complements at levels 3 to 8, each field at two levels.
+_ORACLE_CASES = [
+    ("crack_interval", None, "crack_1d"),
+    ("crack_interval", None, "x1"),
+    ("shared", None, "sin1"),
+    *[("cantor_complement", level, field)
+      for level, field in zip(range(3, 9), ["x1", "sin1", "one"] * 2)],
+]
+
+
+def _oracle_pair(name, level, field):
+    if name == "shared":
+        intervals = [(0.0, 0.5), (0.5, 1.25), (1.5, 2.0), (2.0, 3.0)]
+    else:
+        params = {} if level is None else {"level": level}
+        intervals = fractal.named_domain(name, **params).intervals
+    fld = get_field(field)
+    return (oned.PiecewiseH1.from_field(fld, intervals),
+            oned_oracle.PiecewiseH1.from_field(fld, intervals), np.asarray(intervals))
+
+
+def _samples(intervals):
+    # interior points, every endpoint and points outside the union
+    lo, hi = intervals.min(), intervals.max()
+    return np.concatenate([np.linspace(lo - 0.5, hi + 0.5, 1001), intervals.ravel()])
+
+
+def _assert_same_approximation(got, want, x, u, v):
+    assert (got.n, got.truncation, got.distance, got.unselected_length, got.window) == \
+        (want.n, want.truncation, want.distance, want.unselected_length, want.window)
+    assert got.selected.dtype == want.selected.dtype
+    assert np.array_equal(got.selected, want.selected)
+    assert len(got.components) == len(want.components)
+    for c, d in zip(got.components, want.components):
+        assert (c.lo, c.hi, c.left_value, c.right_value) == (d.lo, d.hi, d.left_value, d.right_value)
+        assert (c.stair.p_max, c.stair.alpha, c.stair.beta) == (d.stair.p_max, d.stair.alpha,
+                                                                d.stair.beta)
+        assert np.array_equal(c.stair.breakpoints, d.stair.breakpoints)
+    assert np.array_equal(got.eval_many(x, u), want.eval_many(x, v), equal_nan=True)
+
+
+@pytest.mark.parametrize("name, level, field", _ORACLE_CASES)
+def test_matches_the_piece_at_a_time_oracle(name, level, field):
+    u, v, intervals = _oracle_pair(name, level, field)
+    x = _samples(intervals)
+    assert np.array_equal(u.eval_many(x), v.eval_many(x), equal_nan=True)
+    assert np.array_equal(u.deriv_many(x), v.deriv_many(x), equal_nan=True)
+    assert u.h1_norm_sq() == v.h1_norm_sq()
+    assert u.max_abs() == v.max_abs()
+    at_a, at_b = u.traces()
+    assert at_a.tolist() == [v.piece_trace(i, -1) for i in range(len(v.pieces))]
+    assert at_b.tolist() == [v.piece_trace(i, +1) for i in range(len(v.pieces))]
+
+    got, want = oned.membership_report(u), oned_oracle.membership_report(v)
+    assert (got.verdict, got.tolerance, got.max_jump) == (want.verdict, want.tolerance,
+                                                          want.max_jump)
+    assert np.array_equal(got.isolated, want.isolated)
+    assert np.array_equal(got.isolated, oned.isolated_points(intervals))
+    assert [(w.point, w.left, w.right) for w in got.witnesses] == \
+        [(w.point, w.left, w.right) for w in want.witnesses]
+    assert all(type(w.point) is type(w.left) is type(w.right) is float
+               for w in got.witnesses)
+
+    for n in range(1, 11):
+        # the default cap (1 + max |u|) at even n, an active cap at odd n
+        truncation = 0.25 if n % 2 else None
+        if want.verdict == "out":
+            with pytest.raises(NotInH1tr) as refused:
+                oned.continuous_approximation(u, n, truncation)
+            with pytest.raises(NotInH1tr) as expected:
+                oned_oracle.continuous_approximation(v, n, truncation)
+            assert str(refused.value) == str(expected.value)
+            continue
+        _assert_same_approximation(oned.continuous_approximation(u, n, truncation),
+                                   oned_oracle.continuous_approximation(v, n, truncation),
+                                   x, u, v)

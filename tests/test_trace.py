@@ -8,7 +8,7 @@ import pytest
 from dirtrace import cli, fields, fractal, measure, quadrature, trace
 from dirtrace.errors import NotDirectionalBoundary, ValidationError
 from dirtrace.fields import get_field
-from dirtrace.geometry import Cusp, Direction, Polygon, direction_table
+from dirtrace.geometry import Cusp, Direction, Polygon, direction_table, match_radius
 from dirtrace.quadrature import QuadratureSpec, norm_theta
 
 E1 = Direction([1.0, 0.0])
@@ -182,7 +182,7 @@ def test_batched_traces_match_directional_trace(name, field):
     directions = direction_table(4)
     probes = np.concatenate([
         measure.measure_atoms(dom, theta, SPEC).points[::37] for theta in directions])
-    r_match = trace._match_radius(dom)
+    r_match = match_radius(dom)
     for theta in directions:
         values = trace._batched_traces(fld, dom, theta, probes, 16, r_match)
         assert 0 < np.count_nonzero(np.isfinite(values)) < probes.shape[0]
@@ -203,7 +203,7 @@ def test_batched_traces_match_directional_trace_on_oblique_probes(name):
     directions = direction_table(8)
     probes = np.concatenate([
         measure.measure_atoms(dom, theta, SPEC).points[::23] for theta in directions])
-    r_match = trace._match_radius(dom)
+    r_match = match_radius(dom)
     for theta in directions[1::2]:
         values = trace._batched_traces(fld, dom, theta, probes, 8, r_match)
         assert np.count_nonzero(np.isfinite(values)) > 0
