@@ -60,7 +60,7 @@ from .quadrature import (
     h1_norm,
     norm_theta,
     volume_integral,
-    volume_integral_mc,
+    volume_integrals,
 )
 from .measure import (
     DirectionalMeasure,

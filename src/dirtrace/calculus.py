@@ -34,7 +34,7 @@ from .quadrature import (
     _check_settled,
     chord_grid,
     refined,
-    volume_integral,
+    volume_integrals,
 )
 from .trace import chord_trace_values, node_values, traces_from_nodes
 
@@ -76,8 +76,6 @@ def _ibp_sides(u, v, domain, theta, spec):
     spec's chord grid, from one evaluation of each field at the Gauss
     nodes."""
     grid = chord_grid(domain, theta, spec.n_offsets)
-    if grid.n_chords == 0:
-        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
     pts, s, w = grid.gauss_points(spec.gauss_order)
     uu, du = node_values(u, theta, pts, s.shape)
     vv, dv = node_values(v, theta, pts, s.shape)
@@ -288,12 +286,22 @@ class VariationalReport:
         )
 
 
+def _row_dot(g, h):
+    """Row-wise g . h with the additions of np.sum(g * h, axis=1) on short
+    rows: from 0.0, one column at a time (two -0.0 products give +0.0)."""
+    out = np.zeros(g.shape[0])
+    for k in range(g.shape[1]):
+        out += g[:, k] * h[:, k]
+    return out
+
+
 def variational_residual(fld: ScalarField, domain: Domain, tests,
                          spec: QuadratureSpec | None = None) -> VariationalReport:
     """Gradient pairings of a candidate against compactly supported tests.
 
     Each residual is the volume integral of grad(u) . grad(v); a field
-    solving the homogeneous problem annihilates every admissible test.
+    solving the homogeneous problem annihilates every admissible test.  Each
+    rule's nodes, and grad(u) on them, are built once for all tests.
     """
     spec = spec or QuadratureSpec()
     radii = [
@@ -303,12 +311,13 @@ def variational_residual(fld: ScalarField, domain: Domain, tests,
     # Test supports are typically far smaller than a chord, so the chords
     # are panelled down to the support scale.
     panel = min(radii) / 8.0 if radii else domain.diameter / 64.0
-    out = []
-    for test in tests:
-        def integrand(pts, _t=test):
-            return np.sum(fld.grad_many(pts) * _t.grad_many(pts), axis=1)
 
-        out.append(volume_integral(domain, integrand, spec, panel=panel))
+    def integrands(pts):
+        g = fld.grad_many(pts)
+        for test in tests:
+            yield _row_dot(g, test.grad_many(pts))
+
+    out = volume_integrals(domain, integrands, spec, panel=panel)
     return VariationalReport(
         residuals=out,
         max_residual=max((abs(r.value) for r in out), default=0.0),

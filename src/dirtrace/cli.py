@@ -105,7 +105,7 @@ def _write_csv(args, config: dict, header: list[str], rows) -> None:
 
 
 def _spec_from(args) -> QuadratureSpec:
-    return QuadratureSpec(n_offsets=args.ny, gauss_order=args.gauss, seed=args.seed)
+    return QuadratureSpec(n_offsets=args.ny, gauss_order=args.gauss)
 
 
 def _domain_overrides(args) -> dict:
@@ -342,8 +342,10 @@ def _cmd_oned(args) -> int:
                 "selected_count": int(res.selected.size),
                 "truncation": res.truncation,
             })
+    # a truncation joins the config only when given, as --level does
+    given = {} if args.truncation is None else {"truncation": args.truncation}
     config = _common_config(args, domain=args.domain, field=args.field,
-                            n=list(args.n))
+                            n=list(args.n), **given)
     _write_json(args, config, results)
     return 0
 

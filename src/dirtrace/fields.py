@@ -155,6 +155,7 @@ def _make_sincos(params: dict) -> ScalarField:
 
 
 def _make_bump(params: dict) -> ScalarField:
+    """exp(1 - 1 / (1 - |p - c|^2 / r^2)) in the ball B(c, r), 0 outside."""
     cx = float(params.get("cx", 0.5))
     cy = float(params.get("cy", 0.5))
     radius = float(params.get("r", 0.25))
@@ -162,24 +163,27 @@ def _make_bump(params: dict) -> ScalarField:
         raise ValidationError("bump radius must be positive")
     center = np.array([cx, cy])
 
-    def _r2(p):
-        return ((p - center) ** 2).sum(axis=1) / radius**2
+    def _inside(p):
+        """Rows of p inside the support, and r2 = |p - center|^2 / r^2 there,
+        computed only in the support's bounding box (outside it r2 >= 1)."""
+        idx = np.flatnonzero((np.abs(p[:, 0] - cx) < radius)
+                             & (np.abs(p[:, 1] - cy) < radius))
+        r2 = ((p[idx] - center) ** 2).sum(axis=1) / radius**2
+        keep = r2 < 1.0 - 1e-12
+        return idx[keep], r2[keep]
 
     def ev(p):
-        r2 = _r2(p)
+        idx, r2 = _inside(p)
         out = np.zeros(p.shape[0])
-        inside = r2 < 1.0 - 1e-12
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        out[idx] = np.exp(1.0 - 1.0 / (1.0 - r2))
         return out
 
     def gr(p):
-        r2 = _r2(p)
+        idx, r2 = _inside(p)
         out = np.zeros_like(p)
-        inside = r2 < 1.0 - 1e-12
-        if np.any(inside):
-            u = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-            scale = -u / (1.0 - r2[inside]) ** 2 * (2.0 / radius**2)
-            out[inside] = scale[:, None] * (p[inside] - center)
+        u = np.exp(1.0 - 1.0 / (1.0 - r2))
+        scale = -u / (1.0 - r2) ** 2 * (2.0 / radius**2)
+        out[idx] = scale[:, None] * (p[idx] - center)
         return out
 
     label = f"bump(cx={cx:g},cy={cy:g},r={radius:g})"

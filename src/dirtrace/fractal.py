@@ -158,15 +158,9 @@ def _breakpoints(c, d, m) -> np.ndarray:
     return out
 
 
-def staircase_levels(gaps, alpha: float, beta: float, p_max: int,
-                     margin: float = 0.0) -> list[Staircase]:
-    """Staircases for every round p = 0 .. p_max.
-
-    Round p + 1 refines round p by splitting, in each segment that still
-    contains whole gaps, at the longest contained gap (ties go to the gap
-    listed first in `gaps`).  Masses are dyadic, so the 0 and 1 endpoint
-    values are exact.
-    """
+def _rounds(gaps, alpha: float, beta: float, p_max: int, margin: float):
+    """Segments [c, d] with masses 2**-m of rounds 0 .. p_max, in window order,
+    stopping once no segment contains a gap (later rounds repeat the last)."""
     if not isinstance(p_max, (int, np.integer)) or not (0 <= p_max <= MAX_STAIRCASE_DEPTH):
         raise ValidationError(
             f"p_max must be an integer in [0, {MAX_STAIRCASE_DEPTH}], got {p_max!r}"
@@ -177,19 +171,15 @@ def staircase_levels(gaps, alpha: float, beta: float, p_max: int,
     order = np.lexsort((orig, -(b - a)))
     rank = np.append(np.argsort(order), order.size)
 
-    # Segments [c, d] with masses 2**-m, in order along the window.
     c, d, m = np.array([alpha], dtype=float), np.array([beta], dtype=float), np.zeros(1, int)
-    out = [Staircase(_breakpoints(c, d, m), 0, alpha, beta)]
-    for p in range(1, p_max + 1):
+    yield c, d, m
+    for _ in range(p_max):
         # Gaps lo .. hi-1 lie inside their segment.
         lo = np.searchsorted(a, c, side="left")
         hi = np.searchsorted(b, d, side="right")
         split = hi > lo
         if not np.any(split):
-            # All gaps consumed; later rounds would be identical.
-            out += [Staircase(out[-1].breakpoints, q, alpha, beta)
-                    for q in range(p, p_max + 1)]
-            break
+            return
         bounds = np.column_stack([lo[split], hi[split]]).ravel()
         pick = order[np.minimum.reduceat(rank, bounds)[::2]]
         reps = 1 + split
@@ -198,14 +188,30 @@ def staircase_levels(gaps, alpha: float, beta: float, p_max: int,
         d[left] = a[pick]
         c[left + 1] = b[pick]
         m += np.repeat(split, reps)
-        out.append(Staircase(_breakpoints(c, d, m), p, alpha, beta))
+        yield c, d, m
+
+
+def staircase_levels(gaps, alpha: float, beta: float, p_max: int,
+                     margin: float = 0.0) -> list[Staircase]:
+    """Staircases for every round p = 0 .. p_max.
+
+    Round p + 1 refines round p by splitting, in each segment that still
+    contains whole gaps, at the longest contained gap (ties go to the gap
+    listed first in `gaps`).  Masses are dyadic, so the 0 and 1 endpoint
+    values are exact.
+    """
+    out = [Staircase(_breakpoints(*seg), p, alpha, beta)
+           for p, seg in enumerate(_rounds(gaps, alpha, beta, p_max, margin))]
+    out += [Staircase(out[-1].breakpoints, q, alpha, beta)
+            for q in range(len(out), p_max + 1)]
     return out
 
 
 def build_staircase(gaps, alpha: float = 0.0, beta: float = 1.0,
                     p_max: int = 10, margin: float = 0.0) -> Staircase:
-    """The round-`p_max` staircase for the given gaps and window."""
-    return staircase_levels(gaps, alpha, beta, p_max, margin)[-1]
+    """`staircase_levels(...)[-1]`, building only that round's breakpoints."""
+    *_, last = _rounds(gaps, alpha, beta, p_max, margin)
+    return Staircase(_breakpoints(*last), p_max, alpha, beta)
 
 
 def sup_difference(first: Staircase, second: Staircase) -> float:

@@ -2,11 +2,12 @@
 
 Both integral kinds start from the same object: the chord grid of a
 domain for a direction, a midpoint grid of hyperplane offsets with every
-chord of every sampled line.  Volume integrals apply Gauss-Legendre
-nodes along each chord and the midpoint rule across offsets; boundary
-integrals weight the exit endpoint of each chord by chord length times
-offset step, which is exactly the atom weight of the directional
-boundary measure.
+chord of every sampled line.  The one volume rule applies Gauss-Legendre
+nodes along each chord (or each panel of it) and the midpoint rule across
+offsets, and `volume_integrals` evaluates any number of integrands on one
+node set per rule; boundary integrals weight the exit endpoint of each
+chord by chord length times offset step, which is exactly the atom weight
+of the directional boundary measure.
 
 Every error estimate comes from `refined`: the absolute difference
 against the half-resolution grid plus a float floor (so an error of zero
@@ -57,8 +58,6 @@ class QuadratureSpec:
 
     n_offsets: int = 4096
     gauss_order: int = 8
-    mc_samples: int = 20000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (2 <= self.n_offsets <= 2**22):
@@ -67,8 +66,6 @@ class QuadratureSpec:
             raise ValidationError(
                 f"gauss_order must be one of {_GAUSS_ORDERS}, got {self.gauss_order!r}"
             )
-        if self.mc_samples < 1:
-            raise ValidationError("mc_samples must be positive")
 
     def coarse(self) -> "QuadratureSpec":
         return replace(self, n_offsets=max(2, self.n_offsets // 2))
@@ -260,29 +257,25 @@ def _chord_sum(vals, w, half_len, row_dt):
     return float(np.sum(per_chord)), float(np.sum(np.abs(per_chord)))
 
 
-def _volume_value(domain, fe, theta, spec, panel=None):
-    """(value, scale) of the chord rule for the integral of fe on spec's grid."""
+def _rule_sums(domain, integrands, theta, spec, panel=None):
+    """(values, scales) of the chord rule at spec, one entry per array that
+    `integrands(points)` yields, all from one set of nodes on spec's grid."""
     grid = chord_grid(domain, theta, spec.n_offsets)
-    if grid.n_chords == 0:
-        return 0.0, 0.0
-    if panel is None:
-        pts, s, w = grid.gauss_points(spec.gauss_order)
-        half_len = 0.5 * grid.lengths
-        row_dt = grid.chord_dt
-    else:
+    t, alpha, length, row_dt = grid.t, grid.alpha, grid.lengths, grid.chord_dt
+    if panel is not None:
         # Composite rule: chords much longer than the integrand's feature
         # scale are cut into panels so the per-chord Gauss error cannot
         # hide below the offset refinement difference.
-        m = np.maximum(1, np.ceil(grid.lengths / panel).astype(np.int64))
+        m = np.maximum(1, np.ceil(length / panel).astype(np.int64))
         ci = np.repeat(np.arange(grid.n_chords), m)
         pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
-        plen = grid.lengths[ci] / m[ci]
-        pts, s, w = chord_nodes(theta, grid.t[ci], grid.alpha[ci] + pj * plen, plen,
-                                spec.gauss_order)
-        half_len = 0.5 * plen
-        row_dt = grid.chord_dt[ci]
-    vals = np.asarray(fe(pts.reshape(-1, grid.dim)), dtype=float).reshape(s.shape)
-    return _chord_sum(vals, w, half_len, row_dt)
+        length = length[ci] / m[ci]
+        t, alpha, row_dt = t[ci], alpha[ci] + pj * length, row_dt[ci]
+    pts, s, w = chord_nodes(theta, t, alpha, length, spec.gauss_order)
+    half_len = 0.5 * length
+    sums = [_chord_sum(np.asarray(vals, dtype=float).reshape(s.shape), w, half_len, row_dt)
+            for vals in integrands(pts.reshape(-1, grid.dim))]
+    return [v for v, _ in sums], [scale for _, scale in sums]
 
 
 def _check_settled(value: float, coarse: float, error=UnresolvedSingularity,
@@ -302,25 +295,38 @@ def refined(evaluate, spec: QuadratureSpec, floor: float = _FLOOR_EPS):
     return fine.tolist(), error.tolist(), coarse.tolist()
 
 
-def volume_integral(domain: Domain, f, spec: QuadratureSpec | None = None,
-                    direction: Direction | None = None,
-                    panel: float | None = None) -> IntegralResult:
-    """Integral of f over the domain, sliced into chords along `direction`.
+def volume_integrals(domain: Domain, integrands, spec: QuadratureSpec | None = None,
+                     direction: Direction | None = None,
+                     panel: float | None = None) -> list[IntegralResult]:
+    """Integral over the domain, sliced into chords along `direction`, of each
+    array that `integrands(points)` yields (best one at a time, from a
+    generator); every rule builds its nodes once for all of them.
 
-    `panel` caps the arc length covered by one Gauss rule; when set, the
-    error estimate also includes the difference against a lower-order rule
-    so that integrands far below the chord scale are reported honestly.
+    `panel` caps the arc length covered by one Gauss rule; when set, each
+    error estimate also includes the difference against the other order's
+    rule so that integrands far below the chord scale are reported honestly.
     """
     spec = spec or QuadratureSpec()
     theta = direction or default_direction(domain)
-    fe = _as_eval(f)
-    value, error, coarse = refined(lambda s: _volume_value(domain, fe, theta, s, panel), spec)
+    values, errors, coarse = refined(
+        lambda s: _rule_sums(domain, integrands, theta, s, panel), spec)
     if panel is not None:
         alt = replace(spec, gauss_order=4 if spec.gauss_order != 4 else 8)
-        error += abs(value - _volume_value(domain, fe, theta, alt, panel)[0])
-    _check_settled(value, coarse)
+        alt_values = _rule_sums(domain, integrands, theta, alt, panel)[0]
+        errors = [e + abs(v - a) for e, v, a in zip(errors, values, alt_values)]
+    for v, c in zip(values, coarse):
+        _check_settled(v, c)
     flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
-    return IntegralResult(value, error, flags, spec.n_offsets, spec.gauss_order)
+    return [IntegralResult(v, e, flags, spec.n_offsets, spec.gauss_order)
+            for v, e in zip(values, errors)]
+
+
+def volume_integral(domain: Domain, f, spec: QuadratureSpec | None = None,
+                    direction: Direction | None = None,
+                    panel: float | None = None) -> IntegralResult:
+    """Integral of f over the domain: `volume_integrals` with one integrand."""
+    fe = _as_eval(f)
+    return volume_integrals(domain, lambda pts: [fe(pts)], spec, direction, panel)[0]
 
 
 def boundary_integral(domain: Domain, theta: Direction, g,
@@ -331,8 +337,6 @@ def boundary_integral(domain: Domain, theta: Direction, g,
 
     def evaluate(s):
         grid = chord_grid(domain, theta, s.n_offsets)
-        if grid.n_chords == 0:
-            return 0.0, 0.0
         vals = np.asarray(ge(grid.endpoint_plus), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise UnresolvedSingularity("boundary integrand not finite at an atom")
@@ -345,26 +349,6 @@ def boundary_integral(domain: Domain, theta: Direction, g,
                           method="boundary_atoms")
 
 
-def volume_integral_mc(domain: Domain, f, spec: QuadratureSpec | None = None) -> IntegralResult:
-    """Monte Carlo cross-check: uniform samples in the bounding box."""
-    spec = spec or QuadratureSpec()
-    fe = _as_eval(f)
-    lo, hi = domain.bbox
-    rng = np.random.default_rng(spec.seed)
-    pts = rng.uniform(lo, hi, size=(spec.mc_samples, domain.dim))
-    inside = domain.contains_many(pts)
-    vals = np.zeros(spec.mc_samples)
-    if np.any(inside):
-        got = np.asarray(fe(pts[inside]), dtype=float)
-        if not np.all(np.isfinite(got)):
-            raise UnresolvedSingularity("integrand not finite at a sample point")
-        vals[inside] = got
-    box = float(np.prod(np.asarray(hi) - np.asarray(lo)))
-    value = box * float(np.mean(vals))
-    stderr = box * float(np.std(vals) / np.sqrt(spec.mc_samples))
-    return IntegralResult(value, stderr, 0, spec.mc_samples, 0, method="monte_carlo")
-
-
 def norm_theta(fld, domain: Domain, theta: Direction,
                spec: QuadratureSpec | None = None) -> float:
     """Directional Sobolev norm: (integral of u^2 + (du/dtheta)^2)^(1/2).
@@ -372,13 +356,13 @@ def norm_theta(fld, domain: Domain, theta: Direction,
     Chords are sliced along theta itself, so the derivative direction and
     the integration direction agree.
     """
-    return float(np.sqrt(volume_integral(domain, _theta_integrand(fld, theta), spec,
-                                         theta).value))
+    return float(np.sqrt(volume_integrals(domain, _theta_integrands(fld, theta), spec,
+                                          theta)[0].value))
 
 
-def _theta_integrand(fld, theta: Direction):
-    """u^2 + (du/dtheta)^2, the integrand of `norm_theta`."""
-    return lambda pts: fld.eval_many(pts) ** 2 + fld.dderiv_many(pts, theta) ** 2
+def _theta_integrands(fld, theta: Direction):
+    """u^2 + (du/dtheta)^2, the one integrand of `norm_theta`."""
+    return lambda pts: [fld.eval_many(pts) ** 2 + fld.dderiv_many(pts, theta) ** 2]
 
 
 def h1_norm(fld, domain: Domain, spec: QuadratureSpec | None = None,

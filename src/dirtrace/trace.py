@@ -37,8 +37,8 @@ from .quadrature import (
     QuadratureSpec,
     _check_settled,
     _chord_sum,
-    _theta_integrand,
-    _volume_value,
+    _rule_sums,
+    _theta_integrands,
     chord_grid,
     chord_nodes,
     points_along,
@@ -75,8 +75,6 @@ def chord_trace_values(fld, grid, order: int):
 
     Returns (gamma_plus, gamma_minus), each of shape (n_chords,).
     """
-    if grid.n_chords == 0:
-        return np.zeros(0), np.zeros(0)
     pts, s, w = grid.gauss_points(order)
     return traces_from_nodes(*node_values(fld, grid.theta, pts, s.shape), s, w, grid)
 
@@ -141,12 +139,10 @@ def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
     """The trace field, and the volume rule of u^2 + (du/dtheta)^2 (what
     `norm_theta` squares) from the same node values."""
     grid = chord_grid(domain, theta, spec.n_offsets)
-    gplus, gminus, norm_sq = np.zeros(0), np.zeros(0), 0.0
-    if grid.n_chords:
-        pts, s, w = grid.gauss_points(spec.gauss_order)
-        u, du = node_values(fld, theta, pts, s.shape)
-        gplus, gminus = traces_from_nodes(u, du, s, w, grid)
-        norm_sq = _chord_sum(u**2 + du**2, w, 0.5 * grid.lengths, grid.chord_dt)[0]
+    pts, s, w = grid.gauss_points(spec.gauss_order)
+    u, du = node_values(fld, theta, pts, s.shape)
+    gplus, gminus = traces_from_nodes(u, du, s, w, grid)
+    norm_sq = _chord_sum(u**2 + du**2, w, 0.5 * grid.lengths, grid.chord_dt)[0]
     return TraceField(
         theta=theta,
         points=grid.endpoint_plus,
@@ -330,8 +326,8 @@ def _trace_inequalities(fld, domain: Domain, theta: Direction, spec: QuadratureS
     (fine, sq), (_, sq_c) = passes
     # norm_theta at both resolutions; only the n/4 grid adds field evaluations
     _check_settled(sq, sq_c)
-    sq_q = _volume_value(domain, _theta_integrand(fld, theta), theta,
-                         spec.coarse().coarse())[0]
+    (sq_q,), _ = _rule_sums(domain, _theta_integrands(fld, theta), theta,
+                            spec.coarse().coarse())
     _check_settled(sq_c, sq_q)
     error = sum(errors) + 1e-12 * (1.0 + values[3])
     return TraceInequalityReport(theta, *values, domain.diameter, error), fine
@@ -514,13 +510,12 @@ def consistency_report(fld, domain: Domain, directions,
                 jvalues[ok, j] = _batched_traces(
                     fld, domain, theta, jittered[ok], spec.gauss_order, r_match
                 )
+        # only rows that at least two directions reached have a spread
+        reached = np.isfinite(jvalues).sum(axis=1) >= 2
+        jspread = np.zeros(jvalues.shape[0])
         with np.errstate(invalid="ignore"):
-            jreach = np.isfinite(jvalues).sum(axis=1)
-            jspread = np.where(
-                jreach >= 2,
-                np.nanmax(jvalues, axis=1) - np.nanmin(jvalues, axis=1),
-                0.0,
-            )
+            jspread[reached] = (np.nanmax(jvalues[reached], axis=1)
+                                - np.nanmin(jvalues[reached], axis=1))
         transient = ~((jspread[0::2] > tolerance) & (jspread[1::2] > tolerance))
         persistent[bad_idx[transient]] = False
         n_transient = int(np.count_nonzero(transient))

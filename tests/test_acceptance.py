@@ -17,7 +17,7 @@ from dirtrace.trace import consistency_report, lebesgue_comparison, trace_field
 E1 = Direction([1.0, 0.0])
 
 # shared field/domain/direction matrix; chord grids are cached across tests
-MATRIX_SPEC = QuadratureSpec(n_offsets=256, gauss_order=8, mc_samples=100, seed=0)
+MATRIX_SPEC = QuadratureSpec(n_offsets=256, gauss_order=8)
 SMOOTH_PAIRS = (
     ("x1", "x2"),
     ("one", "sincos"),
@@ -53,7 +53,7 @@ def dirs16():
 def test_01_integration_by_parts(domains, dirs16):
     golden = calculus.integration_by_parts(
         get_field("x1x2"), get_field("x1px2"), domains["square"], E1,
-        QuadratureSpec(n_offsets=4096, gauss_order=8, mc_samples=100, seed=0))
+        QuadratureSpec(n_offsets=4096, gauss_order=8))
     golden_ok = (abs(golden.lhs - 5.0 / 6.0) <= 1e-6
                  and abs(golden.rhs - 5.0 / 6.0) <= 1e-6
                  and golden.residual <= 1e-6)
@@ -78,7 +78,7 @@ def test_01_integration_by_parts(domains, dirs16):
 def test_02_boundary_density(dirs16, domains):
     worst_edge = 0.0
     worst_mass = 0.0
-    spec = QuadratureSpec(n_offsets=1024, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=1024, gauss_order=8)
     for theta in dirs16:
         rep = measure.polygon_density_report(domains["square"], theta, spec)
         worst_edge = max(worst_edge, rep.max_edge_difference)
@@ -103,7 +103,7 @@ def test_03_one_dimensional_atoms():
 
 
 def test_04_cusp_trace_norm_and_divergence_sentinel():
-    spec = QuadratureSpec(n_offsets=4096, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=4096, gauss_order=8)
     cusp = fractal.named_domain("cusp")
     fld = get_field("cusp_pow")
     res = trace.trace_norm_sq(fld, cusp, E1, spec)
@@ -122,7 +122,7 @@ def test_04_cusp_trace_norm_and_divergence_sentinel():
 
 
 def test_05_trace_approximation_rate(domains):
-    spec = QuadratureSpec(n_offsets=1024, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=1024, gauss_order=8)
     checks = [lebesgue_comparison(get_field("x1x2"), domains["square"], E1,
                                   eps, spec)
               for eps in (0.1, 0.01, 0.001)]
@@ -155,7 +155,7 @@ def test_06_trace_inequalities(domains, dirs16):
 
 
 def test_07_stage_functional_convergence():
-    spec = QuadratureSpec(n_offsets=1024, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=1024, gauss_order=8)
     sq = fractal.named_domain("square")
     all_hold = True
     for name in ("one", "x1", "x1x2"):
@@ -176,7 +176,7 @@ def test_08_mirrored_cone_jump_and_consistency():
     gap_ok = all(abs(g - 2.0) <= 1e-9 for g in gaps)
 
     dom = fractal.named_domain("bicone")
-    spec = QuadratureSpec(n_offsets=1024, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=1024, gauss_order=8)
     rep = consistency_report(fld, dom, direction_table(8), spec)
     cons_ok = rep.verdict == "in" and rep.disagreement_mass <= 1e-6
     ok = gap_ok and cons_ok
@@ -195,7 +195,7 @@ def test_09_crack_detection_witnesses():
                and abs(w.left - 1.0) <= 1e-8 and abs(w.right - 0.0) <= 1e-8)
 
     dom2 = fractal.named_domain("crack_square")
-    spec = QuadratureSpec(n_offsets=512, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=512, gauss_order=8)
     rep2 = consistency_report(get_field("crack_2d"), dom2, direction_table(4),
                               spec)
     slit_ok = rep2.verdict == "out" and bool(rep2.witnesses)
@@ -231,7 +231,7 @@ def test_10_staircase_bridges():
 
 
 def test_11_reflection_identity(domains):
-    spec = QuadratureSpec(n_offsets=512, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=512, gauss_order=8)
     failures = 0
     total = 0
     for key in ("square", "cusp"):
@@ -294,7 +294,7 @@ def test_13_paired_boundary_products(domains, dirs16):
 def test_14_variational_selection():
     dom = fractal.named_domain("bicone")
     tests = calculus.bump_tests(dom, 16)
-    spec = QuadratureSpec(n_offsets=1024, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=1024, gauss_order=8)
     u_height = get_field("x2")
     u_jump = get_field("sign_y")
     rep_h = calculus.variational_residual(u_height, dom, tests, spec)

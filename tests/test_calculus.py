@@ -1,15 +1,17 @@
 """Integration by parts, paired boundary products, stage functionals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dirtrace import calculus, quadrature, trace
+from dirtrace import calculus, fractal, quadrature, trace
 from dirtrace.fields import get_field
 from dirtrace.geometry import Bicone, Cusp, Direction, Polygon
-from dirtrace.quadrature import QuadratureSpec, h1_norm
+from dirtrace.quadrature import QuadratureSpec, h1_norm, volume_integral
 
 E1 = Direction([1.0, 0.0])
-SPEC = QuadratureSpec(n_offsets=512, gauss_order=8, mc_samples=100, seed=0)
+SPEC = QuadratureSpec(n_offsets=512, gauss_order=8)
 
 
 def unit_square() -> Polygon:
@@ -126,7 +128,7 @@ def test_bump_tests_sit_inside_the_domain():
 def test_variational_residuals_vanish_for_solutions():
     dom = Bicone(level=8)
     tests = calculus.bump_tests(dom, 4)
-    spec = QuadratureSpec(n_offsets=256, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=256, gauss_order=8)
     for name in ("x2", "sign_y"):
         rep = calculus.variational_residual(get_field(name), dom, tests, spec)
         assert rep.passes(3.0)
@@ -138,7 +140,88 @@ def test_variational_residual_detects_non_solutions():
     # (harmonic fields like x1 x2 would pass silently)
     dom = Bicone(level=8)
     tests = calculus.bump_tests(dom, 8)
-    spec = QuadratureSpec(n_offsets=256, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=256, gauss_order=8)
     rep = calculus.variational_residual(get_field("sincos"), dom, tests, spec)
     assert rep.max_residual > 1e-3
     assert not rep.passes(3.0)
+
+
+def _per_test_residuals(fld, domain, tests, spec):
+    # the reference: one volume_integral per test, each evaluating grad(u)
+    # on its own nodes
+    panel = min(t.params["r"] for t in tests) / 8.0
+    return [volume_integral(domain,
+                            lambda p, _t=t: np.sum(fld.grad_many(p) * _t.grad_many(p), axis=1),
+                            spec, panel=panel)
+            for t in tests]
+
+
+# sign_y, whose residuals are sums of signed zeros, at both resolutions;
+# the other fields at the cheaper one
+@pytest.mark.parametrize("n_offsets, names", [(256, ("x2", "sign_y", "sincos")),
+                                              (512, ("sign_y",))])
+def test_variational_residual_matches_the_per_test_integrals_on_the_bicone(n_offsets, names):
+    dom = Bicone(level=8)
+    tests = calculus.bump_tests(dom, 8)
+    spec = QuadratureSpec(n_offsets=n_offsets, gauss_order=8)
+    for name in names:
+        fld = get_field(name)
+        want = _per_test_residuals(fld, dom, tests, spec)
+        for count in (4, 8):
+            got = calculus.variational_residual(fld, dom, tests[:count], spec)
+            assert repr(got.residuals) == repr(want[:count])
+            assert got.max_residual == max(abs(r.value) for r in want[:count])
+            assert got.max_error == max(r.error for r in want[:count])
+
+
+def _inside_bumps(domain, side, count):
+    # bumps on a side x side grid of the bounding box whose support lies
+    # inside (bump_tests fits only 4 of 9 into omega_C)
+    lo, hi = domain.bbox
+    r = 0.4 * float(min(hi - lo)) / side
+    centres = [(lo[0] + (i + 0.5) * (hi[0] - lo[0]) / side,
+                lo[1] + (j + 0.5) * (hi[1] - lo[1]) / side)
+               for i in range(side) for j in range(side)]
+    tests = [get_field("bump", cx=float(cx), cy=float(cy), r=r) for cx, cy in centres
+             if calculus._support_inside(domain, float(cx), float(cy), r)]
+    assert len(tests) >= count
+    return tests[:count]
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_variational_residual_matches_the_per_test_integrals_on_planar_domains(order):
+    spec = QuadratureSpec(n_offsets=32, gauss_order=order)
+    square = fractal.named_domain("square")
+    omega = fractal.named_domain("omega_C")
+    for dom, tests in ((square, calculus.bump_tests(square, 9)),
+                       (omega, _inside_bumps(omega, 6, 9))):
+        for name in ("x1x2", "sincos"):
+            fld = get_field(name)
+            got = calculus.variational_residual(fld, dom, tests, spec)
+            assert repr(got.residuals) == repr(_per_test_residuals(fld, dom, tests, spec))
+
+
+def test_variational_residual_evaluates_the_candidate_gradient_once_per_rule():
+    dom = Bicone(level=8)
+    tests = calculus.bump_tests(dom, 16)
+    calls = []
+    fld = get_field("x2")
+
+    def grad(p):
+        calls.append(len(p))
+        return fld._grad(p)
+
+    counted = dataclasses.replace(fld, _grad=grad)
+    calculus.variational_residual(counted, dom, tests, QuadratureSpec(n_offsets=256))
+    # spec, spec.coarse() and the other Gauss order, for all 16 tests
+    assert len(calls) == 3
+
+
+def test_row_dot_makes_the_additions_of_np_sum():
+    # signed zeros included: rows whose products are both -0.0 sum to +0.0
+    rng = np.random.default_rng(5)
+    g = rng.choice([-1.5, -0.0, 0.0, 2.0], size=(400, 2))
+    h = rng.choice([-0.0, 0.0, 3.0, 0.25], size=(400, 2))
+    prod = g * h
+    assert np.any(np.all(np.signbit(prod) & (prod == 0.0), axis=1))
+    assert calculus._row_dot(g, h).tobytes() == np.sum(prod, axis=1).tobytes()

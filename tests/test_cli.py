@@ -150,6 +150,19 @@ def test_domain_overrides_are_in_the_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oned_truncation_is_in_the_config(tmp_path, capsys):
+    argv = ["oned", "--domain", "crack_interval", "--field", "x1", "--n", "4",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(argv + ["--truncation", "0.25"]) == 0
+    reports = sorted(tmp_path.glob("oned_*.json"))
+    assert len(reports) == 2
+    configs = [json.loads(path.read_text())["config"] for path in reports]
+    # the default run records no truncation, so its report keeps its bytes
+    assert {cfg.get("truncation") for cfg in configs} == {None, 0.25}
+    capsys.readouterr()
+
+
 def test_readme_commands_run(tmp_path, capsys):
     commands = [line.strip() for line in README.read_text().splitlines()
                 if line.strip().startswith("python3 -m dirtrace ")]

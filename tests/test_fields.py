@@ -112,3 +112,37 @@ def test_sin1_is_univariate():
     fld = get_field("sin1")
     x = np.array([[0.25], [0.5]])
     np.testing.assert_allclose(fld.eval_many(x), np.sin(x[:, 0]), atol=1e-14)
+
+
+def _whole_array_bump(cx, cy, r, p):
+    # the bump formula with r2 computed at every point
+    center = np.array([cx, cy])
+    r2 = ((p - center) ** 2).sum(axis=1) / r**2
+    inside = r2 < 1.0 - 1e-12
+    val = np.zeros(p.shape[0])
+    grad = np.zeros_like(p)
+    u = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+    val[inside] = u
+    scale = -u / (1.0 - r2[inside]) ** 2 * (2.0 / r**2)
+    grad[inside] = scale[:, None] * (p[inside] - center)
+    return val, grad
+
+
+@pytest.mark.parametrize("cx, cy, r", [(0.5, 0.5, 0.2), (0.31, -0.47, 0.05), (1 / 3, 0.75, 0.15)])
+def test_bump_matches_the_whole_array_formula(cx, cy, r):
+    # value and gradient are computed only in the support's bounding box;
+    # inside, on and outside the support they equal the formula evaluated
+    # on every point, bit for bit
+    fld = get_field("bump", cx=cx, cy=cy, r=r)
+    rng = np.random.default_rng(11)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 400)
+    rho = r * np.concatenate([rng.uniform(0.0, 1.0, 200), np.ones(100),
+                              rng.uniform(1.0, 1.5, 100)])
+    on_and_near = np.column_stack([cx + rho * np.cos(ang), cy + rho * np.sin(ang)])
+    corners = np.array([[cx + r, cy], [cx, cy - r], [cx + r, cy + r], [cx - r, cy - r]])
+    far = rng.uniform(-2.0, 2.0, size=(400, 2))
+    pts = np.vstack([on_and_near, corners, far, [[cx, cy]]])
+    val, grad = _whole_array_bump(cx, cy, r, pts)
+    assert np.count_nonzero(val) > 150
+    assert fld.eval_many(pts).tobytes() == val.tobytes()
+    assert fld.grad_many(pts).tobytes() == grad.tobytes()

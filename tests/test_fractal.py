@@ -75,6 +75,13 @@ def _assert_matches_oracle(gaps, alpha, beta, p_max, margin=0.0):
         assert got.breakpoints.dtype == breakpoints.dtype
         assert got.breakpoints.shape == breakpoints.shape
         assert got.breakpoints.tobytes() == breakpoints.tobytes()
+    # build_staircase builds only the last round, and equals it
+    last = fractal.build_staircase(gaps, alpha, beta, p_max, margin=margin)
+    assert last.p_max == levels[-1].p_max == p_max
+    assert (last.alpha, last.beta) == (levels[-1].alpha, levels[-1].beta)
+    assert last.breakpoints.dtype == levels[-1].breakpoints.dtype
+    assert last.breakpoints.shape == levels[-1].breakpoints.shape
+    assert last.breakpoints.tobytes() == levels[-1].breakpoints.tobytes()
 
 
 @pytest.mark.parametrize("level", range(13))

@@ -17,7 +17,7 @@ from dirtrace.measure import (
 from dirtrace.quadrature import QuadratureSpec
 
 E1 = Direction([1.0, 0.0])
-SPEC = QuadratureSpec(n_offsets=512, gauss_order=8, mc_samples=100, seed=0)
+SPEC = QuadratureSpec(n_offsets=512, gauss_order=8)
 
 
 def unit_square() -> Polygon:

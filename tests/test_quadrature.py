@@ -3,25 +3,26 @@
 import numpy as np
 import pytest
 
-from dirtrace import fractal
+from dirtrace import calculus, fractal, trace
 from dirtrace.errors import UnresolvedSingularity, ValidationError
 from dirtrace.fields import get_field
-from dirtrace.geometry import Cusp, Direction, IntervalUnion, Polygon
+from dirtrace.geometry import Cusp, Direction, Domain, IntervalUnion, Polygon
 from dirtrace.quadrature import (
     ChordGrid,
     QuadratureSpec,
     _offset_cells,
+    boundary_integral,
     chord_grid,
     h1_norm,
     norm_theta,
     points_along,
     refined,
     volume_integral,
-    volume_integral_mc,
+    volume_integrals,
 )
 
 E1 = Direction([1.0, 0.0])
-SPEC = QuadratureSpec(n_offsets=512, gauss_order=8, mc_samples=4000, seed=0)
+SPEC = QuadratureSpec(n_offsets=512, gauss_order=8)
 
 
 def unit_square() -> Polygon:
@@ -59,8 +60,7 @@ def test_polynomial_golden_value():
 
 def test_cusp_volume():
     res = volume_integral(Cusp(), lambda p: np.ones(p.shape[0]),
-                          QuadratureSpec(n_offsets=4096, gauss_order=8,
-                                         mc_samples=100, seed=0))
+                          QuadratureSpec(n_offsets=4096, gauss_order=8))
     assert res.value == pytest.approx(0.5, abs=1e-6)
 
 
@@ -76,7 +76,7 @@ def test_error_estimate_is_honest():
     fld = get_field("sincos")
     exact = (1.0 - np.cos(1.0)) * np.sin(1.0)
     for n in (128, 256, 512):
-        spec = QuadratureSpec(n_offsets=n, gauss_order=8, mc_samples=100, seed=0)
+        spec = QuadratureSpec(n_offsets=n, gauss_order=8)
         res = volume_integral(unit_square(), fld, spec,
                               Direction.from_angle(0.35))
         assert abs(res.value - exact) <= 3.0 * res.error + 1e-12
@@ -131,19 +131,62 @@ def test_panel_resolves_narrow_features():
     def integrand(p):
         return bump.grad_many(p)[:, 0]
 
-    spec = QuadratureSpec(n_offsets=512, gauss_order=8, mc_samples=100, seed=0)
+    spec = QuadratureSpec(n_offsets=512, gauss_order=8)
     res = volume_integral(unit_square(), integrand, spec, E1, panel=0.05 / 8.0)
     # grad integrates to zero over the full support
     assert abs(res.value) <= 3.0 * res.error + 1e-12
     assert abs(res.value) < 1e-7
 
 
-def test_monte_carlo_agrees_and_is_deterministic():
-    fld = get_field("x1x2")
-    a = volume_integral_mc(unit_square(), fld, SPEC)
-    b = volume_integral_mc(unit_square(), fld, SPEC)
-    assert a.value == b.value
-    assert abs(a.value - 0.25) <= 4.0 * a.error
+@pytest.mark.parametrize("panel", [None, 0.02])
+def test_one_node_set_for_two_integrands(panel):
+    # two integrands in one call equal two single calls, bit for bit
+    dom = fractal.named_domain("omega_C")
+    bump = get_field("bump", cx=0.2, cy=0.5, r=0.1)
+    sincos = get_field("sincos")
+    theta = Direction.from_angle(0.4)
+
+    def both(p):
+        yield bump.grad_many(p)[:, 1]
+        yield sincos.eval_many(p)
+
+    got = volume_integrals(dom, both, SPEC, theta, panel=panel)
+    want = [volume_integral(dom, lambda p: bump.grad_many(p)[:, 1], SPEC, theta, panel=panel),
+            volume_integral(dom, sincos, SPEC, theta, panel=panel)]
+    assert repr(got) == repr(want)
+    assert volume_integrals(dom, lambda p: iter(()), SPEC, theta, panel=panel) == []
+
+
+class _Missed(Domain):
+    """A planar domain that no line meets: every chord grid is empty."""
+
+    kind = "missed"
+    bbox = (np.zeros(2), np.ones(2))
+
+    def contains_many(self, pts):
+        return np.zeros(len(pts), dtype=bool)
+
+    def params(self):
+        return {}
+
+    def line_slices(self, theta, ts):
+        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+
+
+def test_empty_grids_sum_to_zero():
+    # no reduction special-cases a grid without chords: the array code
+    # gives zero sums, and only the float floor remains in the errors
+    dom, fld, spec = _Missed(), get_field("x1x2"), QuadratureSpec(n_offsets=16)
+    assert chord_grid(dom, E1, 16).n_chords == 0
+    floor = 32.0 * np.finfo(float).eps
+    for res in (volume_integral(dom, fld, spec, E1), volume_integral(dom, fld, spec, E1, 0.1),
+                volume_integrals(dom, lambda p: (fld(p), fld(p)), spec, E1)[1],
+                boundary_integral(dom, E1, fld, spec), trace.trace_norm_sq(fld, dom, E1, spec)):
+        assert (res.value, res.error) == (0.0, floor)
+    assert trace.trace_field(fld, dom, E1, spec).n_atoms == 0
+    assert trace.trace_inequalities(fld, dom, E1, spec).slacks == (0.0, 0.0, 0.0)
+    ibp = calculus.integration_by_parts(fld, get_field("x1"), dom, E1, spec)
+    assert (ibp.lhs, ibp.rhs, ibp.err_lhs, ibp.err_rhs) == (0.0, 0.0, floor, floor)
 
 
 def test_norms_match_closed_forms():
