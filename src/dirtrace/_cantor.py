@@ -16,6 +16,16 @@ Distances come from a descent through the construction.  Its first levels
 are one sorted search in a table of the gaps of depth <= 12, built with
 gap_table once per (ratio, scheme) and cached read-only, so every point
 starts from the floats the level-by-level descent computes.
+
+The same table holds two edge thresholds per depth-12 surviving interval.
+From an interval, the descent of a point at its right edge goes right at
+every split down to the floor: the largest gap end d on that path is the
+right threshold, and a point at or beyond it goes right at each of those
+splits, so its distance is 0.  The left threshold bounds the always-left
+path the same way (x <= c and x < d at every split).  Both paths are the
+descent's own floats, so the thresholds are exact, not a tolerance: a
+point at or past one of them skips a descent whose answer is known, and
+the distances stay bit-identical.
 """
 
 from __future__ import annotations
@@ -128,25 +138,62 @@ def level_intervals(level: int, ratio: float = 1.0 / 3.0, scheme: str = "third")
     return a, b
 
 
-@functools.lru_cache(maxsize=None)
+def _edge_thresholds(lo: np.ndarray, hi: np.ndarray, ratio: float, scheme: str):
+    """Thresholds (left, right) of the descent from each interval [lo, hi]:
+    points x <= left go left, and points x >= right go right, at every
+    split from depth _SEED_LEVEL + 1 until the bracket drops below
+    DESCENT_FLOOR, as distance_many splits them."""
+    left = np.full(lo.shape, np.inf)
+    right = np.full(lo.shape, -np.inf)
+    for go_right in (False, True):
+        k, a, b = np.arange(lo.size), lo, hi
+        for depth in range(_SEED_LEVEL + 1, _MAX_DEPTH):
+            if k.size == 0:
+                break
+            c, d = _split(a, b, depth, ratio, scheme)
+            if go_right:
+                right[k] = np.maximum(right[k], d)
+                a = d
+            else:
+                # x goes left where x <= c and x < d
+                left[k] = np.minimum(left[k], np.minimum(c, np.nextafter(d, -np.inf)))
+                b = c
+            live = ~((b - a) < DESCENT_FLOOR)
+            k, a, b = k[live], a[live], b[live]
+    return left, right
+
+
+# Distinct (ratio, scheme) tables kept at once; the catalogue uses two.
+# Each holds four float arrays of 2**_SEED_LEVEL entries (256 KB).
+_SEED_CACHE = 8
+
+
+@functools.lru_cache(maxsize=_SEED_CACHE)
 def _seed(ratio: float, scheme: str):
     """Surviving intervals [lo[k], hi[k]] between the sorted gaps (c, d) of
-    depth <= _SEED_LEVEL: hi[k] = c[k] and lo[k + 1] = d[k]."""
+    depth <= _SEED_LEVEL (hi[k] = c[k] and lo[k + 1] = d[k]), with their
+    edge thresholds (left[k], right[k]) from _edge_thresholds."""
     gaps = sorted_gaps(ratio, _SEED_LEVEL, scheme)
     lo = np.concatenate(([0.0], gaps[:, 1]))
     hi = np.append(gaps[:, 0], 1.0)
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
+    left, right = _edge_thresholds(lo, hi, ratio, scheme)
+    for arr in (lo, hi, left, right):
+        arr.flags.writeable = False
+    return lo, hi, left, right
 
 
 def distance_many(x: np.ndarray, ratio: float = 1.0 / 3.0, scheme: str = "third") -> np.ndarray:
     """Exact distance from each point to the Cantor set, by recursive descent.
 
     One search in the cached sorted gaps of depth <= _SEED_LEVEL stands in
-    for the first levels: a point inside one of them is done, any other
-    starts at depth _SEED_LEVEL + 1 from its surviving interval, whose ends
-    are the floats the level-by-level descent computes (x = c goes left,
-    x = d goes right).  From there each point follows its own branch of the
+    for the first levels: a point inside one of them is done.  So is a
+    point of a surviving interval at or past one of its edge thresholds,
+    with distance 0: it would go the same way at every split down to the
+    floor, and the thresholds are the floats of those splits (see the
+    module docstring).  Any other point starts at depth _SEED_LEVEL + 1
+    from its surviving interval, whose ends are the floats the
+    level-by-level descent computes (x = c goes left, x = d goes right).
+    From there each point follows its own branch of the
     construction until it falls in a gap (distance to the nearer gap
     endpoint) or the bracket drops below DESCENT_FLOOR (distance 0).
     """
@@ -161,19 +208,21 @@ def distance_many(x: np.ndarray, ratio: float = 1.0 / 3.0, scheme: str = "third"
     dist[above] = flat[above] - 1.0
     idx = np.nonzero(~(below | above))[0]
     xa = flat[idx]
-    lo, hi = _seed(ratio, scheme)
+    lo, hi, left, right = _seed(ratio, scheme)
     # k gaps have c < x: x lies in gap k - 1, (hi[k - 1], lo[k]), or in the
     # interval after it.  Where rounding gives c == d (tiny ratios), x = c
     # goes left here and right in the descent: either way distance 0.
     k = np.searchsorted(hi[:-1], xa)
+    in_gap = xa < lo[k]
+    if np.any(in_gap):
+        g = np.minimum(xa[in_gap] - hi[k[in_gap] - 1], lo[k[in_gap]] - xa[in_gap])
+        dist[idx[in_gap]] = g
+    # past an edge threshold the distance is 0; so it is for NaN, which
+    # fails both tests here and reaches the floor in the descent
+    deep = ~in_gap & (xa > left[k]) & (xa < right[k])
+    idx, xa, k = idx[deep], xa[deep], k[deep]
     a = lo[k]
     b = hi[k]
-    in_gap = xa < a
-    if np.any(in_gap):
-        g = np.minimum(xa[in_gap] - hi[k[in_gap] - 1], a[in_gap] - xa[in_gap])
-        dist[idx[in_gap]] = g
-        keep = ~in_gap
-        idx, xa, a, b = idx[keep], xa[keep], a[keep], b[keep]
     for depth in range(_SEED_LEVEL + 1, _MAX_DEPTH):
         if idx.size == 0:
             break

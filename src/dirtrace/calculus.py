@@ -334,39 +334,46 @@ def _support_inside(domain: Domain, cx: float, cy: float, r: float) -> bool:
     return ok and domain.contains((cx, cy))
 
 
+def _grid_bumps(lo, hi, side: int):
+    """Bumps centred on a side x side grid of the box [lo, hi], of radius
+    0.4 times the smaller cell side, as (cx, cy, r)."""
+    radius = 0.4 * float(min(hi - lo)) / side
+    xs = lo[0] + (np.arange(side) + 0.5) * (hi[0] - lo[0]) / side
+    ys = lo[1] + (np.arange(side) + 0.5) * (hi[1] - lo[1]) / side
+    return [(float(cx), float(cy), radius) for cx in xs for cy in ys]
+
+
 def bump_tests(domain: Domain, count: int = 16) -> list[ScalarField]:
     """Compactly supported smooth tests with support verified inside.
 
     For the mirrored cone union the bumps sit inside individual cones on
     both sides; for other planar domains a bounding-box grid is filtered
-    by membership of the support ring.
+    by membership of the support ring.  The grid starts at ceil(sqrt(count))
+    cells a side and grows, up to three times that, until count supports
+    fit; the first grid that fits gives the bumps.
     """
     if domain.dim != 2:
         raise ValidationError("bump tests are planar")
-    cands: list[tuple[float, float, float]] = []
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValidationError(f"count must be an integer >= 1, got {count!r}")
     if domain.kind == "bicone":
-        radius = 0.15
-        for a in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
-            for h in (0.45, 0.75):
-                for sgn in (1.0, -1.0):
-                    cands.append((a, sgn * h, radius))
+        grids = [[(a, sgn * h, 0.15) for a in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
+                  for h in (0.45, 0.75) for sgn in (1.0, -1.0)]]
     else:
         lo, hi = domain.bbox
-        side = int(np.ceil(np.sqrt(count)))
-        radius = 0.4 * float(min(hi - lo)) / side
-        xs = lo[0] + (np.arange(side) + 0.5) * (hi[0] - lo[0]) / side
-        ys = lo[1] + (np.arange(side) + 0.5) * (hi[1] - lo[1]) / side
-        for cx in xs:
-            for cy in ys:
-                cands.append((float(cx), float(cy), radius))
-    tests = []
-    for cx, cy, r in cands:
+        first = int(np.ceil(np.sqrt(count)))
+        grids = (_grid_bumps(lo, hi, side) for side in range(first, 3 * first + 1))
+    placed = 0
+    for cands in grids:
+        tests = []
+        for cx, cy, r in cands:
+            if len(tests) >= count:
+                break
+            if _support_inside(domain, cx, cy, r):
+                tests.append(get_field("bump", cx=cx, cy=cy, r=r))
         if len(tests) >= count:
-            break
-        if _support_inside(domain, cx, cy, r):
-            tests.append(get_field("bump", cx=cx, cy=cy, r=r))
-    if len(tests) < count:
-        raise ValidationError(
-            f"could only place {len(tests)} of {count} test bumps inside {domain.kind}"
-        )
-    return tests
+            return tests
+        placed = max(placed, len(tests))
+    raise ValidationError(
+        f"could only place {placed} of {count} test bumps inside {domain.kind}"
+    )

@@ -13,6 +13,11 @@ arrays (rows, alpha, beta), where rows[i] indexes the offset whose line
 carries chord i, sorted by (row, alpha).  Every stage below works on the
 whole table with array operations on the row boundaries.
 
+Points on lines, the foot t * perp plus s * theta, come from one builder
+everywhere in the package: `points_along(_feet(t, perp), s, theta.vector)`,
+which fills one coordinate at a time (midpoints, nudged endpoints, exits,
+Gauss nodes and probes alike).
+
 Chords are computed in closed form for every kind: interval unions,
 polygons, the cubic cusp (batched cubic roots), circle/slit constructions,
 the Cantor comb, and the Cantor cone unions (the line minus the triangles
@@ -97,6 +102,31 @@ def _row_starts(rows, n: int) -> np.ndarray:
     """Index of the first chord of each of n rows in a row-sorted table, and
     the end of the table as entry n."""
     return np.searchsorted(rows, np.arange(n + 1))
+
+
+def points_along(base: np.ndarray, s: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Points base + s * vec, with one line foot per row of base (n, d), or
+    one row for all lines, and s (n,) or (n, q) the parameters along each
+    line; shape s.shape + (d,).
+
+    Written into one array one coordinate at a time, because numpy broadcasts
+    over a short last axis slowly; the arithmetic per element is the same.
+    """
+    lead = (-1,) + (1,) * (s.ndim - 1)
+    out = np.empty(s.shape + (base.shape[1],))
+    for k in range(base.shape[1]):
+        np.multiply(s, vec[k], out=out[..., k])
+        out[..., k] += base[:, k].reshape(lead)
+    return out
+
+
+def _feet(t: np.ndarray, perp: np.ndarray) -> np.ndarray:
+    """Foot t * perp of the line at each offset t, (n, d), one coordinate
+    at a time."""
+    out = np.empty((t.size, perp.size))
+    for k in range(perp.size):
+        np.multiply(t, perp[k], out=out[:, k])
+    return out
 
 
 class Direction:
@@ -466,8 +496,7 @@ def _pair_candidates(domain, theta, ts, rows, svals):
         return _no_chords()
     rows, lo, hi = rows[:-1][cell], svals[:-1][cell], svals[1:][cell]
     mids = 0.5 * (lo + hi)
-    pts = ts[rows, None] * p[None, :] + mids[:, None] * tv[None, :]
-    inside = domain.contains_many(pts)
+    inside = domain.contains_many(points_along(_feet(ts, p)[rows], mids, tv))
     # neighbouring cells of one line share their endpoint, so a run of
     # inside cells is one chord from the run's first lo to its last hi
     linked = inside[1:] & inside[:-1] & (rows[1:] == rows[:-1])
@@ -748,7 +777,7 @@ class Bicone(Domain):
         order = np.lexsort((lo, rows))
         rows, lo, hi = rows[order], lo[order], hi[order]
         meet = np.nonzero((rows[1:] == rows[:-1]) & (hi[:-1] == lo[1:]))[0]
-        at = ts[rows[meet], None] * p[None, :] + hi[meet, None] * tv[None, :]
+        at = points_along(_feet(ts, p)[rows[meet]], hi[meet], tv)
         join = meet[self.contains_many(at)]
         hi[join] = hi[join + 1]
         return tuple(np.delete(col, join + 1) for col in (rows, lo, hi))
@@ -1074,15 +1103,14 @@ def _nudge_out(domain, theta, t, s, sign: float) -> np.ndarray:
     if domain.dim == 1 or not s.size:
         return s
     tv = theta.vector
-    p = theta.perp_vector
+    feet = _feet(t, theta.perp_vector)
     s = s.copy()
-    bad = domain.contains_many(t[:, None] * p[None, :] + s[:, None] * tv[None, :])
+    bad = domain.contains_many(points_along(feet, s, tv))
     it = 0
     while np.any(bad) and it < 10:
         stepv = np.maximum(np.abs(s[bad]) * 2.0**-50, 1e-15 * max(domain.diameter, 1.0))
         s[bad] = s[bad] + sign * stepv * 2.0**it
-        pts = t[bad, None] * p[None, :] + s[bad, None] * tv[None, :]
-        newbad = domain.contains_many(pts)
+        newbad = domain.contains_many(points_along(feet[bad], s[bad], tv))
         tmp = bad.copy()
         tmp[bad] = newbad
         bad = tmp
@@ -1211,8 +1239,10 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
         offsets = np.zeros(n) if theta.dim == 1 else points[:, 0] * perp[0] + points[:, 1] * perp[1]
     offsets = np.asarray(offsets, dtype=float)
 
+    feet = _feet(offsets, perp)
+
     def exit_gaps(rows, beta):
-        exits = offsets[rows, None] * perp[None, :] + beta[:, None] * theta.vector[None, :]
+        exits = points_along(feet[rows], beta, theta.vector)
         return np.linalg.norm(exits - points[rows], axis=1)
 
     rows, alpha, beta, flags = _trimmed_table(domain, theta, offsets)

@@ -36,7 +36,15 @@ import numpy as np
 
 from . import _gauss
 from .errors import UnresolvedSingularity, ValidationError
-from .geometry import Direction, Domain, chord_table, hyperplane_range, offset_normal
+from .geometry import (
+    Direction,
+    Domain,
+    _feet,
+    chord_table,
+    hyperplane_range,
+    offset_normal,
+    points_along,
+)
 
 _GAUSS_ORDERS = (4, 8, 16)
 
@@ -106,27 +114,6 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
     h = np.repeat(seg / counts, counts)
     k = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
     return np.repeat(edges[:-1], counts) + (k + 0.5) * h, h
-
-
-def points_along(base: np.ndarray, s: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Points base + s * vec, with one line foot per row of base (n, d) and
-    s (n,) or (n, q) the parameters along each line; shape s.shape + (d,).
-
-    Written into one array one coordinate at a time, because numpy broadcasts
-    over a short last axis slowly; the arithmetic per element is the same.
-    """
-    lead = (-1,) + (1,) * (s.ndim - 1)
-    out = np.empty(s.shape + (base.shape[1],))
-    for k in range(base.shape[1]):
-        np.multiply(s, vec[k], out=out[..., k])
-        out[..., k] += base[:, k].reshape(lead)
-    return out
-
-
-def _feet(t: np.ndarray, perp: np.ndarray) -> np.ndarray:
-    """Foot t * perp of the line at each offset t, (n, d), one coordinate
-    at a time."""
-    return np.column_stack([t * p for p in perp])
 
 
 def chord_nodes(theta: Direction, t, alpha, length, order: int):

@@ -31,7 +31,15 @@ from .errors import (
     NotDirectionalBoundary,
     ValidationError,
 )
-from .geometry import Direction, Domain, exit_chords, match_radius, offset_normal
+from .geometry import (
+    Direction,
+    Domain,
+    _feet,
+    exit_chords,
+    match_radius,
+    offset_normal,
+    points_along,
+)
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -41,7 +49,6 @@ from .quadrature import (
     _theta_integrands,
     chord_grid,
     chord_nodes,
-    points_along,
     refined,
     volume_integral,
 )
@@ -219,7 +226,7 @@ def lebesgue_average(fld, domain: Domain, theta: Direction, z, eps: float,
     h = min(eps, float(b[0] - a[0]))
     x, w = _gauss.nodes(order)
     back = (x + 1.0) * 0.5 * h
-    pts = t[0] * offset_normal(theta)[None, :] + (b[0] - back)[:, None] * theta.vector[None, :]
+    pts = points_along(_feet(t[:1], offset_normal(theta)), b[0] - back, theta.vector)
     u = np.asarray(fld.eval_many(pts), dtype=float)
     return float(0.5 * np.sum(w * u))
 
@@ -404,8 +411,7 @@ def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
     t, _, b, found = exit_chords(domain, theta, np.repeat(points, 2, axis=0),
                                  np.inf, offsets=ts)
     out = np.full((ts.size, points.shape[1]), np.nan)
-    out[found] = (t[found, None] * offset_normal(theta)[None, :]
-                  + b[found, None] * theta.vector[None, :])
+    out[found] = points_along(_feet(t[found], offset_normal(theta)), b[found], theta.vector)
     return out
 
 
@@ -448,8 +454,7 @@ def consistency_report(fld, domain: Domain, directions,
         line = grid.offset_index[::stride]
         t = grid.offsets[line]
         beta = grid.beta[::stride]
-        probe_pts.append(points_along(t[:, None] * offset_normal(theta)[None, :], beta,
-                                      theta.vector))
+        probe_pts.append(points_along(_feet(t, offset_normal(theta)), beta, theta.vector))
         probe_wts.append(grid.lengths[::stride] * grid.offset_widths[line])
         probe_src.append(np.full(beta.size, idx))
         probe_off.append(t)

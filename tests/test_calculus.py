@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dirtrace import calculus, fractal, quadrature, trace
+from dirtrace.errors import ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import Bicone, Cusp, Direction, Polygon
 from dirtrace.quadrature import QuadratureSpec, h1_norm, volume_integral
@@ -112,10 +113,7 @@ def test_nu_sequence_bounds():
     np.testing.assert_array_equal(ones.values, 1.0)
 
 
-def test_bump_tests_sit_inside_the_domain():
-    dom = Bicone(level=8)
-    tests = calculus.bump_tests(dom, 16)
-    assert len(tests) == 16
+def _assert_supports_inside(dom, tests):
     for t in tests:
         cx, cy, r = t.params["cx"], t.params["cy"], t.params["r"]
         ring = np.stack([
@@ -123,6 +121,40 @@ def test_bump_tests_sit_inside_the_domain():
             for a in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
         ])
         assert np.all(dom.contains_many(ring))
+
+
+def test_bump_tests_sit_inside_the_domain():
+    dom = Bicone(level=8)
+    tests = calculus.bump_tests(dom, 16)
+    assert len(tests) == 16
+    _assert_supports_inside(dom, tests)
+
+
+@pytest.mark.parametrize("name", fractal.DOMAIN_NAMES)
+def test_bump_tests_fill_every_planar_kind(name):
+    dom = fractal.named_domain(name)
+    if dom.dim != 2:
+        with pytest.raises(ValidationError):
+            calculus.bump_tests(dom, 1)
+        return
+    for count in (1, 4, 9, 16):
+        tests = calculus.bump_tests(dom, count)
+        assert len(tests) == count
+        _assert_supports_inside(dom, tests)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0, True])
+def test_bump_tests_reject_bad_counts(count):
+    with pytest.raises(ValidationError):
+        calculus.bump_tests(unit_square(), count)
+
+
+def test_bump_tests_keep_the_first_grid_that_fits():
+    # the 3 x 3 grid of the unit square holds all nine supports
+    tests = calculus.bump_tests(unit_square(), 9)
+    centres = [(t.params["cx"], t.params["cy"], t.params["r"]) for t in tests]
+    mids = (np.arange(3) + 0.5) / 3.0
+    assert centres == [(float(x), float(y), 0.4 / 3.0) for x in mids for y in mids]
 
 
 def test_variational_residuals_vanish_for_solutions():
@@ -174,27 +206,13 @@ def test_variational_residual_matches_the_per_test_integrals_on_the_bicone(n_off
             assert got.max_error == max(r.error for r in want[:count])
 
 
-def _inside_bumps(domain, side, count):
-    # bumps on a side x side grid of the bounding box whose support lies
-    # inside (bump_tests fits only 4 of 9 into omega_C)
-    lo, hi = domain.bbox
-    r = 0.4 * float(min(hi - lo)) / side
-    centres = [(lo[0] + (i + 0.5) * (hi[0] - lo[0]) / side,
-                lo[1] + (j + 0.5) * (hi[1] - lo[1]) / side)
-               for i in range(side) for j in range(side)]
-    tests = [get_field("bump", cx=float(cx), cy=float(cy), r=r) for cx, cy in centres
-             if calculus._support_inside(domain, float(cx), float(cy), r)]
-    assert len(tests) >= count
-    return tests[:count]
-
-
 @pytest.mark.parametrize("order", [4, 8, 16])
 def test_variational_residual_matches_the_per_test_integrals_on_planar_domains(order):
     spec = QuadratureSpec(n_offsets=32, gauss_order=order)
     square = fractal.named_domain("square")
     omega = fractal.named_domain("omega_C")
     for dom, tests in ((square, calculus.bump_tests(square, 9)),
-                       (omega, _inside_bumps(omega, 6, 9))):
+                       (omega, calculus.bump_tests(omega, 9))):
         for name in ("x1x2", "sincos"):
             fld = get_field(name)
             got = calculus.variational_residual(fld, dom, tests, spec)

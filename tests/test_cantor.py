@@ -1,10 +1,12 @@
 """Gap tables, distances and level bookkeeping of the Cantor helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
 import cantor_oracle
-from dirtrace import _cantor
+from dirtrace import _cantor, fractal, geometry
 from dirtrace.errors import InvalidRatio
 
 
@@ -114,9 +116,22 @@ def test_ratio_validation():
         _cantor.gap_table(1.0 / 3.0, 2, "nope")
 
 
+def _ulp_neighbours(x, count):
+    """The `count` floats below and above each of x."""
+    out = []
+    for toward in (-np.inf, np.inf):
+        y = x
+        for _ in range(count):
+            y = np.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
 def _oracle_points(ratio, scheme):
     """Uniform draws, gap ends at depths 3-20 with their neighbouring floats,
-    the ends of the depth-14 surviving intervals, and special values."""
+    the ends of the depth-14 surviving intervals, the ends of the depth-12
+    (seed) intervals with the floats 1-4 ulps and 1e-16 to 2e-15 away, the
+    edge thresholds with their neighbouring floats, and special values."""
     rng = np.random.default_rng(7)
     # every gap at depths 3-12, where the sorted table hands over to the descent
     ends = [_cantor.gap_table(ratio, 12, scheme)[7:, :2].ravel()]
@@ -130,20 +145,85 @@ def _oracle_points(ratio, scheme):
         a, b = np.where(right, d, a), np.where(right, b, c)
     ends = np.concatenate(ends)
     lo, hi = _cantor.level_intervals(14, ratio, scheme)
+    # the edge thresholds lie within 2e-15 of their seed interval's ends,
+    # so these shifts cross each of them from both sides
+    lo12, hi12, left, right = _cantor._seed(ratio, scheme)
+    edges = np.concatenate((lo12, hi12))
+    shifts = [edges + h for h in (1e-16, 5e-16, 1e-15, 2e-15, -1e-16, -5e-16, -1e-15, -2e-15)]
+    thresholds = np.concatenate((left, right))
     return np.concatenate((
         rng.uniform(-0.2, 1.2, 4000),
         ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
         lo[::7], hi[::7],
+        edges, *_ulp_neighbours(edges, 4), *shifts,
+        thresholds, *_ulp_neighbours(thresholds, 1),
         [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 5e-324],
     ))
 
 
-@pytest.mark.parametrize("ratio,scheme", [
+RATIO_SCHEMES = [
     (1.0 / 3.0, "third"), (1.0 / 3.0, "rho"), (0.3, "rho"),
     (0.25, "rho"), (0.1, "rho"), (1e-3, "rho"),
-])
+]
+
+
+@pytest.mark.parametrize("ratio,scheme", RATIO_SCHEMES)
 def test_distance_many_is_bit_identical_to_the_level_by_level_descent(ratio, scheme):
     x = _oracle_points(ratio, scheme)
     got = _cantor.distance_many(x, ratio, scheme)
     want = cantor_oracle.distance_many(x, ratio, scheme)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("ratio,scheme", RATIO_SCHEMES)
+def test_edge_thresholds_lie_next_to_their_seed_interval_ends(ratio, scheme):
+    lo, hi, left, right = _cantor._seed(ratio, scheme)
+    assert np.all((lo <= left) & (left < right) & (right <= hi))
+    # so the shifts of _oracle_points cross every threshold
+    assert np.all((left - lo < 2e-15) & (hi - right < 2e-15))
+
+
+def test_the_table_cache_keeps_a_bounded_number_of_ratios():
+    for ratio in np.linspace(0.01, 0.3, 20):
+        _cantor.distance_many(np.array([0.5]), float(ratio), "rho")
+    assert _cantor._seed.cache_info().currsize <= _cantor._SEED_CACHE
+
+
+def _offsets(domain, theta, n):
+    lo, hi = geometry.hyperplane_range(domain, theta)
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cantor_comb", {"level": 8}), ("cantor_comb", {}), ("omega_C", {}),
+    ("bicone", {}), ("disk_minus_cantor", {}),
+])
+def test_chord_tables_match_those_of_the_level_by_level_descent(name, params, monkeypatch):
+    domain = fractal.named_domain(name, **params)
+    thetas = [geometry.Direction.from_angle(a) for a in (0.0, 0.35, 1.3, math.pi / 2)]
+    got = [geometry.chord_table(domain, th, _offsets(domain, th, 64)) for th in thetas]
+    monkeypatch.setattr(_cantor, "distance_many", cantor_oracle.distance_many)
+    for th, table in zip(thetas, got):
+        want = geometry.chord_table(domain, th, _offsets(domain, th, 64))
+        for g, w in zip(table, want):
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("level", [8, 12])
+def test_comb_chord_endpoints_skip_the_descent(level, monkeypatch):
+    # every endpoint of an axis comb table is a seed interval end, up to
+    # the nudge, so the edge thresholds settle it without one split
+    domain = fractal.named_domain("cantor_comb", level=level)
+    theta = geometry.Direction.from_angle(0.0)
+    _cantor._seed(domain.ratio, domain.scheme)
+    calls = []
+    split = _cantor._split
+
+    def counted(*args):
+        calls.append(args[2])
+        return split(*args)
+
+    monkeypatch.setattr(_cantor, "_split", counted)
+    rows, _, _, _ = geometry.chord_table(domain, theta, _offsets(domain, theta, 64))
+    assert rows.size > 0
+    assert calls == []

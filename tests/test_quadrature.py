@@ -6,7 +6,7 @@ import pytest
 from dirtrace import calculus, fractal, trace
 from dirtrace.errors import UnresolvedSingularity, ValidationError
 from dirtrace.fields import get_field
-from dirtrace.geometry import Cusp, Direction, Domain, IntervalUnion, Polygon
+from dirtrace.geometry import Cusp, Direction, Domain, IntervalUnion, Polygon, points_along
 from dirtrace.quadrature import (
     ChordGrid,
     QuadratureSpec,
@@ -15,7 +15,6 @@ from dirtrace.quadrature import (
     chord_grid,
     h1_norm,
     norm_theta,
-    points_along,
     refined,
     volume_integral,
     volume_integrals,
