@@ -76,6 +76,7 @@ from .trace import (
     directional_trace,
     lebesgue_average,
     lebesgue_comparison,
+    lebesgue_comparisons,
     trace_field,
     trace_inequalities,
     trace_norm_sq,

@@ -231,8 +231,7 @@ def _cmd_lebesgue(args) -> int:
     theta = _direction_from(args, domain.dim)
     spec = _spec_from(args)
     fld = fields.parse_field(args.field)
-    checks = [trace.lebesgue_comparison(fld, domain, theta, eps, spec)
-              for eps in args.eps]
+    checks = trace.lebesgue_comparisons(fld, domain, theta, args.eps, spec)
     config = _common_config(args, domain=args.domain, field=args.field,
                             theta=list(map(float, theta.vector)), eps=args.eps)
     ok = all(c.deviation_sq <= c.bound + 3.0 * c.error for c in checks)

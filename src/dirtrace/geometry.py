@@ -19,17 +19,17 @@ which fills one coordinate at a time (midpoints, nudged endpoints, exits,
 Gauss nodes and probes alike).
 
 Chords are computed in closed form for every kind: interval unions,
-polygons, the cubic cusp (batched cubic roots), circle/slit constructions,
-the Cantor comb, and the Cantor cone unions (the line minus the triangles
-over the gaps).  Endpoints are exact up to rounding.  Chords shorter
-than EPS_EXACT are dropped, and a slice is flagged when two crossings sit
-closer than RESOLUTION_FACTOR times that length (a thin feature at the
-limit of resolution).  Endpoints are nudged outward, in at most ten
-doubling steps, until they fail membership: both endpoints of every chord
-of `chord_table` (and so of every grid), and both endpoints of every chord
-an `exit_chords` lookup returns.  The one known exception is where an
-oblique line crosses a slit: no rounded point of the line lies on the
-slit, so the nudge steps across it and the endpoint stays inside.
+polygons (strictly convex ones clip each line against their edge
+half-planes, other polygons pair the edge crossings into inside cells),
+the cubic cusp (batched cubic roots), circle/slit constructions, the Cantor
+comb, and the Cantor cone unions (the line minus the triangles over the
+gaps).  Endpoints are exact up to rounding.  Chords shorter than EPS_EXACT
+are dropped, and a slice is flagged when two crossings sit closer than
+RESOLUTION_FACTOR times that length (a thin feature at the limit of
+resolution).  Endpoints are nudged outward, in at most ten doubling steps,
+until they fail membership: both endpoints of every chord of `chord_table`
+(and so of every grid), and both endpoints of every chord an `exit_chords`
+lookup returns.
 """
 
 from __future__ import annotations
@@ -390,6 +390,15 @@ class Polygon(Domain):
         self._edge_to = np.roll(v, -1, axis=0)
         d = v[:, None, :] - v[None, :, :]
         self._diameter = float(np.sqrt((d * d).sum(axis=2)).max())
+        edges = self._edge_to - self._edge_from
+        self._orientation = _convex_orientation(edges)
+        # Per edge, the membership band of `contains_many` and a margin that
+        # adds the rounding of a computed point in cross-product units
+        # (2**12 ulps of the largest coordinate), with a safety factor.
+        reach = np.abs(edges).max(axis=1)
+        self._bands = 1e-12 * max(self._scale, 1.0) * np.maximum(reach, 1.0)
+        rounding = 2.0**-40 * (float(np.abs(v).max()) + max(self._scale, 1.0))
+        self._margins = 4.0 * (self._bands + rounding * reach)
 
     @property
     def bbox(self):
@@ -441,6 +450,13 @@ class Polygon(Domain):
         return np.asarray(self.vertices, dtype=float) @ theta.perp_vector
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
+        if self._orientation:
+            return self._clipped_slices(theta, ts)
+        return self._crossing_slices(theta, ts)
+
+    def _crossing_slices(self, theta: Direction, ts: np.ndarray):
+        """Chords of any simple polygon: the crossings with every edge,
+        paired into inside cells by `_pair_candidates`."""
         tv = theta.vector
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
@@ -457,6 +473,65 @@ class Polygon(Domain):
             svals.append(float(A @ tv) + u[valid] * float(E @ tv))
         return _pair_candidates(self, theta, ts, np.concatenate(rows),
                                 np.concatenate(svals))
+
+    def _clipped_slices(self, theta: Direction, ts: np.ndarray):
+        """Chords of a strictly convex polygon by half-plane clipping
+        (Cyrus-Beck): one chord per line, from the last edge line it enters
+        through to the first it leaves through.
+
+        Each crossing is the one `_crossing_slices` computes, on the whole
+        edge line, and a chord is kept when it is longer than that path's
+        de-duplication distance.  An edge parallel to the line empties the
+        lines outside it or within its membership band.  The midpoint of a
+        chord lies at least (hi - lo) min|E x theta| / 2 inside every other
+        edge line, in the cross-product units of `contains_many`; only the
+        chords whose bound does not clear the largest membership band plus
+        the rounding of both computations, with a safety factor, have their
+        midpoint tested, as the crossing path tests every cell.
+        """
+        tv = theta.vector
+        p = theta.perp_vector
+        ts = np.asarray(ts, dtype=float)
+        scale = max(self._scale, 1.0)
+        empty = np.zeros(ts.size, dtype=bool)
+        test = np.zeros(ts.size, dtype=bool)
+        crossed = []
+        for A, B, band, margin in zip(self._edge_from, self._edge_to, self._bands, self._margins):
+            E = B - A
+            denom = _cross(E, tv)
+            if abs(denom) <= 1e-14 * scale:
+                # the line's foot, tested as `contains_many` tests a point
+                inner = self._orientation * (E[0] * (ts * p[1] - A[1]) - E[1] * (ts * p[0] - A[0]))
+                empty |= inner <= band
+                test |= inner <= band + margin
+            else:
+                crossed.append((float(A @ tv), _cross(A, tv), denom, float(E @ tv)))
+        a_dot, a_cross, denom, e_dot = (np.array(col)[:, None] for col in zip(*crossed))
+        s = a_dot + (ts * _cross(p, tv) - a_cross) / denom * e_dot
+        enters = self._orientation * denom[:, 0] > 0.0
+        lo = s[enters].max(axis=0, initial=-np.inf)
+        hi = s[~enters].min(axis=0, initial=np.inf)
+        keep = ~empty
+        keep[keep] = hi[keep] - lo[keep] > 1e-12 * max(self._diameter, 1.0)
+        rows = np.nonzero(keep)[0]
+        lo, hi = lo[rows], hi[rows]
+        slope = float(np.abs(denom).min())
+        test = test[rows] | ((hi - lo) * (0.5 * slope) <= self._margins.max())
+        if np.any(test):
+            at = np.nonzero(test)[0]
+            mids = 0.5 * (lo[at] + hi[at])
+            inside = self.contains_many(points_along(_feet(ts[rows[at]], p), mids, tv))
+            keep = np.ones(rows.size, dtype=bool)
+            keep[at[~inside]] = False
+            rows, lo, hi = rows[keep], lo[keep], hi[keep]
+        return rows, lo, hi
+
+
+def _convex_orientation(edges) -> int:
+    """+1 or -1 when every turn between consecutive edges has that sign
+    (the polygon is strictly convex, counter-clockwise or clockwise), else 0."""
+    turns = np.sign(_cross(edges.T, np.roll(edges, -1, axis=0).T))
+    return int(turns[0]) if np.all(turns == turns[0]) else 0
 
 
 def _edges_meet(v) -> bool:
@@ -987,6 +1062,10 @@ class SlitRectangle(Domain):
         self.x0, self.x1, self.y0, self.y1 = map(float, (x0, x1, y0, y1))
         self.slit_x = float(slit_x)
         self.slit_y0, self.slit_y1 = float(slit_y0), float(slit_y1)
+        # Points within rounding of the slit's x count as on it: no rounded
+        # point of an oblique line lands on the slit exactly, and the
+        # closed-form crossing must fail membership where it is computed.
+        self._slit_band = 4.0 * float(np.spacing(max(abs(self.slit_x), 1.0)))
         self._rect = Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
     @property
@@ -1016,7 +1095,8 @@ class SlitRectangle(Domain):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
         inside = (x > self.x0) & (x < self.x1) & (y > self.y0) & (y < self.y1)
-        on_slit = (x == self.slit_x) & (y >= self.slit_y0) & (y <= self.slit_y1)
+        on_slit = ((np.abs(x - self.slit_x) <= self._slit_band)
+                   & (y >= self.slit_y0) & (y <= self.slit_y1))
         return inside & ~on_slit
 
     def offset_breakpoints(self, theta: Direction):
@@ -1037,12 +1117,13 @@ class SlitRectangle(Domain):
                    & (lo < s_star) & (s_star < hi))
             return _two_pieces(rows, lo, np.where(cut, s_star, hi), np.ones(rows.size, dtype=bool),
                                s_star, hi, cut)
-        # vertical line: remove the closed slit range when on it
+        # vertical line: remove the closed slit range when on it (within
+        # the band that membership counts as the slit)
         sgn = tv[1]
         cut_lo = min(self.slit_y0 * sgn, self.slit_y1 * sgn)
         cut_hi = max(self.slit_y0 * sgn, self.slit_y1 * sgn)
         a, b = _max(lo, cut_lo), _min(hi, cut_hi)
-        cut = (t * p[0] == self.slit_x) & (a < b)
+        cut = (np.abs(t * p[0] - self.slit_x) <= self._slit_band) & (a < b)
         return _two_pieces(rows, lo, np.where(cut, a, hi), ~cut | (lo < a),
                            b, hi, cut & (b < hi))
 

@@ -246,32 +246,44 @@ def lebesgue_comparison(fld, domain: Domain, theta: Direction, eps: float,
     The gap integral is bounded by eps times the diameter times the
     squared chord-derivative norm.
     """
-    _check_depth(eps)
+    return lebesgue_comparisons(fld, domain, theta, [eps], spec)[0]
+
+
+def lebesgue_comparisons(fld, domain: Domain, theta: Direction, eps_values,
+                         spec: QuadratureSpec | None = None) -> list[LebesgueCheck]:
+    """`lebesgue_comparison` at each depth of eps_values, with the exit
+    traces and the derivative norm, which no depth changes, computed once."""
+    eps_values = list(eps_values)
+    for eps in eps_values:
+        _check_depth(eps)
     spec = spec or QuadratureSpec()
 
     def gap_sq(sp: QuadratureSpec):
         grid = chord_grid(domain, theta, sp.n_offsets)
         if grid.n_chords == 0:
-            return 0.0, 0.0
+            return [0.0] * len(eps_values), [0.0] * len(eps_values)
         gplus, _ = chord_trace_values(fld, grid, sp.gauss_order)
         x, w = _gauss.nodes(sp.gauss_order)
-        h = np.minimum(eps, grid.lengths)
-        back = (x[None, :] + 1.0) * 0.5 * h[:, None]
-        s = grid.beta[:, None] - back
-        pts = points_along(grid.base, s, grid.theta.vector)
-        u = np.asarray(fld.eval_many(pts.reshape(-1, pts.shape[-1])), dtype=float)
-        means = 0.5 * (u.reshape(s.shape) @ w)
-        value = float(np.sum(grid.weights * (gplus - means) ** 2))
-        return value, abs(value)
+        base, beta = grid.base, grid.beta[:, None]
+        values = []
+        for eps in eps_values:
+            h = np.minimum(eps, grid.lengths)
+            back = (x[None, :] + 1.0) * 0.5 * h[:, None]
+            s = beta - back
+            pts = points_along(base, s, grid.theta.vector)
+            u = np.asarray(fld.eval_many(pts.reshape(-1, pts.shape[-1])), dtype=float)
+            means = 0.5 * (u.reshape(s.shape) @ w)
+            values.append(float(np.sum(grid.weights * (gplus - means) ** 2)))
+        return values, [abs(v) for v in values]
 
-    value, error, _ = refined(gap_sq, spec)
+    values, errors, _ = refined(gap_sq, spec)
 
     def dsq(pts):
         return fld.dderiv_many(pts, theta) ** 2
 
     dnorm = volume_integral(domain, dsq, spec, theta).value
-    bound = eps * domain.diameter * dnorm
-    return LebesgueCheck(eps, value, bound, error)
+    return [LebesgueCheck(eps, value, eps * domain.diameter * dnorm, error)
+            for eps, value, error in zip(eps_values, values, errors)]
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,14 @@ def test_lebesgue_depth_outside_the_theory_exits_2(eps, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_lebesgue_with_one_bad_depth_among_several_exits_2(tmp_path, capsys):
+    code = run(["lebesgue", "--domain", "square", "--field", "x1", "--eps", "0.1", "-1"],
+               tmp_path)
+    assert code == 2
+    assert "eps must be finite and positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_consistency_report_cli(tmp_path):
     code = run(["consistency", "--domain", "crack_square", "--field",
                 "crack_2d", "--directions", "4"], tmp_path)

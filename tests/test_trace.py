@@ -92,6 +92,28 @@ def test_lebesgue_comparison_bound_and_decay():
     assert devs[0] > devs[1] > devs[2]
 
 
+@pytest.mark.parametrize("name", ["square", "triangle", "crack_square", "disk_minus_cantor"])
+@pytest.mark.parametrize("angle", [0.0, 0.7])
+def test_lebesgue_comparisons_equal_the_per_depth_calls(name, angle):
+    dom = fractal.named_domain(name)
+    theta = Direction.from_angle(angle)
+    fld = get_field("x1x2")
+    spec = QuadratureSpec(n_offsets=128, gauss_order=8)
+    depths = (0.1, 0.01, 0.001)
+    together = trace.lebesgue_comparisons(fld, dom, theta, depths, spec)
+    one_by_one = [trace.lebesgue_comparison(fld, dom, theta, eps, spec) for eps in depths]
+    assert [repr(c) for c in together] == [repr(c) for c in one_by_one]
+
+
+def test_lebesgue_comparisons_check_every_depth_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a grid was built before the depths were checked")
+
+    monkeypatch.setattr(trace, "chord_grid", refuse)
+    with pytest.raises(ValidationError):
+        trace.lebesgue_comparisons(get_field("x1"), unit_square(), E1, [0.1, -1.0], SPEC)
+
+
 def test_trace_inequalities_hold_for_smooth_fields():
     sq = unit_square()
     for name in ("x1", "sincos"):
