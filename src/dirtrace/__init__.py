@@ -34,7 +34,6 @@ from .geometry import (
     IntervalUnion,
     Polygon,
     SlitRectangle,
-    axis_direction,
     chords,
     direction_table,
     domain_from_json,
@@ -45,9 +44,7 @@ from .geometry import (
 from .fractal import (
     Staircase,
     build_staircase,
-    cantor_distance,
     cantor_gaps,
-    cantor_intervals,
     named_domain,
     staircase_levels,
     sup_difference,

@@ -91,8 +91,7 @@ def gap_table(ratio: float, level: int, scheme: str = "third") -> np.ndarray:
     """
     _check_ratio(ratio)
     _check_scheme(ratio, scheme)
-    if level < 0:
-        raise InvalidRatio("level must be >= 0")
+    _check_level(level)
     a = np.array([0.0])
     b = np.array([1.0])
     out = np.empty((2 ** (level + 1) - 1, 3))
@@ -121,21 +120,13 @@ def sorted_gaps(ratio: float, level: int, scheme: str = "third") -> np.ndarray:
 
 
 def level_intervals(level: int, ratio: float = 1.0 / 3.0, scheme: str = "third"):
-    """Surviving closed intervals (a_m, b_m) after `level` removal rounds."""
+    """Surviving closed intervals (a_m, b_m) after `level` removal rounds,
+    left to right: the complement in [0, 1] of the gaps of depth < level."""
     _check_ratio(ratio)
     _check_scheme(ratio, scheme)
-    a = np.array([0.0])
-    b = np.array([1.0])
-    for depth in range(level):
-        c, d = _split(a, b, depth, ratio, scheme)
-        nxt_a = np.empty(2 * a.size)
-        nxt_b = np.empty(2 * a.size)
-        nxt_a[0::2] = a
-        nxt_b[0::2] = c
-        nxt_a[1::2] = d
-        nxt_b[1::2] = b
-        a, b = nxt_a, nxt_b
-    return a, b
+    _check_level(level)
+    gaps = sorted_gaps(ratio, level - 1, scheme) if level else np.zeros((0, 2))
+    return np.concatenate(([0.0], gaps[:, 1])), np.append(gaps[:, 0], 1.0)
 
 
 def _edge_thresholds(lo: np.ndarray, hi: np.ndarray, ratio: float, scheme: str):
@@ -173,9 +164,7 @@ def _seed(ratio: float, scheme: str):
     """Surviving intervals [lo[k], hi[k]] between the sorted gaps (c, d) of
     depth <= _SEED_LEVEL (hi[k] = c[k] and lo[k + 1] = d[k]), with their
     edge thresholds (left[k], right[k]) from _edge_thresholds."""
-    gaps = sorted_gaps(ratio, _SEED_LEVEL, scheme)
-    lo = np.concatenate(([0.0], gaps[:, 1]))
-    hi = np.append(gaps[:, 0], 1.0)
+    lo, hi = level_intervals(_SEED_LEVEL + 1, ratio, scheme)
     left, right = _edge_thresholds(lo, hi, ratio, scheme)
     for arr in (lo, hi, left, right):
         arr.flags.writeable = False

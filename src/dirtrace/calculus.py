@@ -25,18 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _cantor, _gauss
+from . import _cantor
 from .errors import NonIntegrablePairing, UnresolvedSingularity, ValidationError
 from .fields import ScalarField, get_field
 from .geometry import Direction, Domain
 from .quadrature import (
     QuadratureSpec,
     _check_settled,
+    _chord_sum,
     chord_grid,
+    chord_nodes,
     refined,
     volume_integrals,
 )
 from .trace import chord_trace_values, node_values, traces_from_nodes
+
+# A report passes when its residual is within this many error bars.
+_PASS_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,8 @@ class IbpReport:
     def residual(self) -> float:
         return abs(self.lhs - self.rhs)
 
-    def passes(self, factor: float = 3.0) -> bool:
-        return self.residual <= factor * (self.err_lhs + self.err_rhs)
+    def passes(self) -> bool:
+        return self.residual <= _PASS_FACTOR * (self.err_lhs + self.err_rhs)
 
     def to_json(self) -> dict:
         return {
@@ -80,9 +85,7 @@ def _ibp_sides(u, v, domain, theta, spec):
     uu, du = node_values(u, theta, pts, s.shape)
     vv, dv = node_values(v, theta, pts, s.shape)
     lengths, chord_dt = grid.lengths, grid.chord_dt
-    per_chord = ((uu * dv + vv * du) @ w) * (0.5 * lengths) * chord_dt
-    lhs = float(np.sum(per_chord))
-    lhs_scale = float(np.sum(np.abs(per_chord)))
+    lhs, lhs_scale = _chord_sum(uu * dv + vv * du, w, 0.5 * lengths, chord_dt)
 
     up, um = traces_from_nodes(uu, du, s, w, grid)
     vp, vm = traces_from_nodes(vv, dv, s, w, grid)
@@ -165,8 +168,8 @@ class PairedIdentityReport:
     def residual(self) -> float:
         return abs(self.volume_pairing - self.bracket)
 
-    def passes(self, factor: float = 3.0) -> bool:
-        return self.residual <= factor * (self.err_volume + self.err_bracket)
+    def passes(self) -> bool:
+        return self.residual <= _PASS_FACTOR * (self.err_volume + self.err_bracket)
 
 
 def paired_identity(u: ScalarField, v: ScalarField, domain: Domain,
@@ -198,13 +201,9 @@ def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     a, b = _cantor.level_intervals(n)
     y = 0.5 * (3.0 ** (-n))
     lo = a - y
-    hi = b + y
-    x, w = _gauss.nodes(order)
-    mids = lo[:, None] + (x[None, :] + 1.0) * 0.5 * (hi - lo)[:, None]
-    pts = np.empty((mids.size, 2))
-    pts[:, 0] = mids.reshape(-1)
-    pts[:, 1] = height
-    vals = np.asarray(fld.eval_many(pts), dtype=float).reshape(mids.shape)
+    pts, s, w = chord_nodes(Direction([1.0, 0.0]), np.full(a.size, height), lo,
+                            (b + y) - lo, order)
+    vals = np.asarray(fld.eval_many(pts.reshape(-1, 2)), dtype=float).reshape(s.shape)
     if not np.all(np.isfinite(vals)):
         raise UnresolvedSingularity("field not finite on a stage interval")
     # Normalizing by the weight sum computed with the same matmul kernel
@@ -280,9 +279,9 @@ class VariationalReport:
     max_residual: float
     max_error: float
 
-    def passes(self, factor: float = 3.0) -> bool:
+    def passes(self) -> bool:
         return all(
-            abs(r.value) <= factor * r.error for r in self.residuals
+            abs(r.value) <= _PASS_FACTOR * r.error for r in self.residuals
         )
 
 

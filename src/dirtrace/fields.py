@@ -4,9 +4,7 @@ Every field evaluates vectorized on an (n, d) array of points and knows
 its own gradient, so directional derivatives never fall back to finite
 differences inside the library (finite differences appear only in tests,
 as an independent check).  Fields that are not globally smooth say so:
-`smooth` is False and `note` states where regularity fails.  Fields with
-a singular locus also expose the distance to it, which lets callers keep
-probe points out of a small exclusion band.
+`smooth` is False and `note` states where regularity fails.
 
 The catalogue is deliberately small: coordinates and low-degree
 polynomials (enough for golden-value checks, since chord quadrature is
@@ -24,9 +22,6 @@ import numpy as np
 
 from .errors import UnknownName, ValidationError
 
-# Probes closer than this to a declared singular locus are unreliable.
-EXCLUSION_BAND = 1e-6
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -36,7 +31,6 @@ class ScalarField:
     smooth: bool = True
     note: str = "smooth everywhere"
     dim: Optional[int] = None
-    singular_distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
 
     def _points(self, pts) -> np.ndarray:
@@ -63,13 +57,6 @@ class ScalarField:
 
     def __call__(self, pts) -> np.ndarray:
         return self.eval_many(pts)
-
-    def regular_mask(self, pts, band: float = EXCLUSION_BAND) -> np.ndarray:
-        """True where a point is clear of the singular locus."""
-        arr = self._points(pts)
-        if self.singular_distance is None:
-            return np.ones(arr.shape[0], dtype=bool)
-        return self.singular_distance(arr) > band
 
 
 def _const(value: float):
@@ -212,13 +199,9 @@ def _make_cusp_pow(params: dict) -> ScalarField:
         out[~pos, 1] = np.inf
         return out
 
-    def sdist(p):
-        return np.abs(p[:, 1])
-
     return ScalarField(f"cusp_pow(alpha={alpha:g})", ev, gr, smooth=False,
                        note="smooth for x2 > 0, blows up as x2 -> 0",
-                       dim=2, singular_distance=sdist,
-                       params={"alpha": alpha})
+                       dim=2, params={"alpha": alpha})
 
 
 def _make_sign_y(params: dict) -> ScalarField:
@@ -228,12 +211,9 @@ def _make_sign_y(params: dict) -> ScalarField:
     def gr(p):
         return np.zeros_like(p)
 
-    def sdist(p):
-        return np.abs(p[:, 1])
-
     return ScalarField("sign_y", ev, gr, smooth=False,
                        note="locally constant off x2 = 0, jumps across it",
-                       dim=2, singular_distance=sdist)
+                       dim=2)
 
 
 def _make_crack_2d(params: dict) -> ScalarField:
@@ -250,13 +230,10 @@ def _make_crack_2d(params: dict) -> ScalarField:
         out[pos, 1] = np.sign(x[pos] - 0.5)
         return out
 
-    def sdist(p):
-        return np.where(p[:, 1] > 0.0, np.abs(p[:, 0] - 0.5), np.inf)
-
     return ScalarField("crack_2d", ev, gr, smooth=False,
                        note="piecewise linear, jumps across the slit "
                             "x1 = 1/2, x2 > 0",
-                       dim=2, singular_distance=sdist)
+                       dim=2)
 
 
 def _make_crack_1d(params: dict) -> ScalarField:
@@ -270,12 +247,9 @@ def _make_crack_1d(params: dict) -> ScalarField:
         out[:, 0] = 1.0
         return out
 
-    def sdist(p):
-        return np.abs(p[:, 0] - 1.0)
-
     return ScalarField("crack_1d", ev, gr, smooth=False,
                        note="affine on each side of x = 1, jumps there",
-                       dim=1, singular_distance=sdist)
+                       dim=1)
 
 
 _REGISTRY: dict[str, Callable[[dict], ScalarField]] = {

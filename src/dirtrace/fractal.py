@@ -1,13 +1,13 @@
 """Cantor gap tables, devil staircases, and the named example domains.
 
-Two services live here.  First, thin public wrappers around the Cantor
-machinery: gap enumeration in binary-heap order, exact distance to the
-set, surviving intervals per level.  Second, the recursive staircase
-construction: given finitely many disjoint gaps inside a window, build
-the continuous nondecreasing function that climbs from 0 to 1, is affine
-on the parts of the window the recursion keeps, and is constant on every
-prescribed gap.  The staircase is what bridges function values across
-boundary gaps in the one-dimensional approximation scheme.
+Three services live here.  First, the Cantor gap table in binary-heap
+order.  Second, the recursive staircase construction: given finitely many
+disjoint gaps inside a window, build the continuous nondecreasing function
+that climbs from 0 to 1, is affine on the parts of the window the
+recursion keeps, and is constant on every prescribed gap.  The staircase
+is what bridges function values across boundary gaps in the
+one-dimensional approximation scheme.  Third, the catalogue of named
+example domains.
 
 The recursion keeps a family of (segment, mass) pairs.  A segment that
 still contains gaps is split at its longest one (ties resolved toward
@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import _cantor, geometry
-from ._cantor import MAX_LEVEL, _check_level
+from ._cantor import MAX_LEVEL
 from .errors import OverlappingGaps, UnknownName, ValidationError
 
 # Each staircase round can only halve segment masses; beyond this the
@@ -39,29 +39,7 @@ def cantor_gaps(ratio: float, level: int, scheme: str = "third") -> np.ndarray:
     first removed, gaps 2m and 2m + 1 are the left and right children of
     gap m.  Shape (2**(level+1) - 1, 2).
     """
-    _check_level(level)
     return _cantor.gap_table(ratio, level, scheme)[:, :2].copy()
-
-
-def cantor_gap_rows(ratio: float, level: int, scheme: str = "third") -> np.ndarray:
-    """Gaps as rows (m, c_m, d_m, depth), ready for tabular export."""
-    _check_level(level)
-    table = _cantor.gap_table(ratio, level, scheme)
-    m = np.arange(1, table.shape[0] + 1, dtype=float)
-    return np.column_stack([m, table])
-
-
-def cantor_distance(x, ratio: float = 1.0 / 3.0, scheme: str = "third"):
-    """Distance from x (scalar or array) to the ratio-`ratio` Cantor set."""
-    arr = np.asarray(x, dtype=float)
-    out = _cantor.distance_many(np.atleast_1d(arr), ratio, scheme)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def cantor_intervals(level: int, ratio: float = 1.0 / 3.0, scheme: str = "third"):
-    """Surviving closed intervals (a, b) after `level` removal rounds."""
-    _check_level(level)
-    return _cantor.level_intervals(level, ratio, scheme)
 
 
 @dataclass(frozen=True)

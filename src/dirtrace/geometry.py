@@ -23,6 +23,9 @@ polygons (strictly convex ones clip each line against their edge
 half-planes, other polygons pair the edge crossings into inside cells),
 the cubic cusp (batched cubic roots), circle/slit constructions, the Cantor
 comb, and the Cantor cone unions (the line minus the triangles over the
+gaps).  The slit rectangle, the slit disk and the cone unions share one
+cut, `_band_minus`: an open band of each line minus closed removed
+intervals (a slit point or range, Cantor points, the triangles over the
 gaps).  Endpoints are exact up to rounding.  Chords shorter than EPS_EXACT
 are dropped, and a slice is flagged when two crossings sit closer than
 RESOLUTION_FACTOR times that length (a thin feature at the limit of
@@ -86,16 +89,29 @@ def _at_least(g0, slope: float, k):
     return (bound, inf) if slope > 0.0 else (-inf, bound)
 
 
-def _two_pieces(rows, left_lo, left_hi, left_ok, right_lo, right_hi, right_ok):
-    """Flat table giving each chord a left and a right piece, kept where ok.
+def _band_minus(band_lo, band_hi, rows, r_lo, r_hi):
+    """Flat chord table of the open bands ]band_lo[i], band_hi[i][, one per
+    line i, minus the closed intervals [r_lo[k], r_hi[k]] of lines rows[k]:
+    the nonempty open pieces between them, sorted by (row, lo).
 
-    The pieces of one chord stay in place, left before right, so a table
-    sorted by (row, alpha) stays sorted when the pieces split its chords.
+    The removed intervals of a line must be disjoint once clipped to its
+    band; a zero-length one removes a single point.
     """
-    ok = np.column_stack((left_ok, right_ok)).ravel()
-    return (np.repeat(rows, 2)[ok],
-            np.column_stack((left_lo, right_lo)).ravel()[ok],
-            np.column_stack((left_hi, right_hi)).ravel()[ok])
+    n = band_lo.size
+    r_lo, r_hi = np.maximum(r_lo, band_lo[rows]), np.minimum(r_hi, band_hi[rows])
+    cut = r_lo <= r_hi
+    rows, r_lo, r_hi = rows[cut], r_lo[cut], r_hi[cut]
+    # a piece starts at the band's entry or after a removed interval,
+    # and ends where the next removed interval starts
+    rows = np.concatenate((np.arange(n), rows))
+    nxt = np.concatenate((np.full(n, -np.inf), r_lo))
+    start = np.concatenate((band_lo, r_hi))
+    order = np.lexsort((nxt, rows))
+    rows, nxt, start = rows[order], nxt[order], start[order]
+    end = band_hi[rows]
+    end[:-1] = np.where(rows[1:] == rows[:-1], nxt[1:], end[:-1])
+    keep = end > start
+    return rows[keep], start[keep], end[keep]
 
 
 def _row_starts(rows, n: int) -> np.ndarray:
@@ -209,12 +225,6 @@ def direction_table(count: int, start_angle: float = 0.0) -> list[Direction]:
     ]
 
 
-def axis_direction(axis: int, sign: int = 1) -> Direction:
-    v = np.zeros(2)
-    v[axis] = float(sign)
-    return Direction(v)
-
-
 @dataclass(frozen=True)
 class Chord:
     """One maximal open segment ]alpha, beta[ of a line inside a domain."""
@@ -236,13 +246,6 @@ class Chord:
     @property
     def endpoint_minus(self) -> np.ndarray:
         return self.base + self.alpha * self.direction.vector
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return self.base + 0.5 * (self.alpha + self.beta) * self.direction.vector
-
-    def point_at(self, s: float) -> np.ndarray:
-        return self.base + s * self.direction.vector
 
 
 class Domain:
@@ -397,8 +400,8 @@ class Polygon(Domain):
         # (2**12 ulps of the largest coordinate), with a safety factor.
         reach = np.abs(edges).max(axis=1)
         self._bands = 1e-12 * max(self._scale, 1.0) * np.maximum(reach, 1.0)
-        rounding = 2.0**-40 * (float(np.abs(v).max()) + max(self._scale, 1.0))
-        self._margins = 4.0 * (self._bands + rounding * reach)
+        self._rounding = 2.0**-40 * (float(np.abs(v).max()) + max(self._scale, 1.0))
+        self._margins = 4.0 * (self._bands + self._rounding * reach)
 
     @property
     def bbox(self):
@@ -423,14 +426,14 @@ class Polygon(Domain):
         inside = np.zeros(len(pts), dtype=bool)
         boundary = np.zeros(len(pts), dtype=bool)
         tol = 1e-12 * max(self._scale, 1.0)
-        for A, B in zip(self._edge_from, self._edge_to):
+        for A, B, band in zip(self._edge_from, self._edge_to, self._bands):
             ex, ey = B[0] - A[0], B[1] - A[1]
             # on-edge points count as outside (the domain is open)
             crossval = ex * (y - A[1]) - ey * (x - A[0])
             seg_lo_x, seg_hi_x = min(A[0], B[0]) - tol, max(A[0], B[0]) + tol
             seg_lo_y, seg_hi_y = min(A[1], B[1]) - tol, max(A[1], B[1]) + tol
             near = (
-                (np.abs(crossval) <= tol * max(abs(ex), abs(ey), 1.0))
+                (np.abs(crossval) <= band)
                 & (x >= seg_lo_x)
                 & (x <= seg_hi_x)
                 & (y >= seg_lo_y)
@@ -456,7 +459,12 @@ class Polygon(Domain):
 
     def _crossing_slices(self, theta: Direction, ts: np.ndarray):
         """Chords of any simple polygon: the crossings with every edge,
-        paired into inside cells by `_pair_candidates`."""
+        paired into inside cells by `_pair_candidates`.
+
+        A crossing counts when its edge parameter u lies in [0, 1] up to
+        1e-12 plus the rounding of u, which grows with the distance of the
+        polygon from the origin.
+        """
         tv = theta.vector
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
@@ -468,7 +476,8 @@ class Polygon(Domain):
             if abs(denom) <= 1e-14 * max(self._scale, 1.0):
                 continue
             u = (ts * cpt - _cross(A, tv)) / denom
-            valid = np.nonzero((u >= -1e-12) & (u <= 1.0 + 1e-12))[0]
+            slack = 1e-12 + self._rounding / abs(denom)
+            valid = np.nonzero((u >= -slack) & (u <= 1.0 + slack))[0]
             rows.append(valid)
             svals.append(float(A @ tv) + u[valid] * float(E @ tv))
         return _pair_candidates(self, theta, ts, np.concatenate(rows),
@@ -787,22 +796,8 @@ class ConeUnionCantor(_CantorKind):
             removed.append((line[hit], lo[hit], hi[hit]))
             line = np.concatenate((line, line))
             a, b = np.concatenate((a, d)), np.concatenate((c, b))
-        rows, r_lo, r_hi = (np.concatenate(col) for col in zip(*removed))
         # clipped to the band the removed intervals are disjoint
-        r_lo, r_hi = np.maximum(r_lo, band_lo[rows]), np.minimum(r_hi, band_hi[rows])
-        cut = r_lo <= r_hi
-        rows, r_lo, r_hi = rows[cut], r_lo[cut], r_hi[cut]
-        # a piece starts at the band's entry or after a removed interval,
-        # and ends where the next removed interval starts
-        rows = np.concatenate((all_lines, rows))
-        nxt = np.concatenate((np.full(n, -np.inf), r_lo))
-        start = np.concatenate((band_lo, r_hi))
-        order = np.lexsort((nxt, rows))
-        rows, nxt, start = rows[order], nxt[order], start[order]
-        end = band_hi[rows]
-        end[:-1] = np.where(rows[1:] == rows[:-1], nxt[1:], end[:-1])
-        keep = end > start
-        return rows[keep], start[keep], end[keep]
+        return _band_minus(band_lo, band_hi, *(np.concatenate(col) for col in zip(*removed)))
 
 
 class Bicone(Domain):
@@ -860,10 +855,9 @@ class Bicone(Domain):
     def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         if fixed_axis == 1:
             return self.upper.coordinate_slices(1, np.abs(values))
+        # the band -1 < y < 1 minus the closed gap |y| <= dist(x, C)
         d = self.upper._dist(values)
-        rows = np.nonzero(d < 1.0)[0]
-        d, one, yes = d[rows], np.ones(rows.size), np.ones(rows.size, dtype=bool)
-        return _two_pieces(rows, -one, -d, yes, d, one, yes)
+        return _band_minus(np.full(d.size, -1.0), np.ones(d.size), np.arange(d.size), -d, d)
 
 
 class CantorComb(_CantorKind):
@@ -1027,9 +1021,9 @@ class DiskMinusCantor(_CantorKind):
         if tv[1] != 0.0:
             split = (0.0 - t * p[1]) / tv[1]
             x0 = t * p[0] + split * tv[0]
-            on = np.nonzero((lo < split) & (split < hi) & (x0 >= 0.0) & (x0 <= 1.0))[0]
+            on = np.nonzero((x0 >= 0.0) & (x0 <= 1.0))[0]
             on = on[self._dist(x0[on]) == 0.0]
-            cut_rows, cuts = rows[on], split[on]
+            cuts = split[on]
         else:
             # A horizontal line meets the slit only when it sits exactly
             # on the axis, and then every retained point splits it.
@@ -1037,14 +1031,10 @@ class DiskMinusCantor(_CantorKind):
             axis = np.nonzero(t * p[1] == 0.0)[0]
             s = (ends[None, :] - t[axis, None] * p[0]) / tv[0]
             inner = (lo[axis, None] < s) & (s < hi[axis, None])
-            cut_rows = np.broadcast_to(rows[axis, None], s.shape)[inner]
+            on = np.broadcast_to(axis[:, None], s.shape)[inner]
             cuts = s[inner]
-        pts_rows = np.concatenate((rows, cut_rows, rows))
-        pts = np.concatenate((lo, cuts, hi))
-        order = np.lexsort((pts, pts_rows))
-        pts_rows, pts = pts_rows[order], pts[order]
-        piece = pts_rows[1:] == pts_rows[:-1]
-        return pts_rows[:-1][piece], pts[:-1][piece], pts[1:][piece]
+        sub, lo, hi = _band_minus(lo, hi, on, cuts, cuts)
+        return rows[sub], lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -1110,22 +1100,20 @@ class SlitRectangle(Domain):
         rows, lo, hi = self._rect.line_slices(theta, ts)
         t = np.asarray(ts, dtype=float)[rows]
         if tv[0] != 0.0:
-            # the slit removes one point of the line: split the chord there
+            # the slit removes one point of the line
             s_star = (self.slit_x - t * p[0]) / tv[0]
             y_star = t * p[1] + s_star * tv[1]
-            cut = ((self.slit_y0 <= y_star) & (y_star <= self.slit_y1)
-                   & (lo < s_star) & (s_star < hi))
-            return _two_pieces(rows, lo, np.where(cut, s_star, hi), np.ones(rows.size, dtype=bool),
-                               s_star, hi, cut)
-        # vertical line: remove the closed slit range when on it (within
-        # the band that membership counts as the slit)
-        sgn = tv[1]
-        cut_lo = min(self.slit_y0 * sgn, self.slit_y1 * sgn)
-        cut_hi = max(self.slit_y0 * sgn, self.slit_y1 * sgn)
-        a, b = _max(lo, cut_lo), _min(hi, cut_hi)
-        cut = (np.abs(t * p[0] - self.slit_x) <= self._slit_band) & (a < b)
-        return _two_pieces(rows, lo, np.where(cut, a, hi), ~cut | (lo < a),
-                           b, hi, cut & (b < hi))
+            on = np.nonzero((self.slit_y0 <= y_star) & (y_star <= self.slit_y1))[0]
+            cut_lo = cut_hi = s_star[on]
+        else:
+            # vertical line: the closed slit range when on it (within the
+            # band that membership counts as the slit)
+            sgn = tv[1]
+            on = np.nonzero(np.abs(t * p[0] - self.slit_x) <= self._slit_band)[0]
+            cut_lo = np.full(on.size, min(self.slit_y0 * sgn, self.slit_y1 * sgn))
+            cut_hi = np.full(on.size, max(self.slit_y0 * sgn, self.slit_y1 * sgn))
+        sub, lo, hi = _band_minus(lo, hi, on, cut_lo, cut_hi)
+        return rows[sub], lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -1353,10 +1341,9 @@ def match_radius(domain: Domain) -> float:
     return 1e-6 * max(domain.diameter, 1.0)
 
 
-def opposite_endpoint(
-    domain: Domain, z, theta: Direction, r_match: float | None = None
-) -> tuple[np.ndarray, float]:
-    """Other endpoint of the chord exiting at z, and the chord's length.
+def _exit_chord(domain: Domain, theta: Direction, z, r_match: float | None = None):
+    """The chord exiting at the one point z, as arrays (t, alpha, beta) of
+    one entry each.
 
     z must lie on the exit set of theta up to r_match (default
     `match_radius`); otherwise NotDirectionalBoundary is raised.
@@ -1368,6 +1355,15 @@ def opposite_endpoint(
         raise NotDirectionalBoundary(
             f"{np.ravel(z).tolist()} is not an exit point for {theta!r}"
         )
+    return t, alpha, beta
+
+
+def opposite_endpoint(
+    domain: Domain, z, theta: Direction, r_match: float | None = None
+) -> tuple[np.ndarray, float]:
+    """Other endpoint of the chord exiting at z, and the chord's length
+    (see `_exit_chord` for r_match)."""
+    t, alpha, beta = _exit_chord(domain, theta, z, r_match)
     return t[0] * offset_normal(theta) + alpha[0] * theta.vector, float(beta[0] - alpha[0])
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from . import _gauss
 from .errors import NotDirectionalBoundary, ValidationError
 from .geometry import Direction, Domain, Polygon, exit_chords, match_radius
-from .quadrature import IntegralResult, QuadratureSpec, boundary_integral, chord_grid, refined
+from .quadrature import (IntegralResult, QuadratureSpec, _as_eval, boundary_integral,
+                         chord_grid, refined)
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,6 @@ class DirectionalMeasure:
 
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
-
-    def integrate(self, g) -> float:
-        ge = g.eval_many if hasattr(g, "eval_many") else g
-        vals = np.asarray(ge(self.points), dtype=float)
-        return float(np.sum(self.weights * vals))
 
     def restrict_mass(self, predicate) -> float:
         mask = np.asarray(predicate(self.points), dtype=bool)
@@ -277,7 +273,7 @@ def family_sup_norm(g, domain: Domain, directions,
     direction with its norm.
     """
     spec = spec or QuadratureSpec()
-    ge = g.eval_many if hasattr(g, "eval_many") else g
+    ge = _as_eval(g)
 
     def squared(pts):
         return np.asarray(ge(pts), dtype=float) ** 2

@@ -31,6 +31,8 @@ from .fractal import Staircase, build_staircase
 from .geometry import IntervalUnion
 
 _ORDER = 16
+# Interior points per interval at which `PiecewiseH1.max_abs` samples |u|.
+_MAX_ABS_SAMPLES = 64
 
 
 def _in_order(terms: np.ndarray) -> float:
@@ -89,11 +91,11 @@ class PiecewiseH1:
         _, w, u, du = self._rule
         return _in_order(np.sum(w * (u ** 2 + du ** 2), axis=1))
 
-    def max_abs(self, samples: int = 64) -> float:
-        """Largest |u| at `samples` interior points per interval (intervals
-        where u is NaN somewhere are passed over)."""
+    def max_abs(self) -> float:
+        """Largest |u| at _MAX_ABS_SAMPLES interior points per interval
+        (intervals where u is NaN somewhere are passed over)."""
         a, b = self.domain.intervals.T
-        t = np.linspace(a, b, samples + 2, axis=1)[:, 1:-1]
+        t = np.linspace(a, b, _MAX_ABS_SAMPLES + 2, axis=1)[:, 1:-1]
         peaks = np.max(np.abs(self._values(t)), axis=1)
         return float(np.fmax.reduce(peaks, initial=0.0))
 

@@ -98,6 +98,8 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
     When the domain reports breakpoints of its chord length function, the
     offset range is cut there and each piece gets its own uniform midpoint
     grid, so the midpoint rule stays exact on piecewise affine lengths.
+    Breakpoints within tol of the one before them differ by rounding only
+    (two vertices on one offset line, say) and are dropped.
     """
     span = hi - lo
     cuts = domain.offset_breakpoints(theta)
@@ -105,6 +107,7 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
         tol = 1e-13 * max(span, 1.0)
         cuts = np.unique(np.asarray(cuts, dtype=float))
         cuts = cuts[(cuts > lo + tol) & (cuts < hi - tol)]
+        cuts = cuts[np.diff(cuts, prepend=-np.inf) > tol]
     if cuts is None or cuts.size == 0:
         dt = span / n_offsets
         return lo + (np.arange(n_offsets) + 0.5) * dt, np.full(n_offsets, dt)

@@ -25,15 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _gauss
-from .errors import (
-    DivergentChordIntegral,
-    InsufficientOverlap,
-    NotDirectionalBoundary,
-    ValidationError,
-)
+from .errors import DivergentChordIntegral, InsufficientOverlap, ValidationError
 from .geometry import (
     Direction,
     Domain,
+    _exit_chord,
     _feet,
     exit_chords,
     match_radius,
@@ -182,16 +178,6 @@ def trace_norm_sq(fld, domain: Domain, theta: Direction,
                           spec.n_offsets, spec.gauss_order, method="trace_norm_sq")
 
 
-def _exit_chord(domain: Domain, theta: Direction, z):
-    """The chord whose exit endpoint is z, as (t, alpha, beta)."""
-    t, a, b, found = exit_chords(domain, theta, z, match_radius(domain))
-    if not found[0]:
-        raise NotDirectionalBoundary(
-            f"{np.ravel(z)} is not an exit point for direction {theta.vector}"
-        )
-    return t, a, b
-
-
 def _exit_traces(fld, theta: Direction, t, a, b, order: int) -> np.ndarray:
     """Exit trace of the field on each chord ]a, b[ of the line at offset
     t, one Gauss rule per chord; NaN where the integrand is not finite."""
@@ -218,17 +204,25 @@ def _check_depth(eps: float) -> None:
         raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 
+def _depth_means(fld, theta: Direction, base, beta, lengths, eps: float,
+                 order: int) -> np.ndarray:
+    """Average of the field over the last eps (at most the whole chord) of
+    each chord of the given lengths ending at beta on the line with foot
+    base[i], by one Gauss rule per chord."""
+    x, w = _gauss.nodes(order)
+    s = beta[:, None] - (x[None, :] + 1.0) * 0.5 * np.minimum(eps, lengths)[:, None]
+    pts = points_along(base, s, theta.vector)
+    u = np.asarray(fld.eval_many(pts.reshape(-1, pts.shape[-1])), dtype=float)
+    return 0.5 * (u.reshape(s.shape) @ w)
+
+
 def lebesgue_average(fld, domain: Domain, theta: Direction, z, eps: float,
                      order: int = 16) -> float:
     """Average of the field over the last eps of the chord into z."""
     _check_depth(eps)
     t, a, b = _exit_chord(domain, theta, z)
-    h = min(eps, float(b[0] - a[0]))
-    x, w = _gauss.nodes(order)
-    back = (x + 1.0) * 0.5 * h
-    pts = points_along(_feet(t[:1], offset_normal(theta)), b[0] - back, theta.vector)
-    u = np.asarray(fld.eval_many(pts), dtype=float)
-    return float(0.5 * np.sum(w * u))
+    base = _feet(t, offset_normal(theta))
+    return float(_depth_means(fld, theta, base, b, b - a, eps, order)[0])
 
 
 @dataclass(frozen=True)
@@ -263,17 +257,11 @@ def lebesgue_comparisons(fld, domain: Domain, theta: Direction, eps_values,
         if grid.n_chords == 0:
             return [0.0] * len(eps_values), [0.0] * len(eps_values)
         gplus, _ = chord_trace_values(fld, grid, sp.gauss_order)
-        x, w = _gauss.nodes(sp.gauss_order)
-        base, beta = grid.base, grid.beta[:, None]
+        base, weights = grid.base, grid.weights
         values = []
         for eps in eps_values:
-            h = np.minimum(eps, grid.lengths)
-            back = (x[None, :] + 1.0) * 0.5 * h[:, None]
-            s = beta - back
-            pts = points_along(base, s, grid.theta.vector)
-            u = np.asarray(fld.eval_many(pts.reshape(-1, pts.shape[-1])), dtype=float)
-            means = 0.5 * (u.reshape(s.shape) @ w)
-            values.append(float(np.sum(grid.weights * (gplus - means) ** 2)))
+            means = _depth_means(fld, theta, base, grid.beta, grid.lengths, eps, sp.gauss_order)
+            values.append(float(np.sum(weights * (gplus - means) ** 2)))
         return values, [abs(v) for v in values]
 
     values, errors, _ = refined(gap_sq, spec)
@@ -397,18 +385,23 @@ class ConsistencyReport:
         }
 
 
-def _batched_traces(fld, domain: Domain, theta: Direction, probes: np.ndarray,
-                    order: int, r_match: float) -> np.ndarray:
-    """Trace of the field at each probe along theta, NaN when unreachable.
-
-    A probe is reachable when the slice of the domain through it has a
-    chord exiting there.
-    """
-    t, a, b, found = exit_chords(domain, theta, probes, r_match)
-    out = np.full(probes.shape[0], np.nan)
-    if np.any(found):
-        out[found] = _exit_traces(fld, theta, t[found], a[found], b[found], order)
-    return out
+def _spreads(fld, domain: Domain, directions, points: np.ndarray, order: int,
+             r_match: float):
+    """Traces at points along every direction, as (values, shared,
+    spreads): values (n, directions) is NaN where a direction does not
+    reach a point (the slice through it has no chord exiting there), shared
+    marks the points two or more directions reach, and spreads holds
+    max - min of their values there (0 elsewhere)."""
+    values = np.full((points.shape[0], len(directions)), np.nan)
+    for j, theta in enumerate(directions):
+        t, a, b, found = exit_chords(domain, theta, points, r_match)
+        if np.any(found):
+            values[found, j] = _exit_traces(fld, theta, t[found], a[found], b[found], order)
+    shared = np.isfinite(values).sum(axis=1) >= 2
+    spreads = np.zeros(points.shape[0])
+    with np.errstate(invalid="ignore"):
+        spreads[shared] = np.nanmax(values[shared], axis=1) - np.nanmin(values[shared], axis=1)
+    return values, shared, spreads
 
 
 def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
@@ -427,10 +420,13 @@ def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
     return out
 
 
+# Largest share of the probed mass that may disagree in an "in" verdict.
+_MASS_TOLERANCE = 1e-6
+
+
 def consistency_report(fld, domain: Domain, directions,
                        spec: QuadratureSpec | None = None,
                        tolerance: float | None = None,
-                       mass_tolerance: float = 1e-6,
                        probes_per_direction: int = 160) -> ConsistencyReport:
     """Cross-direction agreement of traces at shared boundary points.
 
@@ -479,13 +475,8 @@ def consistency_report(fld, domain: Domain, directions,
     offsets = np.concatenate(probe_off)
     dts = np.concatenate(probe_dt)
 
-    values = np.full((probes.shape[0], len(directions)), np.nan)
-    for j, theta in enumerate(directions):
-        values[:, j] = _batched_traces(fld, domain, theta, probes,
+    values, shared, spreads = _spreads(fld, domain, directions, probes,
                                        spec.gauss_order, r_match)
-
-    reach = np.isfinite(values)
-    shared = reach.sum(axis=1) >= 2
     if not np.any(shared):
         raise InsufficientOverlap(
             "no probed boundary point was reachable from two directions"
@@ -500,12 +491,6 @@ def consistency_report(fld, domain: Domain, directions,
             spec, floor=0.0)
         tolerance = 10.0 * max(max(errs), 1e-12)
 
-    spreads = np.zeros(probes.shape[0])
-    vals = np.where(reach, values, np.nan)
-    with np.errstate(invalid="ignore"):
-        spreads[shared] = (
-            np.nanmax(vals[shared], axis=1) - np.nanmin(vals[shared], axis=1)
-        )
     bad = shared & (spreads > tolerance)
 
     persistent = bad.copy()
@@ -521,18 +506,10 @@ def consistency_report(fld, domain: Domain, directions,
                 domain, directions[src], probes[idxs], offsets[idxs], float(dts[idxs[0]]))
 
         ok = np.all(np.isfinite(jittered), axis=1)
-        jvalues = np.full((jittered.shape[0], len(directions)), np.nan)
+        jspread = np.zeros(jittered.shape[0])
         if np.any(ok):
-            for j, theta in enumerate(directions):
-                jvalues[ok, j] = _batched_traces(
-                    fld, domain, theta, jittered[ok], spec.gauss_order, r_match
-                )
-        # only rows that at least two directions reached have a spread
-        reached = np.isfinite(jvalues).sum(axis=1) >= 2
-        jspread = np.zeros(jvalues.shape[0])
-        with np.errstate(invalid="ignore"):
-            jspread[reached] = (np.nanmax(jvalues[reached], axis=1)
-                                - np.nanmin(jvalues[reached], axis=1))
+            jspread[ok] = _spreads(fld, domain, directions, jittered[ok],
+                                   spec.gauss_order, r_match)[2]
         transient = ~((jspread[0::2] > tolerance) & (jspread[1::2] > tolerance))
         persistent[bad_idx[transient]] = False
         n_transient = int(np.count_nonzero(transient))
@@ -555,13 +532,13 @@ def consistency_report(fld, domain: Domain, directions,
             values={
                 ",".join(f"{c:+.6f}" for c in directions[j].vector):
                     float(values[i, j])
-                for j in np.nonzero(reach[i])[0]
+                for j in np.nonzero(np.isfinite(values[i]))[0]
             },
             spread=float(spreads[i]),
         ))
 
     return ConsistencyReport(
-        verdict="out" if disagreement > mass_tolerance else "in",
+        verdict="out" if disagreement > _MASS_TOLERANCE else "in",
         tolerance=float(tolerance),
         max_spread=float(np.max(spreads[shared])),
         disagreement_mass=disagreement,

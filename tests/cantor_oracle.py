@@ -1,8 +1,13 @@
-"""Level-by-level Cantor descent: an oracle for `_cantor.distance_many`.
+"""Level-by-level Cantor constructions: oracles for `_cantor`.
 
-This is the original descent, which starts every point at [0, 1] and
-splits one level at a time.  The package replaces its first levels with one
-search in a sorted gap table; both must give bit-identical distances.
+`distance_many` is the original descent, which starts every point at
+[0, 1] and splits one level at a time.  The package replaces its first
+levels with one search in a sorted gap table; both must give
+bit-identical distances.
+
+`level_intervals` splits every surviving interval one level at a time and
+interleaves the children.  The package takes the complement of its sorted
+gap table instead; both must give bit-identical intervals.
 """
 
 from __future__ import annotations
@@ -38,3 +43,18 @@ def distance_many(x, ratio=1.0 / 3.0, scheme="third"):
         done = (b - a) < DESCENT_FLOOR
         idx, xa, a, b = idx[~done], xa[~done], a[~done], b[~done]
     return dist.reshape(x.shape)
+
+
+def level_intervals(level, ratio=1.0 / 3.0, scheme="third"):
+    a = np.array([0.0])
+    b = np.array([1.0])
+    for depth in range(level):
+        c, d = _split(a, b, depth, ratio, scheme)
+        nxt_a = np.empty(2 * a.size)
+        nxt_b = np.empty(2 * a.size)
+        nxt_a[0::2] = a
+        nxt_b[0::2] = c
+        nxt_a[1::2] = d
+        nxt_b[1::2] = b
+        a, b = nxt_a, nxt_b
+    return a, b

@@ -67,7 +67,7 @@ def test_01_integration_by_parts(domains, dirs16):
                     get_field(a), get_field(b), dom, theta, MATRIX_SPEC)
                 allowance = 3.0 * (rep.err_lhs + rep.err_rhs)
                 worst = max(worst, rep.residual / max(allowance, 1e-300))
-                if not rep.passes(3.0):
+                if not rep.passes():
                     failures += 1
     ok = golden_ok and failures == 0
     _report(1, ok, "paired integration by parts: golden residual "
@@ -283,7 +283,7 @@ def test_13_paired_boundary_products(domains, dirs16):
                 total += 1
                 allowance = 3.0 * (rep.err_volume + rep.err_bracket)
                 worst = max(worst, rep.residual / max(allowance, 1e-300))
-                if not rep.passes(3.0):
+                if not rep.passes():
                     failures += 1
     ok = failures == 0
     _report(13, ok, "exit/entry product difference matches the volume pairing "
@@ -302,7 +302,7 @@ def test_14_variational_selection():
 
     pts = np.array([[0.05, 0.5], [0.9, 0.6], [0.5, -0.8]])
     differ = float(np.max(np.abs(u_height.eval_many(pts) - u_jump.eval_many(pts))))
-    ok = rep_h.passes(3.0) and rep_j.passes(3.0) and differ > 0.1
+    ok = rep_h.passes() and rep_j.passes() and differ > 0.1
     _report(14, ok, "both closed-form minimizers annihilate all 16 bump tests "
                     f"(max residuals {rep_h.max_residual:.2e}, "
                     f"{rep_j.max_residual:.2e}); the two solutions differ by "

@@ -39,7 +39,7 @@ def test_ibp_oblique_direction():
     theta = Direction.from_angle(0.85)
     rep = calculus.integration_by_parts(get_field("sincos"), get_field("x1"),
                                         unit_square(), theta, SPEC)
-    assert rep.passes(3.0)
+    assert rep.passes()
     payload = rep.to_json()
     assert set(payload) >= {"lhs", "rhs", "residual", "theta"}
 
@@ -47,7 +47,7 @@ def test_ibp_oblique_direction():
 def test_ibp_on_cusp():
     rep = calculus.integration_by_parts(get_field("x1"), get_field("x2"),
                                         Cusp(), E1, SPEC)
-    assert rep.passes(3.0)
+    assert rep.passes()
 
 
 def test_paired_identity_golden():
@@ -55,7 +55,7 @@ def test_paired_identity_golden():
                                    unit_square(), E1, SPEC)
     assert rep.volume_pairing == pytest.approx(5.0 / 6.0, abs=1e-6)
     assert rep.bracket == pytest.approx(5.0 / 6.0, abs=1e-6)
-    assert rep.passes(3.0)
+    assert rep.passes()
 
 
 def test_error_fields_are_plain_floats():
@@ -163,7 +163,7 @@ def test_variational_residuals_vanish_for_solutions():
     spec = QuadratureSpec(n_offsets=256, gauss_order=8)
     for name in ("x2", "sign_y"):
         rep = calculus.variational_residual(get_field(name), dom, tests, spec)
-        assert rep.passes(3.0)
+        assert rep.passes()
         assert rep.max_residual <= 3.0 * rep.max_error + 1e-12
 
 
@@ -175,7 +175,7 @@ def test_variational_residual_detects_non_solutions():
     spec = QuadratureSpec(n_offsets=256, gauss_order=8)
     rep = calculus.variational_residual(get_field("sincos"), dom, tests, spec)
     assert rep.max_residual > 1e-3
-    assert not rep.passes(3.0)
+    assert not rep.passes()
 
 
 def _per_test_residuals(fld, domain, tests, spec):

@@ -7,7 +7,7 @@ import pytest
 
 import cantor_oracle
 from dirtrace import _cantor, fractal, geometry
-from dirtrace.errors import InvalidRatio
+from dirtrace.errors import InvalidRatio, ValidationError
 
 
 def test_gap_table_first_levels():
@@ -86,6 +86,24 @@ def test_level_intervals_structure():
     # surviving length after L rounds plus removed length is the unit interval
     survived = float(np.sum(ends - starts))
     assert abs(survived + _cantor.removed_length(0.25, 5) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("ratio, scheme", [(1.0 / 3.0, "third"), (0.25, "rho"), (0.1, "rho"),
+                                           (1.0 / 3.0, "rho"), (0.3, "rho")])
+def test_level_intervals_equal_the_interleave_oracle(ratio, scheme):
+    for level in range(16):
+        got = _cantor.level_intervals(level, ratio, scheme)
+        want = cantor_oracle.level_intervals(level, ratio, scheme)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_level_tables_reject_levels_out_of_range():
+    for level in (-1, _cantor.MAX_LEVEL + 1):
+        with pytest.raises(ValidationError):
+            _cantor.level_intervals(level)
+        with pytest.raises(ValidationError):
+            _cantor.gap_table(1.0 / 3.0, level)
 
 
 def test_total_gap_length():

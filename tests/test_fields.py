@@ -71,12 +71,10 @@ def test_directional_derivative():
     np.testing.assert_allclose(d2, (pts[:, 0] + pts[:, 1]) / np.sqrt(2.0), atol=1e-14)
 
 
-def test_sign_y_values_and_mask():
+def test_sign_y_values():
     fld = get_field("sign_y")
     pts = np.array([[0.2, 0.5], [0.2, -0.5], [0.2, 1e-9]])
     np.testing.assert_array_equal(fld.eval_many(pts), [1.0, -1.0, 1.0])
-    mask = fld.regular_mask(pts)
-    assert mask[0] and mask[1] and not mask[2]
     assert not fld.smooth
 
 

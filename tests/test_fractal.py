@@ -144,14 +144,6 @@ def test_margin_shrinks_boundary_touching_gaps():
     assert f(0.9) == 1.0
 
 
-def test_cantor_gap_rows_layout():
-    rows = fractal.cantor_gap_rows(0.25, 2, scheme="rho")
-    assert rows.shape == (7, 4)
-    np.testing.assert_array_equal(rows[:, 0], np.arange(1, 8))
-    np.testing.assert_allclose(rows[0, 1:3], [0.375, 0.625], atol=1e-15)
-    assert rows[0, 3] == 0.0
-
-
 def test_cantor_gaps_requires_matching_scheme():
     with pytest.raises(InvalidRatio):
         fractal.cantor_gaps(0.25, 3)  # "third" scheme needs ratio 1/3

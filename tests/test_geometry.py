@@ -63,7 +63,6 @@ def test_direction_negation_and_axis():
     assert np.allclose((-E1).vector, [-1.0, 0.0])
     assert E1.is_axis() and E2.is_axis()
     assert not Direction.from_angle(0.3).is_axis()
-    assert geometry.axis_direction(1, -1) == Direction([0.0, -1.0])
 
 
 # --- membership ------------------------------------------------------------
@@ -653,18 +652,18 @@ def _crossing_twin(dom: Polygon) -> Polygon:
 
 
 @st.composite
-def convex_polygons(draw):
+def convex_polygons(draw, log_scale=(0.0, 3.0), shift_scales=100.0):
     """Strictly convex polygons: vertices on an ellipse at jittered angles
     (each at least 0.2 of its share of the turn from the next), scaled by
-    1 to 1e3, shifted by up to 100 scales (at most 1e4), in either turning
-    sense."""
+    10**log_scale (1 to 1e3 by default), shifted by up to shift_scales
+    scales (at most 1e4), in either turning sense."""
     n = draw(st.integers(3, 8))
     jitter = draw(st.lists(st.floats(0.0, 0.8), min_size=n, max_size=n))
     start = draw(st.floats(0.0, 2.0 * np.pi))
     angles = start + 2.0 * np.pi * (np.arange(n) + np.array(jitter)) / n
     axes = np.array([draw(st.floats(0.3, 1.0)), draw(st.floats(0.3, 1.0))])
-    scale = 10.0 ** draw(st.floats(0.0, 3.0))
-    shift = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(2)]) * min(1e4, 100.0 * scale)
+    scale = 10.0 ** draw(st.floats(*log_scale))
+    shift = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(2)]) * min(1e4, shift_scales * scale)
     v = np.column_stack((np.cos(angles), np.sin(angles))) * axes * scale + shift
     dom = Polygon(v[::-1] if draw(st.booleans()) else v)
     assume(dom._orientation != 0)
@@ -692,13 +691,18 @@ def test_clipped_chords_equal_the_crossing_path_on_grid_offsets(dom, theta):
         np.testing.assert_array_equal(a, b)
 
 
+def _grazing_offsets(dom: Polygon, theta: Direction, step: float) -> np.ndarray:
+    """Offsets k step, |k| <= 3, or one ulp away from a vertex projection."""
+    cuts = dom.offset_breakpoints(theta)
+    return np.concatenate([(cuts[:, None] + np.arange(-3, 4) * step).ravel(),
+                           np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf)])
+
+
 @CLIP_SETTINGS
 @given(convex_polygons(), DIRECTIONS)
 def test_clipped_chords_match_the_crossing_path_at_grazing_offsets(dom, theta):
     scale = max(dom._scale, 1.0)
-    cuts = dom.offset_breakpoints(theta)
-    ts = np.concatenate([(cuts[:, None] + np.arange(-3, 4) * 1e-13 * scale).ravel(),
-                         np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf)])
+    ts = _grazing_offsets(dom, theta, 1e-13 * scale)
     rows, lo, hi = dom.line_slices(theta, ts)
     x_rows, x_lo, x_hi = dom._crossing_slices(theta, ts)
     np.testing.assert_array_equal(rows, x_rows)
@@ -707,6 +711,26 @@ def test_clipped_chords_match_the_crossing_path_at_grazing_offsets(dom, theta):
     mids = points_along(geometry._feet(ts[rows], theta.perp_vector), 0.5 * (lo + hi),
                         theta.vector)
     assert np.all(dom.contains_many(mids))
+
+
+@st.composite
+def far_convex_polygons(draw):
+    """Strictly convex polygons of size 0.01 to 1, moved 1e4 away from the
+    origin, where the rounding of an edge parameter exceeds 1e-12."""
+    v = draw(convex_polygons((-2.0, 0.0), 0.0)).vertices
+    phi = draw(st.floats(0.0, 2.0 * np.pi))
+    dom = Polygon(v + 1e4 * np.array([np.cos(phi), np.sin(phi)]))
+    assume(dom._orientation != 0)
+    return dom
+
+
+@CLIP_SETTINGS
+@given(far_convex_polygons(), st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4))
+def test_crossing_path_keeps_every_clipped_chord_far_from_the_origin(dom, angles):
+    for theta in map(Direction.from_angle, angles):
+        ts = _grazing_offsets(dom, theta, 1e-13 * dom._scale)
+        np.testing.assert_array_equal(dom._crossing_slices(theta, ts)[0],
+                                      dom.line_slices(theta, ts)[0])
 
 
 @pytest.mark.parametrize("name", ["square", "triangle", "crack_square"])

@@ -55,10 +55,8 @@ def test_one_dimensional_atoms_are_exact():
     assert mu.total_mass() == pytest.approx(0.5, abs=1e-3)
 
 
-def test_integrate_and_restrict():
+def test_restrict_mass():
     mu = measure_atoms(unit_square(), E1, SPEC)
-    assert mu.integrate(lambda p: np.ones(p.shape[0])) == pytest.approx(
-        mu.total_mass(), abs=1e-14)
     # exit points are (1, y): the lower half carries half the mass
     half = mu.restrict_mass(lambda p: p[:, 1] < 0.5)
     assert half == pytest.approx(0.5, abs=1e-3)

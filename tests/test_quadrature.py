@@ -6,7 +6,8 @@ import pytest
 from dirtrace import calculus, fractal, trace
 from dirtrace.errors import UnresolvedSingularity, ValidationError
 from dirtrace.fields import get_field
-from dirtrace.geometry import Cusp, Direction, Domain, IntervalUnion, Polygon, points_along
+from dirtrace.geometry import (Cusp, Direction, Domain, IntervalUnion, Polygon,
+                               hyperplane_range, points_along)
 from dirtrace.quadrature import (
     ChordGrid,
     QuadratureSpec,
@@ -246,6 +247,19 @@ def test_offset_cells_match_piecewise_loop():
         got_t, got_w = _offset_cells(tri, theta, lo, hi, 257)
         assert got_t.tobytes() == np.concatenate(ts).tobytes()
         assert got_w.tobytes() == np.concatenate(ws).tobytes()
+
+
+def test_offset_cells_drop_breakpoints_that_differ_by_rounding():
+    # at pi/4 the square's vertex projections include both -1.1e-16 and 0.0
+    for name in ("square", "triangle"):
+        dom = fractal.named_domain(name)
+        for k in range(16):
+            theta = Direction.from_angle(np.pi * k / 8)
+            lo, hi = hyperplane_range(dom, theta)
+            ts, widths = _offset_cells(dom, theta, lo, hi, 256)
+            assert np.all(widths > 1e-13 * max(hi - lo, 1.0))
+            if name == "square" and k == 2:
+                assert ts.size == 256
 
 
 def test_refined_pairs_spec_with_its_coarse_grid():

@@ -213,11 +213,10 @@ def test_batched_traces_match_directional_trace(name, field):
     directions = direction_table(4)
     probes = np.concatenate([
         measure.measure_atoms(dom, theta, SPEC).points[::37] for theta in directions])
-    r_match = match_radius(dom)
-    for theta in directions:
-        values = trace._batched_traces(fld, dom, theta, probes, 16, r_match)
-        assert 0 < np.count_nonzero(np.isfinite(values)) < probes.shape[0]
-        for z, value in zip(probes, values):
+    values = trace._spreads(fld, dom, directions, probes, 16, match_radius(dom))[0]
+    for theta, column in zip(directions, values.T):
+        assert 0 < np.count_nonzero(np.isfinite(column)) < probes.shape[0]
+        for z, value in zip(probes, column):
             if np.isfinite(value):
                 assert trace.directional_trace(fld, dom, theta, z, order=16) == value
             else:
@@ -234,11 +233,10 @@ def test_batched_traces_match_directional_trace_on_oblique_probes(name):
     directions = direction_table(8)
     probes = np.concatenate([
         measure.measure_atoms(dom, theta, SPEC).points[::23] for theta in directions])
-    r_match = match_radius(dom)
-    for theta in directions[1::2]:
-        values = trace._batched_traces(fld, dom, theta, probes, 8, r_match)
-        assert np.count_nonzero(np.isfinite(values)) > 0
-        for z, value in zip(probes, values):
+    values = trace._spreads(fld, dom, directions[1::2], probes, 8, match_radius(dom))[0]
+    for theta, column in zip(directions[1::2], values.T):
+        assert np.count_nonzero(np.isfinite(column)) > 0
+        for z, value in zip(probes, column):
             if np.isfinite(value):
                 assert trace.directional_trace(fld, dom, theta, z, order=8) == value
 
