@@ -119,14 +119,28 @@ def sorted_gaps(ratio: float, level: int, scheme: str = "third") -> np.ndarray:
     return gaps[np.argsort(gaps[:, 0], kind="stable"), :2]
 
 
+def _between(gaps: np.ndarray):
+    """Closed intervals (lo, hi) of [0, 1] between sorted gaps (c, d)."""
+    return np.concatenate(([0.0], gaps[:, 1])), np.append(gaps[:, 0], 1.0)
+
+
 def level_intervals(level: int, ratio: float = 1.0 / 3.0, scheme: str = "third"):
     """Surviving closed intervals (a_m, b_m) after `level` removal rounds,
-    left to right: the complement in [0, 1] of the gaps of depth < level."""
+    left to right: the complement in [0, 1] of the gaps of depth < level.
+
+    Up to level _SEED_LEVEL + 1 these are read-only strided views of the
+    cached seed intervals: every k-th interval starts after a gap of depth
+    < level (k = 2**(_SEED_LEVEL + 1 - level)), and the gaps of a depth are
+    the same floats in every table, so no table is built or sorted again.
+    """
     _check_ratio(ratio)
     _check_scheme(ratio, scheme)
     _check_level(level)
-    gaps = sorted_gaps(ratio, level - 1, scheme) if level else np.zeros((0, 2))
-    return np.concatenate(([0.0], gaps[:, 1])), np.append(gaps[:, 0], 1.0)
+    if level <= _SEED_LEVEL + 1:
+        lo, hi = _seed(ratio, scheme)[:2]
+        k = 2 ** (_SEED_LEVEL + 1 - level)
+        return lo[::k], hi[k - 1::k]
+    return _between(sorted_gaps(ratio, level - 1, scheme))
 
 
 def _edge_thresholds(lo: np.ndarray, hi: np.ndarray, ratio: float, scheme: str):
@@ -164,7 +178,7 @@ def _seed(ratio: float, scheme: str):
     """Surviving intervals [lo[k], hi[k]] between the sorted gaps (c, d) of
     depth <= _SEED_LEVEL (hi[k] = c[k] and lo[k + 1] = d[k]), with their
     edge thresholds (left[k], right[k]) from _edge_thresholds."""
-    lo, hi = level_intervals(_SEED_LEVEL + 1, ratio, scheme)
+    lo, hi = _between(sorted_gaps(ratio, _SEED_LEVEL, scheme))
     left, right = _edge_thresholds(lo, hi, ratio, scheme)
     for arr in (lo, hi, left, right):
         arr.flags.writeable = False

@@ -21,6 +21,7 @@ converges geometrically and a tail bound encloses the limit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .quadrature import (
     QuadratureSpec,
     _check_settled,
     _chord_sum,
+    _product_sum,
     chord_grid,
     chord_nodes,
     refined,
@@ -85,7 +87,7 @@ def _ibp_sides(u, v, domain, theta, spec):
     uu, du = node_values(u, theta, pts, s.shape)
     vv, dv = node_values(v, theta, pts, s.shape)
     lengths, chord_dt = grid.lengths, grid.chord_dt
-    lhs, lhs_scale = _chord_sum(uu * dv + vv * du, w, 0.5 * lengths, chord_dt)
+    lhs, lhs_scale = _chord_sum(_product_sum(uu, dv, vv, du), w, 0.5 * lengths, chord_dt)
 
     up, um = traces_from_nodes(uu, du, s, w, grid)
     vp, vm = traces_from_nodes(vv, dv, s, w, grid)
@@ -192,6 +194,14 @@ def paired_identity(u: ScalarField, v: ScalarField, domain: Domain,
 # Cantor-boundary limit functionals
 
 
+@functools.cache
+def _horizontal() -> Direction:
+    """The direction (1, 0) of every stage mean, built on first use: built
+    at import, its norm check would make a BLAS call there and leave more
+    memory resident in every process, also those that take no stage mean."""
+    return Direction([1.0, 0.0])
+
+
 def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     """Average of interval averages of the field at one height.
 
@@ -201,7 +211,7 @@ def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     a, b = _cantor.level_intervals(n)
     y = 0.5 * (3.0 ** (-n))
     lo = a - y
-    pts, s, w = chord_nodes(Direction([1.0, 0.0]), np.full(a.size, height), lo,
+    pts, s, w = chord_nodes(_horizontal(), np.full(a.size, height), lo,
                             (b + y) - lo, order)
     vals = np.asarray(fld.eval_many(pts.reshape(-1, 2)), dtype=float).reshape(s.shape)
     if not np.all(np.isfinite(vals)):

@@ -11,6 +11,10 @@ polynomials (enough for golden-value checks, since chord quadrature is
 exact on them), one trigonometric field, a compactly supported bump, the
 power singularity used on the cusp, the sign of the second coordinate,
 and the piecewise linear field that jumps across a vertical slit.
+
+Points may come coordinate-major (`geometry.points_along`), but gradients
+are always allocated row-major: `dderiv_many` takes grad @ theta, and a
+column-major matrix-vector product can round differently.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def _const(value: float):
         return np.full(p.shape[0], value)
 
     def gr(p):
-        return np.zeros_like(p)
+        return np.zeros(p.shape)
 
     return ev, gr
 
@@ -74,7 +78,7 @@ def _coordinate(axis: int):
         return p[:, axis].copy()
 
     def gr(p):
-        out = np.zeros_like(p)
+        out = np.zeros(p.shape)
         out[:, axis] = 1.0
         return out
 
@@ -101,7 +105,7 @@ def _make_sin1(params: dict) -> ScalarField:
         return np.sin(p[:, 0])
 
     def gr(p):
-        out = np.zeros_like(p)
+        out = np.zeros(p.shape)
         out[:, 0] = np.cos(p[:, 0])
         return out
 
@@ -113,7 +117,7 @@ def _make_x1px2(params: dict) -> ScalarField:
         return p[:, 0] + p[:, 1]
 
     def gr(p):
-        return np.ones_like(p)
+        return np.ones(p.shape)
 
     return ScalarField("x1px2", ev, gr, dim=2)
 
@@ -133,7 +137,7 @@ def _make_sincos(params: dict) -> ScalarField:
         return np.sin(p[:, 0]) * np.cos(p[:, 1])
 
     def gr(p):
-        out = np.empty_like(p)
+        out = np.empty(p.shape)
         out[:, 0] = np.cos(p[:, 0]) * np.cos(p[:, 1])
         out[:, 1] = -np.sin(p[:, 0]) * np.sin(p[:, 1])
         return out
@@ -167,7 +171,7 @@ def _make_bump(params: dict) -> ScalarField:
 
     def gr(p):
         idx, r2 = _inside(p)
-        out = np.zeros_like(p)
+        out = np.zeros(p.shape)
         u = np.exp(1.0 - 1.0 / (1.0 - r2))
         scale = -u / (1.0 - r2) ** 2 * (2.0 / radius**2)
         out[idx] = scale[:, None] * (p[idx] - center)
@@ -193,7 +197,7 @@ def _make_cusp_pow(params: dict) -> ScalarField:
 
     def gr(p):
         y = p[:, 1]
-        out = np.zeros_like(p)
+        out = np.zeros(p.shape)
         pos = y > 0.0
         out[pos, 1] = -alpha * y[pos] ** (-alpha - 1.0)
         out[~pos, 1] = np.inf
@@ -209,7 +213,7 @@ def _make_sign_y(params: dict) -> ScalarField:
         return np.sign(p[:, 1])
 
     def gr(p):
-        return np.zeros_like(p)
+        return np.zeros(p.shape)
 
     return ScalarField("sign_y", ev, gr, smooth=False,
                        note="locally constant off x2 = 0, jumps across it",
@@ -225,7 +229,7 @@ def _make_crack_2d(params: dict) -> ScalarField:
 
     def gr(p):
         x, y = p[:, 0], p[:, 1]
-        out = np.zeros_like(p)
+        out = np.zeros(p.shape)
         pos = y > 0.0
         out[pos, 1] = np.sign(x[pos] - 0.5)
         return out
@@ -243,7 +247,7 @@ def _make_crack_1d(params: dict) -> ScalarField:
         return np.where(x > 1.0, x - 1.0, x)
 
     def gr(p):
-        out = np.zeros_like(p)
+        out = np.zeros(p.shape)
         out[:, 0] = 1.0
         return out
 

@@ -14,9 +14,12 @@ carries chord i, sorted by (row, alpha).  Every stage below works on the
 whole table with array operations on the row boundaries.
 
 Points on lines, the foot t * perp plus s * theta, come from one builder
-everywhere in the package: `points_along(_feet(t, perp), s, theta.vector)`,
-which fills one coordinate at a time (midpoints, nudged endpoints, exits,
-Gauss nodes and probes alike).
+everywhere in the package: `points_along(_feet(t, perp), s, theta.vector)`
+(midpoints, nudged endpoints, exits, Gauss nodes and probes alike).  It
+stores the points coordinate-major, one contiguous block per coordinate
+behind the usual (..., d) view, so a field reading p[:, k] reads
+contiguous memory; each coordinate is still s * theta_k + foot_k, so the
+floats do not depend on the layout.
 
 Chords are computed in closed form for every kind: interval unions,
 polygons (strictly convex ones clip each line against their edge
@@ -125,15 +128,19 @@ def points_along(base: np.ndarray, s: np.ndarray, vec: np.ndarray) -> np.ndarray
     one row for all lines, and s (n,) or (n, q) the parameters along each
     line; shape s.shape + (d,).
 
-    Written into one array one coordinate at a time, because numpy broadcasts
-    over a short last axis slowly; the arithmetic per element is the same.
+    The points are computed coordinate by coordinate into a (d,) + s.shape
+    buffer, which is returned as an s.shape + (d,) view: coordinate k,
+    out[..., k], is one contiguous block, and out.reshape(-1, d) stays a
+    view.  Each element is s * vec[k] + base[:, k], rounded as a row-major
+    buffer would round it; only the memory layout differs.
     """
     lead = (-1,) + (1,) * (s.ndim - 1)
-    out = np.empty(s.shape + (base.shape[1],))
+    out = np.empty((base.shape[1],) + s.shape)
     for k in range(base.shape[1]):
-        np.multiply(s, vec[k], out=out[..., k])
-        out[..., k] += base[:, k].reshape(lead)
-    return out
+        np.multiply(s, vec[k], out=out[k])
+        out[k] += base[:, k].reshape(lead)
+    # (d, n) -> (n, d), (d, n, q) -> (n, q, d)
+    return out.T if s.ndim == 1 else out.transpose(1, 2, 0)
 
 
 def _feet(t: np.ndarray, perp: np.ndarray) -> np.ndarray:
@@ -822,7 +829,7 @@ class Bicone(Domain):
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        mirrored = pts.copy()
+        mirrored = pts.copy(order="K")
         mirrored[:, 1] = np.abs(mirrored[:, 1])
         return self.upper.contains_many(mirrored) & (pts[:, 1] != 0.0)
 
@@ -1311,8 +1318,13 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
     feet = _feet(offsets, perp)
 
     def exit_gaps(rows, beta):
-        exits = points_along(feet[rows], beta, theta.vector)
-        return np.linalg.norm(exits - points[rows], axis=1)
+        # |exit - point| summed coordinate by coordinate, the floats of
+        # np.linalg.norm(..., axis=1) without a reduction over the short axis
+        diff = points_along(feet[rows], beta, theta.vector) - points[rows]
+        sq = diff[:, 0] * diff[:, 0]
+        if theta.dim == 2:
+            sq += diff[:, 1] * diff[:, 1]
+        return np.sqrt(sq)
 
     rows, alpha, beta, flags = _trimmed_table(domain, theta, offsets)
     t = offsets[rows]

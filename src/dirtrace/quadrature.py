@@ -122,9 +122,16 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
 def chord_nodes(theta: Direction, t, alpha, length, order: int):
     """Gauss nodes on the chords ]alpha, alpha + length[ of the lines at
     offsets t (arrays (n,)): points (n, q, d), arc offsets s (n, q) and
-    reference weights w (q,) with w.sum() == 2."""
+    reference weights w (q,) with w.sum() == 2.
+
+    s = alpha + ((x + 1) / 2) * length is built in one (n, q) array, the
+    product first and alpha added in place; IEEE products and sums do not
+    depend on operand order, so these are the floats of the broadcast
+    expression.  The points are coordinate-major (see `points_along`).
+    """
     x, w = _gauss.nodes(order)
-    s = alpha[:, None] + (x + 1.0) * 0.5 * length[:, None]
+    s = np.multiply.outer(length, (x + 1.0) * 0.5)
+    s += alpha[:, None]
     return points_along(_feet(t, offset_normal(theta)), s, theta.vector), s, w
 
 
@@ -239,6 +246,13 @@ def default_direction(domain: Domain) -> Direction:
     return Direction([1.0, 0.0])
 
 
+def _product_sum(a, b, c, d):
+    """a * b + c * d over node values, summed in place into one new array."""
+    out = np.multiply(a, b)
+    out += c * d
+    return out
+
+
 def _chord_sum(vals, w, half_len, row_dt):
     """(value, scale) of the Gauss rule with node values vals (n, q) over chords."""
     if not np.all(np.isfinite(vals)):
@@ -261,9 +275,11 @@ def _rule_sums(domain, integrands, theta, spec, panel=None):
         pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
         length = length[ci] / m[ci]
         t, alpha, row_dt = t[ci], alpha[ci] + pj * length, row_dt[ci]
-    pts, s, w = chord_nodes(theta, t, alpha, length, spec.gauss_order)
+    # the rule needs no arc offsets: left unbound, they are freed before
+    # the integrands run, and the points are the largest array alive then
+    pts, w = chord_nodes(theta, t, alpha, length, spec.gauss_order)[::2]
     half_len = 0.5 * length
-    sums = [_chord_sum(np.asarray(vals, dtype=float).reshape(s.shape), w, half_len, row_dt)
+    sums = [_chord_sum(np.asarray(vals, dtype=float).reshape(pts.shape[:-1]), w, half_len, row_dt)
             for vals in integrands(pts.reshape(-1, grid.dim))]
     return [v for v, _ in sums], [scale for _, scale in sums]
 

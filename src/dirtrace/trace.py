@@ -41,6 +41,7 @@ from .quadrature import (
     QuadratureSpec,
     _check_settled,
     _chord_sum,
+    _product_sum,
     _rule_sums,
     _theta_integrands,
     chord_grid,
@@ -66,10 +67,15 @@ def node_values(fld, theta: Direction, pts, shape):
 def traces_from_nodes(u, du, s, w, grid):
     """Exit and entry traces of the grid's chords from the values u and
     chord derivatives du at their Gauss nodes s (n, q), reference weights w."""
-    rise = s - grid.alpha[:, None]
-    fall = grid.beta[:, None] - s
-    gplus = 0.5 * ((u + rise * du) @ w)
-    gminus = 0.5 * ((u - fall * du) @ w)
+    # one scratch buffer holds u + (s - alpha) du, then u - (beta - s) du
+    buf = np.subtract(s, grid.alpha[:, None])
+    buf *= du
+    buf += u
+    gplus = 0.5 * (buf @ w)
+    np.subtract(grid.beta[:, None], s, out=buf)
+    buf *= du
+    np.subtract(u, buf, out=buf)
+    gminus = 0.5 * (buf @ w)
     return gplus, gminus
 
 
@@ -145,7 +151,7 @@ def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
     pts, s, w = grid.gauss_points(spec.gauss_order)
     u, du = node_values(fld, theta, pts, s.shape)
     gplus, gminus = traces_from_nodes(u, du, s, w, grid)
-    norm_sq = _chord_sum(u**2 + du**2, w, 0.5 * grid.lengths, grid.chord_dt)[0]
+    norm_sq = _chord_sum(_product_sum(u, u, du, du), w, 0.5 * grid.lengths, grid.chord_dt)[0]
     return TraceField(
         theta=theta,
         points=grid.endpoint_plus,
@@ -210,7 +216,8 @@ def _depth_means(fld, theta: Direction, base, beta, lengths, eps: float,
     each chord of the given lengths ending at beta on the line with foot
     base[i], by one Gauss rule per chord."""
     x, w = _gauss.nodes(order)
-    s = beta[:, None] - (x[None, :] + 1.0) * 0.5 * np.minimum(eps, lengths)[:, None]
+    s = np.multiply.outer(np.minimum(eps, lengths), (x + 1.0) * 0.5)
+    np.subtract(beta[:, None], s, out=s)
     pts = points_along(base, s, theta.vector)
     u = np.asarray(fld.eval_many(pts.reshape(-1, pts.shape[-1])), dtype=float)
     return 0.5 * (u.reshape(s.shape) @ w)

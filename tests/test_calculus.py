@@ -87,6 +87,39 @@ def test_stage_functional_of_constant_is_exact():
         assert calculus.nu_value(fld, n) == 1.0
 
 
+# nu_value of bump(cx=0.4, cy=0.1, r=0.6) at stages 0..8, by (order, mirror),
+# as hex floats: the values of the stage means over freshly sorted gap tables
+_NU_BUMP_HEX = {
+    (8, False): [
+        "0x1.9c752013edc8ap-4", "0x1.1002df97e9487p-1", "0x1.1d7cd4a552d7bp-1",
+        "0x1.16c42406c83c2p-1", "0x1.139dd5c7da7a0p-1", "0x1.1271ab101d92cp-1",
+        "0x1.120a1fe433a00p-1", "0x1.11e73978cd2bdp-1", "0x1.11db8c63770e1p-1",
+    ],
+    (8, True): [
+        "0x0.0p+0", "0x1.6f06af7dae034p-2", "0x1.f72ae00576319p-2",
+        "0x1.0baf1caf6d01bp-1", "0x1.0fea94cb37c07p-1", "0x1.1135d882951a3p-1",
+        "0x1.11a0d905999dep-1", "0x1.11c421d2c0e98p-1", "0x1.11cfd9d68a858p-1",
+    ],
+    (16, False): [
+        "0x1.9df0af196b5cfp-4", "0x1.10035d4ffa6eap-1", "0x1.1d7b9fb0257f5p-1",
+        "0x1.16c4242649f53p-1", "0x1.139dd5c7da77ep-1", "0x1.1271ab101d92dp-1",
+        "0x1.120a1fe433a00p-1", "0x1.11e73978cd2bcp-1", "0x1.11db8c63770e2p-1",
+    ],
+    (16, True): [
+        "0x0.0p+0", "0x1.6ebc1a2989b84p-2", "0x1.f72cc9739450cp-2",
+        "0x1.0baf1cb09b791p-1", "0x1.0fea94cb37cfap-1", "0x1.1135d882951a3p-1",
+        "0x1.11a0d905999dep-1", "0x1.11c421d2c0e98p-1", "0x1.11cfd9d68a858p-1",
+    ],
+}
+
+
+@pytest.mark.parametrize("order, mirror", sorted(_NU_BUMP_HEX))
+def test_stage_functional_values_are_pinned(order, mirror):
+    fld = get_field("bump", cx=0.4, cy=0.1, r=0.6)
+    got = [calculus.nu_value(fld, n, order, mirror).hex() for n in range(9)]
+    assert got == _NU_BUMP_HEX[order, mirror]
+
+
 def test_stage_functional_of_height_tracks_stage():
     fld = get_field("x2")
     for n in (0, 2, 4):

@@ -90,12 +90,23 @@ def test_level_intervals_structure():
 
 @pytest.mark.parametrize("ratio, scheme", [(1.0 / 3.0, "third"), (0.25, "rho"), (0.1, "rho"),
                                            (1.0 / 3.0, "rho"), (0.3, "rho")])
-def test_level_intervals_equal_the_interleave_oracle(ratio, scheme):
-    for level in range(16):
-        got = _cantor.level_intervals(level, ratio, scheme)
-        want = cantor_oracle.level_intervals(level, ratio, scheme)
-        for g, w in zip(got, want):
+def test_level_intervals_equal_the_interleave_oracle(ratio, scheme, monkeypatch):
+    seed_levels = range(_cantor._SEED_LEVEL + 2)
+    want = [cantor_oracle.level_intervals(level, ratio, scheme) for level in range(16)]
+    _cantor._seed(ratio, scheme)
+    with monkeypatch.context() as m:
+        # seed levels are views of the cached intervals, never re-sorted
+        m.setattr(_cantor, "sorted_gaps", _refuse_sorting)
+        got = [_cantor.level_intervals(level, ratio, scheme) for level in seed_levels]
+    got += [_cantor.level_intervals(level, ratio, scheme) for level in range(len(got), 16)]
+    for level, (pair, expect) in enumerate(zip(got, want)):
+        for g, w in zip(pair, expect):
             assert g.tobytes() == w.tobytes()
+            assert g.flags.writeable == (level not in seed_levels)
+
+
+def _refuse_sorting(*args):
+    raise RuntimeError("a seed level rebuilt its gap table")
 
 
 def test_level_tables_reject_levels_out_of_range():
