@@ -33,14 +33,13 @@ from .geometry import Direction, Domain
 from .quadrature import (
     QuadratureSpec,
     _check_settled,
-    _chord_sum,
-    _product_sum,
+    _rule_total,
     chord_grid,
-    chord_nodes,
+    chord_means,
     refined,
     volume_integrals,
 )
-from .trace import chord_trace_values, node_values, traces_from_nodes
+from .trace import _finite_traces, _trace_terms, chord_trace_values
 
 # A report passes when its residual is within this many error bars.
 _PASS_FACTOR = 3.0
@@ -83,14 +82,18 @@ def _ibp_sides(u, v, domain, theta, spec):
     spec's chord grid, from one evaluation of each field at the Gauss
     nodes."""
     grid = chord_grid(domain, theta, spec.n_offsets)
-    pts, s, w = grid.gauss_points(spec.gauss_order)
-    uu, du = node_values(u, theta, pts, s.shape)
-    vv, dv = node_values(v, theta, pts, s.shape)
-    lengths, chord_dt = grid.lengths, grid.chord_dt
-    lhs, lhs_scale = _chord_sum(_product_sum(uu, dv, vv, du), w, 0.5 * lengths, chord_dt)
+    alpha, beta, lengths, chord_dt = grid.alpha, grid.beta, grid.lengths, grid.chord_dt
 
-    up, um = traces_from_nodes(uu, du, s, w, grid)
-    vp, vm = traces_from_nodes(vv, dv, s, w, grid)
+    def node_arrays(pts, s, rows):
+        uu, du = yield from _trace_terms(u, theta, pts, s, alpha[rows], beta[rows])
+        vv, dv = yield from _trace_terms(v, theta, pts, s, alpha[rows], beta[rows])
+        pair = np.multiply(uu, dv)
+        pair += vv * du
+        yield pair
+
+    *traces, pair = chord_means(theta, grid.t, alpha, lengths, spec.gauss_order, node_arrays)
+    up, um, vp, vm = _finite_traces(*traces)
+    lhs, lhs_scale = _rule_total(pair, lengths, chord_dt)
     terms = (up * vp - um * vm) * chord_dt
     rhs = float(np.sum(terms))
     rhs_scale = float(np.sum(np.abs(terms)))
@@ -211,14 +214,14 @@ def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     a, b = _cantor.level_intervals(n)
     y = 0.5 * (3.0 ** (-n))
     lo = a - y
-    pts, s, w = chord_nodes(_horizontal(), np.full(a.size, height), lo,
-                            (b + y) - lo, order)
-    vals = np.asarray(fld.eval_many(pts.reshape(-1, 2)), dtype=float).reshape(s.shape)
-    if not np.all(np.isfinite(vals)):
+    means, weight_means = chord_means(
+        _horizontal(), np.full(a.size, height), lo, (b + y) - lo, order,
+        lambda pts, s, rows: (fld.eval_many(pts.reshape(-1, 2)), np.ones(s.shape)))
+    # Normalizing by the weight sum computed with the same reduction keeps
+    # constant fields exact: each row becomes x / x.
+    means /= weight_means
+    if not np.all(np.isfinite(means)):
         raise UnresolvedSingularity("field not finite on a stage interval")
-    # Normalizing by the weight sum computed with the same matmul kernel
-    # keeps constant fields exact: each row becomes x / x.
-    means = (vals @ w) / (np.ones_like(vals) @ w)
     return float(np.mean(means))
 
 

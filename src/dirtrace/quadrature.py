@@ -21,9 +21,9 @@ once to their summed differences, and the default tolerance of
 Offsets whose slice carried the thin-feature flag are excluded from all
 sums and surface as a flag count in every result.
 
-Summation order is fixed (offset-major, then interval order along the
-line) and uses numpy's deterministic pairwise reduction, so repeated
-runs with the same configuration are bit-identical.
+Every Gauss rule on chords is `chord_means`, whose value for a chord
+depends only on that chord, not on the batch or block it is computed in;
+sums over chords are one np.sum in a fixed order, so runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ from .geometry import (
 
 _GAUSS_ORDERS = (4, 8, 16)
 
+# Chords per block of Gauss nodes in `chord_means`; no float depends on it.
+# 4096 was measured slower: glibc malloc then trims each call's transient
+# arrays (above twice its largest freed mmap chunk) and refaults them.
+_BLOCK = 32768
+
 # Keep this many chord grids alive; grids are rebuilt transparently.
 _CACHE_LIMIT = 160
 
@@ -70,10 +75,7 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (2 <= self.n_offsets <= 2**22):
             raise ValidationError(f"n_offsets out of range: {self.n_offsets!r}")
-        if self.gauss_order not in _GAUSS_ORDERS:
-            raise ValidationError(
-                f"gauss_order must be one of {_GAUSS_ORDERS}, got {self.gauss_order!r}"
-            )
+        _check_order(self.gauss_order)
 
     def coarse(self) -> "QuadratureSpec":
         return replace(self, n_offsets=max(2, self.n_offsets // 2))
@@ -119,20 +121,39 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
     return np.repeat(edges[:-1], counts) + (k + 0.5) * h, h
 
 
-def chord_nodes(theta: Direction, t, alpha, length, order: int):
-    """Gauss nodes on the chords ]alpha, alpha + length[ of the lines at
-    offsets t (arrays (n,)): points (n, q, d), arc offsets s (n, q) and
-    reference weights w (q,) with w.sum() == 2.
+def _check_order(order) -> None:
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or order not in _GAUSS_ORDERS):
+        raise ValidationError(f"gauss_order must be one of {_GAUSS_ORDERS}, got {order!r}")
 
-    s = alpha + ((x + 1) / 2) * length is built in one (n, q) array, the
-    product first and alpha added in place; IEEE products and sums do not
-    depend on operand order, so these are the floats of the broadcast
-    expression.  The points are coordinate-major (see `points_along`).
-    """
+
+def chord_reduce(vals, w) -> np.ndarray:
+    """Per-chord sums sum_j vals[i, j] w[j] of node values vals, (n, q) or
+    flat; einsum sums each C-contiguous row alike in any batch, BLAS does not."""
+    vals = np.asarray(vals, dtype=float, order="C").reshape(-1, w.size)
+    return np.einsum("ij,j->i", vals, w)
+
+
+def chord_means(theta: Direction, t, alpha, length, order: int, node_arrays):
+    """Gauss means (`chord_reduce`, weights summing to 1) of each node array
+    that `node_arrays(points, s, rows)` yields on the chords ]alpha, alpha +
+    length[ at offsets t, _BLOCK chords at a time: rows slices a block,
+    points (m, q, d) are coordinate-major (see `points_along`) and s (m, q)
+    = alpha + ((x + 1) / 2) * length live only while node_arrays keeps them."""
+    _check_order(order)
     x, w = _gauss.nodes(order)
-    s = np.multiply.outer(length, (x + 1.0) * 0.5)
-    s += alpha[:, None]
-    return points_along(_feet(t, offset_normal(theta)), s, theta.vector), s, w
+    half, w = (x + 1.0) * 0.5, 0.5 * w
+    blocks = []
+    # an empty grid still makes one (empty) block, so every mean is an array
+    for lo in range(0, max(length.size, 1), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        s = np.multiply.outer(length[rows], half)
+        s += alpha[rows, None]
+        feet = _feet(t[rows], offset_normal(theta))
+        arrays = node_arrays(points_along(feet, s, theta.vector), s, rows)
+        del s
+        blocks.append([chord_reduce(v, w) for v in arrays])
+    return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
 class ChordGrid:
@@ -189,27 +210,18 @@ class ChordGrid:
         return self.lengths * self.chord_dt
 
     @property
-    def base(self) -> np.ndarray:
-        """Foot of each chord's line on the offset hyperplane, (n, d)."""
-        return _feet(self.t, self._perp)
-
-    @property
     def endpoint_plus(self) -> np.ndarray:
         """Exit endpoint of each chord, (n, d)."""
-        return points_along(self.base, self.beta, self.theta.vector)
+        return points_along(_feet(self.t, self._perp), self.beta, self.theta.vector)
 
     @property
     def endpoint_minus(self) -> np.ndarray:
         """Entry endpoint of each chord, (n, d)."""
-        return points_along(self.base, self.alpha, self.theta.vector)
+        return points_along(_feet(self.t, self._perp), self.alpha, self.theta.vector)
 
     @property
     def n_chords(self) -> int:
         return self.alpha.shape[0]
-
-    def gauss_points(self, order: int):
-        """Nodes along every chord, as `chord_nodes` gives them."""
-        return chord_nodes(self.theta, self.t, self.alpha, self.lengths, order)
 
 
 _cache_lock = threading.Lock()
@@ -246,18 +258,11 @@ def default_direction(domain: Domain) -> Direction:
     return Direction([1.0, 0.0])
 
 
-def _product_sum(a, b, c, d):
-    """a * b + c * d over node values, summed in place into one new array."""
-    out = np.multiply(a, b)
-    out += c * d
-    return out
-
-
-def _chord_sum(vals, w, half_len, row_dt):
-    """(value, scale) of the Gauss rule with node values vals (n, q) over chords."""
-    if not np.all(np.isfinite(vals)):
+def _rule_total(means, length, row_dt):
+    """(value, scale) of the volume rule from per-chord Gauss means."""
+    per_chord = means * length * row_dt
+    if not np.all(np.isfinite(per_chord)):
         raise UnresolvedSingularity("integrand not finite on a chord quadrature node")
-    per_chord = (vals @ w) * half_len * row_dt
     return float(np.sum(per_chord)), float(np.sum(np.abs(per_chord)))
 
 
@@ -275,13 +280,14 @@ def _rule_sums(domain, integrands, theta, spec, panel=None):
         pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
         length = length[ci] / m[ci]
         t, alpha, row_dt = t[ci], alpha[ci] + pj * length, row_dt[ci]
-    # the rule needs no arc offsets: left unbound, they are freed before
-    # the integrands run, and the points are the largest array alive then
-    pts, w = chord_nodes(theta, t, alpha, length, spec.gauss_order)[::2]
-    half_len = 0.5 * length
-    sums = [_chord_sum(np.asarray(vals, dtype=float).reshape(pts.shape[:-1]), w, half_len, row_dt)
-            for vals in integrands(pts.reshape(-1, grid.dim))]
-    return [v for v, _ in sums], [scale for _, scale in sums]
+
+    def node_arrays(pts, s, rows):
+        del s  # no arc offsets: freed before the integrands run
+        yield from integrands(pts.reshape(-1, grid.dim))
+
+    means = chord_means(theta, t, alpha, length, spec.gauss_order, node_arrays)
+    totals = [_rule_total(v, length, row_dt) for v in means]
+    return [v for v, _ in totals], [scale for _, scale in totals]
 
 
 def _check_settled(value: float, coarse: float, error=UnresolvedSingularity,

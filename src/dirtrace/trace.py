@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _gauss
 from .errors import DivergentChordIntegral, InsufficientOverlap, ValidationError
 from .geometry import (
     Direction,
@@ -40,43 +39,45 @@ from .quadrature import (
     IntegralResult,
     QuadratureSpec,
     _check_settled,
-    _chord_sum,
-    _product_sum,
     _rule_sums,
+    _rule_total,
     _theta_integrands,
     chord_grid,
-    chord_nodes,
+    chord_means,
     refined,
     volume_integral,
 )
 
 
-def node_values(fld, theta: Direction, pts, shape):
-    """Field values and chord derivatives at Gauss nodes pts (n, q, d),
-    each reshaped to `shape`; raises when either is not finite."""
+def _trace_terms(fld, theta: Direction, pts, s, alpha, beta):
+    """Yield u + (s - alpha) du, then u - (beta - s) du in the same buffer
+    (chord averages: the exit and entry traces) at the nodes pts, s of the
+    chords ]alpha, beta[; return u and du = du/dtheta."""
     flat = pts.reshape(-1, pts.shape[-1])
-    u = np.asarray(fld.eval_many(flat), dtype=float).reshape(shape)
-    du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(shape)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(du))):
-        raise DivergentChordIntegral(
-            "chord integrand not finite at a quadrature node"
-        )
+    u = np.asarray(fld.eval_many(flat), dtype=float).reshape(s.shape)
+    du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(s.shape)
+    buf = np.subtract(s, alpha[:, None])
+    buf *= du
+    buf += u
+    yield buf
+    np.subtract(beta[:, None], s, out=buf)
+    buf *= du
+    yield np.subtract(u, buf, out=buf)
     return u, du
 
 
-def traces_from_nodes(u, du, s, w, grid):
-    """Exit and entry traces of the grid's chords from the values u and
-    chord derivatives du at their Gauss nodes s (n, q), reference weights w."""
-    # one scratch buffer holds u + (s - alpha) du, then u - (beta - s) du
-    buf = np.subtract(s, grid.alpha[:, None])
-    buf *= du
-    buf += u
-    gplus = 0.5 * (buf @ w)
-    np.subtract(grid.beta[:, None], s, out=buf)
-    buf *= du
-    np.subtract(u, buf, out=buf)
-    gminus = 0.5 * (buf @ w)
-    return gplus, gminus
+def _chord_traces(fld, theta: Direction, t, alpha, beta, order: int):
+    """Exit and entry traces on the chords ]alpha, beta[ of the lines at
+    offsets t; not finite where u or du/dtheta is not finite at a node."""
+    return chord_means(
+        theta, t, alpha, beta - alpha, order,
+        lambda pts, s, rows: _trace_terms(fld, theta, pts, s, alpha[rows], beta[rows]))
+
+
+def _finite_traces(*traces):
+    if not all(np.all(np.isfinite(g)) for g in traces):
+        raise DivergentChordIntegral("chord integrand not finite at a quadrature node")
+    return traces
 
 
 def chord_trace_values(fld, grid, order: int):
@@ -84,8 +85,8 @@ def chord_trace_values(fld, grid, order: int):
 
     Returns (gamma_plus, gamma_minus), each of shape (n_chords,).
     """
-    pts, s, w = grid.gauss_points(order)
-    return traces_from_nodes(*node_values(fld, grid.theta, pts, s.shape), s, w, grid)
+    return _finite_traces(*_chord_traces(fld, grid.theta, grid.t, grid.alpha, grid.beta,
+                                         order))
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,18 @@ def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
     """The trace field, and the volume rule of u^2 + (du/dtheta)^2 (what
     `norm_theta` squares) from the same node values."""
     grid = chord_grid(domain, theta, spec.n_offsets)
-    pts, s, w = grid.gauss_points(spec.gauss_order)
-    u, du = node_values(fld, theta, pts, s.shape)
-    gplus, gminus = traces_from_nodes(u, du, s, w, grid)
-    norm_sq = _chord_sum(_product_sum(u, u, du, du), w, 0.5 * grid.lengths, grid.chord_dt)[0]
+    alpha, beta = grid.alpha, grid.beta
+
+    def node_arrays(pts, s, rows):
+        u, du = yield from _trace_terms(fld, theta, pts, s, alpha[rows], beta[rows])
+        sq = np.multiply(u, u)
+        sq += du * du
+        yield sq
+
+    gplus, gminus, sq = chord_means(theta, grid.t, alpha, grid.lengths, spec.gauss_order,
+                                   node_arrays)
+    gplus, gminus = _finite_traces(gplus, gminus)
+    norm_sq = _rule_total(sq, grid.lengths, grid.chord_dt)[0]
     return TraceField(
         theta=theta,
         points=grid.endpoint_plus,
@@ -184,25 +193,11 @@ def trace_norm_sq(fld, domain: Domain, theta: Direction,
                           spec.n_offsets, spec.gauss_order, method="trace_norm_sq")
 
 
-def _exit_traces(fld, theta: Direction, t, a, b, order: int) -> np.ndarray:
-    """Exit trace of the field on each chord ]a, b[ of the line at offset
-    t, one Gauss rule per chord; NaN where the integrand is not finite."""
-    pts, s, w = chord_nodes(theta, t, a, b - a, order)
-    flat = pts.reshape(-1, pts.shape[-1])
-    u = np.asarray(fld.eval_many(flat), dtype=float).reshape(s.shape)
-    du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(s.shape)
-    finite = np.all(np.isfinite(u), axis=1) & np.all(np.isfinite(du), axis=1)
-    values = 0.5 * np.sum(w * (u + (s - a[:, None]) * du), axis=1)
-    return np.where(finite, values, np.nan)
-
-
 def directional_trace(fld, domain: Domain, theta: Direction, z,
                       order: int = 16) -> float:
     """Trace of the field at one boundary point, along one direction."""
-    value = _exit_traces(fld, theta, *_exit_chord(domain, theta, z), order)[0]
-    if not np.isfinite(value):
-        raise DivergentChordIntegral("chord integrand not finite")
-    return float(value)
+    return float(_finite_traces(*_chord_traces(fld, theta, *_exit_chord(domain, theta, z),
+                                               order))[0][0])
 
 
 def _check_depth(eps: float) -> None:
@@ -210,17 +205,13 @@ def _check_depth(eps: float) -> None:
         raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 
-def _depth_means(fld, theta: Direction, base, beta, lengths, eps: float,
+def _depth_means(fld, theta: Direction, t, beta, lengths, eps: float,
                  order: int) -> np.ndarray:
-    """Average of the field over the last eps (at most the whole chord) of
-    each chord of the given lengths ending at beta on the line with foot
-    base[i], by one Gauss rule per chord."""
-    x, w = _gauss.nodes(order)
-    s = np.multiply.outer(np.minimum(eps, lengths), (x + 1.0) * 0.5)
-    np.subtract(beta[:, None], s, out=s)
-    pts = points_along(base, s, theta.vector)
-    u = np.asarray(fld.eval_many(pts.reshape(-1, pts.shape[-1])), dtype=float)
-    return 0.5 * (u.reshape(s.shape) @ w)
+    """Gauss mean of the field over the last eps (at most the whole chord)
+    of each chord of the given lengths ending at beta on its line at t."""
+    depth = np.minimum(eps, lengths)
+    return chord_means(theta, t, beta - depth, depth, order,
+                       lambda pts, s, rows: [fld.eval_many(pts.reshape(-1, pts.shape[-1]))])[0]
 
 
 def lebesgue_average(fld, domain: Domain, theta: Direction, z, eps: float,
@@ -228,8 +219,7 @@ def lebesgue_average(fld, domain: Domain, theta: Direction, z, eps: float,
     """Average of the field over the last eps of the chord into z."""
     _check_depth(eps)
     t, a, b = _exit_chord(domain, theta, z)
-    base = _feet(t, offset_normal(theta))
-    return float(_depth_means(fld, theta, base, b, b - a, eps, order)[0])
+    return float(_depth_means(fld, theta, t, b, b - a, eps, order)[0])
 
 
 @dataclass(frozen=True)
@@ -261,13 +251,11 @@ def lebesgue_comparisons(fld, domain: Domain, theta: Direction, eps_values,
 
     def gap_sq(sp: QuadratureSpec):
         grid = chord_grid(domain, theta, sp.n_offsets)
-        if grid.n_chords == 0:
-            return [0.0] * len(eps_values), [0.0] * len(eps_values)
         gplus, _ = chord_trace_values(fld, grid, sp.gauss_order)
-        base, weights = grid.base, grid.weights
+        t, weights = grid.t, grid.weights
         values = []
         for eps in eps_values:
-            means = _depth_means(fld, theta, base, grid.beta, grid.lengths, eps, sp.gauss_order)
+            means = _depth_means(fld, theta, t, grid.beta, grid.lengths, eps, sp.gauss_order)
             values.append(float(np.sum(weights * (gplus - means) ** 2)))
         return values, [abs(v) for v in values]
 
@@ -403,7 +391,8 @@ def _spreads(fld, domain: Domain, directions, points: np.ndarray, order: int,
     for j, theta in enumerate(directions):
         t, a, b, found = exit_chords(domain, theta, points, r_match)
         if np.any(found):
-            values[found, j] = _exit_traces(fld, theta, t[found], a[found], b[found], order)
+            gplus = _chord_traces(fld, theta, t[found], a[found], b[found], order)[0]
+            values[found, j] = np.where(np.isfinite(gplus), gplus, np.nan)
     shared = np.isfinite(values).sum(axis=1) >= 2
     spreads = np.zeros(points.shape[0])
     with np.errstate(invalid="ignore"):
