@@ -15,7 +15,7 @@ whole table with array operations on the row boundaries.
 
 Points on lines, the foot t * perp plus s * theta, come from one builder
 everywhere in the package: `points_along(_feet(t, perp), s, theta.vector)`
-(midpoints, nudged endpoints, exits, Gauss nodes and probes alike).  It
+(midpoints, exits, Gauss nodes and probes alike).  It
 stores the points coordinate-major, one contiguous block per coordinate
 behind the usual (..., d) view, so a field reading p[:, k] reads
 contiguous memory; each coordinate is still s * theta_k + foot_k, so the
@@ -32,14 +32,20 @@ intervals (a slit point or range, Cantor points, the triangles over the
 gaps).  Endpoints are exact up to rounding.  Chords shorter than EPS_EXACT
 are dropped, and a slice is flagged when two crossings sit closer than
 RESOLUTION_FACTOR times that length (a thin feature at the limit of
-resolution).  Endpoints are nudged outward, in at most ten doubling steps,
-until they fail membership: both endpoints of every chord of `chord_table`
-(and so of every grid), and both endpoints of every chord an `exit_chords`
-lookup returns.
+resolution).
+
+Membership owns the rounding: every kind's `contains_many` counts the
+points within `Domain._rounding` of its boundary (2**12 ulps of the
+largest coordinate, one rule for all kinds) as boundary, and so outside
+the open domain.  A closed-form endpoint lies on the boundary up to a few
+ulps, so it fails membership where it is computed: both endpoints of
+every chord of `chord_table` (and so of every grid and every
+`exit_chords` lookup) lie outside, and no endpoint is tested or moved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -311,6 +317,17 @@ class Domain:
         """Exact Lebesgue measure when known in closed form."""
         return None
 
+    @functools.cached_property
+    def _rounding(self) -> float:
+        """Rounding allowance of a computed point: 2**12 ulps of the largest
+        bounding-box coordinate plus the box diagonal (at least 1).
+        `contains_many` counts points this close to the boundary as
+        boundary, so every closed-form chord endpoint fails membership
+        where it is computed."""
+        lo, hi = self.bbox
+        return 2.0**-40 * (max(float(np.abs(lo).max()), float(np.abs(hi).max()))
+                           + max(float(np.linalg.norm(hi - lo)), 1.0))
+
     def cache_key(self) -> tuple:
         return (self.kind, tuple(sorted(self.params().items(), key=lambda kv: kv[0])))
 
@@ -402,12 +419,12 @@ class Polygon(Domain):
         self._diameter = float(np.sqrt((d * d).sum(axis=2)).max())
         edges = self._edge_to - self._edge_from
         self._orientation = _convex_orientation(edges)
-        # Per edge, the membership band of `contains_many` and a margin that
-        # adds the rounding of a computed point in cross-product units
-        # (2**12 ulps of the largest coordinate), with a safety factor.
+        # Per edge, the membership band of `contains_many`, which holds the
+        # rounding of a computed point in cross-product units, and a margin
+        # that adds that rounding once more, with a safety factor.
         reach = np.abs(edges).max(axis=1)
-        self._bands = 1e-12 * max(self._scale, 1.0) * np.maximum(reach, 1.0)
-        self._rounding = 2.0**-40 * (float(np.abs(v).max()) + max(self._scale, 1.0))
+        self._bands = (1e-12 * max(self._scale, 1.0) * np.maximum(reach, 1.0)
+                       + self._rounding * reach)
         self._margins = 4.0 * (self._bands + self._rounding * reach)
 
     @property
@@ -432,7 +449,7 @@ class Polygon(Domain):
         x, y = pts[:, 0], pts[:, 1]
         inside = np.zeros(len(pts), dtype=bool)
         boundary = np.zeros(len(pts), dtype=bool)
-        tol = 1e-12 * max(self._scale, 1.0)
+        tol = 1e-12 * max(self._scale, 1.0) + self._rounding
         for A, B, band in zip(self._edge_from, self._edge_to, self._bands):
             ex, ey = B[0] - A[0], B[1] - A[1]
             # on-edge points count as outside (the domain is open)
@@ -625,7 +642,8 @@ class Cusp(Domain):
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
-        return (y > 0.0) & (y < 1.0) & (np.abs(x) < y * y * y)
+        b = self._rounding
+        return (y < 1.0 - b) & (np.abs(x) < y * y * y - b)
 
     def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         # Powers go through Python's float pow: numpy's power rounds
@@ -718,10 +736,11 @@ class ConeUnionCantor(_CantorKind):
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
-        band = (y > 0.0) & (y < 1.0)
+        b = self._rounding
+        band = (y > b) & (y < 1.0 - b)
         out = np.zeros(len(pts), dtype=bool)
         if np.any(band):
-            out[band] = self._dist(x[band]) < y[band]
+            out[band] = self._dist(x[band]) < y[band] - b
         return out
 
     def apex_slices(self, heights: np.ndarray):
@@ -831,16 +850,16 @@ class Bicone(Domain):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         mirrored = pts.copy(order="K")
         mirrored[:, 1] = np.abs(mirrored[:, 1])
-        return self.upper.contains_many(mirrored) & (pts[:, 1] != 0.0)
+        # the cone union's rounding band holds the axis
+        return self.upper.contains_many(mirrored)
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
         """Cone chords of the line, and for y < 0 those of its mirror image
         (base and direction y -> -y), whose point at s mirrors the line's.
 
         Both halves end at the same computed axis crossing, so pieces that
-        meet there abut with a zero gap; where that point passes membership
-        (it misses the axis by a rounding error next to a Cantor point),
-        they are one chord.
+        meet there abut with a zero gap: two chords, as membership counts
+        the crossing, within rounding of the axis, as boundary.
         """
         if theta.is_axis():
             return None
@@ -852,12 +871,7 @@ class Bicone(Domain):
                   self.upper._oblique_chords(bx, -by, tv[0], -tv[1]))
         rows, lo, hi = (np.concatenate(col) for col in zip(*halves))
         order = np.lexsort((lo, rows))
-        rows, lo, hi = rows[order], lo[order], hi[order]
-        meet = np.nonzero((rows[1:] == rows[:-1]) & (hi[:-1] == lo[1:]))[0]
-        at = points_along(_feet(ts, p)[rows[meet]], hi[meet], tv)
-        join = meet[self.contains_many(at)]
-        hi[join] = hi[join + 1]
-        return tuple(np.delete(col, join + 1) for col in (rows, lo, hi))
+        return rows[order], lo[order], hi[order]
 
     def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         if fixed_axis == 1:
@@ -883,15 +897,21 @@ class CantorComb(_CantorKind):
     def volume(self) -> float:
         return 1.0 + _cantor.total_gap_length(self.ratio)
 
+    def _gap_inset(self, x: np.ndarray) -> np.ndarray:
+        """How far each x lies inside a gap of the level-`level` table:
+        min(x - c, d - x) for the gap (c, d) with the largest c < x, which
+        is positive exactly where x lies in that gap."""
+        c, d = self._gaps_sorted[:, 0], self._gaps_sorted[:, 1]
+        j = np.maximum(np.searchsorted(c, x) - 1, 0)
+        return np.minimum(x - c[j], d[j] - x)
+
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
-        inx = (x > 0.0) & (x < 1.0) & (y > -1.0) & (y < 1.0)
-        upper = inx & (y >= 0.0)
-        out = inx & (y < 0.0)
-        if np.any(upper):
-            out[upper] = self._dist(x[upper]) > 0.0
-        return out
+        b = self._rounding
+        inx = (x > b) & (x < 1.0 - b) & (y > b - 1.0) & (y < 1.0 - b)
+        # the teeth are the closed columns y >= 0 between the gaps
+        return inx & ((y < -b) | (self._gap_inset(x) > b))
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
         """Exact oblique slices from the gap table.
@@ -935,9 +955,7 @@ class CantorComb(_CantorKind):
         # gap, the first column touching it continues the lower chord
         lows = np.nonzero(low_hi > low_lo)[0]
         lo, hi = low_lo[lows], low_hi[lows]
-        x_star = bx[lows] + s_y0[lows] * tv[0]
-        j = np.maximum(np.searchsorted(c, x_star) - 1, 0)
-        in_gap = (c[j] < x_star) & (x_star < d[j])
+        in_gap = self._gap_inset(bx[lows] + s_y0[lows] * tv[0]) > 0.0
         s0 = s_y0[prow]
         touch = np.nonzero((np.abs(plo - s0) <= 1e-12) | (np.abs(phi - s0) <= 1e-12))[0]
         touch = touch[np.unique(prow[touch], return_index=True)[1]]
@@ -966,8 +984,8 @@ class CantorComb(_CantorKind):
             order = np.argsort(rows, kind="stable")
             return rows[order], lo[order], hi[order]
         rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
-        d = self._dist(values[rows])
-        return rows, np.full(rows.size, -1.0), np.where(d > 0.0, 1.0, 0.0)
+        column = self._gap_inset(values[rows]) > self._rounding
+        return rows, np.full(rows.size, -1.0), np.where(column, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -995,21 +1013,17 @@ class DiskMinusCantor(_CantorKind):
     def volume(self) -> float:
         return math.pi * self.RADIUS**2
 
-    def _on_slit(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        on = (y == 0.0) & (x >= 0.0) & (x <= 1.0)
-        if np.any(on):
-            d = self._dist(x[on])
-            res = np.zeros(on.shape, dtype=bool)
-            res[on] = d == 0.0
-            return res
-        return np.zeros(on.shape, dtype=bool)
-
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        b = self._rounding
         dx = pts[:, 0] - self.CENTER[0]
         dy = pts[:, 1] - self.CENTER[1]
-        indisk = dx * dx + dy * dy < self.RADIUS**2
-        return indisk & ~self._on_slit(pts[:, 0], pts[:, 1])
+        inside = dx * dx + dy * dy < (self.RADIUS - b) ** 2
+        # the slit: points within b of a Cantor point on the axis
+        near = inside & (np.abs(pts[:, 1]) <= b)
+        if np.any(near):
+            inside[near] = self._dist(pts[near, 0]) > b
+        return inside
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
         tv = theta.vector
@@ -1091,10 +1105,9 @@ class SlitRectangle(Domain):
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
-        inside = (x > self.x0) & (x < self.x1) & (y > self.y0) & (y < self.y1)
         on_slit = ((np.abs(x - self.slit_x) <= self._slit_band)
                    & (y >= self.slit_y0) & (y <= self.slit_y1))
-        return inside & ~on_slit
+        return self._rect.contains_many(pts) & ~on_slit
 
     def offset_breakpoints(self, theta: Direction):
         # the rectangle's kinks and the offsets of the two slit ends
@@ -1168,34 +1181,17 @@ def _trim(ts, rows, alpha, beta):
     return rows[keep], alpha[keep], beta[keep], flags
 
 
-def _nudge_out(domain, theta, t, s, sign: float) -> np.ndarray:
-    """Endpoints s on the lines at offsets t, each moved along sign * theta
-    until it fails membership (at most ten doubling steps).
+def chord_table(domain: Domain, theta: Direction, ts):
+    """Chords of a batch of hyperplane offsets as one flat table.
 
-    Each endpoint moves by its own membership results only, so a subset of
-    a table nudges to the same floats as the whole table.  Interval-union
-    endpoints are exact and come back as they are.
+    Returns (rows, alpha, beta, flags): chord i is the open interval
+    ]alpha[i], beta[i][ of the line at offset ts[rows[i]], sorted by
+    (row, alpha); flags[j] is True when the slice of offset j hit the
+    resolution limit and should be skipped by quadrature.  Both endpoints
+    of every chord fail membership as computed: they lie on the boundary,
+    within the rounding band that `contains_many` counts as boundary.
     """
-    if domain.dim == 1 or not s.size:
-        return s
-    tv = theta.vector
-    feet = _feet(t, theta.perp_vector)
-    s = s.copy()
-    bad = domain.contains_many(points_along(feet, s, tv))
-    it = 0
-    while np.any(bad) and it < 10:
-        stepv = np.maximum(np.abs(s[bad]) * 2.0**-50, 1e-15 * max(domain.diameter, 1.0))
-        s[bad] = s[bad] + sign * stepv * 2.0**it
-        newbad = domain.contains_many(points_along(feet[bad], s[bad], tv))
-        tmp = bad.copy()
-        tmp[bad] = newbad
-        bad = tmp
-        it += 1
-    return s
-
-
-def _trimmed_table(domain: Domain, theta: Direction, ts: np.ndarray):
-    """`chord_table` before its endpoints are nudged."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if domain.dim == 1:
         if not isinstance(domain, IntervalUnion):
             raise ValidationError("only interval unions are supported in 1D")
@@ -1210,22 +1206,6 @@ def _trimmed_table(domain: Domain, theta: Direction, ts: np.ndarray):
     if raw is None:
         raise ValidationError(f"no closed-form chords for kind {domain.kind!r} along {theta!r}")
     return _trim(ts, *raw)
-
-
-def chord_table(domain: Domain, theta: Direction, ts):
-    """Chords of a batch of hyperplane offsets as one flat table.
-
-    Returns (rows, alpha, beta, flags): chord i is the open interval
-    ]alpha[i], beta[i][ of the line at offset ts[rows[i]], sorted by
-    (row, alpha); flags[j] is True when the slice of offset j hit the
-    resolution limit and should be skipped by quadrature.  Both endpoints
-    of every chord are nudged outside (see the module docstring).
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    rows, alpha, beta, flags = _trimmed_table(domain, theta, ts)
-    t = ts[rows]
-    return (rows, _nudge_out(domain, theta, t, alpha, -1.0),
-            _nudge_out(domain, theta, t, beta, 1.0), flags)
 
 
 def slice_lines(domain: Domain, theta: Direction, ts) -> tuple[list[np.ndarray], np.ndarray]:
@@ -1290,20 +1270,10 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
     """The chord exiting at each point, for a batch of points.
 
     Point i is looked up on the line at offsets[i] (by default the line
-    through the point).  Its chord is the one whose exit endpoint lies
-    nearest to the point, the first of equals.  Returns (t, alpha, beta,
-    found): the offsets, the chords (NaN where none is found) and whether
-    that endpoint is within r_match on a slice that is not flagged.
-
-    Only candidate chords are nudged: those on unflagged lines whose exit
-    before nudging lies within r_match + slack of the point.  Ten nudging
-    rounds move an endpoint by at most 1023 * max(|beta| 2**-50,
-    1e-15 max(diameter, 1)); with |t| + |beta| in place of |beta|, 2**11
-    times that step also covers the rounding of both distances.  A chord
-    outside the candidates is therefore farther than r_match after
-    nudging, and the nearest chord and its ties are all candidates: the
-    result is that of nudging every chord.  With r_match = inf every chord
-    on an unflagged line is a candidate.
+    through the point).  Its chord is the unflagged chord of that line
+    whose exit endpoint lies nearest to the point, the first of equals.
+    Returns (t, alpha, beta, found): the offsets, the chords (NaN where
+    none is found) and whether that exit is within r_match of the point.
     """
     points = np.asarray(points, dtype=float).reshape(-1, theta.dim)
     n = points.shape[0]
@@ -1315,24 +1285,16 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
         offsets = np.zeros(n) if theta.dim == 1 else points[:, 0] * perp[0] + points[:, 1] * perp[1]
     offsets = np.asarray(offsets, dtype=float)
 
-    feet = _feet(offsets, perp)
-
-    def exit_gaps(rows, beta):
-        # |exit - point| summed coordinate by coordinate, the floats of
-        # np.linalg.norm(..., axis=1) without a reduction over the short axis
-        diff = points_along(feet[rows], beta, theta.vector) - points[rows]
-        sq = diff[:, 0] * diff[:, 0]
-        if theta.dim == 2:
-            sq += diff[:, 1] * diff[:, 1]
-        return np.sqrt(sq)
-
-    rows, alpha, beta, flags = _trimmed_table(domain, theta, offsets)
-    t = offsets[rows]
-    step = np.maximum((np.abs(t) + np.abs(beta)) * 2.0**-50, 1e-15 * max(domain.diameter, 1.0))
-    cand = (exit_gaps(rows, beta) <= r_match + 2.0**11 * step) & ~flags[rows]
-    rows, alpha, t = rows[cand], alpha[cand], t[cand]
-    beta = _nudge_out(domain, theta, t, beta[cand], 1.0)
-    dist = exit_gaps(rows, beta)
+    rows, alpha, beta, flags = chord_table(domain, theta, offsets)
+    usable = ~flags[rows]
+    rows, alpha, beta = rows[usable], alpha[usable], beta[usable]
+    # |exit - point| summed coordinate by coordinate, the floats of
+    # np.linalg.norm(..., axis=1) without a reduction over the short axis
+    diff = points_along(_feet(offsets, perp)[rows], beta, theta.vector) - points[rows]
+    sq = diff[:, 0] * diff[:, 0]
+    if theta.dim == 2:
+        sq += diff[:, 1] * diff[:, 1]
+    dist = np.sqrt(sq)
     order = np.lexsort((dist, rows))
     starts = _row_starts(rows, n)
     lines = np.nonzero(starts[:-1] < starts[1:])[0]
@@ -1342,8 +1304,7 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
     found = np.zeros(n, dtype=bool)
     found[lines] = True
     a, b = np.full(n, np.nan), np.full(n, np.nan)
-    a[lines] = _nudge_out(domain, theta, t[best], alpha[best], -1.0)
-    b[lines] = beta[best]
+    a[lines], b[lines] = alpha[best], beta[best]
     return offsets, a, b, found
 
 

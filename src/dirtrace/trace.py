@@ -515,7 +515,8 @@ def consistency_report(fld, domain: Domain, directions,
         float(np.sum(weights[persistent]) / probed_mass) if probed_mass else 0.0
     )
 
-    order = np.argsort(spreads)[::-1]
+    # largest spread first; equal spreads in probe order
+    order = np.argsort(-spreads, kind="stable")
     pool = persistent if np.any(persistent) else shared
     witnesses = []
     for i in order:

@@ -240,8 +240,8 @@ def test_chord_tables_match_those_of_the_level_by_level_descent(name, params, mo
 
 @pytest.mark.parametrize("level", [8, 12])
 def test_comb_chord_endpoints_skip_the_descent(level, monkeypatch):
-    # every endpoint of an axis comb table is a seed interval end, up to
-    # the nudge, so the edge thresholds settle it without one split
+    # an axis comb table reads the comb's own gap table: no membership
+    # test, and so no descent and not one split
     domain = fractal.named_domain("cantor_comb", level=level)
     theta = geometry.Direction.from_angle(0.0)
     _cantor._seed(domain.ratio, domain.scheme)

@@ -29,11 +29,14 @@ from dirtrace.geometry import (
     points_along,
     slice_lines,
 )
-import exit_chord_oracle
 from scan_oracle import EPS_SCAN, scan_slices
 
 E1 = Direction([1.0, 0.0])
 E2 = Direction([0.0, 1.0])
+
+DIRECTIONS = st.one_of(st.sampled_from([0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi]),
+                       st.floats(-np.pi, np.pi)).map(Direction.from_angle)
+CLIP_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def unit_square() -> Polygon:
@@ -365,75 +368,72 @@ def test_exit_chords_interior_point_is_not_found():
 
 PLANAR_NAMES = [n for n in fractal.DOMAIN_NAMES if fractal.named_domain(n).dim == 2]
 LOOKUP_ANGLES = [0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 0.3, 2.4, 4.2]
+L_SHAPE = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)]
+# every planar kind, near the origin and far from it, where the rounding of
+# a computed point (and so the membership band) grows with the coordinates;
+# the L-shaped polygon is not convex, so its chords pair edge crossings
+ENDPOINT_DOMAINS = PLANAR_NAMES + ["far_square", "far_crack_square", "l_shape", "far_l_shape",
+                                   "cantor_comb_8"]
 
 
 def _planar_domain(name):
-    # far from the origin |beta| is large, and so is the nudge step
     if name == "far_square":
         return Polygon([(1000.0, 0.0), (1001.0, 0.0), (1001.0, 1.0), (1000.0, 1.0)])
     if name == "far_crack_square":
         return SlitRectangle(1e6, 1e6 + 1.0, -1.0, 1.0, 1e6 + 0.5, 0.0, 1.0)
+    if name == "l_shape":
+        return Polygon(L_SHAPE)
+    if name == "far_l_shape":
+        return Polygon(np.asarray(L_SHAPE) + 1e5)
     if name == "cantor_comb":
-        # a level-12 comb line above the axis carries 4,096 chords, and the
-        # oracle nudges every one of them
+        # a level-12 comb line above the axis carries 4,096 chords
         return fractal.named_domain(name, level=6)
+    if name == "cantor_comb_8":
+        return fractal.named_domain("cantor_comb", level=8)
     return fractal.named_domain(name)
-
-
-def _assert_lookups_agree(dom, theta, points, r_match, offsets=None):
-    got = geometry.exit_chords(dom, theta, points, r_match, offsets=offsets)
-    want = exit_chord_oracle.exit_chords(dom, theta, points, r_match, offsets=offsets)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-    return got
 
 
 @pytest.mark.parametrize("name", PLANAR_NAMES + ["far_square"])
 @pytest.mark.parametrize("angle", LOOKUP_ANGLES)
-def test_exit_chords_match_the_nudge_every_chord_oracle(name, angle):
+def test_exit_chords_find_exits_and_miss_inner_and_far_points(name, angle):
     dom = _planar_domain(name)
     theta = Direction.from_angle(angle)
     grid = quadrature.chord_grid(dom, theta, 64)
     r_match = 1e-6 * max(dom.diameter, 1.0)
-    # about 200 chords: every chord of a looked-up line is nudged by the oracle
+    # about 200 chords
     pick = slice(None, None, max(1, grid.n_chords // 200))
+    t, alpha, beta = grid.t[pick], grid.alpha[pick], grid.beta[pick]
     plus, minus = grid.endpoint_plus[pick], grid.endpoint_minus[pick]
-    _, _, _, found = _assert_lookups_agree(dom, theta, plus, r_match)
-    assert np.count_nonzero(found) > 0
-    _assert_lookups_agree(dom, theta, minus, r_match)
-    # jittered probes: every chord of the shifted lines is a candidate
-    ts = (grid.t[pick, None] + [-grid.dt / 3.0, grid.dt / 3.0]).ravel()
-    _assert_lookups_agree(dom, theta, np.repeat(plus, 2, axis=0), np.inf, offsets=ts)
-    # interior points are not found; far-away points fail on distance
-    _assert_lookups_agree(dom, theta, 0.5 * (plus + minus), r_match)
+    # looked up on its own line, an exit point finds its own chord
+    _, a, b, found = geometry.exit_chords(dom, theta, plus, r_match, offsets=t)
+    assert np.all(found)
+    np.testing.assert_array_equal(a, alpha)
+    np.testing.assert_array_equal(b, beta)
+    # on the line through the point, whose offset rounds differently
+    _, _, b, found = geometry.exit_chords(dom, theta, plus, r_match)
+    assert np.all(found)
+    np.testing.assert_allclose(b, beta, rtol=0.0, atol=r_match)
+    # a chord's midpoint lies half its length from every exit of its line
+    inner = 0.5 * (plus + minus)
+    _, a, b, found = geometry.exit_chords(dom, theta, inner, r_match, offsets=t)
+    long = beta - alpha > 4.0 * r_match
+    assert np.any(long) and not np.any(found[long])
+    assert np.all(np.isnan(a[~found])) and np.all(np.isnan(b[~found]))
+    # far ahead, every exit is too far; with no radius the last one is nearest
     far = plus + 10.0 * max(dom.diameter, 1.0) * theta.vector
-    _, _, _, found = _assert_lookups_agree(dom, theta, far, r_match)
-    assert not np.any(found)
-    _assert_lookups_agree(dom, theta, far, np.inf)
-
-
-@pytest.mark.parametrize("name, angle", [("omega_C", 0.0), ("cusp", 4.2),
-                                         ("disk_minus_cantor", 2.4), ("crack_square", 0.3),
-                                         ("far_crack_square", 0.3)])
-def test_exit_chords_find_a_chord_its_nudge_brings_within_r_match(name, angle):
-    # the point lies just beyond a nudged exit, exactly r_match from it:
-    # before nudging the exit is farther than r_match, and the slack keeps
-    # the chord a candidate
-    dom = _planar_domain(name)
-    theta = Direction.from_angle(angle)
-    p, tv = theta.perp_vector, theta.vector
-    lo, hi = geometry.hyperplane_range(dom, theta)
-    ts = np.linspace(lo, hi, 67)[1:-1]
-    rows, _, beta, _ = geometry.chord_table(dom, theta, ts)
-    moved = np.nonzero(beta != geometry._trimmed_table(dom, theta, ts)[2])[0]
-    assert moved.size > 0
-    for i in moved[:8]:
-        t = ts[rows[i]:rows[i] + 1]
-        point = t[:, None] * p + (beta[i] + 1e-9) * tv
-        exit_ = t[:, None] * p + beta[i:i + 1, None] * tv
-        r_match = float(np.linalg.norm(exit_ - point, axis=1)[0])
-        _, _, b, found = _assert_lookups_agree(dom, theta, point, r_match, offsets=t)
-        assert found[0] and b[0] == beta[i]
+    assert not np.any(geometry.exit_chords(dom, theta, far, r_match, offsets=t)[3])
+    _, _, b, found = geometry.exit_chords(dom, theta, far, np.inf, offsets=t)
+    assert np.all(found)
+    last = np.searchsorted(grid.offset_index, grid.offset_index, side="right") - 1
+    np.testing.assert_array_equal(b, grid.beta[last[pick]])
+    # on shifted lines and with no radius, every line with an unflagged
+    # chord finds one
+    ts = (t[:, None] + [-grid.dt / 3.0, grid.dt / 3.0]).ravel()
+    rows, _, _, flags = geometry.chord_table(dom, theta, ts)
+    carries = np.zeros(ts.size, dtype=bool)
+    carries[rows[~flags[rows]]] = True
+    found = geometry.exit_chords(dom, theta, np.repeat(plus, 2, axis=0), np.inf, offsets=ts)[3]
+    np.testing.assert_array_equal(found, carries)
 
 
 def test_exit_chords_leave_a_flagged_line_unfound():
@@ -442,7 +442,7 @@ def test_exit_chords_leave_a_flagged_line_unfound():
     dom = Cusp()
     rows, _, beta, flags = geometry.chord_table(dom, E1, [5e-5])
     assert flags[0] and rows.size == 1
-    _, _, _, found = _assert_lookups_agree(dom, E1, np.array([[beta[0], 5e-5]]), np.inf)
+    _, _, _, found = geometry.exit_chords(dom, E1, np.array([[beta[0], 5e-5]]), np.inf)
     assert not found[0]
 
 
@@ -452,10 +452,12 @@ def test_exit_chords_midway_between_two_exits_of_a_slit_line(theta, point):
     # side of the point, and the first of equals is the one returned
     dom = fractal.named_domain("crack_square")
     pts = np.array([point])
+    first = (0.0, 0.5) if theta == E1 else (-1.0, -0.5)
     for r_match in (0.2, 0.25, 0.3, np.inf):
-        _assert_lookups_agree(dom, theta, pts, r_match)
-    _, alpha, beta, found = _assert_lookups_agree(dom, theta, pts, np.inf)
-    assert found[0] and (alpha[0], beta[0]) == ((0.0, 0.5) if theta == E1 else (-1.0, -0.5))
+        _, alpha, beta, found = geometry.exit_chords(dom, theta, pts, r_match)
+        assert found[0] == (r_match >= 0.25)
+        if found[0]:
+            assert (alpha[0], beta[0]) == first
 
 
 def _inside_endpoints(dom, theta, t, s):
@@ -464,7 +466,7 @@ def _inside_endpoints(dom, theta, t, s):
     return pts[dom.contains_many(pts)]
 
 
-@pytest.mark.parametrize("name", PLANAR_NAMES)
+@pytest.mark.parametrize("name", ENDPOINT_DOMAINS)
 @pytest.mark.parametrize("angle", LOOKUP_ANGLES)
 def test_every_returned_endpoint_fails_membership(name, angle):
     dom = _planar_domain(name)
@@ -481,6 +483,64 @@ def test_every_returned_endpoint_fails_membership(name, angle):
         assert np.any(found)
         inside += [_inside_endpoints(dom, theta, t[found], s) for s in (a[found], b[found])]
     assert np.concatenate(inside).size == 0
+
+
+@pytest.mark.parametrize("name", ENDPOINT_DOMAINS)
+@settings(CLIP_SETTINGS, max_examples=20)
+@given(theta=DIRECTIONS, n_offsets=st.sampled_from([64, 256, 1024]))
+def test_chord_table_endpoints_fail_membership(name, theta, n_offsets):
+    dom = _planar_domain(name)
+    if name == "cantor_comb_8":
+        n_offsets = 1024
+    ts, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta),
+                                     n_offsets)
+    rows, alpha, beta, _ = geometry.chord_table(dom, theta, ts)
+    assert rows.size > 0
+    feet = geometry._feet(ts[rows], theta.perp_vector)
+    for s in (alpha, beta):
+        assert not np.any(dom.contains_many(points_along(feet, s, theta.vector)))
+
+
+def _count_membership(monkeypatch):
+    """Membership calls of every kind, each recorded as (points, whether
+    `_pair_candidates` made it)."""
+    calls, pairing = [], []
+    for cls in set(geometry._KINDS.values()):
+        def counted(self, pts, _inner=cls.contains_many):
+            calls.append((len(pts), bool(pairing)))
+            return _inner(self, pts)
+        monkeypatch.setattr(cls, "contains_many", counted)
+    pair = geometry._pair_candidates
+
+    def paired(*args):
+        pairing.append(True)
+        try:
+            return pair(*args)
+        finally:
+            pairing.pop()
+
+    monkeypatch.setattr(geometry, "_pair_candidates", paired)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["square", "triangle", "crack_square", "omega_C", "bicone",
+                                  "disk_minus_cantor", "cantor_comb", "cusp"])
+def test_chord_tables_make_no_membership_call(name, monkeypatch):
+    # the cusp pairs its crossings by testing the cells between them, one
+    # call per oblique table; no other kind tests a point
+    dom = _planar_domain(name)
+    calls = _count_membership(monkeypatch)
+    for angle in LOOKUP_ANGLES + [0.35, 0.9]:
+        theta = Direction.from_angle(angle)
+        ts, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta), 256)
+        before = len(calls)
+        rows, _, _, _ = geometry.chord_table(dom, theta, ts)
+        assert rows.size > 0
+        made = calls[before:]
+        if name == "cusp" and not theta.is_axis():
+            assert len(made) == 1 and made[0][1]
+        else:
+            assert made == []
 
 
 def test_oblique_slit_crossings_fail_membership():
@@ -670,11 +730,6 @@ def convex_polygons(draw, log_scale=(0.0, 3.0), shift_scales=100.0):
     return dom
 
 
-DIRECTIONS = st.one_of(st.sampled_from([0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi]),
-                       st.floats(-np.pi, np.pi)).map(Direction.from_angle)
-CLIP_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
 @CLIP_SETTINGS
 @given(convex_polygons(), DIRECTIONS)
 def test_clipped_chords_equal_the_crossing_path_on_grid_offsets(dom, theta):
@@ -731,20 +786,3 @@ def test_crossing_path_keeps_every_clipped_chord_far_from_the_origin(dom, angles
         ts = _grazing_offsets(dom, theta, 1e-13 * dom._scale)
         np.testing.assert_array_equal(dom._crossing_slices(theta, ts)[0],
                                       dom.line_slices(theta, ts)[0])
-
-
-@pytest.mark.parametrize("name", ["square", "triangle", "crack_square"])
-def test_catalogue_grids_clip_without_membership_tests(name, monkeypatch):
-    dom = fractal.named_domain(name)
-    theta = Direction.from_angle(0.35)
-    ts, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta), 256)
-    calls = []
-    original = Polygon.contains_many
-
-    def counted(self, pts):
-        calls.append(len(pts))
-        return original(self, pts)
-
-    monkeypatch.setattr(Polygon, "contains_many", counted)
-    rows, _, _, _ = geometry._trimmed_table(dom, theta, ts)
-    assert rows.size > 0 and calls == []

@@ -168,6 +168,28 @@ def test_consistency_slit_field_is_out():
     assert vals[-1] == pytest.approx(w.point[1], abs=1e-9)
 
 
+def test_consistency_witnesses_of_equal_spread_come_in_probe_order(monkeypatch):
+    # spreads that tie at rounding level: the witnesses are the largest
+    # spreads, equal ones in probe order, not in an order the sort picks
+    seen = {}
+
+    def spreads(fld, domain, directions, points, order, r_match):
+        seen["probes"] = points
+        n = points.shape[0]
+        spread = np.where(np.arange(n) % 3 == 0, 2.2e-16, 4.4e-16)
+        values = np.full((n, len(directions)), np.nan)
+        values[:, 0], values[:, 1] = 0.0, spread
+        return values, np.ones(n, dtype=bool), spread
+
+    monkeypatch.setattr(trace, "_spreads", spreads)
+    rep = trace.consistency_report(get_field("sincos"), unit_square(),
+                                   direction_table(4, start_angle=0.3), SPEC, tolerance=1.0)
+    assert rep.verdict == "in" and seen["probes"].shape[0] > 12
+    np.testing.assert_array_equal([w.point for w in rep.witnesses],
+                                  seen["probes"][[1, 2, 4, 5, 7, 8, 10, 11]])
+    assert [w.spread for w in rep.witnesses] == [4.4e-16] * 8
+
+
 def test_consistency_needs_two_directions():
     with pytest.raises(ValidationError):
         trace.consistency_report(get_field("x1"), unit_square(), [E1], SPEC)
