@@ -14,6 +14,11 @@ a gate passes only when both the discrepancy and the error bar are within
 the tolerance, so it never certifies more than the run can resolve.  Only
 the subcommands with a gate (measure, ibp, consistency) take --tolerance;
 the others reject it with exit 2.
+
+`main` builds the parser of the one sub-command named first on the command
+line, and falls back to the full parser for anything else (help, --version,
+no arguments, an unknown command), so every message and exit code is the
+full parser's.
 """
 
 from __future__ import annotations
@@ -256,6 +261,8 @@ def _cmd_nu(args) -> int:
     spec = _spec_from(args)
     fld = fields.parse_field(args.field)
     levels = args.levels
+    if levels < 0:
+        raise ValidationError(f"--levels must be non-negative, got {levels}")
     rows = []
     for n in range(levels + 1):
         y = 0.5 * 3.0 ** (-n)
@@ -394,85 +401,72 @@ def _add_direction(p: argparse.ArgumentParser) -> None:
                    help="size of the direction table")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kw):
+    return lambda p: p.add_argument(*flags, **kw)
+
+
+_FIELD = _arg("--field", required=True)
+
+# name -> (help, argument adders in help order, handler): the one list of
+# sub-commands that both the full and the one-command parser are built from
+_COMMANDS = {
+    "measure": ("directional boundary measure atoms",
+                (_add_domain, _add_direction, _add_common, _add_tolerance), _cmd_measure),
+    "trace": ("trace field and trace inequalities",
+              (_add_domain, _add_direction, _FIELD, _add_common), _cmd_trace),
+    "ibp": ("chord-paired integration by parts",
+            (_add_domain, _add_direction, _arg("--u", required=True),
+             _arg("--v", required=True), _add_common, _add_tolerance), _cmd_ibp),
+    "lebesgue": ("trace versus chord averages",
+                 (_add_domain, _add_direction, _FIELD,
+                  _arg("--eps", type=float, nargs="+", default=(0.1, 0.01, 0.001)),
+                  _add_common), _cmd_lebesgue),
+    "nu": ("Cantor-boundary stage functionals",
+           (_add_domain, _FIELD, _arg("--levels", type=int, default=8), _add_common),
+           _cmd_nu),
+    "staircase": ("devil staircase construction",
+                  (_arg("--ratio", type=float, default=1.0 / 3.0),
+                   _arg("--level", type=int, default=10),
+                   _arg("--scheme", default="third", choices=("third", "rho")),
+                   _arg("--pmax", type=int, default=10),
+                   _arg("--alpha", type=float, default=0.0),
+                   _arg("--beta", type=float, default=1.0),
+                   _arg("--margin", type=float, default=0.0), _add_common),
+                  _cmd_staircase),
+    "oned": ("1d membership and continuous approximation",
+             (_add_domain, _FIELD, _arg("--n", type=int, nargs="+", default=(4, 6, 8, 10)),
+              _arg("--truncation", type=float, default=None), _add_common), _cmd_oned),
+    "consistency": ("cross-direction trace agreement",
+                    (_add_domain, _FIELD, _arg("--directions", type=int, default=8),
+                     _add_common, _add_tolerance), _cmd_consistency),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with `command` one that knows only that sub-command."""
     parser = argparse.ArgumentParser(
         prog="dirtrace",
         description="directional boundary measures, traces and their calculus",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("measure", help="directional boundary measure atoms")
-    _add_domain(p)
-    _add_direction(p)
-    _add_common(p)
-    _add_tolerance(p)
-    p.set_defaults(func=_cmd_measure)
-
-    p = sub.add_parser("trace", help="trace field and trace inequalities")
-    _add_domain(p)
-    _add_direction(p)
-    p.add_argument("--field", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("ibp", help="chord-paired integration by parts")
-    _add_domain(p)
-    _add_direction(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    _add_common(p)
-    _add_tolerance(p)
-    p.set_defaults(func=_cmd_ibp)
-
-    p = sub.add_parser("lebesgue", help="trace versus chord averages")
-    _add_domain(p)
-    _add_direction(p)
-    p.add_argument("--field", required=True)
-    p.add_argument("--eps", type=float, nargs="+",
-                   default=[0.1, 0.01, 0.001])
-    _add_common(p)
-    p.set_defaults(func=_cmd_lebesgue)
-
-    p = sub.add_parser("nu", help="Cantor-boundary stage functionals")
-    _add_domain(p)
-    p.add_argument("--field", required=True)
-    p.add_argument("--levels", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=_cmd_nu)
-
-    p = sub.add_parser("staircase", help="devil staircase construction")
-    p.add_argument("--ratio", type=float, default=1.0 / 3.0)
-    p.add_argument("--level", type=int, default=10)
-    p.add_argument("--scheme", default="third", choices=("third", "rho"))
-    p.add_argument("--pmax", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--margin", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_staircase)
-
-    p = sub.add_parser("oned", help="1d membership and continuous approximation")
-    _add_domain(p)
-    p.add_argument("--field", required=True)
-    p.add_argument("--n", type=int, nargs="+", default=[4, 6, 8, 10])
-    p.add_argument("--truncation", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_oned)
-
-    p = sub.add_parser("consistency", help="cross-direction trace agreement")
-    _add_domain(p)
-    p.add_argument("--field", required=True)
-    p.add_argument("--directions", type=int, default=8)
-    _add_common(p)
-    _add_tolerance(p)
-    p.set_defaults(func=_cmd_consistency)
-
+    # the one-command parser still lists every command in the usage line
+    # that its errors print; the full parser lists them itself
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else _COMMANDS:
+        help_text, adders, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for add in adders:
+            add(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command needs only its own sub-parser; anything else (help,
+    # --version, none, an unknown or abbreviated command) gets the full one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -167,6 +167,8 @@ class Direction:
         v = np.asarray(components, dtype=float).copy()
         if v.ndim != 1 or v.size not in (1, 2):
             raise ValidationError("direction must be a 1D or 2D vector")
+        if not np.isfinite(v).all():
+            raise ValidationError(f"direction components must be finite, got {v.tolist()}")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-12:
             if norm == 0.0:
@@ -181,6 +183,8 @@ class Direction:
 
     @classmethod
     def from_angle(cls, angle: float) -> "Direction":
+        if not math.isfinite(angle):
+            raise ValidationError(f"direction angle must be finite, got {angle}")
         return cls([math.cos(angle), math.sin(angle)])
 
     @property

@@ -1,5 +1,6 @@
 """Command line driver: files, determinism, exit codes."""
 
+import argparse
 import json
 import re
 import shlex
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirtrace import __version__, _cantor, calculus, fields, fractal
-from dirtrace.cli import _CSV_CHUNK_ROWS, _config_hash, _write_csv, main
+from dirtrace import __version__, _cantor, calculus, cli, fields, fractal
+from dirtrace.cli import _COMMANDS, _CSV_CHUNK_ROWS, _config_hash, _write_csv, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -116,6 +117,55 @@ def test_bad_flag_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+_PARSE_CASES = (
+    [["--help"], ["--version"], [], ["frob"], ["meas", "--help"],
+     ["measure", "--domain", "square", "--bogus", "1"],
+     ["trace", "--domain", "square"],
+     ["measure", "--domain", "square", "--ny", "x"],
+     ["measure", "--domain", "square", "extra"]]
+    + [[name, flag] for name in _COMMANDS for flag in ("--help", "-h")]
+)
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_main_parses_as_the_full_parser_does(argv, columns, capsys, monkeypatch):
+    # main builds one sub-command's parser when it can; every help text,
+    # usage line, error and exit code must still be the full parser's
+    monkeypatch.setenv("COLUMNS", columns)
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (int(exc.value.code or 0), want.out, want.err)
+
+
+def test_a_command_builds_only_its_own_sub_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert run(["staircase", "--level", "2", "--pmax", "2"], tmp_path) == 0
+    assert built == ["staircase"]
+    assert main(["--version"]) == 0
+    assert built[1:] == list(_COMMANDS)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_non_finite_angle_exits_2_without_files(angle, tmp_path, capsys):
+    code = main(["measure", "--domain", "square", "--angle", angle, "--ny", "64",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_tolerance_without_a_gate_exits_2(tmp_path, capsys):
     # trace has no tolerance gate, so the flag must not be accepted and
     # silently dropped
@@ -209,6 +259,19 @@ def test_nu_rejects_a_bad_stage_before_computing_the_norm(tmp_path, capsys):
     # The configuration is valid, so this is a computation error (3), not 2
     assert run(["nu", "--domain", "bicone", "--field", "cusp_pow"], tmp_path) == 3
     assert "not finite on a stage interval" in capsys.readouterr().err
+
+
+def test_nu_rejects_negative_levels_before_computing(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a rejected --levels reached the computation")
+
+    monkeypatch.setattr(calculus, "nu_value", refuse)
+    monkeypatch.setattr(cli, "h1_norm", refuse)
+    code = main(["nu", "--domain", "omega_C", "--field", "sign_y", "--levels", "-1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "--levels" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_nu_gap_of_jump_field(tmp_path):

@@ -53,6 +53,19 @@ def test_direction_normalized_and_perp():
     assert np.isclose(np.linalg.norm(d.perp_vector), 1.0)
 
 
+@pytest.mark.parametrize("components", [[np.nan, 0.0], [0.0, np.inf], [-np.inf], [np.nan]])
+def test_direction_rejects_non_finite_components(components):
+    # abs(nan - 1) > 1e-12 is False, so a NaN once passed as a unit vector
+    with pytest.raises(ValidationError, match="finite"):
+        Direction(components)
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_direction_rejects_a_non_finite_angle(angle):
+    with pytest.raises(ValidationError, match="finite"):
+        Direction.from_angle(angle)
+
+
 def test_direction_table_spacing():
     table = direction_table(16)
     assert len(table) == 16
