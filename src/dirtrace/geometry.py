@@ -169,10 +169,18 @@ class Direction:
             raise ValidationError("direction must be a 1D or 2D vector")
         if not np.isfinite(v).all():
             raise ValidationError(f"direction components must be finite, got {v.tolist()}")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
-            if norm == 0.0:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if norm == 0.0 or norm == math.inf:
+            # the squares underflowed or overflowed: rescale by the largest
+            # component first (no norm that came out finite and nonzero
+            # takes this path, so those directions keep their bits)
+            scale = float(np.max(np.abs(v)))
+            if scale == 0.0:
                 raise ValidationError("zero direction")
+            v = v / scale
+            norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > 1e-12:
             v = v / norm
         # Snap near-axis components so axis directions stay exactly on axis.
         snapped = np.round(v)

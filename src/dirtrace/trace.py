@@ -20,7 +20,9 @@ clean report says "not refuted", not "proved".
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +38,10 @@ from .geometry import (
     points_along,
 )
 from .quadrature import (
+    ChordGrid,
     IntegralResult,
     QuadratureSpec,
+    _cache_lock,
     _check_settled,
     _rule_sums,
     _rule_total,
@@ -381,15 +385,17 @@ class ConsistencyReport:
 
 
 def _spreads(fld, domain: Domain, directions, points: np.ndarray, order: int,
-             r_match: float):
+             r_match: float, chords=None):
     """Traces at points along every direction, as (values, shared,
     spreads): values (n, directions) is NaN where a direction does not
     reach a point (the slice through it has no chord exiting there), shared
     marks the points two or more directions reach, and spreads holds
-    max - min of their values there (0 elsewhere)."""
+    max - min of their values there (0 elsewhere).  chords[j], when given,
+    is `exit_chords` of the points along directions[j]."""
     values = np.full((points.shape[0], len(directions)), np.nan)
     for j, theta in enumerate(directions):
-        t, a, b, found = exit_chords(domain, theta, points, r_match)
+        t, a, b, found = (exit_chords(domain, theta, points, r_match) if chords is None
+                          else chords[j])
         if np.any(found):
             gplus = _chord_traces(fld, theta, t[found], a[found], b[found], order)[0]
             values[found, j] = np.where(np.isfinite(gplus), gplus, np.nan)
@@ -419,6 +425,66 @@ def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
 # Largest share of the probed mass that may disagree in an "in" verdict.
 _MASS_TOLERANCE = 1e-6
 
+# What consistency reports compute from a chord grid alone, whatever the
+# field: its probe sets, their exit chords along each direction, its mass.
+# An entry lives as long as its grid (the grid cache drops it, and so it).
+_grid_memo: "weakref.WeakKeyDictionary[ChordGrid, dict]" = weakref.WeakKeyDictionary()
+
+
+def _memo_get(grid: ChordGrid, key):
+    with _cache_lock:
+        return _grid_memo.get(grid, {}).get(key)
+
+
+def _memo_put(grid: ChordGrid, key, value):
+    """Keep value with grid under key, its arrays read-only, as reports
+    share them; returns the value kept (the first, when reports race)."""
+    for arr in value if isinstance(value, tuple) else ():
+        arr.setflags(write=False)
+    with _cache_lock:
+        return _grid_memo.setdefault(grid, {}).setdefault(key, value)
+
+
+def _memo(grid: ChordGrid, key, compute):
+    value = _memo_get(grid, key)
+    return _memo_put(grid, key, compute()) if value is None else value
+
+
+class _ProbeSet(NamedTuple):
+    """The probes of one direction's grid, kept with it under key."""
+
+    source: int
+    grid: ChordGrid
+    key: tuple
+    points: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+
+
+def _probe_set(grid: ChordGrid, theta: Direction, stride: int):
+    """Exit point, weight and offset of every stride-th atom of the grid."""
+    line = grid.offset_index[::stride]
+    t = grid.offsets[line]
+    points = points_along(_feet(t, offset_normal(theta)), grid.beta[::stride], theta.vector)
+    return points, grid.lengths[::stride] * grid.offset_widths[line], t
+
+
+def _probe_chords(domain: Domain, theta: Direction, theta_key: bytes, sets,
+                  r_match: float):
+    """`exit_chords` along theta of the points of all probe sets, in order.
+    Each set's part is kept with its grid; the sets without one are looked
+    up in one batch, which gives every point the chord it gets alone."""
+    keys = [p.key + (theta_key, r_match) for p in sets]
+    parts = [_memo_get(p.grid, key) for p, key in zip(sets, keys)]
+    missing = [i for i, part in enumerate(parts) if part is None]
+    if missing:
+        batch = exit_chords(domain, theta, np.concatenate([sets[i].points for i in missing]),
+                            r_match)
+        cuts = np.cumsum([sets[i].offsets.size for i in missing])[:-1]
+        for i, *part in zip(missing, *(np.split(arr, cuts) for arr in batch)):
+            parts[i] = _memo_put(sets[i].grid, keys[i], tuple(part))
+    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
+
 
 def consistency_report(fld, domain: Domain, directions,
                        spec: QuadratureSpec | None = None,
@@ -431,6 +497,11 @@ def consistency_report(fld, domain: Domain, directions,
     within the matching radius without being the same boundary point;
     such coincidences carry no measure and vanish under perturbation,
     while a genuine trace mismatch survives it.
+
+    Reports on the same domain, direction table, resolution and probe
+    count share their exit-chord lookups: the probes, their exit chords
+    and the grid masses depend on no field or Gauss order, so they are
+    kept with the cached chord grids and computed once per grid.
     """
     spec = spec or QuadratureSpec()
     directions = list(directions)
@@ -443,36 +514,31 @@ def consistency_report(fld, domain: Domain, directions,
             f"probes_per_direction must be an integer >= 1, got {probes_per_direction!r}")
     r_match = match_radius(domain)
 
-    probe_pts = []
-    probe_wts = []
-    probe_src = []
-    probe_off = []
-    probe_dt = []
+    # Memo keys hold the direction vectors' bytes: directions equal up to
+    # the sign of a zero share a grid, not every float computed from them.
+    keys = [theta.vector.tobytes() for theta in directions]
+    sets = []
     for idx, theta in enumerate(directions):
         grid = chord_grid(domain, theta, spec.n_offsets)
         if grid.n_chords == 0:
             continue
-        # every stride-th atom of the direction's measure: its exit point,
-        # weight and offset
+        # every stride-th atom of the direction's measure
         stride = max(1, grid.n_chords // probes_per_direction)
-        line = grid.offset_index[::stride]
-        t = grid.offsets[line]
-        beta = grid.beta[::stride]
-        probe_pts.append(points_along(_feet(t, offset_normal(theta)), beta, theta.vector))
-        probe_wts.append(grid.lengths[::stride] * grid.offset_widths[line])
-        probe_src.append(np.full(beta.size, idx))
-        probe_off.append(t)
-        probe_dt.append(np.full(beta.size, grid.dt))
-    if not probe_pts:
+        key = (keys[idx], stride)
+        sets.append(_ProbeSet(idx, grid, key,
+                              *_memo(grid, key, lambda: _probe_set(grid, theta, stride))))
+    if not sets:
         raise InsufficientOverlap("no boundary atoms to probe")
-    probes = np.concatenate(probe_pts)
-    weights = np.concatenate(probe_wts)
-    sources = np.concatenate(probe_src)
-    offsets = np.concatenate(probe_off)
-    dts = np.concatenate(probe_dt)
+    probes = np.concatenate([p.points for p in sets])
+    weights = np.concatenate([p.weights for p in sets])
+    offsets = np.concatenate([p.offsets for p in sets])
+    sources = np.concatenate([np.full(p.offsets.size, p.source) for p in sets])
+    dts = np.concatenate([np.full(p.offsets.size, p.grid.dt) for p in sets])
+    chords = [_probe_chords(domain, theta, key, sets, r_match)
+              for theta, key in zip(directions, keys)]
 
     values, shared, spreads = _spreads(fld, domain, directions, probes,
-                                       spec.gauss_order, r_match)
+                                       spec.gauss_order, r_match, chords)
     if not np.any(shared):
         raise InsufficientOverlap(
             "no probed boundary point was reachable from two directions"
@@ -481,10 +547,11 @@ def consistency_report(fld, domain: Domain, directions,
     if tolerance is None:
         # Ten times the measure-mass refinement error, a crude but
         # configuration-independent scale for quadrature noise.
-        _, errs, _ = refined(
-            lambda s: ([float(np.sum(chord_grid(domain, theta, s.n_offsets).weights))
-                        for theta in directions], 0.0),
-            spec, floor=0.0)
+        def masses(s):
+            grids = [chord_grid(domain, theta, s.n_offsets) for theta in directions]
+            return [_memo(g, "mass", lambda: float(np.sum(g.weights))) for g in grids], 0.0
+
+        _, errs, _ = refined(masses, spec, floor=0.0)
         tolerance = 10.0 * max(max(errs), 1e-12)
 
     bad = shared & (spreads > tolerance)

@@ -60,6 +60,23 @@ def test_direction_rejects_non_finite_components(components):
         Direction(components)
 
 
+@pytest.mark.parametrize("components, unit", [
+    ([1e200, 1e200], [1.0, 1.0]),
+    ([1e308, 1e308], [1.0, 1.0]),
+    ([3e-170, 4e-170], [3.0, 4.0]),
+    ([5e-324, -5e-324], [1.0, -1.0]),
+])
+def test_direction_of_huge_or_tiny_components(components, unit):
+    # squaring them overflows to an infinite norm (once a zero vector,
+    # accepted) or underflows to a zero one (once "zero direction")
+    np.testing.assert_array_equal(Direction(components).vector, Direction(unit).vector)
+
+
+def test_direction_rejects_the_zero_vector():
+    with pytest.raises(ValidationError, match="zero direction"):
+        Direction([0.0, -0.0])
+
+
 @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
 def test_direction_rejects_a_non_finite_angle(angle):
     with pytest.raises(ValidationError, match="finite"):

@@ -1,11 +1,13 @@
 """Directional traces, Lebesgue comparisons and cross-direction agreement."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from dirtrace import cli, fields, fractal, measure, quadrature, trace
+from dirtrace import cli, fields, fractal, geometry, measure, quadrature, trace
 from dirtrace.errors import NotDirectionalBoundary, ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import Cusp, Direction, Polygon, direction_table, match_radius
@@ -173,7 +175,7 @@ def test_consistency_witnesses_of_equal_spread_come_in_probe_order(monkeypatch):
     # spreads, equal ones in probe order, not in an order the sort picks
     seen = {}
 
-    def spreads(fld, domain, directions, points, order, r_match):
+    def spreads(fld, domain, directions, points, order, r_match, chords=None):
         seen["probes"] = points
         n = points.shape[0]
         spread = np.where(np.arange(n) % 3 == 0, 2.2e-16, 4.4e-16)
@@ -261,6 +263,130 @@ def test_batched_traces_match_directional_trace_on_oblique_probes(name):
         for z, value in zip(probes, column):
             if np.isfinite(value):
                 assert trace.directional_trace(fld, dom, theta, z, order=8) == value
+
+
+TWO_D_KINDS = [name for name in fractal.DOMAIN_NAMES
+               if fractal.named_domain(name).dim == 2]
+
+
+def _report_probes(dom, directions, n_offsets, probes_per_direction):
+    """The probe points of `consistency_report`, one array per direction."""
+    sets = []
+    for theta in directions:
+        grid = quadrature.chord_grid(dom, theta, n_offsets)
+        stride = max(1, grid.n_chords // probes_per_direction)
+        sets.append(trace._probe_set(grid, theta, stride)[0])
+    return sets
+
+
+def _assert_same_chords(got, want):
+    # equal floats (NaN where nothing is found) with equal signs of zero
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
+
+@pytest.mark.parametrize("count", [4, 8])
+@pytest.mark.parametrize("name", TWO_D_KINDS)
+def test_exit_chords_of_report_probes_do_not_depend_on_the_batch(name, count):
+    # Reports keep each direction's lookups with its grid and look up only
+    # the missing ones together, so a probe must get the same chord in any
+    # batch: its own direction's, the reversed one, or alone.
+    # the comb at its default level 12 has up to a million chords a grid
+    dom = fractal.named_domain(name, level=6) if name == "cantor_comb" else (
+        fractal.named_domain(name))
+    directions = direction_table(count)
+    r_match = match_radius(dom)
+    sets = _report_probes(dom, directions, 256, 8)
+    probes = np.concatenate(sets)
+    cuts = np.cumsum([p.shape[0] for p in sets])[:-1]
+    for theta in directions:
+        whole = geometry.exit_chords(dom, theta, probes, r_match)
+        assert np.any(whole[3])
+        for points, part in zip(sets, zip(*(np.split(a, cuts) for a in whole))):
+            _assert_same_chords(geometry.exit_chords(dom, theta, points, r_match), part)
+        _assert_same_chords(geometry.exit_chords(dom, theta, probes[::-1], r_match),
+                            [a[::-1] for a in whole])
+        for i in range(0, probes.shape[0], 3):
+            _assert_same_chords(geometry.exit_chords(dom, theta, probes[i], r_match),
+                                [a[i:i + 1] for a in whole])
+
+
+def test_consistency_report_reuses_its_grid_lookups(monkeypatch):
+    # A second report on the same domain, directions, resolution and probe
+    # count, with another field and Gauss order, looks up only the jittered
+    # probes of its disagreeing points, and reports what a cold one does.
+    dom, directions = fractal.named_domain("crack_square"), direction_table(4)
+    spec = QuadratureSpec(n_offsets=256, gauss_order=8)
+    trace.consistency_report(get_field("x1x2"), dom, directions, spec)
+
+    calls, jittered = [], []
+    lookup, jitter = trace.exit_chords, trace._jittered_probes
+
+    def counted_lookup(domain, theta, points, r_match, offsets=None):
+        calls.append((np.array(points), offsets))
+        return lookup(domain, theta, points, r_match, offsets)
+
+    def kept_jitter(*args):
+        jittered.append(jitter(*args))
+        return jittered[-1]
+
+    monkeypatch.setattr(trace, "exit_chords", counted_lookup)
+    monkeypatch.setattr(trace, "_jittered_probes", kept_jitter)
+    spec16 = QuadratureSpec(n_offsets=256, gauss_order=16)
+    warm = trace.consistency_report(get_field("crack_2d"), dom, directions, spec16)
+    assert warm.verdict == "out" and warm.transient_conflations < warm.n_probes
+    # the jittered lines, then the jittered points along every direction
+    shifted = {tuple(z) for z in np.concatenate(jittered) if np.all(np.isfinite(z))}
+    lines = [points for points, offsets in calls if offsets is not None]
+    others = [points for points, offsets in calls if offsets is None]
+    assert len(lines) == len(jittered) and len(others) == len(directions)
+    assert all({tuple(z) for z in points} <= shifted for points in others)
+
+    monkeypatch.undo()
+    quadrature.clear_cache()
+    cold = trace.consistency_report(get_field("crack_2d"), dom, directions, spec16)
+    # repr, not ==, so that a zero's sign counts
+    assert repr(warm.to_json()) == repr(cold.to_json())
+
+
+def test_consistency_lookups_keep_the_sign_of_a_zero_in_a_direction():
+    # direction_table(8) holds (-0.0, -1.0), which shares its grid with
+    # (0.0, -1.0); their probes on y = 0 sit at y = -0.0 and y = 0.0
+    dom, spec = fractal.named_domain("triangle"), QuadratureSpec(n_offsets=128)
+    table = direction_table(8)
+    assert any(np.signbit(theta.vector[theta.vector == 0.0]).any() for theta in table)
+    flipped = [Direction(np.where(theta.vector == 0.0, 0.0, theta.vector)) for theta in table]
+    quadrature.clear_cache()
+    cold = trace.consistency_report(get_field("x1x2"), dom, flipped, spec)
+    quadrature.clear_cache()
+    trace.consistency_report(get_field("x1x2"), dom, table, spec)
+    warm = trace.consistency_report(get_field("x1x2"), dom, flipped, spec)
+    assert repr(warm.to_json()) == repr(cold.to_json())
+
+
+def test_consistency_lookups_are_freed_with_their_grid():
+    dom, directions = unit_square(), direction_table(4, start_angle=0.3)
+    quadrature.clear_cache()
+    gc.collect()
+    assert len(trace._grid_memo) == 0
+    trace.consistency_report(get_field("sincos"), dom, directions, SPEC)
+    # probes and their chords on the four fine grids, masses on all eight
+    assert len(trace._grid_memo) == 2 * len(directions)
+    quadrature.clear_cache()
+    assert len(trace._grid_memo) == 0
+
+    trace.consistency_report(get_field("sincos"), dom, directions, SPEC)
+    kept = [weakref.ref(value) for memo in trace._grid_memo.values()
+            for entry in memo.values() if isinstance(entry, tuple) for value in entry]
+    # reports share them, so none is writable
+    assert kept and not any(ref().flags.writeable for ref in kept)
+    # as many other grids as the cache keeps evict the report's grids
+    for k in range(quadrature._CACHE_LIMIT):
+        quadrature.chord_grid(dom, Direction.from_angle(1.0 + 1e-3 * k), 4)
+    gc.collect()
+    assert len(trace._grid_memo) == 0
+    assert all(ref() is None for ref in kept)
 
 
 def _counted(fld, counts):
