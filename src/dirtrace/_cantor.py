@@ -13,39 +13,25 @@ root interval is m = 1, and the gaps of the two children of interval m
 are 2m and 2m+1.  Depth(m) = floor(log2 m).
 
 Distances come from a descent through the construction.  Its first levels
-are one sorted search in a table of the gaps of depth <= 12, built with
-gap_table once per (ratio, scheme) and cached read-only, so every point
-starts from the floats the level-by-level descent computes.
-
-The same table holds two edge thresholds per depth-12 surviving interval.
-From an interval, the descent of a point at its right edge goes right at
-every split down to the floor: the largest gap end d on that path is the
-right threshold, and a point at or beyond it goes right at each of those
-splits, so its distance is 0.  The left threshold bounds the always-left
-path the same way (x <= c and x < d at every split).  Both paths are the
-descent's own floats, so the thresholds are exact, not a tolerance: a
-point at or past one of them skips a descent whose answer is known, and
-the distances stay bit-identical.
+are one search in a sorted gap table of some level (a domain passes its
+own), so every point leaves the table with the floats the level-by-level
+descent computes, and goes on splitting below it.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from .errors import InvalidRatio, ValidationError
 
 # Recursive descent stops refining once the bracketing interval is this
-# short; points that deep are reported as lying on the set.
+# short; points that deep are reported as lying on the set.  Each level
+# shrinks an interval at most 3x, so no interval of depth <= MAX_LEVEL + 1
+# is shorter than 3**-25 (about 1.2e-12): the floor never fires inside a
+# gap table, and the handover from a table to the descent is exact.
 DESCENT_FLOOR = 1e-15
 
 _MAX_DEPTH = 80
-
-# Gaps of depth <= _SEED_LEVEL (8,191 of them) seed every descent.  Each
-# level shrinks an interval at most 3x, so no depth-13 interval is shorter
-# than 3**-13 >> DESCENT_FLOOR and the floor never fires before the seed.
-_SEED_LEVEL = 12
 
 # Gap tables beyond this level exceed float feature resolution anyway.
 MAX_LEVEL = 24
@@ -126,79 +112,37 @@ def _between(gaps: np.ndarray):
 
 def level_intervals(level: int, ratio: float = 1.0 / 3.0, scheme: str = "third"):
     """Surviving closed intervals (a_m, b_m) after `level` removal rounds,
-    left to right: the complement in [0, 1] of the gaps of depth < level.
-
-    Up to level _SEED_LEVEL + 1 these are read-only strided views of the
-    cached seed intervals: every k-th interval starts after a gap of depth
-    < level (k = 2**(_SEED_LEVEL + 1 - level)), and the gaps of a depth are
-    the same floats in every table, so no table is built or sorted again.
-    """
+    left to right: the complement in [0, 1] of the gaps of depth < level."""
     _check_ratio(ratio)
     _check_scheme(ratio, scheme)
     _check_level(level)
-    if level <= _SEED_LEVEL + 1:
-        lo, hi = _seed(ratio, scheme)[:2]
-        k = 2 ** (_SEED_LEVEL + 1 - level)
-        return lo[::k], hi[k - 1::k]
+    if level == 0:
+        return np.array([0.0]), np.array([1.0])
     return _between(sorted_gaps(ratio, level - 1, scheme))
 
 
-def _edge_thresholds(lo: np.ndarray, hi: np.ndarray, ratio: float, scheme: str):
-    """Thresholds (left, right) of the descent from each interval [lo, hi]:
-    points x <= left go left, and points x >= right go right, at every
-    split from depth _SEED_LEVEL + 1 until the bracket drops below
-    DESCENT_FLOOR, as distance_many splits them."""
-    left = np.full(lo.shape, np.inf)
-    right = np.full(lo.shape, -np.inf)
-    for go_right in (False, True):
-        k, a, b = np.arange(lo.size), lo, hi
-        for depth in range(_SEED_LEVEL + 1, _MAX_DEPTH):
-            if k.size == 0:
-                break
-            c, d = _split(a, b, depth, ratio, scheme)
-            if go_right:
-                right[k] = np.maximum(right[k], d)
-                a = d
-            else:
-                # x goes left where x <= c and x < d
-                left[k] = np.minimum(left[k], np.minimum(c, np.nextafter(d, -np.inf)))
-                b = c
-            live = ~((b - a) < DESCENT_FLOOR)
-            k, a, b = k[live], a[live], b[live]
-    return left, right
+def gap_search(x: np.ndarray, gaps: np.ndarray):
+    """Search the sorted gaps (c, d) for each x: the count k of gaps with
+    c < x, and how far x lies inside the last of them, min(x - c, d - x),
+    which is positive exactly where x lies in that gap."""
+    c, d = gaps[:, 0], gaps[:, 1]
+    k = np.searchsorted(c, x)
+    j = np.maximum(k - 1, 0)
+    return k, np.minimum(x - c[j], d[j] - x)
 
 
-# Distinct (ratio, scheme) tables kept at once; the catalogue uses two.
-# Each holds four float arrays of 2**_SEED_LEVEL entries (256 KB).
-_SEED_CACHE = 8
-
-
-@functools.lru_cache(maxsize=_SEED_CACHE)
-def _seed(ratio: float, scheme: str):
-    """Surviving intervals [lo[k], hi[k]] between the sorted gaps (c, d) of
-    depth <= _SEED_LEVEL (hi[k] = c[k] and lo[k + 1] = d[k]), with their
-    edge thresholds (left[k], right[k]) from _edge_thresholds."""
-    lo, hi = _between(sorted_gaps(ratio, _SEED_LEVEL, scheme))
-    left, right = _edge_thresholds(lo, hi, ratio, scheme)
-    for arr in (lo, hi, left, right):
-        arr.flags.writeable = False
-    return lo, hi, left, right
-
-
-def distance_many(x: np.ndarray, ratio: float = 1.0 / 3.0, scheme: str = "third") -> np.ndarray:
+def distance_many(x: np.ndarray, gaps: np.ndarray, ratio: float, scheme: str) -> np.ndarray:
     """Exact distance from each point to the Cantor set, by recursive descent.
 
-    One search in the cached sorted gaps of depth <= _SEED_LEVEL stands in
-    for the first levels: a point inside one of them is done.  So is a
-    point of a surviving interval at or past one of its edge thresholds,
-    with distance 0: it would go the same way at every split down to the
-    floor, and the thresholds are the floats of those splits (see the
-    module docstring).  Any other point starts at depth _SEED_LEVEL + 1
-    from its surviving interval, whose ends are the floats the
-    level-by-level descent computes (x = c goes left, x = d goes right).
-    From there each point follows its own branch of the
+    `gaps` is sorted_gaps(ratio, level, scheme) at any level.  One search
+    in it stands in for the descent's first level + 1 levels: a point
+    inside one of its gaps is done.  Any other point starts at depth
+    level + 1 from its surviving interval between two gaps, whose ends are
+    the floats the level-by-level descent computes (x = c goes left, x = d
+    goes right).  From there each point follows its own branch of the
     construction until it falls in a gap (distance to the nearer gap
-    endpoint) or the bracket drops below DESCENT_FLOOR (distance 0).
+    endpoint) or the bracket drops below DESCENT_FLOOR (distance 0, also
+    for NaN).
     """
     _check_ratio(ratio)
     _check_scheme(ratio, scheme)
@@ -211,50 +155,38 @@ def distance_many(x: np.ndarray, ratio: float = 1.0 / 3.0, scheme: str = "third"
     dist[above] = flat[above] - 1.0
     idx = np.nonzero(~(below | above))[0]
     xa = flat[idx]
-    lo, hi, left, right = _seed(ratio, scheme)
-    # k gaps have c < x: x lies in gap k - 1, (hi[k - 1], lo[k]), or in the
-    # interval after it.  Where rounding gives c == d (tiny ratios), x = c
-    # goes left here and right in the descent: either way distance 0.
-    k = np.searchsorted(hi[:-1], xa)
-    in_gap = xa < lo[k]
-    if np.any(in_gap):
-        g = np.minimum(xa[in_gap] - hi[k[in_gap] - 1], lo[k[in_gap]] - xa[in_gap])
-        dist[idx[in_gap]] = g
-    # past an edge threshold the distance is 0; so it is for NaN, which
-    # fails both tests here and reaches the floor in the descent
-    deep = ~in_gap & (xa > left[k]) & (xa < right[k])
-    idx, xa, k = idx[deep], xa[deep], k[deep]
+    # x lies in gap k - 1 or in the interval [lo[k], hi[k]] after it.  Where
+    # rounding gives c == d (tiny ratios), x = c goes left here and right
+    # in the descent: either way distance 0.
+    k, inset = gap_search(xa, gaps)
+    in_gap = inset > 0.0
+    dist[idx[in_gap]] = inset[in_gap]
+    idx, xa, k = idx[~in_gap], xa[~in_gap], k[~in_gap]
+    lo, hi = _between(gaps)
     a = lo[k]
     b = hi[k]
-    for depth in range(_SEED_LEVEL + 1, _MAX_DEPTH):
+    # a table of level L holds 2**(L + 1) - 1 gaps
+    for depth in range(gaps.shape[0].bit_length(), _MAX_DEPTH):
         if idx.size == 0:
             break
         c, d = _split(a, b, depth, ratio, scheme)
         in_gap = (xa > c) & (xa < d)
         if np.any(in_gap):
-            g = np.minimum(xa[in_gap] - c[in_gap], d[in_gap] - xa[in_gap])
-            dist[idx[in_gap]] = g
-        keep = ~in_gap
-        idx = idx[keep]
-        xa = xa[keep]
-        a = a[keep]
-        b = b[keep]
-        c = c[keep]
-        d = d[keep]
+            dist[idx[in_gap]] = np.minimum(xa[in_gap] - c[in_gap], d[in_gap] - xa[in_gap])
+            keep = ~in_gap
+            idx, xa, a, b, c, d = idx[keep], xa[keep], a[keep], b[keep], c[keep], d[keep]
         right = xa >= d
         a = np.where(right, d, a)
         b = np.where(right, b, c)
         done = (b - a) < DESCENT_FLOOR
         if np.any(done):
-            idx = idx[~done]
-            xa = xa[~done]
-            a = a[~done]
-            b = b[~done]
+            keep = ~done
+            idx, xa, a, b = idx[keep], xa[keep], a[keep], b[keep]
     return dist.reshape(x.shape)
 
 
 def distance(x: float, ratio: float = 1.0 / 3.0, scheme: str = "third") -> float:
-    return float(distance_many(np.array([x]), ratio, scheme)[0])
+    return float(distance_many(np.array([x]), sorted_gaps(ratio, 0, scheme), ratio, scheme)[0])
 
 
 def removed_length(ratio: float, level: int) -> float:

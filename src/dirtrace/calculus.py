@@ -254,8 +254,8 @@ class NuSequence:
 def nu_sequence(fld: ScalarField, n_max: int, h1_norm_value: float,
                 order: int = 8) -> NuSequence:
     """Stages 0..n_max with increment bounds and a limit enclosure."""
-    if n_max < 1:
-        raise ValidationError("n_max must be at least 1")
+    if not 1 <= n_max <= _cantor.MAX_LEVEL:
+        raise ValidationError(f"n_max must lie in [1, {_cantor.MAX_LEVEL}], got {n_max!r}")
     return _nu_sequence([nu_value(fld, n, order) for n in range(n_max + 1)], h1_norm_value)
 
 

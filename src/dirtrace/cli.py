@@ -13,7 +13,8 @@ reliably).  A --tolerance below the run's own reported error also exits 3:
 a gate passes only when both the discrepancy and the error bar are within
 the tolerance, so it never certifies more than the run can resolve.  Only
 the subcommands with a gate (measure, ibp, consistency) take --tolerance;
-the others reject it with exit 2.
+the others reject it with exit 2.  A NaN, infinite or negative
+--tolerance exits 2 too, before anything is computed.
 
 `main` builds the parser of the one sub-command named first on the command
 line, and falls back to the full parser for anything else (help, --version,
@@ -39,6 +40,7 @@ from .errors import (
     OverlappingGaps,
     UnknownName,
     ValidationError,
+    check_tolerance,
 )
 from .geometry import Direction, direction_table
 from .measure import measure_atoms, total_mass_result
@@ -261,8 +263,9 @@ def _cmd_nu(args) -> int:
     spec = _spec_from(args)
     fld = fields.parse_field(args.field)
     levels = args.levels
-    if levels < 0:
-        raise ValidationError(f"--levels must be non-negative, got {levels}")
+    # stage n means over 2**n intervals: check the last stage before the first
+    if not 0 <= levels <= fractal.MAX_LEVEL:
+        raise ValidationError(f"--levels must lie in [0, {fractal.MAX_LEVEL}], got {levels}")
     rows = []
     for n in range(levels + 1):
         y = 0.5 * 3.0 ** (-n)
@@ -473,6 +476,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, 0 on --help/--version
         return int(exc.code or 0)
     try:
+        # before any computation, so a rejected tolerance writes no file
+        check_tolerance(getattr(args, "tolerance", None))
         return args.func(args)
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check."""
+
+import math
 
 
 class DirtraceError(Exception):
@@ -47,3 +49,11 @@ class InsufficientOverlap(DirtraceError):
 
 class NotInH1tr(DirtraceError):
     """Left and right traces disagree at an isolated boundary point."""
+
+
+def check_tolerance(tolerance) -> None:
+    """Reject a tolerance that is NaN (every comparison with it fails, so a
+    gate would see no disagreement), infinite or negative; None stands for
+    the caller's default."""
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValidationError(f"tolerance must be finite and non-negative, got {tolerance!r}")

@@ -271,6 +271,9 @@ _REGISTRY: dict[str, Callable[[dict], ScalarField]] = {
     "crack_1d": _make_crack_1d,
 }
 
+# The parameters each field takes; every other field takes none.
+_PARAMS = {"bump": ("cx", "cy", "r"), "cusp_pow": ("alpha",)}
+
 # Globally smooth catalogue fields, the pool for smooth-pair matrices.
 SMOOTH_FIELD_NAMES = ("one", "x1", "x2", "x1px2", "x1x2", "sincos")
 
@@ -286,6 +289,16 @@ def get_field(name: str, **params) -> ScalarField:
         raise UnknownName(
             f"unknown field {name!r}; known names: {', '.join(field_names())}"
         )
+    accepted = _PARAMS.get(key, ())
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValidationError(
+            f"field {key!r} has no parameter {', '.join(map(repr, unknown))}; "
+            f"it takes {', '.join(accepted) if accepted else 'none'}"
+        )
+    for k, value in params.items():
+        if not np.isfinite(float(value)):
+            raise ValidationError(f"field parameter {k}={value!r} must be finite")
     return maker(params)
 
 

@@ -711,7 +711,8 @@ class Cusp(Domain):
 
 class _CantorKind(Domain):
     """A domain built on the Cantor set of ratio `ratio` and `scheme`, whose
-    chords see the gaps removed up to depth `level`."""
+    chords see the gaps removed up to depth `level`; its distances to the
+    set search the same table and descend below it."""
 
     def __init__(self, ratio: float = 1.0 / 3.0, level: int = 12, scheme: str = "third"):
         _cantor._check_level(level)
@@ -724,7 +725,7 @@ class _CantorKind(Domain):
         return {"ratio": self.ratio, "level": self.level, "scheme": self.scheme}
 
     def _dist(self, x: np.ndarray) -> np.ndarray:
-        return _cantor.distance_many(x, self.ratio, self.scheme)
+        return _cantor.distance_many(x, self._gaps_sorted, self.ratio, self.scheme)
 
 
 class ConeUnionCantor(_CantorKind):
@@ -909,21 +910,13 @@ class CantorComb(_CantorKind):
     def volume(self) -> float:
         return 1.0 + _cantor.total_gap_length(self.ratio)
 
-    def _gap_inset(self, x: np.ndarray) -> np.ndarray:
-        """How far each x lies inside a gap of the level-`level` table:
-        min(x - c, d - x) for the gap (c, d) with the largest c < x, which
-        is positive exactly where x lies in that gap."""
-        c, d = self._gaps_sorted[:, 0], self._gaps_sorted[:, 1]
-        j = np.maximum(np.searchsorted(c, x) - 1, 0)
-        return np.minimum(x - c[j], d[j] - x)
-
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
         b = self._rounding
         inx = (x > b) & (x < 1.0 - b) & (y > b - 1.0) & (y < 1.0 - b)
         # the teeth are the closed columns y >= 0 between the gaps
-        return inx & ((y < -b) | (self._gap_inset(x) > b))
+        return inx & ((y < -b) | (_cantor.gap_search(x, self._gaps_sorted)[1] > b))
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
         """Exact oblique slices from the gap table.
@@ -967,7 +960,7 @@ class CantorComb(_CantorKind):
         # gap, the first column touching it continues the lower chord
         lows = np.nonzero(low_hi > low_lo)[0]
         lo, hi = low_lo[lows], low_hi[lows]
-        in_gap = self._gap_inset(bx[lows] + s_y0[lows] * tv[0]) > 0.0
+        in_gap = _cantor.gap_search(bx[lows] + s_y0[lows] * tv[0], self._gaps_sorted)[1] > 0.0
         s0 = s_y0[prow]
         touch = np.nonzero((np.abs(plo - s0) <= 1e-12) | (np.abs(phi - s0) <= 1e-12))[0]
         touch = touch[np.unique(prow[touch], return_index=True)[1]]
@@ -996,7 +989,7 @@ class CantorComb(_CantorKind):
             order = np.argsort(rows, kind="stable")
             return rows[order], lo[order], hi[order]
         rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
-        column = self._gap_inset(values[rows]) > self._rounding
+        column = _cantor.gap_search(values[rows], self._gaps_sorted)[1] > self._rounding
         return rows, np.full(rows.size, -1.0), np.where(column, 1.0, 0.0)
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _gauss
-from .errors import NotInH1tr
+from .errors import NotInH1tr, check_tolerance
 from .fractal import Staircase, build_staircase
 from .geometry import IntervalUnion
 
@@ -139,6 +139,7 @@ class MembershipReport:
 
 def membership_report(u: PiecewiseH1, tolerance: float | None = None) -> MembershipReport:
     """Do one-sided traces agree at every isolated boundary point?"""
+    check_tolerance(tolerance)
     arr = u.domain.intervals
     if tolerance is None:
         tolerance = 1e-8 * max(u.domain.diameter, 1.0)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergentChordIntegral, InsufficientOverlap, ValidationError
+from .errors import DivergentChordIntegral, InsufficientOverlap, ValidationError, check_tolerance
 from .geometry import (
     Direction,
     Domain,
@@ -503,6 +503,7 @@ def consistency_report(fld, domain: Domain, directions,
     and the grid masses depend on no field or Gauss order, so they are
     kept with the cached chord grids and computed once per grid.
     """
+    check_tolerance(tolerance)
     spec = spec or QuadratureSpec()
     directions = list(directions)
     if len(directions) < 2:

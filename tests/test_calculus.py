@@ -147,6 +147,15 @@ def test_nu_sequence_bounds():
     np.testing.assert_array_equal(ones.values, 1.0)
 
 
+@pytest.mark.parametrize("n_max", [0, calculus._cantor.MAX_LEVEL + 1])
+def test_nu_sequence_checks_its_last_stage_first(n_max, monkeypatch):
+    calls = []
+    monkeypatch.setattr(calculus, "_stage_mean", lambda *a: calls.append(a) or 0.0)
+    with pytest.raises(ValidationError, match="n_max"):
+        calculus.nu_sequence(get_field("one"), n_max, 1.0)
+    assert calls == []
+
+
 def _assert_supports_inside(dom, tests):
     for t in tests:
         cx, cy, r = t.params["cx"], t.params["cy"], t.params["r"]

@@ -61,7 +61,7 @@ def test_distance_golden_values():
 
 def test_distance_many_matches_scalar():
     xs = np.linspace(-0.2, 1.2, 113)
-    many = _cantor.distance_many(xs)
+    many = _cantor.distance_many(xs, _cantor.sorted_gaps(1.0 / 3.0, 12), 1.0 / 3.0, "third")
     for x, v in zip(xs, many):
         assert _cantor.distance(float(x)) == pytest.approx(float(v), abs=1e-14)
 
@@ -90,29 +90,25 @@ def test_level_intervals_structure():
 
 @pytest.mark.parametrize("ratio, scheme", [(1.0 / 3.0, "third"), (0.25, "rho"), (0.1, "rho"),
                                            (1.0 / 3.0, "rho"), (0.3, "rho")])
-def test_level_intervals_equal_the_interleave_oracle(ratio, scheme, monkeypatch):
-    seed_levels = range(_cantor._SEED_LEVEL + 2)
-    want = [cantor_oracle.level_intervals(level, ratio, scheme) for level in range(16)]
-    _cantor._seed(ratio, scheme)
-    with monkeypatch.context() as m:
-        # seed levels are views of the cached intervals, never re-sorted
-        m.setattr(_cantor, "sorted_gaps", _refuse_sorting)
-        got = [_cantor.level_intervals(level, ratio, scheme) for level in seed_levels]
-    got += [_cantor.level_intervals(level, ratio, scheme) for level in range(len(got), 16)]
-    for level, (pair, expect) in enumerate(zip(got, want)):
-        for g, w in zip(pair, expect):
+def test_level_intervals_equal_the_interleave_oracle(ratio, scheme):
+    for level in range(16):
+        got = _cantor.level_intervals(level, ratio, scheme)
+        want = cantor_oracle.level_intervals(level, ratio, scheme)
+        for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
-            assert g.flags.writeable == (level not in seed_levels)
 
 
-def _refuse_sorting(*args):
-    raise RuntimeError("a seed level rebuilt its gap table")
+def _refuse_gap_tables(*args):
+    raise RuntimeError("a gap table was built")
 
 
-def test_level_tables_reject_levels_out_of_range():
+def test_level_tables_reject_levels_out_of_range(monkeypatch):
     for level in (-1, _cantor.MAX_LEVEL + 1):
-        with pytest.raises(ValidationError):
-            _cantor.level_intervals(level)
+        with monkeypatch.context() as m:
+            # the level is checked before any table is built
+            m.setattr(_cantor, "sorted_gaps", _refuse_gap_tables)
+            with pytest.raises(ValidationError):
+                _cantor.level_intervals(level)
         with pytest.raises(ValidationError):
             _cantor.gap_table(1.0 / 3.0, level)
 
@@ -158,9 +154,9 @@ def _ulp_neighbours(x, count):
 
 def _oracle_points(ratio, scheme):
     """Uniform draws, gap ends at depths 3-20 with their neighbouring floats,
-    the ends of the depth-14 surviving intervals, the ends of the depth-12
-    (seed) intervals with the floats 1-4 ulps and 1e-16 to 2e-15 away, the
-    edge thresholds with their neighbouring floats, and special values."""
+    the ends of the depth-14 surviving intervals, the ends of the depth-13
+    intervals (those of the level-12 table) with the floats 1-4 ulps away,
+    and special values."""
     rng = np.random.default_rng(7)
     # every gap at depths 3-12, where the sorted table hands over to the descent
     ends = [_cantor.gap_table(ratio, 12, scheme)[7:, :2].ravel()]
@@ -174,18 +170,12 @@ def _oracle_points(ratio, scheme):
         a, b = np.where(right, d, a), np.where(right, b, c)
     ends = np.concatenate(ends)
     lo, hi = _cantor.level_intervals(14, ratio, scheme)
-    # the edge thresholds lie within 2e-15 of their seed interval's ends,
-    # so these shifts cross each of them from both sides
-    lo12, hi12, left, right = _cantor._seed(ratio, scheme)
-    edges = np.concatenate((lo12, hi12))
-    shifts = [edges + h for h in (1e-16, 5e-16, 1e-15, 2e-15, -1e-16, -5e-16, -1e-15, -2e-15)]
-    thresholds = np.concatenate((left, right))
+    edges = np.concatenate(_cantor.level_intervals(13, ratio, scheme))
     return np.concatenate((
         rng.uniform(-0.2, 1.2, 4000),
         ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
         lo[::7], hi[::7],
-        edges, *_ulp_neighbours(edges, 4), *shifts,
-        thresholds, *_ulp_neighbours(thresholds, 1),
+        edges, *_ulp_neighbours(edges, 4),
         [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 5e-324],
     ))
 
@@ -199,23 +189,51 @@ RATIO_SCHEMES = [
 @pytest.mark.parametrize("ratio,scheme", RATIO_SCHEMES)
 def test_distance_many_is_bit_identical_to_the_level_by_level_descent(ratio, scheme):
     x = _oracle_points(ratio, scheme)
-    got = _cantor.distance_many(x, ratio, scheme)
-    want = cantor_oracle.distance_many(x, ratio, scheme)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    want = cantor_oracle.distance_many(x, ratio, scheme).view(np.uint64).tolist()
+    # the descent starts below the table, whatever its level
+    for level in (0, 8, 12, 14):
+        got = _cantor.distance_many(x, _cantor.sorted_gaps(ratio, level, scheme), ratio, scheme)
+        assert got.view(np.uint64).tolist() == want, level
 
 
-@pytest.mark.parametrize("ratio,scheme", RATIO_SCHEMES)
-def test_edge_thresholds_lie_next_to_their_seed_interval_ends(ratio, scheme):
-    lo, hi, left, right = _cantor._seed(ratio, scheme)
-    assert np.all((lo <= left) & (left < right) & (right <= hi))
-    # so the shifts of _oracle_points cross every threshold
-    assert np.all((left - lo < 2e-15) & (hi - right < 2e-15))
+def _oracle_distance(x, gaps, ratio, scheme):
+    return cantor_oracle.distance_many(x, ratio, scheme)
 
 
-def test_the_table_cache_keeps_a_bounded_number_of_ratios():
-    for ratio in np.linspace(0.01, 0.3, 20):
-        _cantor.distance_many(np.array([0.5]), float(ratio), "rho")
-    assert _cantor._seed.cache_info().currsize <= _cantor._SEED_CACHE
+def _deep_gap_points(domain):
+    """Axis points in and near the gaps of depths level + 1 to level + 8:
+    gap ends with their neighbouring floats, and gap midpoints."""
+    table = _cantor.gap_table(domain.ratio, domain.level + 8, domain.scheme)
+    deep = table[2 ** (domain.level + 1) - 1::101, :2]
+    ends = deep.ravel()
+    return np.concatenate((ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                           deep.mean(axis=1)))
+
+
+@pytest.mark.parametrize("kind, level", [(geometry.ConeUnionCantor, 6), (geometry.Bicone, 7),
+                                         (geometry.DiskMinusCantor, 5)])
+def test_membership_descends_below_the_domains_own_table(kind, level, monkeypatch):
+    # the cone kinds test dist(x) < |y| - b, the slit dist(x) > b for |y| <= b
+    domain = kind(level=level)
+    cantor = getattr(domain, "upper", domain)
+    x = _deep_gap_points(cantor)
+    b = cantor._rounding
+    if kind is geometry.DiskMinusCantor:
+        heights = [0.0, 0.5 * b, b, -b, np.nextafter(b, np.inf)]
+        pts = np.concatenate([np.column_stack((x, np.full(x.size, h))) for h in heights])
+    else:
+        d = cantor_oracle.distance_many(x, cantor.ratio, cantor.scheme) + b
+        heights = [d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf), d + b, d + 1e-7]
+        if kind is geometry.Bicone:
+            heights += [-h for h in heights]
+        pts = np.concatenate([np.column_stack((x, h)) for h in heights])
+    with monkeypatch.context() as m:
+        m.setattr(_cantor, "sorted_gaps", _refuse_gap_tables)
+        got = domain.contains_many(pts)
+    monkeypatch.setattr(_cantor, "distance_many", _oracle_distance)
+    want = domain.contains_many(pts)
+    assert got.tolist() == want.tolist()
+    assert 0 < np.count_nonzero(got) < got.size
 
 
 def _offsets(domain, theta, n):
@@ -225,13 +243,13 @@ def _offsets(domain, theta, n):
 
 @pytest.mark.parametrize("name, params", [
     ("cantor_comb", {"level": 8}), ("cantor_comb", {}), ("omega_C", {}),
-    ("bicone", {}), ("disk_minus_cantor", {}),
+    ("omega_C", {"level": 6}), ("bicone", {}), ("disk_minus_cantor", {}),
 ])
 def test_chord_tables_match_those_of_the_level_by_level_descent(name, params, monkeypatch):
     domain = fractal.named_domain(name, **params)
     thetas = [geometry.Direction.from_angle(a) for a in (0.0, 0.35, 1.3, math.pi / 2)]
     got = [geometry.chord_table(domain, th, _offsets(domain, th, 64)) for th in thetas]
-    monkeypatch.setattr(_cantor, "distance_many", cantor_oracle.distance_many)
+    monkeypatch.setattr(_cantor, "distance_many", _oracle_distance)
     for th, table in zip(thetas, got):
         want = geometry.chord_table(domain, th, _offsets(domain, th, 64))
         for g, w in zip(table, want):
@@ -244,7 +262,6 @@ def test_comb_chord_endpoints_skip_the_descent(level, monkeypatch):
     # test, and so no descent and not one split
     domain = fractal.named_domain("cantor_comb", level=level)
     theta = geometry.Direction.from_angle(0.0)
-    _cantor._seed(domain.ratio, domain.scheme)
     calls = []
     split = _cantor._split
 

@@ -166,6 +166,30 @@ def test_non_finite_angle_exits_2_without_files(angle, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["consistency", "--domain", "crack_square", "--field", "crack_2d", "--directions", "4"],
+    ["measure", "--domain", "square"],
+    ["ibp", "--domain", "square", "--u", "x1x2", "--v", "x1px2"],
+])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_a_bad_tolerance_exits_2_without_files(argv, tolerance, tmp_path, capsys):
+    # a NaN tolerance certified the slit field "in"; a negative one failed
+    # every gate, and measure and ibp exited 3 on both
+    code = main(argv + ["--tolerance", tolerance, "--ny", "64", "--out", str(tmp_path)])
+    assert code == 2
+    assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("field", ["bump:radius=0.1", "x1:foo=2", "bump:r=nan"])
+def test_a_bad_field_parameter_exits_2_without_files(field, tmp_path, capsys):
+    code = main(["trace", "--domain", "square", "--field", field, "--ny", "64",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_tolerance_without_a_gate_exits_2(tmp_path, capsys):
     # trace has no tolerance gate, so the flag must not be accepted and
     # silently dropped
@@ -261,16 +285,23 @@ def test_nu_rejects_a_bad_stage_before_computing_the_norm(tmp_path, capsys):
     assert "not finite on a stage interval" in capsys.readouterr().err
 
 
-def test_nu_rejects_negative_levels_before_computing(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("levels", [-1, fractal.MAX_LEVEL + 1])
+def test_nu_rejects_levels_out_of_range_before_computing(levels, tmp_path, monkeypatch,
+                                                         capsys):
+    # stage n builds nodes on 2**n intervals: never run a stage past the bound,
+    # nor the stages before it
+    calls = []
+
     def refuse(*args, **kwargs):
         raise RuntimeError("a rejected --levels reached the computation")
 
-    monkeypatch.setattr(calculus, "nu_value", refuse)
+    monkeypatch.setattr(calculus, "_stage_mean", lambda *a: calls.append(a) or 0.0)
     monkeypatch.setattr(cli, "h1_norm", refuse)
-    code = main(["nu", "--domain", "omega_C", "--field", "sign_y", "--levels", "-1",
+    code = main(["nu", "--domain", "omega_C", "--field", "sign_y", "--levels", str(levels),
                  "--out", str(tmp_path)])
     assert code == 2
     assert "--levels" in capsys.readouterr().err
+    assert calls == []
     assert not list(tmp_path.iterdir())
 
 

@@ -39,6 +39,23 @@ def test_parse_field_with_parameters():
         parse_field("squiggle")
 
 
+@pytest.mark.parametrize("spec", ["bump:radius=0.1", "x1:foo=2", "sign_y:alpha=3",
+                                  "cusp_pow:r=0.1", "bump:r=nan", "bump:cx=inf",
+                                  "bump:r=inf", "cusp_pow:alpha=nan"])
+def test_parse_field_rejects_unknown_and_non_finite_parameters(spec):
+    with pytest.raises(ValidationError):
+        parse_field(spec)
+
+
+def test_an_unknown_parameter_names_the_accepted_ones():
+    with pytest.raises(ValidationError, match="'radius'.*cx, cy, r"):
+        get_field("bump", radius=0.1)
+    with pytest.raises(ValidationError, match="'foo'.*none"):
+        get_field("x1", foo=2.0)
+    with pytest.raises(ValidationError, match="finite"):
+        get_field("bump", cy=float("-inf"))
+
+
 @pytest.mark.parametrize("name", fields.SMOOTH_FIELD_NAMES)
 def test_gradients_match_finite_differences(name):
     fld = get_field(name)

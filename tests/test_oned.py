@@ -55,6 +55,15 @@ def test_matching_traces_pass_membership():
     assert not rep.witnesses
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("-inf"), -1e-8])
+def test_membership_rejects_a_bad_tolerance(tolerance):
+    # with a NaN tolerance no jump would count, and the crack would be "in"
+    u = oned.PiecewiseH1.from_field(get_field("crack_1d"), crack_domain().intervals)
+    with pytest.raises(ValidationError, match="tolerance"):
+        oned.membership_report(u, tolerance)
+    assert oned.membership_report(u, 0.0).verdict == "out"
+
+
 def test_approximation_distances_decrease():
     dom = cantor_domain(6)
     for name in ("x1", "sin1"):

@@ -205,6 +205,18 @@ def test_consistency_rejects_a_bad_probe_count(probes):
                                  probes_per_direction=probes)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_consistency_rejects_a_bad_tolerance_before_slicing(tolerance, monkeypatch):
+    # a NaN tolerance fails every comparison, so it would certify any field
+    def refuse(*args):
+        raise RuntimeError("a rejected tolerance reached the chord grids")
+
+    monkeypatch.setattr(trace, "chord_grid", refuse)
+    with pytest.raises(ValidationError, match="tolerance"):
+        trace.consistency_report(get_field("crack_2d"), fractal.named_domain("crack_square"),
+                                 direction_table(4), SPEC, tolerance=tolerance)
+
+
 def test_consistency_probes_every_atom_at_one_probe_per_atom():
     # as many probes as atoms: the stride is one and every atom is probed
     dom, directions = unit_square(), direction_table(4, start_angle=0.3)
