@@ -33,10 +33,10 @@ from .geometry import Direction, Domain
 from .quadrature import (
     QuadratureSpec,
     _check_settled,
-    _rule_total,
+    _rule_terms,
     chord_grid,
     chord_means,
-    refined,
+    offset_estimate,
     volume_integrals,
 )
 from .trace import _finite_traces, _trace_terms, chord_trace_values
@@ -78,8 +78,8 @@ class IbpReport:
 
 
 def _ibp_sides(u, v, domain, theta, spec):
-    """((lhs, rhs, bracket <G+u, G+v> - <G-u, G-v>), their scales) on
-    spec's chord grid, from one evaluation of each field at the Gauss
+    """`ChordGrid.sums` of lhs, rhs and the bracket <G+u, G+v> - <G-u, G-v>
+    on spec's chord grid, from one evaluation of each field at the Gauss
     nodes."""
     grid = chord_grid(domain, theta, spec.n_offsets)
     alpha, beta, lengths, chord_dt = grid.alpha, grid.beta, grid.lengths, grid.chord_dt
@@ -93,18 +93,16 @@ def _ibp_sides(u, v, domain, theta, spec):
 
     *traces, pair = chord_means(theta, grid.t, alpha, lengths, spec.gauss_order, node_arrays)
     up, um, vp, vm = _finite_traces(*traces)
-    lhs, lhs_scale = _rule_total(pair, lengths, chord_dt)
-    terms = (up * vp - um * vm) * chord_dt
-    rhs = float(np.sum(terms))
-    rhs_scale = float(np.sum(np.abs(terms)))
-    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+    lhs = grid.sums(_rule_terms(pair, lengths, chord_dt))
+    rhs = grid.sums((up * vp - um * vm) * chord_dt)
+    if not (np.isfinite(lhs[0]) and np.isfinite(rhs[0])):
         raise NonIntegrablePairing("boundary pairing failed to produce finite sums")
     gu_plus, gu_minus = _paired(up, um, lengths)
     gv_plus, gv_minus = _paired(vp, vm, lengths)
     weights = lengths * chord_dt
-    bracket = (float(np.sum(weights * gu_plus * gv_plus))
-               - float(np.sum(weights * gu_minus * gv_minus)))
-    return (lhs, rhs, bracket), (lhs_scale, rhs_scale, abs(bracket))
+    plus, minus = weights * gu_plus * gv_plus, weights * gu_minus * gv_minus
+    bracket = float(np.sum(plus)) - float(np.sum(minus))
+    return lhs, rhs, (bracket, abs(bracket), grid.row_sums(plus - minus))
 
 
 def integration_by_parts(u: ScalarField, v: ScalarField, domain: Domain,
@@ -112,8 +110,8 @@ def integration_by_parts(u: ScalarField, v: ScalarField, domain: Domain,
                          spec: QuadratureSpec | None = None) -> IbpReport:
     """Both sides of the chord-paired integration by parts identity."""
     spec = spec or QuadratureSpec()
-    (lhs, rhs, _), (err_lhs, err_rhs, _), (_, rhs_c, _) = refined(
-        lambda s: _ibp_sides(u, v, domain, theta, s), spec)
+    (lhs, rhs, _), (err_lhs, err_rhs, _), (_, rhs_c, _) = offset_estimate(
+        _ibp_sides(u, v, domain, theta, spec))
     _check_settled(rhs, rhs_c, NonIntegrablePairing, "boundary pairing does not settle")
     flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
     return IbpReport(theta, lhs, rhs, err_lhs, err_rhs, flags,
@@ -182,8 +180,8 @@ def paired_identity(u: ScalarField, v: ScalarField, domain: Domain,
                     spec: QuadratureSpec | None = None) -> PairedIdentityReport:
     """<G+u, G+v> - <G-u, G-v> against the volume pairing of u and v."""
     spec = spec or QuadratureSpec()
-    (lhs, _, bracket), (err_lhs, _, err_bracket), _ = refined(
-        lambda s: _ibp_sides(u, v, domain, theta, s), spec)
+    (lhs, _, bracket), (err_lhs, _, err_bracket), _ = offset_estimate(
+        _ibp_sides(u, v, domain, theta, spec))
     return PairedIdentityReport(
         theta=theta,
         volume_pairing=lhs,

@@ -9,25 +9,36 @@ node set per rule; boundary integrals weight the exit endpoint of each
 chord by chord length times offset step, which is exactly the atom weight
 of the directional boundary measure.
 
-Every error estimate comes from `refined`: the absolute difference
-against the half-resolution grid plus a float floor (so an error of zero
-is never reported, even when both grids agree to the last bit).  The
-floor is `_FLOOR_EPS` (32 eps) times (magnitude + 1) per value in
+Every error estimate comes from `offset_estimate`, which reads the one
+chord grid and the one node set of its result.  The offset rule is a
+midpoint rule on the section integral F(t), and each result carries its
+per-offset row sums R_i (`ChordGrid.row_sums`, cell width included).  The
+null rule (1/8) sum |R_{i-1} - 2 R_i + R_{i+1}|, over the cells of each
+breakpoint segment whose both neighbours lie in it (Berntsen & Espelid,
+ACM TOMS 17, 1991), vanishes on rows affine within a segment and is
+about 3 times the midpoint error on smooth rows; a kink inside a cell or
+a square-root tangency shows in the second differences next to it.  A
+float floor is added, so an error of zero is never reported.  The floor
+is `_FLOOR_EPS` (32 eps) times (magnitude + 1) per value in
 `volume_integral`, `boundary_integral`, `trace_norm_sq`,
 `lebesgue_comparison`, `integration_by_parts` and `paired_identity`;
 `trace_inequalities` and `reflection_check` add 1e-12 (1 + magnitude)
-once to their summed differences, and the default tolerance of
-`consistency_report` floors its largest mass difference at 1e-12.
-Offsets whose slice carried the thin-feature flag are excluded from all
-sums and surface as a flag count in every result.
+once to their summed errors, and the default tolerance of
+`consistency_report` floors its largest mass error at 1e-12.  Divergence
+checks (`_check_settled`) compare a value with the nested midpoint rules
+at n/3 and n/9, read from the same rows.  Offsets whose slice carried the
+thin-feature flag are excluded from all sums and surface as a flag count
+in every result.
 
 Every Gauss rule on chords is `chord_means`, whose value for a chord
 depends only on that chord, not on the batch or block it is computed in;
-sums over chords are one np.sum in a fixed order, so runs are bit-identical.
+sums over chords are one np.sum, and row sums one np.bincount, in a fixed
+order, so values and error bars are bit-identical from run to run.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -59,8 +70,9 @@ _CACHE_LIMIT = 160
 # Multiplier on the magnitude-scaled float floor added to error reports.
 _FLOOR_EPS = 32.0 * np.finfo(float).eps
 
-# A value whose refinement difference stays this large relative to the
-# value itself is treated as non-convergent.
+# A value that differs from its nested n/3 rule (or that rule from the n/9
+# rule) by this much relative to itself, and by more than the scale, is
+# treated as non-convergent.
 _DIVERGENCE_RATIO = 0.4
 _DIVERGENCE_SCALE = 1e3
 
@@ -77,9 +89,6 @@ class QuadratureSpec:
             raise ValidationError(f"n_offsets out of range: {self.n_offsets!r}")
         _check_order(self.gauss_order)
 
-    def coarse(self) -> "QuadratureSpec":
-        return replace(self, n_offsets=max(2, self.n_offsets // 2))
-
 
 @dataclass(frozen=True)
 class IntegralResult:
@@ -95,7 +104,8 @@ class IntegralResult:
 
 
 def _offset_cells(domain, theta, lo, hi, n_offsets):
-    """Midpoint offsets and cell widths, never straddling a length kink.
+    """Midpoint offsets, cell widths and cells per segment, never straddling
+    a length kink.
 
     When the domain reports breakpoints of its chord length function, the
     offset range is cut there and each piece gets its own uniform midpoint
@@ -112,13 +122,14 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
         cuts = cuts[np.diff(cuts, prepend=-np.inf) > tol]
     if cuts is None or cuts.size == 0:
         dt = span / n_offsets
-        return lo + (np.arange(n_offsets) + 0.5) * dt, np.full(n_offsets, dt)
+        return (lo + (np.arange(n_offsets) + 0.5) * dt, np.full(n_offsets, dt),
+                np.array([n_offsets]))
     edges = np.concatenate([[lo], cuts, [hi]])
     seg = np.diff(edges)
     counts = np.maximum(1, np.rint(n_offsets * seg / span).astype(np.int64))
     h = np.repeat(seg / counts, counts)
     k = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(edges[:-1], counts) + (k + 0.5) * h, h
+    return np.repeat(edges[:-1], counts) + (k + 0.5) * h, h, counts
 
 
 def _check_order(order) -> None:
@@ -171,10 +182,11 @@ class ChordGrid:
             ts = np.zeros(1)
             dt = 1.0
             widths = np.ones(1)
+            counts = np.ones(1, dtype=np.int64)
         else:
             lo, hi = hyperplane_range(domain, theta)
             dt = (hi - lo) / n_offsets
-            ts, widths = _offset_cells(domain, theta, lo, hi, n_offsets)
+            ts, widths, counts = _offset_cells(domain, theta, lo, hi, n_offsets)
         rows, alpha, beta, flags = chord_table(domain, theta, ts)
         keep = ~flags[rows]
 
@@ -183,12 +195,13 @@ class ChordGrid:
         self.beta = beta[keep]
         self.offsets = ts
         self.offset_widths = widths
+        self.segment_counts = counts
         self.dt = float(dt)
         self.flagged_offsets = int(np.count_nonzero(flags))
         self.lengths = self.beta - self.alpha
         self._perp = offset_normal(theta)
-        for arr in (self.offsets, self.offset_widths, self.offset_index,
-                    self.alpha, self.beta, self.lengths):
+        for arr in (self.offsets, self.offset_widths, self.segment_counts,
+                    self.offset_index, self.alpha, self.beta, self.lengths):
             arr.setflags(write=False)
 
     # Arrays that are cheap to derive are derived on demand rather than
@@ -222,6 +235,20 @@ class ChordGrid:
     @property
     def n_chords(self) -> int:
         return self.alpha.shape[0]
+
+    def row_sums(self, terms, chords=None):
+        """Per-offset sums of per-chord terms (with `chords`, of terms that
+        belong to those chords, panels say), and the cells per breakpoint
+        segment: the rows that `offset_estimate` reads."""
+        index = self.offset_index if chords is None else self.offset_index[chords]
+        return (np.bincount(index, weights=terms, minlength=self.offsets.size),
+                self.segment_counts)
+
+    def sums(self, terms, chords=None):
+        """(value, scale, rows) of per-chord terms, as `offset_estimate`
+        takes them: their sum, the sum of their magnitudes, `row_sums`."""
+        return (float(np.sum(terms)), float(np.sum(np.abs(terms))),
+                self.row_sums(terms, chords))
 
 
 _cache_lock = threading.Lock()
@@ -258,23 +285,24 @@ def default_direction(domain: Domain) -> Direction:
     return Direction([1.0, 0.0])
 
 
-def _rule_total(means, length, row_dt):
-    """(value, scale) of the volume rule from per-chord Gauss means."""
-    per_chord = means * length * row_dt
-    if not np.all(np.isfinite(per_chord)):
+def _rule_terms(means, length, row_dt):
+    """Per-chord terms of the volume rule from per-chord Gauss means."""
+    terms = means * length * row_dt
+    if not np.all(np.isfinite(terms)):
         raise UnresolvedSingularity("integrand not finite on a chord quadrature node")
-    return float(np.sum(per_chord)), float(np.sum(np.abs(per_chord)))
+    return terms
 
 
 def _rule_sums(domain, integrands, theta, spec, panel=None):
-    """(values, scales) of the chord rule at spec, one entry per array that
+    """`ChordGrid.sums` of the chord rule at spec, one per array that
     `integrands(points)` yields, all from one set of nodes on spec's grid."""
     grid = chord_grid(domain, theta, spec.n_offsets)
     t, alpha, length, row_dt = grid.t, grid.alpha, grid.lengths, grid.chord_dt
+    ci = None
     if panel is not None:
         # Composite rule: chords much longer than the integrand's feature
         # scale are cut into panels so the per-chord Gauss error cannot
-        # hide below the offset refinement difference.
+        # hide below the offset error estimate.
         m = np.maximum(1, np.ceil(length / panel).astype(np.int64))
         ci = np.repeat(np.arange(grid.n_chords), m)
         pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
@@ -286,25 +314,67 @@ def _rule_sums(domain, integrands, theta, spec, panel=None):
         yield from integrands(pts.reshape(-1, grid.dim))
 
     means = chord_means(theta, t, alpha, length, spec.gauss_order, node_arrays)
-    totals = [_rule_total(v, length, row_dt) for v in means]
-    return [v for v, _ in totals], [scale for _, scale in totals]
+    return [grid.sums(_rule_terms(v, length, row_dt), ci) for v in means]
 
 
-def _check_settled(value: float, coarse: float, error=UnresolvedSingularity,
+@functools.lru_cache(maxsize=_CACHE_LIMIT)
+def _segment_plan(counts: bytes):
+    """The part of `offset_estimate` fixed by the cell counts of the
+    segments (int64 bytes), as (interior, triples, ninefold).
+
+    Second difference j belongs to cell j + 1.  `interior` marks those
+    whose cell has both neighbours in its segment; `triples` indexes those
+    at the middle cells of the n/3 rule; `ninefold` weighs the rows into
+    the fine rule minus the n/9 rule.  Both coarse rules group each
+    segment's cells by threes (nines) from its start, and the cells left
+    at its end keep their fine rows.
+    """
+    counts = np.frombuffer(counts, dtype=np.int64)
+    segment = np.repeat(np.arange(counts.size), counts)
+    interior = segment[:-2] == segment[2:]
+
+    def groups(k):  # the first cell of each group of k
+        g = counts // k
+        return (np.repeat(np.cumsum(counts) - counts, g)
+                + k * (np.arange(g.sum()) - np.repeat(np.cumsum(g) - g, g)))
+
+    nines = groups(9)
+    ninefold = np.zeros(segment.size)
+    ninefold[(nines[:, None] + np.arange(9)).ravel()] = 1.0
+    ninefold[nines + 4] = -8.0
+    plan = interior, groups(3), ninefold
+    for arr in plan:  # shared by every caller
+        arr.setflags(write=False)
+    return plan
+
+
+def offset_estimate(sums, floor: float = _FLOOR_EPS):
+    """(values, errors, coarse) of offset-rule results given as `ChordGrid.sums`
+    triples (value, scale, rows).  Each error is the null rule
+    (1/8) sum |R_{i-1} - 2 R_i + R_{i+1}| over the cells i with both
+    neighbours in their breakpoint segment, plus floor * (scale + 1), as a
+    plain float; each coarse pair holds the nested midpoint rules at n/3
+    and n/9, for `_check_settled`."""
+    values, errors, coarse = [], [], []
+    for value, scale, (rows, counts) in sums:
+        interior, triples, ninefold = _segment_plan(
+            np.asarray(counts, dtype=np.int64).tobytes())
+        second = rows[:-2] - 2.0 * rows[1:-1] + rows[2:]
+        values.append(value)
+        errors.append(float(0.125 * np.sum(np.abs(second[interior]))
+                            + floor * (scale + 1.0)))
+        coarse.append((value - float(np.sum(second[triples])),
+                       value - float(np.sum(rows * ninefold))))
+    return values, errors, coarse
+
+
+def _check_settled(value: float, coarse, error=UnresolvedSingularity,
                    what: str = "integral fails to settle") -> None:
-    if abs(value - coarse) > max(_DIVERGENCE_RATIO * abs(value), _DIVERGENCE_SCALE):
-        raise error(f"{what} under refinement: {value!r} vs {coarse!r}")
-
-
-def refined(evaluate, spec: QuadratureSpec, floor: float = _FLOOR_EPS):
-    """(fine, |fine - coarse| + floor * (scale + 1), coarse) from
-    `evaluate(s) -> (values, scales)` at spec, then at spec.coarse(): floats,
-    or lists of floats where `evaluate` returns sequences."""
-    fine, scale = evaluate(spec)
-    coarse, _ = evaluate(spec.coarse())
-    fine, scale, coarse = (np.asarray(a, dtype=float) for a in (fine, scale, coarse))
-    error = np.abs(fine - coarse) + floor * (scale + 1.0)
-    return fine.tolist(), error.tolist(), coarse.tolist()
+    """Raise error unless value and its n/3 rule, and the n/3 and the n/9
+    rules (`offset_estimate`'s coarse pair), agree level by level."""
+    for fine, rough in zip((value, coarse[0]), coarse):
+        if abs(fine - rough) > max(_DIVERGENCE_RATIO * abs(fine), _DIVERGENCE_SCALE):
+            raise error(f"{what} under refinement: {fine!r} vs {rough!r}")
 
 
 def volume_integrals(domain: Domain, integrands, spec: QuadratureSpec | None = None,
@@ -316,15 +386,15 @@ def volume_integrals(domain: Domain, integrands, spec: QuadratureSpec | None = N
 
     `panel` caps the arc length covered by one Gauss rule; when set, each
     error estimate also includes the difference against the other order's
-    rule so that integrands far below the chord scale are reported honestly.
+    rule on the same grid, so that integrands far below the chord scale are
+    reported honestly.
     """
     spec = spec or QuadratureSpec()
     theta = direction or default_direction(domain)
-    values, errors, coarse = refined(
-        lambda s: _rule_sums(domain, integrands, theta, s, panel), spec)
+    values, errors, coarse = offset_estimate(_rule_sums(domain, integrands, theta, spec, panel))
     if panel is not None:
         alt = replace(spec, gauss_order=4 if spec.gauss_order != 4 else 8)
-        alt_values = _rule_sums(domain, integrands, theta, alt, panel)[0]
+        alt_values = [v for v, _, _ in _rule_sums(domain, integrands, theta, alt, panel)]
         errors = [e + abs(v - a) for e, v, a in zip(errors, values, alt_values)]
     for v, c in zip(values, coarse):
         _check_settled(v, c)
@@ -347,18 +417,13 @@ def boundary_integral(domain: Domain, theta: Direction, g,
     spec = spec or QuadratureSpec()
     ge = _as_eval(g)
 
-    def evaluate(s):
-        grid = chord_grid(domain, theta, s.n_offsets)
-        vals = np.asarray(ge(grid.endpoint_plus), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise UnresolvedSingularity("boundary integrand not finite at an atom")
-        terms = grid.weights * vals
-        return float(np.sum(terms)), float(np.sum(np.abs(terms)))
-
-    value, error, _ = refined(evaluate, spec)
-    flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
-    return IntegralResult(value, error, flags, spec.n_offsets, spec.gauss_order,
-                          method="boundary_atoms")
+    grid = chord_grid(domain, theta, spec.n_offsets)
+    vals = np.asarray(ge(grid.endpoint_plus), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise UnresolvedSingularity("boundary integrand not finite at an atom")
+    (value,), (error,), _ = offset_estimate([grid.sums(grid.weights * vals)])
+    return IntegralResult(value, error, grid.flagged_offsets, spec.n_offsets,
+                          spec.gauss_order, method="boundary_atoms")
 
 
 def norm_theta(fld, domain: Domain, theta: Direction,

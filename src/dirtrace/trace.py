@@ -43,12 +43,10 @@ from .quadrature import (
     QuadratureSpec,
     _cache_lock,
     _check_settled,
-    _rule_sums,
-    _rule_total,
-    _theta_integrands,
+    _rule_terms,
     chord_grid,
     chord_means,
-    refined,
+    offset_estimate,
     volume_integral,
 )
 
@@ -114,15 +112,21 @@ class TraceField:
     def n_atoms(self) -> int:
         return self.points.shape[0]
 
+    def norm_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-atom terms of `norm_sq`, `pair_sum_sq` and `diff_quotient_sq`."""
+        quot = (self.values - self.opposite_values) / self.lengths
+        return (self.weights * self.values**2,
+                self.weights * (self.values + self.opposite_values) ** 2,
+                self.weights * quot**2)
+
     def norm_sq(self) -> float:
-        return float(np.sum(self.weights * self.values**2))
+        return float(np.sum(self.norm_terms()[0]))
 
     def pair_sum_sq(self) -> float:
-        return float(np.sum(self.weights * (self.values + self.opposite_values) ** 2))
+        return float(np.sum(self.norm_terms()[1]))
 
     def diff_quotient_sq(self) -> float:
-        quot = (self.values - self.opposite_values) / self.lengths
-        return float(np.sum(self.weights * quot**2))
+        return float(np.sum(self.norm_terms()[2]))
 
     def to_rows(self) -> np.ndarray:
         return np.column_stack([
@@ -150,8 +154,9 @@ def trace_field(fld, domain: Domain, theta: Direction,
 
 
 def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
-    """The trace field, and the volume rule of u^2 + (du/dtheta)^2 (what
-    `norm_theta` squares) from the same node values."""
+    """The trace field, and the `ChordGrid.sums` of the volume rule of
+    u^2 + (du/dtheta)^2 (what `norm_theta` squares) from the same node
+    values."""
     grid = chord_grid(domain, theta, spec.n_offsets)
     alpha, beta = grid.alpha, grid.beta
 
@@ -164,7 +169,7 @@ def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
     gplus, gminus, sq = chord_means(theta, grid.t, alpha, grid.lengths, spec.gauss_order,
                                    node_arrays)
     gplus, gminus = _finite_traces(gplus, gminus)
-    norm_sq = _rule_total(sq, grid.lengths, grid.chord_dt)[0]
+    norm_sq = grid.sums(_rule_terms(sq, grid.lengths, grid.chord_dt))
     return TraceField(
         theta=theta,
         points=grid.endpoint_plus,
@@ -183,17 +188,12 @@ def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
 
 def trace_norm_sq(fld, domain: Domain, theta: Direction,
                   spec: QuadratureSpec | None = None) -> IntegralResult:
-    """Boundary L2 norm squared of the trace, with refinement error."""
+    """Boundary L2 norm squared of the trace, with its offset-rule error."""
     spec = spec or QuadratureSpec()
-
-    def evaluate(s):
-        # every term is nonnegative, so the sum is its own magnitude
-        value = trace_field(fld, domain, theta, s).norm_sq()
-        return value, value
-
-    value, error, _ = refined(evaluate, spec)
-    flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
-    return IntegralResult(value, error, flags,
+    grid = chord_grid(domain, theta, spec.n_offsets)
+    terms = trace_field(fld, domain, theta, spec).norm_terms()[0]
+    (value,), (error,), _ = offset_estimate([grid.sums(terms)])
+    return IntegralResult(value, error, grid.flagged_offsets,
                           spec.n_offsets, spec.gauss_order, method="trace_norm_sq")
 
 
@@ -252,18 +252,14 @@ def lebesgue_comparisons(fld, domain: Domain, theta: Direction, eps_values,
     for eps in eps_values:
         _check_depth(eps)
     spec = spec or QuadratureSpec()
-
-    def gap_sq(sp: QuadratureSpec):
-        grid = chord_grid(domain, theta, sp.n_offsets)
-        gplus, _ = chord_trace_values(fld, grid, sp.gauss_order)
-        t, weights = grid.t, grid.weights
-        values = []
-        for eps in eps_values:
-            means = _depth_means(fld, theta, t, grid.beta, grid.lengths, eps, sp.gauss_order)
-            values.append(float(np.sum(weights * (gplus - means) ** 2)))
-        return values, [abs(v) for v in values]
-
-    values, errors, _ = refined(gap_sq, spec)
+    grid = chord_grid(domain, theta, spec.n_offsets)
+    gplus, _ = chord_trace_values(fld, grid, spec.gauss_order)
+    t, weights = grid.t, grid.weights
+    gaps = []
+    for eps in eps_values:
+        means = _depth_means(fld, theta, t, grid.beta, grid.lengths, eps, spec.gauss_order)
+        gaps.append(grid.sums(weights * (gplus - means) ** 2))
+    values, errors, _ = offset_estimate(gaps)
 
     def dsq(pts):
         return fld.dderiv_many(pts, theta) ** 2
@@ -317,26 +313,18 @@ def trace_inequalities(fld, domain: Domain, theta: Direction,
 
 
 def _trace_inequalities(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
-    """The report, and the trace field of spec's grid it was computed from."""
-    passes = []
-
-    def evaluate(s):
-        tf, sq = _trace_field(fld, domain, theta, s)
-        passes.append((tf, sq))
-        # in the report's field order; norm_theta_sq squares the rounded norm,
-        # as norm_theta(...) ** 2 does
-        nrm = float(np.sqrt(sq))
-        return (tf.norm_sq(), tf.pair_sum_sq(), tf.diff_quotient_sq(), nrm**2), 0.0
-
-    values, errors, _ = refined(evaluate, spec, floor=0.0)
-    (fine, sq), (_, sq_c) = passes
-    # norm_theta at both resolutions; only the n/4 grid adds field evaluations
-    _check_settled(sq, sq_c)
-    (sq_q,), _ = _rule_sums(domain, _theta_integrands(fld, theta), theta,
-                            spec.coarse().coarse())
-    _check_settled(sq_c, sq_q)
+    """The report, and the trace field it was computed from."""
+    tf, (sq, _, rows) = _trace_field(fld, domain, theta, spec)
+    grid = chord_grid(domain, theta, spec.n_offsets)
+    # in the report's field order; norm_theta_sq squares the rounded norm,
+    # as norm_theta(...) ** 2 does
+    sums = [grid.sums(terms) for terms in tf.norm_terms()]
+    sums.append((float(np.sqrt(sq)) ** 2, 0.0, rows))
+    values, errors, coarse = offset_estimate(sums, floor=0.0)
+    # norm_theta against its n/3 rule, and that against the n/9 rule
+    _check_settled(values[3], coarse[3])
     error = sum(errors) + 1e-12 * (1.0 + values[3])
-    return TraceInequalityReport(theta, *values, domain.diameter, error), fine
+    return TraceInequalityReport(theta, *values, domain.diameter, error), tf
 
 
 @dataclass(frozen=True)
@@ -546,13 +534,13 @@ def consistency_report(fld, domain: Domain, directions,
         )
 
     if tolerance is None:
-        # Ten times the measure-mass refinement error, a crude but
-        # configuration-independent scale for quadrature noise.
-        def masses(s):
-            grids = [chord_grid(domain, theta, s.n_offsets) for theta in directions]
-            return [_memo(g, "mass", lambda: float(np.sum(g.weights))) for g in grids], 0.0
-
-        _, errs, _ = refined(masses, spec, floor=0.0)
+        # Ten times the largest offset-rule error of a direction's measure
+        # mass, a crude but configuration-independent scale for quadrature
+        # noise.
+        grids = [chord_grid(domain, theta, spec.n_offsets) for theta in directions]
+        errs = [_memo(g, "mass_error",
+                      lambda: offset_estimate([g.sums(g.weights)], floor=0.0)[1][0])
+                for g in grids]
         tolerance = 10.0 * max(max(errs), 1e-12)
 
     bad = shared & (spreads > tolerance)

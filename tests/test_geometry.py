@@ -522,7 +522,7 @@ def test_chord_table_endpoints_fail_membership(name, theta, n_offsets):
     dom = _planar_domain(name)
     if name == "cantor_comb_8":
         n_offsets = 1024
-    ts, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta),
+    ts, _, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta),
                                      n_offsets)
     rows, alpha, beta, _ = geometry.chord_table(dom, theta, ts)
     assert rows.size > 0
@@ -562,7 +562,7 @@ def test_chord_tables_make_no_membership_call(name, monkeypatch):
     calls = _count_membership(monkeypatch)
     for angle in LOOKUP_ANGLES + [0.35, 0.9]:
         theta = Direction.from_angle(angle)
-        ts, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta), 256)
+        ts, _, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta), 256)
         before = len(calls)
         rows, _, _, _ = geometry.chord_table(dom, theta, ts)
         assert rows.size > 0
@@ -764,7 +764,7 @@ def convex_polygons(draw, log_scale=(0.0, 3.0), shift_scales=100.0):
 @given(convex_polygons(), DIRECTIONS)
 def test_clipped_chords_equal_the_crossing_path_on_grid_offsets(dom, theta):
     lo, hi = geometry.hyperplane_range(dom, theta)
-    ts, _ = quadrature._offset_cells(dom, theta, lo, hi, 256)
+    ts, _, _ = quadrature._offset_cells(dom, theta, lo, hi, 256)
     # Vertex projections that differ by rounding make a cell of rounding
     # width whose line runs through a vertex; the grazing test covers it.
     cuts = dom.offset_breakpoints(theta)

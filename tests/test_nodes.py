@@ -128,6 +128,29 @@ def test_block_size_changes_no_float(domain, theta, n_offsets, monkeypatch):
         assert _panel_reports(domain, theta, spec) == want
 
 
+def _estimating_reports(domain, theta, spec):
+    u, v = get_field("x1x2"), get_field("sincos")
+    return [repr(r) for r in (
+        quadrature.boundary_integral(domain, theta, v, spec),
+        trace.trace_norm_sq(v, domain, theta, spec),
+        trace.trace_inequalities(v, domain, theta, spec),
+        trace.lebesgue_comparison(v, domain, theta, 0.01, spec),
+        calculus.integration_by_parts(u, v, domain, theta, spec),
+        calculus.paired_identity(u, v, domain, theta, spec))]
+
+
+@pytest.mark.parametrize("name", ["omega_C", "cusp"])
+def test_block_size_changes_no_error_bar(name, monkeypatch):
+    # values and their offset-rule errors, whose row sums add the chord
+    # terms offset by offset
+    dom, theta = fractal.named_domain(name), Direction.from_angle(0.8)
+    spec = QuadratureSpec(n_offsets=512)
+    want = _estimating_reports(dom, theta, spec)
+    for block in (7, 4096):
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        assert _estimating_reports(dom, theta, spec) == want
+
+
 def _bad_order_calls():
     sq = fractal.named_domain("square")
     theta = Direction.from_angle(0.3)

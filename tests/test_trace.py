@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dirtrace import cli, fields, fractal, geometry, measure, quadrature, trace
-from dirtrace.errors import NotDirectionalBoundary, ValidationError
+from dirtrace.errors import NotDirectionalBoundary, UnresolvedSingularity, ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import Cusp, Direction, Polygon, direction_table, match_radius
 from dirtrace.quadrature import QuadratureSpec, norm_theta
@@ -383,8 +383,9 @@ def test_consistency_lookups_are_freed_with_their_grid():
     gc.collect()
     assert len(trace._grid_memo) == 0
     trace.consistency_report(get_field("sincos"), dom, directions, SPEC)
-    # probes and their chords on the four fine grids, masses on all eight
-    assert len(trace._grid_memo) == 2 * len(directions)
+    # probes, their chords and the mass errors on the four grids, the only
+    # grids a report reads
+    assert len(trace._grid_memo) == len(directions)
     quadrature.clear_cache()
     assert len(trace._grid_memo) == 0
 
@@ -412,18 +413,16 @@ def _counted(fld, counts):
 
 def _separate_inequalities(fld, domain, theta, spec):
     # the report built from separate trace_field and norm_theta calls, each
-    # evaluating the field on its own grids
+    # evaluating the field on spec's grid, with the offset-rule errors of
+    # their per-atom and per-chord terms
+    grid = quadrature.chord_grid(domain, theta, spec.n_offsets)
     fine = trace.trace_field(fld, domain, theta, spec)
-    coarse = trace.trace_field(fld, domain, theta, spec.coarse())
     nrm = norm_theta(fld, domain, theta, spec)
-    nrm_c = norm_theta(fld, domain, theta, spec.coarse())
-    error = (
-        abs(fine.norm_sq() - coarse.norm_sq())
-        + abs(fine.pair_sum_sq() - coarse.pair_sum_sq())
-        + abs(fine.diff_quotient_sq() - coarse.diff_quotient_sq())
-        + abs(nrm**2 - nrm_c**2)
-        + 1e-12 * (1.0 + nrm**2)
-    )
+    (_, _, rows), = quadrature._rule_sums(domain, quadrature._theta_integrands(fld, theta),
+                                          theta, spec)
+    sums = [grid.sums(terms) for terms in fine.norm_terms()] + [(nrm**2, 0.0, rows)]
+    _, errors, _ = quadrature.offset_estimate(sums, floor=0.0)
+    error = sum(errors) + 1e-12 * (1.0 + nrm**2)
     return trace.TraceInequalityReport(theta, fine.norm_sq(), fine.pair_sum_sq(),
                                        fine.diff_quotient_sq(), nrm**2,
                                        domain.diameter, error)
@@ -439,9 +438,25 @@ def test_trace_inequalities_reuse_the_trace_nodes(name, field):
         got = trace.trace_inequalities(_counted(get_field(field), shared), dom, theta, spec)
         want = _separate_inequalities(_counted(get_field(field), separate), dom, theta, spec)
         assert repr(got) == repr(want)
-        # u and its gradient once per node on the n and n/2 grids, where
-        # the separate calls evaluate both twice
+        # u and its gradient once per node of spec's grid, where the
+        # separate calls evaluate both once per call
         assert sum(shared) < sum(separate)
+
+
+def test_trace_inequalities_raise_when_the_norm_does_not_settle():
+    # u = 1/(y - 0.5) is finite at every node along e1 (no offset midpoint
+    # hits 0.5), and so are its traces, but the integral of u^2 grows like n;
+    # at 256 offsets only the n/3 - n/9 level of the check sees it
+    def ev(p):
+        return 1.0 / (p[:, 1] - 0.5)
+
+    def gr(p):
+        return np.column_stack([np.zeros(p.shape[0]), -1.0 / (p[:, 1] - 0.5) ** 2])
+
+    pole = fields.ScalarField("pole", ev, gr, smooth=False)
+    for n in (256, 384, 1024):
+        with pytest.raises(UnresolvedSingularity, match="fails to settle"):
+            trace.trace_inequalities(pole, unit_square(), E1, QuadratureSpec(n_offsets=n))
 
 
 def test_cli_trace_evaluates_no_more_than_the_inequalities(tmp_path, monkeypatch, capsys):
