@@ -23,16 +23,15 @@ floats do not depend on the layout.
 
 Chords are computed in closed form for every kind: interval unions,
 polygons (strictly convex ones clip each line against their edge
-half-planes, other polygons pair the edge crossings into inside cells),
-the cubic cusp (batched cubic roots), circle/slit constructions, the Cantor
-comb, and the Cantor cone unions (the line minus the triangles over the
-gaps).  The slit rectangle, the slit disk and the cone unions share one
-cut, `_band_minus`: an open band of each line minus closed removed
-intervals (a slit point or range, Cantor points, the triangles over the
-gaps).  Endpoints are exact up to rounding.  Chords shorter than EPS_EXACT
-are dropped, and a slice is flagged when two crossings sit closer than
-RESOLUTION_FACTOR times that length (a thin feature at the limit of
-resolution).
+half-planes, other polygons pair the edge crossings into inside cells by
+membership), the Cantor comb, and four kinds that share one cut,
+`_band_minus`: an open band of each line minus closed removed intervals.
+Those are a slit point or range (the slit rectangle and the slit disk),
+Cantor points and the triangles over the gaps (the cone unions), and the
+sets +-x >= y**3 between closed-form cubic roots (the cusp).  Endpoints are
+exact up to rounding.  Chords shorter than EPS_EXACT are dropped, and a
+slice is flagged when two crossings sit closer than RESOLUTION_FACTOR times
+that length (a thin feature at the limit of resolution).
 
 Membership owns the rounding: every kind's `contains_many` counts the
 points within `Domain._rounding` of its boundary (2**12 ulps of the
@@ -495,11 +494,14 @@ class Polygon(Domain):
 
     def _crossing_slices(self, theta: Direction, ts: np.ndarray):
         """Chords of any simple polygon: the crossings with every edge,
-        paired into inside cells by `_pair_candidates`.
+        paired into inside cells by one batched membership test at the
+        cells' midpoints; a run of adjacent inside cells is one chord.
 
         A crossing counts when its edge parameter u lies in [0, 1] up to
         1e-12 plus the rounding of u, which grows with the distance of the
-        polygon from the origin.
+        polygon from the origin.  One within rounding of the previous
+        crossing on its line is dropped (a line through a vertex crosses
+        two edges there).
         """
         tv = theta.vector
         p = theta.perp_vector
@@ -516,8 +518,27 @@ class Polygon(Domain):
             valid = np.nonzero((u >= -slack) & (u <= 1.0 + slack))[0]
             rows.append(valid)
             svals.append(float(A @ tv) + u[valid] * float(E @ tv))
-        return _pair_candidates(self, theta, ts, np.concatenate(rows),
-                                np.concatenate(svals))
+        rows, svals = np.concatenate(rows), np.concatenate(svals)
+        tol = 1e-12 * max(self._diameter, 1.0)
+        order = np.lexsort((svals, rows))
+        rows, svals = rows[order], svals[order]
+        keep = np.ones(rows.size, dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (np.diff(svals) > tol)
+        rows, svals = rows[keep], svals[keep]
+        cell = rows[1:] == rows[:-1]
+        if not np.any(cell):
+            return _no_chords()
+        rows, lo, hi = rows[:-1][cell], svals[:-1][cell], svals[1:][cell]
+        mids = 0.5 * (lo + hi)
+        inside = self.contains_many(points_along(_feet(ts, p)[rows], mids, tv))
+        # neighbouring cells of one line share their endpoint, so a run of
+        # inside cells is one chord from the run's first lo to its last hi
+        linked = inside[1:] & inside[:-1] & (rows[1:] == rows[:-1])
+        start = inside.copy()
+        start[1:] &= ~linked
+        end = inside.copy()
+        end[:-1] &= ~linked
+        return rows[start], lo[start], hi[end]
 
     def _clipped_slices(self, theta: Direction, ts: np.ndarray):
         """Chords of a strictly convex polygon by half-plane clipping
@@ -594,39 +615,6 @@ def _edges_meet(v) -> bool:
     return bool(np.any(meet))
 
 
-def _pair_candidates(domain, theta, ts, rows, svals):
-    """Turn flat crossings (row, s) into a flat table of inside intervals.
-
-    Crossings closer than a rounding tolerance to the previous one on
-    their line are dropped (a line through a vertex crosses two edges
-    there).  The cells between consecutive crossings are classified by
-    one batched membership test at their midpoints, and each run of
-    adjacent inside cells becomes one chord.
-    """
-    tv = theta.vector
-    p = theta.perp_vector
-    tol = 1e-12 * max(domain.diameter, 1.0)
-    order = np.lexsort((svals, rows))
-    rows, svals = rows[order], svals[order]
-    keep = np.ones(rows.size, dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]) | (np.diff(svals) > tol)
-    rows, svals = rows[keep], svals[keep]
-    cell = rows[1:] == rows[:-1]
-    if not np.any(cell):
-        return _no_chords()
-    rows, lo, hi = rows[:-1][cell], svals[:-1][cell], svals[1:][cell]
-    mids = 0.5 * (lo + hi)
-    inside = domain.contains_many(points_along(_feet(ts, p)[rows], mids, tv))
-    # neighbouring cells of one line share their endpoint, so a run of
-    # inside cells is one chord from the run's first lo to its last hi
-    linked = inside[1:] & inside[:-1] & (rows[1:] == rows[:-1])
-    start = inside.copy()
-    start[1:] &= ~linked
-    end = inside.copy()
-    end[:-1] &= ~linked
-    return rows[start], lo[start], hi[end]
-
-
 # ---------------------------------------------------------------------------
 # Cubic cusp
 
@@ -671,14 +659,12 @@ class Cusp(Domain):
         return rows[keep], lo[keep], np.ones(np.count_nonzero(keep))
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
-        """Cells between the crossings with y = 0, y = 1 and x = +-y**3.
-
-        With x = x0 + m y on the line, the curve crossings are the roots of
-        y**3 -+ (m y + x0): companion-matrix eigenvalues for all lines at
-        once, polished by a Newton step in s.  Real parts of complex pairs
-        are kept; a spurious crossing only splits cells that
-        `_pair_candidates` joins again.
-        """
+        """The band b**(1/3) < y < 1 of each line (b the rounding; below it
+        membership is empty) minus the closed sets sign * x >= y**3, which
+        are disjoint for y > 0: with x = x0 + m y on the line, y <= r1 and
+        r2 <= y <= r3 for the real roots of y**3 - sign (m y + x0).  A root
+        maps to s through y on steep lines and through x = sign y**3 on
+        flat ones, where its error moves s less."""
         if theta.is_axis():
             return None
         vx, vy = theta.vector
@@ -686,23 +672,37 @@ class Cusp(Domain):
         ts = np.asarray(ts, dtype=float)
         bx, by = ts * p[0], ts * p[1]
         m = vx / vy
-        x0 = bx - m * by
-        rows, svals = [np.arange(ts.size)] * 2, [-by / vy, (1.0 - by) / vy]
+        ends = []
         for sign in (1.0, -1.0):
-            comp = np.zeros((ts.size, 3, 3))
-            comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-            comp[:, 0, 2], comp[:, 1, 2] = sign * x0, sign * m
-            y = np.linalg.eigvals(comp).real
-            s = (y - by[:, None]) / vy
-            slope = 3.0 * vy * y * y - sign * vx
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = (y * y * y - sign * (bx[:, None] + s * vx)) / slope
-            s = np.where(np.isfinite(step), s - step, s)
-            y = by[:, None] + s * vy
-            line, k = np.nonzero((y > 0.0) & (y < 1.0))
-            rows.append(line)
-            svals.append(s[line, k])
-        return _pair_candidates(self, theta, ts, np.concatenate(rows), np.concatenate(svals))
+            roots = _cubic_roots(-sign * m, sign * (m * by - bx))
+            s1, s2, s3 = ((sign * r * r * r - bx) / vx if abs(vx) > abs(vy) else (r - by) / vy
+                          for r in roots)
+            ends += [(np.full(ts.size, -np.inf / vy), s1), (s2, s3)]
+        band = ((self._rounding ** (1.0 / 3.0) - by) / vy, (1.0 - by) / vy)
+        rows = np.tile(np.arange(ts.size), len(ends))
+        return _band_minus(np.minimum(*band), np.maximum(*band), rows,
+                           np.concatenate([np.minimum(*e) for e in ends]),
+                           np.concatenate([np.maximum(*e) for e in ends]))
+
+
+def _cubic_roots(p: float, q: np.ndarray):
+    """Real roots of y**3 + p y + q = 0 for one p != 0 and each q, in
+    closed form: (r1, r2, r3) in increasing order where all three are real
+    (Viete's trigonometric form), else Cardano's one root r1 and NaN.
+    Cardano's cube roots u, v never cancel: u + v where they share a sign,
+    else -q / (u**2 - u v + v**2)."""
+    d = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    r1, r2, r3 = (np.full(q.size, np.nan) for _ in range(3))
+    one = d > 0.0
+    u = np.cbrt(-0.5 * q[one] - np.copysign(np.sqrt(d[one]), q[one]))
+    v = (-p / 3.0) / u
+    r1[one] = u + v if p < 0.0 else -q[one] / (u * u + p / 3.0 + v * v)
+    if not np.all(one):
+        r = math.sqrt(-p / 3.0)
+        phi = np.arccos(np.clip(-q[~one] / (2.0 * r**3), -1.0, 1.0)) / 3.0
+        for root, turn in ((r1, 2.0), (r2, -2.0), (r3, 0.0)):
+            root[~one] = 2.0 * r * np.cos(phi + turn * math.pi / 3.0)
+    return r1, r2, r3
 
 
 # ---------------------------------------------------------------------------

@@ -532,32 +532,21 @@ def test_chord_table_endpoints_fail_membership(name, theta, n_offsets):
 
 
 def _count_membership(monkeypatch):
-    """Membership calls of every kind, each recorded as (points, whether
-    `_pair_candidates` made it)."""
-    calls, pairing = [], []
+    """The number of points of every membership call of every kind."""
+    calls = []
     for cls in set(geometry._KINDS.values()):
         def counted(self, pts, _inner=cls.contains_many):
-            calls.append((len(pts), bool(pairing)))
+            calls.append(len(pts))
             return _inner(self, pts)
         monkeypatch.setattr(cls, "contains_many", counted)
-    pair = geometry._pair_candidates
-
-    def paired(*args):
-        pairing.append(True)
-        try:
-            return pair(*args)
-        finally:
-            pairing.pop()
-
-    monkeypatch.setattr(geometry, "_pair_candidates", paired)
     return calls
 
 
 @pytest.mark.parametrize("name", ["square", "triangle", "crack_square", "omega_C", "bicone",
-                                  "disk_minus_cantor", "cantor_comb", "cusp"])
+                                  "disk_minus_cantor", "cantor_comb", "cusp", "l_shape"])
 def test_chord_tables_make_no_membership_call(name, monkeypatch):
-    # the cusp pairs its crossings by testing the cells between them, one
-    # call per oblique table; no other kind tests a point
+    # no catalogued kind tests a point; a polygon that is not convex pairs
+    # its crossings by testing the cells between them, one call per table
     dom = _planar_domain(name)
     calls = _count_membership(monkeypatch)
     for angle in LOOKUP_ANGLES + [0.35, 0.9]:
@@ -566,11 +555,7 @@ def test_chord_tables_make_no_membership_call(name, monkeypatch):
         before = len(calls)
         rows, _, _, _ = geometry.chord_table(dom, theta, ts)
         assert rows.size > 0
-        made = calls[before:]
-        if name == "cusp" and not theta.is_axis():
-            assert len(made) == 1 and made[0][1]
-        else:
-            assert made == []
+        assert len(calls) - before == (1 if name == "l_shape" else 0)
 
 
 def test_oblique_slit_crossings_fail_membership():
@@ -657,6 +642,95 @@ def test_oblique_closed_forms_agree_with_the_scan(name, theta):
     mine, theirs = np.isin(rows, same), np.isin(s_rows, same)
     np.testing.assert_allclose(alpha[mine], s_alpha[theirs], atol=2.0 * EPS_SCAN)
     np.testing.assert_allclose(beta[mine], s_beta[theirs], atol=2.0 * EPS_SCAN)
+
+
+def _cubic_cases():
+    """Seeded (p, q) pairs of y**3 + p y + q, and pairs whose discriminant
+    (q/2)**2 + (p/3)**3 lies within 1e-12 of 0 (a near-double root)."""
+    rng = np.random.default_rng(20)
+    p = np.concatenate((rng.uniform(-3.0, 3.0, 16), -(10.0 ** rng.uniform(-3.0, 2.5, 8)),
+                        10.0 ** rng.uniform(-3.0, 2.5, 8)))
+    cases = [(pi, qi, False) for pi in p for qi in rng.uniform(-2.0, 2.0, 6)]
+    for pi in p[p < 0.0]:
+        r = np.sqrt(-pi / 3.0)
+        for rel in (0.0, 1e-15, -1e-15, 1e-13, -1e-13):
+            qi = float(np.copysign(2.0 * r**3 * (1.0 + rel), rng.uniform(-1.0, 1.0)))
+            if abs((0.5 * qi) ** 2 + (pi / 3.0) ** 3) <= 1e-12:
+                cases.append((pi, qi, True))
+    return cases
+
+
+def test_cubic_roots_match_mpmath():
+    # each real root against mpmath's at 40 digits: within a few rounding
+    # errors of the cubic's terms over its slope there (the root's
+    # condition); where the roots are O(1), within 1e-15 of a root more
+    # than 1e-6 from the others, and within 1e-7 of a near-double one
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    eps = np.finfo(float).eps
+    apart = double = 0
+    for p, q, near in _cubic_cases():
+        roots = mpmath.polyroots([1, 0, p, q], extraprec=60)
+        # a near-double pair may be complex by less than the float floor
+        exact = sorted(float(r.real) for r in roots if near or abs(r.imag) <= 1e-30)
+        got = [r for r in (float(r[0]) for r in geometry._cubic_roots(p, np.array([q])))
+               if not np.isnan(r)]
+        if len(got) < len(exact):
+            # the pair came out complex: only the simple root is returned
+            exact = [max(exact, key=lambda e: sorted(abs(e - o) for o in exact)[1])]
+        assert got == sorted(got) and len(got) == len(exact)
+        rho = max(abs(r) for r in exact)
+        for mine, ref in zip(got, exact):
+            err = abs(mine - ref)
+            sep = sorted(abs(ref - o) for o in exact)[1] if len(exact) > 1 else np.inf
+            assert err * abs(3.0 * ref * ref + p) <= 4.0 * eps * (rho**3 + abs(p) * rho + abs(q))
+            if rho <= 2.0 and sep > 1e-6:
+                assert err <= 1e-15
+                apart += 1
+            if sep <= 1e-6:
+                assert err <= 1e-7
+                double += 1
+    assert apart > 150 and double > 20
+
+
+@settings(CLIP_SETTINGS, max_examples=300)
+@given(y_star=st.floats(0.005, 0.995), branch=st.sampled_from([1.0, -1.0]),
+       shift=st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9]),
+       tip=st.one_of(st.none(), st.floats(-12.0, 0.4)))
+def test_cusp_chords_on_tangent_and_tip_lines(y_star, branch, shift, tip):
+    # x = x0 + m y tangent to x = branch y**3 at y_star (m = 3 branch
+    # y_star**2, x0 = -2 branch y_star**3), moved by shift, or through the
+    # tip with m = branch 10**tip: endpoints fail membership, midpoints
+    # pass it, and every chord lies in the band b**(1/3) <= y <= 1
+    dom = Cusp()
+    m, x0 = 3.0 * branch * y_star**2, -2.0 * branch * y_star**3 + shift
+    if tip is not None:
+        m, x0 = branch * 10.0**tip, 0.0
+    theta = Direction([m, 1.0])
+    t = x0 * theta.perp_vector[0]
+    rows, alpha, beta, _ = geometry.chord_table(dom, theta, [t])
+    # a tip line is inside where |m|**(1/2) < y < 1, so nowhere when |m| >= 1
+    assert rows.size > 0 or abs(m) > 0.9
+    feet = geometry._feet(np.full(rows.size, t), theta.perp_vector)
+    for s in (alpha, beta):
+        assert not np.any(dom.contains_many(points_along(feet, s, theta.vector)))
+        y = t * theta.perp_vector[1] + s * theta.vector[1]
+        assert np.all((y >= dom._rounding ** (1.0 / 3.0) * (1.0 - 1e-12)) & (y <= 1.0 + 1e-15))
+    assert np.all(dom.contains_many(points_along(feet, 0.5 * (alpha + beta), theta.vector)))
+
+
+@pytest.mark.parametrize("angle", [1e-4, 1e-5, 1e-6, np.pi - 1e-4])
+def test_flat_cusp_lines_end_outside(angle):
+    # on a nearly horizontal line a root's error in y moves the endpoint
+    # by m = cot(angle) times as much in x, past the rounding band; mapped
+    # through x = +-y**3 it does not
+    dom, theta = Cusp(), Direction.from_angle(angle)
+    ts, _, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta), 4096)
+    rows, alpha, beta, _ = geometry.chord_table(dom, theta, ts)
+    assert rows.size > 4000
+    feet = geometry._feet(ts[rows], theta.perp_vector)
+    for s in (alpha, beta):
+        assert not np.any(dom.contains_many(points_along(feet, s, theta.vector)))
 
 
 @pytest.mark.parametrize("theta", ORACLE_DIRECTIONS, ids=_vector_id)
