@@ -223,6 +223,21 @@ def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     return float(np.mean(means))
 
 
+# Last stage of a nu sequence (`nu_sequence`, the `nu` command).  Stage n
+# averages over 2**n intervals, so from stage 20 on each stage takes about
+# twice the time and memory of the one before: the gap tables would allow
+# 24, at about 16 times stage 20's cost.
+MAX_STAGE = 20
+
+
+def check_last_stage(n: int, name: str, first: int) -> None:
+    """Raise ValidationError unless first <= n <= MAX_STAGE."""
+    if not first <= n <= MAX_STAGE:
+        raise ValidationError(
+            f"{name} must lie in [{first}, {MAX_STAGE}], got {n!r} (stage n averages over "
+            f"2**n intervals: past stage {MAX_STAGE} each stage doubles time and memory)")
+
+
 def nu_value(fld: ScalarField, n: int, order: int = 8, mirror: bool = False) -> float:
     """Stage-n functional: interval averages at height 3**-n / 2.
 
@@ -252,8 +267,7 @@ class NuSequence:
 def nu_sequence(fld: ScalarField, n_max: int, h1_norm_value: float,
                 order: int = 8) -> NuSequence:
     """Stages 0..n_max with increment bounds and a limit enclosure."""
-    if not 1 <= n_max <= _cantor.MAX_LEVEL:
-        raise ValidationError(f"n_max must lie in [1, {_cantor.MAX_LEVEL}], got {n_max!r}")
+    check_last_stage(n_max, "n_max", 1)
     return _nu_sequence([nu_value(fld, n, order) for n in range(n_max + 1)], h1_norm_value)
 
 

@@ -264,8 +264,7 @@ def _cmd_nu(args) -> int:
     fld = fields.parse_field(args.field)
     levels = args.levels
     # stage n means over 2**n intervals: check the last stage before the first
-    if not 0 <= levels <= fractal.MAX_LEVEL:
-        raise ValidationError(f"--levels must lie in [0, {fractal.MAX_LEVEL}], got {levels}")
+    calculus.check_last_stage(levels, "--levels", 0)
     rows = []
     for n in range(levels + 1):
         y = 0.5 * 3.0 ** (-n)

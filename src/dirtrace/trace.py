@@ -414,7 +414,9 @@ def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
 _MASS_TOLERANCE = 1e-6
 
 # What consistency reports compute from a chord grid alone, whatever the
-# field: its probe sets, their exit chords along each direction, its mass.
+# field: its probe sets, their exit chords along each direction, its mass,
+# and, row by row as reports need them, the probes' jittered probes and
+# their exit chords along each direction.
 # An entry lives as long as its grid (the grid cache drops it, and so it).
 _grid_memo: "weakref.WeakKeyDictionary[ChordGrid, dict]" = weakref.WeakKeyDictionary()
 
@@ -436,6 +438,28 @@ def _memo_put(grid: ChordGrid, key, value):
 def _memo(grid: ChordGrid, key, compute):
     value = _memo_get(grid, key)
     return _memo_put(grid, key, compute()) if value is None else value
+
+
+def _memo_fill(grid: ChordGrid, key, size: int, rows: np.ndarray, arrays):
+    """Write arrays (one row per entry of rows) into the per-probe entry
+    kept with grid under key, (filled, *arrays) with size rows each, and
+    return it.  Entries are replaced, never written in place, so a report
+    keeps reading the entry it was given while another fills rows."""
+    with _cache_lock:
+        memo = _grid_memo.setdefault(grid, {})
+        old = memo.get(key)
+        if old is None:
+            entry = (np.zeros(size, dtype=bool),
+                     *(np.zeros((size,) + arr.shape[1:], dtype=arr.dtype) for arr in arrays))
+        else:
+            entry = tuple(arr.copy() for arr in old)
+        entry[0][rows] = True
+        for kept, arr in zip(entry[1:], arrays):
+            kept[rows] = arr
+        for arr in entry:
+            arr.setflags(write=False)
+        memo[key] = entry
+        return entry
 
 
 class _ProbeSet(NamedTuple):
@@ -474,6 +498,54 @@ def _probe_chords(domain: Domain, theta: Direction, theta_key: bytes, sets,
     return tuple(np.concatenate(arrs) for arrs in zip(*parts))
 
 
+def _jittered_lookups(domain: Domain, directions, theta_keys, sets, idx: np.ndarray,
+                      r_match: float):
+    """The jittered probes of the probes idx (those of idx[k] in rows 2k
+    and 2k + 1), and their `exit_chords` along each direction as arrays
+    (t, alpha, beta, found) with one column per direction (NaN chords
+    where a jittered probe is not finite).
+
+    Both are kept with the probe sets' grids for the direction table, one
+    row per probe, and looked up only for the probes that no report has
+    looked up yet: each set's jittered probes in one `_jittered_probes`
+    call, then the finite ones of all sets along each direction in one
+    batch.  idx must be sorted."""
+    key = ("jittered", tuple(theta_keys), r_match)
+    starts = np.cumsum([0] + [p.offsets.size for p in sets])
+    cuts = np.searchsorted(idx, starts)
+    parts = [(p, idx[lo:hi] - start)
+             for p, start, lo, hi in zip(sets, starts, cuts[:-1], cuts[1:]) if hi > lo]
+    entries = [_memo_get(p.grid, p.key + key) for p, _ in parts]
+    # the rows of each set that no report has looked up yet
+    missing = [rows if entry is None else rows[~entry[0][rows]]
+               for (_, rows), entry in zip(parts, entries)]
+
+    fresh = [_jittered_probes(domain, directions[p.source], p.points[rows],
+                              p.offsets[rows], p.grid.dt)
+             for (p, _), rows in zip(parts, missing) if rows.size]
+    if fresh:
+        points = np.concatenate(fresh)
+        ok = np.all(np.isfinite(points), axis=1)
+        found = np.zeros((points.shape[0], len(directions)), dtype=bool)
+        t, a, b = (np.full(found.shape, np.nan) for _ in range(3))
+        if np.any(ok):
+            for j, theta in enumerate(directions):
+                t[ok, j], a[ok, j], b[ok, j], found[ok, j] = exit_chords(
+                    domain, theta, points[ok], r_match)
+    lo = 0
+    for i, ((p, _), rows) in enumerate(zip(parts, missing)):
+        if rows.size:
+            hi = lo + 2 * rows.size
+            entries[i] = _memo_fill(p.grid, p.key + key, p.offsets.size, rows,
+                                    [arr[lo:hi].reshape(rows.size, 2, -1)
+                                     for arr in (points, t, a, b, found)])
+            lo = hi
+    jittered, *chords = (
+        np.concatenate([entry[k][rows] for entry, (_, rows) in zip(entries, parts)])
+        .reshape(2 * idx.size, -1) for k in range(1, 6))
+    return jittered, chords
+
+
 def consistency_report(fld, domain: Domain, directions,
                        spec: QuadratureSpec | None = None,
                        tolerance: float | None = None,
@@ -487,9 +559,12 @@ def consistency_report(fld, domain: Domain, directions,
     while a genuine trace mismatch survives it.
 
     Reports on the same domain, direction table, resolution and probe
-    count share their exit-chord lookups: the probes, their exit chords
-    and the grid masses depend on no field or Gauss order, so they are
-    kept with the cached chord grids and computed once per grid.
+    count share their exit-chord lookups: the probes, their exit chords,
+    the grid masses, and the jittered probes and their exit chords depend
+    on no field or Gauss order, so they are kept with the cached chord
+    grids and computed once per grid.  Jittered probes are looked up only
+    for the probes that disagree, and only for those that no earlier
+    report has looked up.
     """
     check_tolerance(tolerance)
     spec = spec or QuadratureSpec()
@@ -520,9 +595,6 @@ def consistency_report(fld, domain: Domain, directions,
         raise InsufficientOverlap("no boundary atoms to probe")
     probes = np.concatenate([p.points for p in sets])
     weights = np.concatenate([p.weights for p in sets])
-    offsets = np.concatenate([p.offsets for p in sets])
-    sources = np.concatenate([np.full(p.offsets.size, p.source) for p in sets])
-    dts = np.concatenate([np.full(p.offsets.size, p.grid.dt) for p in sets])
     chords = [_probe_chords(domain, theta, key, sets, r_match)
               for theta, key in zip(directions, keys)]
 
@@ -549,19 +621,13 @@ def consistency_report(fld, domain: Domain, directions,
     n_transient = 0
     bad_idx = np.nonzero(bad)[0]
     if bad_idx.size:
-        # the two jittered probes of bad_idx[k] go to rows 2k and 2k + 1
-        jittered = np.full((2 * bad_idx.size, probes.shape[1]), np.nan)
-        for src in np.unique(sources[bad_idx]):
-            k = np.nonzero(sources[bad_idx] == src)[0]
-            idxs = bad_idx[k]
-            jittered[(2 * k[:, None] + [0, 1]).ravel()] = _jittered_probes(
-                domain, directions[src], probes[idxs], offsets[idxs], float(dts[idxs[0]]))
-
+        jittered, jchords = _jittered_lookups(domain, directions, keys, sets, bad_idx, r_match)
         ok = np.all(np.isfinite(jittered), axis=1)
         jspread = np.zeros(jittered.shape[0])
         if np.any(ok):
-            jspread[ok] = _spreads(fld, domain, directions, jittered[ok],
-                                   spec.gauss_order, r_match)[2]
+            jspread[ok] = _spreads(fld, domain, directions, jittered[ok], spec.gauss_order,
+                                   r_match, [tuple(arr[ok, j] for arr in jchords)
+                                             for j in range(len(directions))])[2]
         transient = ~((jspread[0::2] > tolerance) & (jspread[1::2] > tolerance))
         persistent[bad_idx[transient]] = False
         n_transient = int(np.count_nonzero(transient))

@@ -156,6 +156,21 @@ def test_nu_sequence_checks_its_last_stage_first(n_max, monkeypatch):
     assert calls == []
 
 
+def test_nu_sequence_stops_at_the_cost_cap(monkeypatch):
+    # stage n averages over 2**n intervals: the last stage is capped where
+    # each further stage would double the time and memory, not where the
+    # gap tables end
+    assert calculus.MAX_STAGE < calculus._cantor.MAX_LEVEL
+    calls = []
+    monkeypatch.setattr(calculus, "_stage_mean", lambda *a: calls.append(a) or 0.0)
+    with pytest.raises(ValidationError, match=rf"n_max must lie in \[1, {calculus.MAX_STAGE}\]"
+                                              r".*doubles time and memory"):
+        calculus.nu_sequence(get_field("one"), calculus.MAX_STAGE + 1, 1.0)
+    assert calls == []
+    seq = calculus.nu_sequence(get_field("one"), calculus.MAX_STAGE, 1.0)
+    assert seq.values.size == len(calls) == calculus.MAX_STAGE + 1
+
+
 def _assert_supports_inside(dom, tests):
     for t in tests:
         cx, cy, r = t.params["cx"], t.params["cy"], t.params["r"]

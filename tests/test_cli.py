@@ -305,6 +305,23 @@ def test_nu_rejects_levels_out_of_range_before_computing(levels, tmp_path, monke
     assert not list(tmp_path.iterdir())
 
 
+def test_nu_levels_stop_at_the_cost_cap(tmp_path, monkeypatch, capsys):
+    # the gap tables reach stage 24, but past calculus.MAX_STAGE each stage
+    # doubles the time and memory of the last: the cap is a configuration
+    # error that names itself and its reason
+    calls = []
+    monkeypatch.setattr(calculus, "_stage_mean", lambda *a: calls.append(a) or 0.0)
+    assert main(["nu", "--domain", "omega_C", "--field", "sign_y",
+                 "--levels", str(calculus.MAX_STAGE + 1), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"[0, {calculus.MAX_STAGE}]" in err and "doubles time and memory" in err
+    assert calls == [] and not list(tmp_path.iterdir())
+    assert run(["nu", "--domain", "omega_C", "--field", "sign_y",
+                "--levels", str(calculus.MAX_STAGE)], tmp_path) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * (calculus.MAX_STAGE + 1)
+
+
 def test_nu_gap_of_jump_field(tmp_path):
     code = run(["nu", "--domain", "bicone", "--field", "sign_y",
                 "--levels", "4"], tmp_path)

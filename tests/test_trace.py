@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -328,23 +329,15 @@ def test_consistency_report_reuses_its_grid_lookups(monkeypatch):
     # A second report on the same domain, directions, resolution and probe
     # count, with another field and Gauss order, looks up only the jittered
     # probes of its disagreeing points, and reports what a cold one does.
+    # The first report's field is smooth, so no probe disagrees and the
+    # jittered probes are new to the second (fresh grids: an earlier test
+    # may have looked them up).
     dom, directions = fractal.named_domain("crack_square"), direction_table(4)
     spec = QuadratureSpec(n_offsets=256, gauss_order=8)
+    quadrature.clear_cache()
     trace.consistency_report(get_field("x1x2"), dom, directions, spec)
 
-    calls, jittered = [], []
-    lookup, jitter = trace.exit_chords, trace._jittered_probes
-
-    def counted_lookup(domain, theta, points, r_match, offsets=None):
-        calls.append((np.array(points), offsets))
-        return lookup(domain, theta, points, r_match, offsets)
-
-    def kept_jitter(*args):
-        jittered.append(jitter(*args))
-        return jittered[-1]
-
-    monkeypatch.setattr(trace, "exit_chords", counted_lookup)
-    monkeypatch.setattr(trace, "_jittered_probes", kept_jitter)
+    calls, jittered = _counted_lookups(monkeypatch)
     spec16 = QuadratureSpec(n_offsets=256, gauss_order=16)
     warm = trace.consistency_report(get_field("crack_2d"), dom, directions, spec16)
     assert warm.verdict == "out" and warm.transient_conflations < warm.n_probes
@@ -390,6 +383,14 @@ def test_consistency_lookups_are_freed_with_their_grid():
     assert len(trace._grid_memo) == 0
 
     trace.consistency_report(get_field("sincos"), dom, directions, SPEC)
+    # a slit field disagrees on the probes of the two directions that cross
+    # the slit: their jittered probes, and those probes' chords along each
+    # of the four directions, are kept with those two grids
+    crack = fractal.named_domain("crack_square")
+    trace.consistency_report(get_field("crack_2d"), crack, direction_table(4), SPEC)
+    jittered = [key for memo in trace._grid_memo.values() for key in memo
+                if "jittered" in key]
+    assert len(jittered) == 2
     kept = [weakref.ref(value) for memo in trace._grid_memo.values()
             for entry in memo.values() if isinstance(entry, tuple) for value in entry]
     # reports share them, so none is writable
@@ -400,6 +401,120 @@ def test_consistency_lookups_are_freed_with_their_grid():
     gc.collect()
     assert len(trace._grid_memo) == 0
     assert all(ref() is None for ref in kept)
+
+
+def _counted_lookups(monkeypatch):
+    """Record every `exit_chords` call of trace as (points, offsets) and
+    every `_jittered_probes` result."""
+    calls, jittered = [], []
+    lookup, jitter = trace.exit_chords, trace._jittered_probes
+
+    def counted_lookup(domain, theta, points, r_match, offsets=None):
+        calls.append((np.array(points), offsets))
+        return lookup(domain, theta, points, r_match, offsets)
+
+    def kept_jitter(*args):
+        jittered.append(jitter(*args))
+        return jittered[-1]
+
+    monkeypatch.setattr(trace, "exit_chords", counted_lookup)
+    monkeypatch.setattr(trace, "_jittered_probes", kept_jitter)
+    return calls, jittered
+
+
+def _crack_report(gauss):
+    return trace.consistency_report(get_field("crack_2d"), fractal.named_domain("crack_square"),
+                                    direction_table(4),
+                                    QuadratureSpec(n_offsets=256, gauss_order=gauss))
+
+
+def test_first_consistency_report_makes_the_cold_lookups(monkeypatch):
+    # On fresh grids a report looks up what it did before jittered probes
+    # were kept: its probes along each direction, the two shifted lines of
+    # each disagreeing probe (one batch per direction that has them), then
+    # the finite jittered probes along each direction.
+    dom, directions = fractal.named_domain("crack_square"), direction_table(4)
+    quadrature.clear_cache()
+    calls, jittered = _counted_lookups(monkeypatch)
+    rep = _crack_report(8)
+    monkeypatch.undo()
+    probes = np.concatenate(_report_probes(dom, directions, 256, 160))
+    _, shared, spreads = trace._spreads(get_field("crack_2d"), dom, directions, probes, 8,
+                                        match_radius(dom))
+    bad = shared & (spreads > rep.tolerance)
+    finite = np.concatenate(jittered)
+    finite = finite[np.all(np.isfinite(finite), axis=1)]
+    # 896 probes, 128 disagreeing on each side of the slit, none of whose
+    # jittered probes leaves the domain
+    assert [(points.shape[0], offsets is not None) for points, offsets in calls] == (
+        [(896, False)] * 4 + [(256, True)] * 2 + [(512, False)] * 4)
+    for points, _ in calls[:4]:
+        np.testing.assert_array_equal(points, probes)
+    np.testing.assert_array_equal(np.concatenate([points for points, _ in calls[4:6]]),
+                                  np.repeat(probes[bad], 2, axis=0))
+    for points, _ in calls[6:]:
+        np.testing.assert_array_equal(points, finite)
+
+
+def test_consistency_report_on_the_same_disagreements_looks_up_nothing(monkeypatch):
+    # The Gauss-16 report disagrees where the Gauss-8 one did: it reads the
+    # probes, the jittered probes and all their chords from the grids.
+    quadrature.clear_cache()
+    _crack_report(8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm report looked up a chord")
+
+    for module, name in ((trace, "exit_chords"), (trace, "_jittered_probes"),
+                         (geometry, "chord_table")):
+        monkeypatch.setattr(module, name, refuse)
+    warm = _crack_report(16)
+    monkeypatch.undo()
+    assert warm.verdict == "out"
+    quadrature.clear_cache()
+    assert repr(warm.to_json()) == repr(_crack_report(16).to_json())
+
+
+def _jittered_rows():
+    """Probes whose jittered probes are kept with the cached grids."""
+    return sum(int(np.count_nonzero(entry[0])) for memo in trace._grid_memo.values()
+               for key, entry in memo.items() if "jittered" in key)
+
+
+def test_warm_consistency_reports_on_partly_shared_disagreements():
+    # bump and crack_2d disagree on overlapping probe sets: whichever
+    # report comes second looks up only the probes that are new to it, and
+    # reports what it reports on fresh grids
+    dom, directions = fractal.named_domain("bicone"), direction_table(8)
+    spec = QuadratureSpec(n_offsets=1024)
+    reports, rows = {}, {}
+    for first, second in (("bump", "crack_2d"), ("crack_2d", "bump")):
+        quadrature.clear_cache()
+        reports[first, "cold"] = trace.consistency_report(get_field(first), dom, directions,
+                                                          spec)
+        rows[first] = _jittered_rows()
+        reports[second, "warm"] = trace.consistency_report(get_field(second), dom,
+                                                           directions, spec)
+        rows[first, second] = _jittered_rows()
+    for name in ("bump", "crack_2d"):
+        assert repr(reports[name, "warm"].to_json()) == repr(reports[name, "cold"].to_json())
+    # 341 and 495 disagreeing probes of 1,370, 285 of them in both
+    assert (rows["bump"], rows["crack_2d"]) == (341, 495)
+    assert rows["bump", "crack_2d"] == rows["crack_2d", "bump"] == 551
+
+
+def test_concurrent_consistency_reports_match_cold_ones():
+    # two reports fill the same grids' jittered lookups at once
+    cold = []
+    for gauss in (8, 16):
+        quadrature.clear_cache()
+        cold.append(repr(_crack_report(gauss).to_json()))
+    quadrature.clear_cache()
+    for theta in direction_table(4):
+        quadrature.chord_grid(fractal.named_domain("crack_square"), theta, 256)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        warm = list(pool.map(lambda gauss: repr(_crack_report(gauss).to_json()), (8, 16)))
+    assert warm == cold
 
 
 def _counted(fld, counts):
