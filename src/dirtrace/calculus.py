@@ -244,8 +244,7 @@ def nu_value(fld: ScalarField, n: int, order: int = 8, mirror: bool = False) -> 
     With mirror=True the field is sampled at the reflected height, which
     composes the field with the vertical flip.
     """
-    if n < 0:
-        raise ValidationError("stage must be nonnegative")
+    check_last_stage(n, "n", 0)
     y = 0.5 * (3.0 ** (-n))
     return _stage_mean(fld, n, -y if mirror else y, order)
 

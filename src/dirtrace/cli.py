@@ -325,6 +325,8 @@ def _cmd_staircase(args) -> int:
 
 
 def _cmd_oned(args) -> int:
+    # checked even where a refuted membership leaves it unused
+    oned.check_truncation(args.truncation)
     domain = _domain_from(args)
     if domain.dim != 1:
         raise ValidationError("the oned command needs a one-dimensional domain")

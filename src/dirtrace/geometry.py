@@ -24,11 +24,13 @@ floats do not depend on the layout.
 Chords are computed in closed form for every kind: interval unions,
 polygons (strictly convex ones clip each line against their edge
 half-planes, other polygons pair the edge crossings into inside cells by
-membership), the Cantor comb, and four kinds that share one cut,
-`_band_minus`: an open band of each line minus closed removed intervals.
-Those are a slit point or range (the slit rectangle and the slit disk),
-Cantor points and the triangles over the gaps (the cone unions), and the
-sets +-x >= y**3 between closed-form cubic roots (the cusp).  Endpoints are
+membership), and five kinds that share one cut, `_band_minus`: an open
+band of each line minus closed removed intervals.  Those are a slit point
+or range (the slit rectangle and the slit disk), Cantor points and the
+triangles over the gaps (the cone unions, whose horizontal sections lose
+the sections of the gaps longer than twice their height), the teeth
+between the gaps (the Cantor comb), and the sets +-x >= y**3 between
+closed-form cubic roots (the cusp).  Endpoints are
 exact up to rounding.  Chords shorter than EPS_EXACT are dropped, and a
 slice is flagged when two crossings sit closer than RESOLUTION_FACTOR times
 that length (a thin feature at the limit of resolution).
@@ -75,17 +77,6 @@ def _no_chords():
     return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
 
 
-def _min(a, b):
-    """Elementwise min(a, b) that keeps a on ties, as Python's min does
-    (so -0.0 against 0.0 keeps a's sign)."""
-    return np.where(b < a, b, a)
-
-
-def _max(a, b):
-    """Elementwise max(a, b) with Python's tie rule, as in `_min`."""
-    return np.where(b > a, b, a)
-
-
 def _at_least(g0, slope: float, k):
     """Closed range {s : g0 + s * slope >= k} of each line, as (lo, hi)
     with infinite ends; empty where lo > hi."""
@@ -120,6 +111,13 @@ def _band_minus(band_lo, band_hi, rows, r_lo, r_hi):
     end[:-1] = np.where(rows[1:] == rows[:-1], nxt[1:], end[:-1])
     keep = end > start
     return rows[keep], start[keep], end[keep]
+
+
+def _runs(first, count):
+    """Row i repeated count[i] times, each with one of the indices
+    first[i], ..., first[i] + count[i] - 1, as (rows, indices)."""
+    rows = np.repeat(np.arange(count.size), count)
+    return rows, np.arange(rows.size) + (first - np.cumsum(count) + count)[rows]
 
 
 def _row_starts(rows, n: int) -> np.ndarray:
@@ -756,35 +754,21 @@ class ConeUnionCantor(_CantorKind):
             out[band] = self._dist(x[band]) < y[band] - b
         return out
 
-    def apex_slices(self, heights: np.ndarray):
-        """Open horizontal sections {x : dist(x, C) < h}, one per height
-        (all positive), as a flat table (rows, lo, hi).
-
-        A section is cut by every gap longer than 2h.  Those are the gaps
-        ranked above some count in length, so each distinct count lays
-        out its pieces once for all heights that share it.
-        """
-        h = np.asarray(heights, dtype=float)
-        gap_lengths = self._gaps_sorted[:, 1] - self._gaps_sorted[:, 0]
-        lengths = np.sort(gap_lengths)
-        counts = lengths.size - np.searchsorted(lengths, 2.0 * h, side="right")
-        parts = [_no_chords()]
-        for count in np.unique(counts):
-            rows = np.nonzero(counts == count)[0]
-            hg = h[rows, None]
-            long = gap_lengths > 2.0 * h[rows[0]]
-            c, d = self._gaps_sorted[long, 0], self._gaps_sorted[long, 1]
-            parts.append((np.repeat(rows, count + 1),
-                          np.hstack((-hg, d - hg)).ravel(),
-                          np.hstack((c + hg, 1.0 + hg)).ravel()))
-        rows, lo, hi = (np.concatenate(col) for col in zip(*parts))
-        order = np.argsort(rows, kind="stable")
-        return rows[order], lo[order], hi[order]
-
     def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         if fixed_axis == 1:
+            # the band -h < x < 1 + h at height h minus the sections
+            # [c + h, d - h] of the gaps longer than 2h, which are the
+            # longest ones: counted from the sorted lengths, a gap of
+            # length exactly 2h does not cut
             rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
-            sub, lo, hi = self.apex_slices(values[rows])
+            h = values[rows]
+            c, d = self._gaps_sorted.T
+            longest = np.argsort(c - d, kind="stable")
+            lengths = (d - c)[longest[::-1]]
+            count = lengths.size - np.searchsorted(lengths, 2.0 * h, side="right")
+            sub, at = _runs(np.zeros(h.size, dtype=np.int64), count)
+            gap = longest[at]
+            sub, lo, hi = _band_minus(-h, 1.0 + h, sub, c[gap] + h[sub], d[gap] - h[sub])
             return rows[sub], lo, hi
         d = self._dist(values)
         rows = np.nonzero(d < 1.0)[0]
@@ -895,7 +879,8 @@ class Bicone(Domain):
 
 
 class CantorComb(_CantorKind):
-    """Open square with Cantor teeth: full lower half, gap columns above."""
+    """The open rectangle ]0, 1[ x ]-1, 1[ minus the closed Cantor teeth
+    {y >= 0, x between two gaps}: full lower half, gap columns above."""
 
     kind = "cantor_comb"
 
@@ -919,62 +904,44 @@ class CantorComb(_CantorKind):
         return inx & ((y < -b) | (_cantor.gap_search(x, self._gaps_sorted)[1] > b))
 
     def line_slices(self, theta: Direction, ts: np.ndarray):
-        """Exact oblique slices from the gap table.
+        """The rectangle's chord of each line minus the closed teeth
+        {y >= 0, x between two gaps} that the line meets.
 
-        The teeth meet any non-axis line in a set no membership sample
-        resolves, so the chords above the axis are built per gap column and
-        joined with the lower rectangle chord when the axis crossing
-        falls inside the same gap.
+        The teeth that the part y >= 0 of a line can meet are one run of
+        the table, found by two searches and widened by one tooth on each
+        side; a tooth the line misses is cut empty.  The tooth that holds
+        the computed axis crossing, as membership finds it, is widened to
+        the crossing, so a line through a gap end still splits there.
         """
         if theta.is_axis():
             return None
-        tv = theta.vector
+        vx, vy = theta.vector
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
-        c = self._gaps_sorted[:, 0]
-        d = self._gaps_sorted[:, 1]
-        bx = ts * p[0]
-        by = ts * p[1]
-        x0, x1 = (0.0 - bx) / tv[0], (1.0 - bx) / tv[0]
-        s_ym1 = (-1.0 - by) / tv[1]
-        s_y0 = (0.0 - by) / tv[1]
-        s_y1 = (1.0 - by) / tv[1]
-        low_lo = _max(_min(s_ym1, s_y0), _min(x0, x1))
-        low_hi = _min(_max(s_ym1, s_y0), np.where(x1 < x0, x0, x1))
-        up_lo, up_hi = _min(s_y0, s_y1), _max(s_y0, s_y1)
-
-        # gap columns above the axis, in blocks of about 2**20 (line, gap) cells
-        step = max(1, 2**20 // c.size)
-        parts = [_no_chords()]
-        for start in range(0, ts.size, step):
-            block = slice(start, start + step)
-            sc = (c[None, :] - bx[block, None]) / tv[0]
-            sd = (d[None, :] - bx[block, None]) / tv[0]
-            glo = np.maximum(np.minimum(sc, sd), up_lo[block, None])
-            ghi = np.minimum(np.maximum(sc, sd), up_hi[block, None])
-            r, k = np.nonzero(ghi > glo)
-            parts.append((r + start, glo[r, k], ghi[r, k]))
-        prow, plo, phi = (np.concatenate(col) for col in zip(*parts))
-
-        # lower rectangle chords; where the axis crossing falls inside a
-        # gap, the first column touching it continues the lower chord
-        lows = np.nonzero(low_hi > low_lo)[0]
-        lo, hi = low_lo[lows], low_hi[lows]
-        in_gap = _cantor.gap_search(bx[lows] + s_y0[lows] * tv[0], self._gaps_sorted)[1] > 0.0
-        s0 = s_y0[prow]
-        touch = np.nonzero((np.abs(plo - s0) <= 1e-12) | (np.abs(phi - s0) <= 1e-12))[0]
-        touch = touch[np.unique(prow[touch], return_index=True)[1]]
-        touch = touch[np.isin(prow[touch], lows[in_gap])]
-        at = np.searchsorted(lows, prow[touch])
-        lo[at] = _min(lo[at], plo[touch])
-        hi[at] = _max(hi[at], phi[touch])
-        rest = np.ones(prow.size, dtype=bool)
-        rest[touch] = False
-        rows = np.concatenate((lows, prow[rest]))
-        lo = np.concatenate((lo, plo[rest]))
-        hi = np.concatenate((hi, phi[rest]))
-        order = np.lexsort((hi, lo, rows))
-        return rows[order], lo[order], hi[order]
+        bx, by = ts * p[0], ts * p[1]
+        x0, x1 = (0.0 - bx) / vx, (1.0 - bx) / vx
+        y0, y1 = (-1.0 - by) / vy, (1.0 - by) / vy
+        band_lo = np.maximum(np.minimum(x0, x1), np.minimum(y0, y1))
+        band_hi = np.minimum(np.maximum(x0, x1), np.maximum(y0, y1))
+        up_lo, up_hi = _at_least(by, vy, 0.0)
+        s0 = up_lo if vy > 0.0 else up_hi
+        # the x-range of each line's part y >= 0 in the band
+        xa = bx + np.maximum(up_lo, band_lo) * vx
+        xb = bx + np.minimum(up_hi, band_hi) * vx
+        tooth_lo, tooth_hi = _cantor._between(self._gaps_sorted)
+        # the teeth that reach into that range, and one more on each side
+        first = np.maximum(np.searchsorted(tooth_hi, np.minimum(xa, xb)) - 1, 0)
+        last = np.minimum(np.searchsorted(tooth_lo, np.maximum(xa, xb), side="right"),
+                          tooth_lo.size - 1)
+        rows, k = _runs(first, np.maximum(last - first + 1, 0))
+        near, far = (tooth_lo, tooth_hi) if vx > 0.0 else (tooth_hi, tooth_lo)
+        lo = np.maximum((near[k] - bx[rows]) / vx, up_lo[rows])
+        hi = np.minimum((far[k] - bx[rows]) / vx, up_hi[rows])
+        crossing, inset = _cantor.gap_search(bx + s0 * vx, self._gaps_sorted)
+        held = (k == crossing[rows]) & (inset[rows] <= 0.0)
+        lo[held] = np.minimum(lo[held], s0[rows[held]])
+        hi[held] = np.maximum(hi[held], s0[rows[held]])
+        return _band_minus(band_lo, band_hi, rows, lo, hi)
 
     def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
         if fixed_axis == 1:

@@ -20,13 +20,14 @@ over intervals accumulate in interval order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import _gauss
-from .errors import NotInH1tr, check_tolerance
+from .errors import NotInH1tr, ValidationError, check_tolerance
 from .fractal import Staircase, build_staircase
 from .geometry import IntervalUnion
 
@@ -199,6 +200,13 @@ def _stair_slope(stair: Staircase, x: np.ndarray) -> np.ndarray:
     return np.where(dt > 0.0, dv / np.maximum(dt, 1e-300), 0.0)
 
 
+def check_truncation(truncation) -> None:
+    """Reject a truncation that is not finite and positive; None stands
+    for the default 1 + max |u|."""
+    if truncation is not None and not (math.isfinite(truncation) and truncation > 0.0):
+        raise ValidationError(f"truncation must be finite and positive, got {truncation!r}")
+
+
 def continuous_approximation(u: PiecewiseH1, n: int,
                              truncation: float | None = None) -> ApproximationResult:
     """Continuous H1 approximant at tail threshold 2**-n.
@@ -209,6 +217,7 @@ def continuous_approximation(u: PiecewiseH1, n: int,
     unselected interval (so only the input's own derivative mass and the
     truncation gap contribute there).
     """
+    check_truncation(truncation)
     report = membership_report(u)
     if report.verdict == "out":
         w = report.witnesses[0]

@@ -156,6 +156,18 @@ def test_nu_sequence_checks_its_last_stage_first(n_max, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [-1, calculus.MAX_STAGE + 1])
+@pytest.mark.parametrize("stage_functional", [calculus.nu_value, calculus.mirror_gap])
+def test_stage_functionals_check_their_stage_first(stage_functional, n, monkeypatch):
+    # a single stage is capped as the sequences are: stage 22 alone would
+    # average over 2**22 intervals
+    calls = []
+    monkeypatch.setattr(calculus, "_stage_mean", lambda *a: calls.append(a) or 0.0)
+    with pytest.raises(ValidationError, match=rf"n must lie in \[0, {calculus.MAX_STAGE}\]"):
+        stage_functional(get_field("one"), n)
+    assert calls == []
+
+
 def test_nu_sequence_stops_at_the_cost_cap(monkeypatch):
     # stage n averages over 2**n intervals: the last stage is capped where
     # each further stage would double the time and memory, not where the

@@ -237,6 +237,18 @@ def test_oned_truncation_is_in_the_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("truncation", ["-1", "0", "nan"])
+@pytest.mark.parametrize("domain, field", [("cantor_complement", "x1"),
+                                           ("crack_interval", "crack_1d")])
+def test_oned_bad_truncation_exits_2(domain, field, truncation, tmp_path, capsys):
+    # on the crack the membership is refuted and no approximant is built
+    argv = ["oned", "--domain", domain, "--field", field, "--n", "4",
+            "--truncation", truncation, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "truncation must be finite and positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_readme_commands_run(tmp_path, capsys):
     commands = [line.strip() for line in README.read_text().splitlines()
                 if line.strip().startswith("python3 -m dirtrace ")]

@@ -15,6 +15,7 @@ from dirtrace.errors import (
 from dirtrace.geometry import (
     Bicone,
     CantorComb,
+    ConeUnionCantor,
     Cusp,
     Direction,
     IntervalUnion,
@@ -29,6 +30,7 @@ from dirtrace.geometry import (
     points_along,
     slice_lines,
 )
+import cantor_chord_oracle
 from scan_oracle import EPS_SCAN, scan_slices
 
 E1 = Direction([1.0, 0.0])
@@ -616,15 +618,25 @@ def _vector_id(theta):
     return ",".join(repr(float(c)) for c in theta.vector)
 
 
-@pytest.mark.parametrize("name", ["omega_C", "bicone", "cusp"])
-@pytest.mark.parametrize("theta", ORACLE_DIRECTIONS, ids=_vector_id)
+# the scan resolves the level-4 comb's gaps, at least 9.8e-4 wide; +-e1
+# checks the horizontal sections of the cone unions
+ORACLE_CASES = ([(name, theta) for name in ("omega_C", "bicone", "cusp", "cantor_comb")
+                 for theta in ORACLE_DIRECTIONS]
+                + [(name, theta) for name in ("omega_C", "bicone") for theta in (E1, -E1)])
+
+
+@pytest.mark.parametrize("name, theta", ORACLE_CASES,
+                         ids=[f"{_vector_id(theta)}-{name}" for name, theta in ORACLE_CASES])
 def test_oblique_closed_forms_agree_with_the_scan(name, theta):
-    dom = fractal.named_domain(name)
+    dom = fractal.named_domain(name, level=4) if name == "cantor_comb" else (
+        fractal.named_domain(name))
     p, tv = theta.perp_vector, theta.vector
     lo, hi = geometry.hyperplane_range(dom, theta)
     ts = lo + (hi - lo) * (np.arange(64) + 0.5) / 64
     rows, alpha, beta, flags = geometry.chord_table(dom, theta, ts)
-    assert rows.size and not np.any(flags)
+    # a diagonal runs one of its 64 lines through tooth corners
+    diagonal = name == "cantor_comb" and abs(abs(tv[0]) - abs(tv[1])) <= 1e-15
+    assert rows.size and np.count_nonzero(flags) == (1 if diagonal else 0)
 
     def points(s):
         return ts[rows, None] * p[None, :] + s[:, None] * tv[None, :]
@@ -642,6 +654,101 @@ def test_oblique_closed_forms_agree_with_the_scan(name, theta):
     mine, theirs = np.isin(rows, same), np.isin(s_rows, same)
     np.testing.assert_allclose(alpha[mine], s_alpha[theirs], atol=2.0 * EPS_SCAN)
     np.testing.assert_allclose(beta[mine], s_beta[theirs], atol=2.0 * EPS_SCAN)
+
+
+# --- the shared band cut against the earlier Cantor chord algorithms ---------
+
+
+def _assert_same_bits(got, want):
+    """Chord tables equal bit for bit, signs of zero included."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        if a.dtype == float:
+            a, b = a.view(np.int64), b.view(np.int64)
+        np.testing.assert_array_equal(a, b)
+
+
+def _without_corner_slivers(theta, ts, table):
+    """The chord table (rows, lo, hi) less its chords shorter than EPS_EXACT
+    with an end at the line's axis crossing, and the lines that had one."""
+    rows, lo, hi = table
+    s0 = ((0.0 - ts * theta.perp_vector[1]) / theta.vector[1])[rows]
+    sliver = (hi - lo < geometry.EPS_EXACT) & ((lo == s0) | (hi == s0))
+    return (rows[~sliver], lo[~sliver], hi[~sliver]), np.unique(rows[sliver])
+
+
+def test_comb_cut_matches_the_earlier_column_join():
+    # bit for bit on oblique grids of levels 0-8 (1,024 offsets up to level
+    # 6, 256 throughout), except where the join kept a few-ulp sliver of a
+    # gap column beside the tooth that holds the axis crossing (and so
+    # flagged the line): the cut removes it with the tooth, as membership
+    # does
+    slivers = set()
+    for level in range(9):
+        dom = fractal.named_domain("cantor_comb", level=level)
+        for angle in (0.35, 0.25 * np.pi, 0.9, 0.75 * np.pi, 2.6, -0.4):
+            theta = Direction.from_angle(angle)
+            for n in (256, 1024) if level <= 6 else (256,):
+                ts, _, _ = quadrature._offset_cells(
+                    dom, theta, *geometry.hyperplane_range(dom, theta), n)
+                want, lines = _without_corner_slivers(
+                    theta, ts, cantor_chord_oracle.comb_line_slices(dom, theta, ts))
+                _assert_same_bits(dom.line_slices(theta, ts), want)
+                slivers |= {(angle, n, int(i)) for i in lines}
+    assert slivers == {(0.25 * np.pi, 1024, 664), (0.75 * np.pi, 256, 95)}
+
+
+@pytest.mark.parametrize("angle", [0.25 * np.pi, 0.75 * np.pi])
+def test_comb_lines_through_a_gap_end_split_there(angle):
+    # offset 664 of the level-6 comb's 1,024 crosses the axis at a gap end,
+    # which membership counts with the tooth beside it
+    dom = fractal.named_domain("cantor_comb", level=6)
+    theta = Direction.from_angle(angle)
+    p, tv = theta.perp_vector, theta.vector
+    ts, _, _ = quadrature._offset_cells(dom, theta, *geometry.hyperplane_range(dom, theta), 1024)
+    t = ts[664:665]
+    s0 = (0.0 - t[0] * p[1]) / tv[1]
+    crossing = t[0] * p + s0 * tv
+    assert t[0] * p[0] + s0 * tv[0] == 0.94677734375
+    assert _cantor.gap_search(np.array([0.94677734375]), dom._gaps_sorted)[1][0] == 0.0
+    assert not dom.contains(crossing)
+    rows, alpha, beta, flags = geometry.chord_table(dom, theta, t)
+    assert not flags[0]
+    first = np.nonzero(beta == s0)[0]
+    assert first.size == 1
+    if angle > 0.5 * np.pi:
+        # the lower chord and the gap column abut at the crossing
+        assert alpha[first[0] + 1] == s0
+    else:
+        # the join's chords, less its one-ulp column sliver at the tooth
+        # corner, for which it flagged the line
+        *want, join_flags = geometry._trim(t, *cantor_chord_oracle.comb_line_slices(dom, theta, t))
+        assert join_flags[0]
+        _assert_same_bits((rows, alpha, beta), want)
+
+
+@pytest.mark.parametrize("ratio, scheme", [(1.0 / 3.0, "third"), (1.0 / 3.0, "rho"),
+                                           (0.25, "rho")])
+def test_cone_sections_match_the_earlier_apex_slices(ratio, scheme, monkeypatch):
+    # horizontal chords of omega_C and the bicone at levels 0-12, in both
+    # senses, on a grid and at the heights h where a gap is exactly 2h long
+    tables = []
+    for level in range(13):
+        cone = ConeUnionCantor(ratio, level, scheme)
+        lengths = np.diff(cone._gaps_sorted, axis=1).ravel()
+        half = 0.5 * np.unique(lengths[lengths > 1e-3])
+        for dom in (cone, Bicone(ratio, level, scheme)):
+            for theta in (E1, -E1):
+                ts, _, _ = quadrature._offset_cells(
+                    dom, theta, *geometry.hyperplane_range(dom, theta), 1024)
+                ts = np.concatenate((ts, half, -half))
+                tables.append((dom, theta, ts, geometry.chord_table(dom, theta, ts)))
+    monkeypatch.setattr(ConeUnionCantor, "coordinate_slices",
+                        lambda self, axis, values:
+                        cantor_chord_oracle.cone_coordinate_slices(self, values))
+    for dom, theta, ts, got in tables:
+        _assert_same_bits(got, geometry.chord_table(dom, theta, ts))
 
 
 def _cubic_cases():

@@ -86,6 +86,13 @@ def test_approximant_is_continuous_across_bridges():
         assert right == pytest.approx(comp.right_value, abs=1e-9)
 
 
+@pytest.mark.parametrize("truncation", [-1.0, 0.0, float("nan"), float("inf")])
+def test_truncation_must_be_finite_and_positive(truncation):
+    u = oned.PiecewiseH1.from_field(get_field("x1"), cantor_domain(4).intervals)
+    with pytest.raises(ValidationError, match="truncation must be finite and positive"):
+        oned.continuous_approximation(u, 4, truncation)
+
+
 def test_truncation_caps_the_approximant():
     dom = cantor_domain(4)
     iv = np.asarray(dom.intervals)
