@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     check_tolerance,
 )
-from .geometry import Direction, direction_table
+from .geometry import Bicone, ConeUnionCantor, Direction, direction_table
 from .measure import measure_atoms, total_mass_result
 from .quadrature import QuadratureSpec, h1_norm
 
@@ -260,6 +260,13 @@ def _cmd_lebesgue(args) -> int:
 
 def _cmd_nu(args) -> int:
     domain = _domain_from(args)
+    # the stages sit at heights 3**-n / 2 over the middle-thirds Cantor set:
+    # they belong to the cone union of ratio 1/3 and the bicone built on it
+    cones = domain.upper if isinstance(domain, Bicone) else domain
+    if not (isinstance(cones, ConeUnionCantor) and cones.ratio == 1.0 / 3.0
+            and cones.scheme == "third"):
+        raise ValidationError("nu needs --domain omega_C or bicone, with --ratio 1/3 "
+                              "and --scheme third (the middle-thirds stages)")
     spec = _spec_from(args)
     fld = fields.parse_field(args.field)
     levels = args.levels

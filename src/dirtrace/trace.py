@@ -372,18 +372,15 @@ class ConsistencyReport:
         }
 
 
-def _spreads(fld, domain: Domain, directions, points: np.ndarray, order: int,
-             r_match: float, chords=None):
+def _spreads(fld, directions, points: np.ndarray, order: int, chords):
     """Traces at points along every direction, as (values, shared,
     spreads): values (n, directions) is NaN where a direction does not
     reach a point (the slice through it has no chord exiting there), shared
     marks the points two or more directions reach, and spreads holds
-    max - min of their values there (0 elsewhere).  chords[j], when given,
-    is `exit_chords` of the points along directions[j]."""
+    max - min of their values there (0 elsewhere).  chords[j] is
+    `exit_chords` of the points along directions[j]."""
     values = np.full((points.shape[0], len(directions)), np.nan)
-    for j, theta in enumerate(directions):
-        t, a, b, found = (exit_chords(domain, theta, points, r_match) if chords is None
-                          else chords[j])
+    for j, (theta, (t, a, b, found)) in enumerate(zip(directions, chords)):
         if np.any(found):
             gplus = _chord_traces(fld, theta, t[found], a[found], b[found], order)[0]
             values[found, j] = np.where(np.isfinite(gplus), gplus, np.nan)
@@ -413,11 +410,30 @@ def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
 # Largest share of the probed mass that may disagree in an "in" verdict.
 _MASS_TOLERANCE = 1e-6
 
-# What consistency reports compute from a chord grid alone, whatever the
-# field: its probe sets, their exit chords along each direction, its mass,
-# and, row by row as reports need them, the probes' jittered probes and
-# their exit chords along each direction.
-# An entry lives as long as its grid (the grid cache drops it, and so it).
+
+class _Lookups(NamedTuple):
+    """What consistency reports read from their chord grids alone, whatever
+    the field: each probe's source direction (its index in the table),
+    exit point, atom weight and offset, each direction's grid dt, the
+    probes' `exit_chords` along each direction, and the largest null-rule
+    error of a direction's measure mass."""
+
+    source: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    dt: np.ndarray
+    chords: tuple
+    mass_error: float
+
+
+# One `_Lookups` per report configuration (direction table, probe count
+# and matching radius, on the domain and resolution of the grid), and
+# beside it, row by row as reports need them, the probes' jittered probes
+# and their exit chords along each direction; both kept with the grid of
+# the table's first direction, their arrays read-only, as reports share
+# them.  An entry lives as long as that grid (the grid cache drops it, and
+# so it).
 _grid_memo: "weakref.WeakKeyDictionary[ChordGrid, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -426,105 +442,58 @@ def _memo_get(grid: ChordGrid, key):
         return _grid_memo.get(grid, {}).get(key)
 
 
-def _memo_put(grid: ChordGrid, key, value):
-    """Keep value with grid under key, its arrays read-only, as reports
-    share them; returns the value kept (the first, when reports race)."""
-    for arr in value if isinstance(value, tuple) else ():
+def _read_only(arrays):
+    for arr in arrays:
         arr.setflags(write=False)
-    with _cache_lock:
-        return _grid_memo.setdefault(grid, {}).setdefault(key, value)
 
 
-def _memo(grid: ChordGrid, key, compute):
-    value = _memo_get(grid, key)
-    return _memo_put(grid, key, compute()) if value is None else value
+def _lookups(domain: Domain, directions, n_offsets: int, probes_per_direction: int,
+             r_match: float) -> _Lookups:
+    """The `_Lookups` of a report: the probes (every stride-th atom of each
+    direction's measure) and their exit chords, one `exit_chords` batch
+    along each direction over all of them."""
+    grids = [chord_grid(domain, theta, n_offsets) for theta in directions]
+    parts = []
+    for j, (grid, theta) in enumerate(zip(grids, directions)):
+        if grid.n_chords:
+            stride = max(1, grid.n_chords // probes_per_direction)
+            line = grid.offset_index[::stride]
+            t = grid.offsets[line]
+            parts.append((np.full(t.size, j),
+                          points_along(_feet(t, offset_normal(theta)), grid.beta[::stride],
+                                       theta.vector),
+                          grid.lengths[::stride] * grid.offset_widths[line], t))
+    if not parts:
+        raise InsufficientOverlap("no boundary atoms to probe")
+    source, points, weights, offsets = (np.concatenate(arrs) for arrs in zip(*parts))
+    chords = tuple(exit_chords(domain, theta, points, r_match) for theta in directions)
+    dt = np.array([grid.dt for grid in grids])
+    _read_only([source, points, weights, offsets, dt, *(arr for c in chords for arr in c)])
+    mass_error = max(offset_estimate([g.sums(g.weights)], floor=0.0)[1][0] for g in grids)
+    return _Lookups(source, points, weights, offsets, dt, chords, mass_error)
 
 
-def _memo_fill(grid: ChordGrid, key, size: int, rows: np.ndarray, arrays):
-    """Write arrays (one row per entry of rows) into the per-probe entry
-    kept with grid under key, (filled, *arrays) with size rows each, and
-    return it.  Entries are replaced, never written in place, so a report
-    keeps reading the entry it was given while another fills rows."""
-    with _cache_lock:
-        memo = _grid_memo.setdefault(grid, {})
-        old = memo.get(key)
-        if old is None:
-            entry = (np.zeros(size, dtype=bool),
-                     *(np.zeros((size,) + arr.shape[1:], dtype=arr.dtype) for arr in arrays))
-        else:
-            entry = tuple(arr.copy() for arr in old)
-        entry[0][rows] = True
-        for kept, arr in zip(entry[1:], arrays):
-            kept[rows] = arr
-        for arr in entry:
-            arr.setflags(write=False)
-        memo[key] = entry
-        return entry
-
-
-class _ProbeSet(NamedTuple):
-    """The probes of one direction's grid, kept with it under key."""
-
-    source: int
-    grid: ChordGrid
-    key: tuple
-    points: np.ndarray
-    weights: np.ndarray
-    offsets: np.ndarray
-
-
-def _probe_set(grid: ChordGrid, theta: Direction, stride: int):
-    """Exit point, weight and offset of every stride-th atom of the grid."""
-    line = grid.offset_index[::stride]
-    t = grid.offsets[line]
-    points = points_along(_feet(t, offset_normal(theta)), grid.beta[::stride], theta.vector)
-    return points, grid.lengths[::stride] * grid.offset_widths[line], t
-
-
-def _probe_chords(domain: Domain, theta: Direction, theta_key: bytes, sets,
-                  r_match: float):
-    """`exit_chords` along theta of the points of all probe sets, in order.
-    Each set's part is kept with its grid; the sets without one are looked
-    up in one batch, which gives every point the chord it gets alone."""
-    keys = [p.key + (theta_key, r_match) for p in sets]
-    parts = [_memo_get(p.grid, key) for p, key in zip(sets, keys)]
-    missing = [i for i, part in enumerate(parts) if part is None]
-    if missing:
-        batch = exit_chords(domain, theta, np.concatenate([sets[i].points for i in missing]),
-                            r_match)
-        cuts = np.cumsum([sets[i].offsets.size for i in missing])[:-1]
-        for i, *part in zip(missing, *(np.split(arr, cuts) for arr in batch)):
-            parts[i] = _memo_put(sets[i].grid, keys[i], tuple(part))
-    return tuple(np.concatenate(arrs) for arrs in zip(*parts))
-
-
-def _jittered_lookups(domain: Domain, directions, theta_keys, sets, idx: np.ndarray,
-                      r_match: float):
+def _jittered_lookups(domain: Domain, directions, grid: ChordGrid, key, lookups: _Lookups,
+                      idx: np.ndarray, r_match: float):
     """The jittered probes of the probes idx (those of idx[k] in rows 2k
     and 2k + 1), and their `exit_chords` along each direction as arrays
     (t, alpha, beta, found) with one column per direction (NaN chords
     where a jittered probe is not finite).
 
-    Both are kept with the probe sets' grids for the direction table, one
-    row per probe, and looked up only for the probes that no report has
-    looked up yet: each set's jittered probes in one `_jittered_probes`
-    call, then the finite ones of all sets along each direction in one
-    batch.  idx must be sorted."""
-    key = ("jittered", tuple(theta_keys), r_match)
-    starts = np.cumsum([0] + [p.offsets.size for p in sets])
-    cuts = np.searchsorted(idx, starts)
-    parts = [(p, idx[lo:hi] - start)
-             for p, start, lo, hi in zip(sets, starts, cuts[:-1], cuts[1:]) if hi > lo]
-    entries = [_memo_get(p.grid, p.key + key) for p, _ in parts]
-    # the rows of each set that no report has looked up yet
-    missing = [rows if entry is None else rows[~entry[0][rows]]
-               for (_, rows), entry in zip(parts, entries)]
-
-    fresh = [_jittered_probes(domain, directions[p.source], p.points[rows],
-                              p.offsets[rows], p.grid.dt)
-             for (p, _), rows in zip(parts, missing) if rows.size]
-    if fresh:
-        points = np.concatenate(fresh)
+    Both are kept with grid under key, one row per probe, and looked up
+    only for the probes that no report has looked up yet: each source
+    direction's jittered probes in one `_jittered_probes` call, then the
+    finite ones along each direction in one batch.  The entry is replaced,
+    never written in place, so a report keeps reading the entry it was
+    given while another fills rows.  idx must be sorted."""
+    entry = _memo_get(grid, key)
+    rows = idx if entry is None else idx[~entry[0][idx]]
+    if rows.size:
+        source = lookups.source[rows]
+        points = np.concatenate([
+            _jittered_probes(domain, directions[j], lookups.points[mine],
+                             lookups.offsets[mine], lookups.dt[j])
+            for j in np.unique(source) for mine in [rows[source == j]]])
         ok = np.all(np.isfinite(points), axis=1)
         found = np.zeros((points.shape[0], len(directions)), dtype=bool)
         t, a, b = (np.full(found.shape, np.nan) for _ in range(3))
@@ -532,17 +501,20 @@ def _jittered_lookups(domain: Domain, directions, theta_keys, sets, idx: np.ndar
             for j, theta in enumerate(directions):
                 t[ok, j], a[ok, j], b[ok, j], found[ok, j] = exit_chords(
                     domain, theta, points[ok], r_match)
-    lo = 0
-    for i, ((p, _), rows) in enumerate(zip(parts, missing)):
-        if rows.size:
-            hi = lo + 2 * rows.size
-            entries[i] = _memo_fill(p.grid, p.key + key, p.offsets.size, rows,
-                                    [arr[lo:hi].reshape(rows.size, 2, -1)
-                                     for arr in (points, t, a, b, found)])
-            lo = hi
-    jittered, *chords = (
-        np.concatenate([entry[k][rows] for entry, (_, rows) in zip(entries, parts)])
-        .reshape(2 * idx.size, -1) for k in range(1, 6))
+        fresh = [arr.reshape(rows.size, 2, -1) for arr in (points, t, a, b, found)]
+        with _cache_lock:
+            memo = _grid_memo.setdefault(grid, {})
+            old = memo.get(key)
+            n = lookups.source.size
+            entry = ((np.zeros(n, dtype=bool),
+                      *(np.zeros((n,) + arr.shape[1:], dtype=arr.dtype) for arr in fresh))
+                     if old is None else tuple(arr.copy() for arr in old))
+            entry[0][rows] = True
+            for kept, arr in zip(entry[1:], fresh):
+                kept[rows] = arr
+            _read_only(entry)
+            memo[key] = entry
+    jittered, *chords = (arr[idx].reshape(2 * idx.size, -1) for arr in entry[1:])
     return jittered, chords
 
 
@@ -560,11 +532,13 @@ def consistency_report(fld, domain: Domain, directions,
 
     Reports on the same domain, direction table, resolution and probe
     count share their exit-chord lookups: the probes, their exit chords,
-    the grid masses, and the jittered probes and their exit chords depend
-    on no field or Gauss order, so they are kept with the cached chord
-    grids and computed once per grid.  Jittered probes are looked up only
-    for the probes that disagree, and only for those that no earlier
-    report has looked up.
+    the mass error of the default tolerance, and the jittered probes and
+    their exit chords depend on no field or Gauss order, so they are kept
+    in one entry with the cached grid of the table's first direction and
+    computed once.  Jittered probes are looked up only for the probes that
+    disagree, and only for those that no earlier report has looked up.
+    Reports on other direction tables share none of it, not even the
+    lookups of a grid they both use.
     """
     check_tolerance(tolerance)
     spec = spec or QuadratureSpec()
@@ -578,28 +552,19 @@ def consistency_report(fld, domain: Domain, directions,
             f"probes_per_direction must be an integer >= 1, got {probes_per_direction!r}")
     r_match = match_radius(domain)
 
-    # Memo keys hold the direction vectors' bytes: directions equal up to
-    # the sign of a zero share a grid, not every float computed from them.
-    keys = [theta.vector.tobytes() for theta in directions]
-    sets = []
-    for idx, theta in enumerate(directions):
-        grid = chord_grid(domain, theta, spec.n_offsets)
-        if grid.n_chords == 0:
-            continue
-        # every stride-th atom of the direction's measure
-        stride = max(1, grid.n_chords // probes_per_direction)
-        key = (keys[idx], stride)
-        sets.append(_ProbeSet(idx, grid, key,
-                              *_memo(grid, key, lambda: _probe_set(grid, theta, stride))))
-    if not sets:
-        raise InsufficientOverlap("no boundary atoms to probe")
-    probes = np.concatenate([p.points for p in sets])
-    weights = np.concatenate([p.weights for p in sets])
-    chords = [_probe_chords(domain, theta, key, sets, r_match)
-              for theta, key in zip(directions, keys)]
+    grid = chord_grid(domain, directions[0], spec.n_offsets)
+    # the direction vectors' bytes: directions equal up to the sign of a
+    # zero share a grid, not every float computed from them
+    key = (tuple(theta.vector.tobytes() for theta in directions), probes_per_direction, r_match)
+    lookups = _memo_get(grid, key)
+    if lookups is None:
+        lookups = _lookups(domain, directions, spec.n_offsets, probes_per_direction, r_match)
+        with _cache_lock:
+            lookups = _grid_memo.setdefault(grid, {}).setdefault(key, lookups)
+    probes, weights = lookups.points, lookups.weights
 
-    values, shared, spreads = _spreads(fld, domain, directions, probes,
-                                       spec.gauss_order, r_match, chords)
+    values, shared, spreads = _spreads(fld, directions, probes, spec.gauss_order,
+                                       lookups.chords)
     if not np.any(shared):
         raise InsufficientOverlap(
             "no probed boundary point was reachable from two directions"
@@ -609,11 +574,7 @@ def consistency_report(fld, domain: Domain, directions,
         # Ten times the largest offset-rule error of a direction's measure
         # mass, a crude but configuration-independent scale for quadrature
         # noise.
-        grids = [chord_grid(domain, theta, spec.n_offsets) for theta in directions]
-        errs = [_memo(g, "mass_error",
-                      lambda: offset_estimate([g.sums(g.weights)], floor=0.0)[1][0])
-                for g in grids]
-        tolerance = 10.0 * max(max(errs), 1e-12)
+        tolerance = 10.0 * max(lookups.mass_error, 1e-12)
 
     bad = shared & (spreads > tolerance)
 
@@ -621,13 +582,14 @@ def consistency_report(fld, domain: Domain, directions,
     n_transient = 0
     bad_idx = np.nonzero(bad)[0]
     if bad_idx.size:
-        jittered, jchords = _jittered_lookups(domain, directions, keys, sets, bad_idx, r_match)
+        jittered, jchords = _jittered_lookups(domain, directions, grid, key + ("jittered",),
+                                              lookups, bad_idx, r_match)
         ok = np.all(np.isfinite(jittered), axis=1)
         jspread = np.zeros(jittered.shape[0])
         if np.any(ok):
-            jspread[ok] = _spreads(fld, domain, directions, jittered[ok], spec.gauss_order,
-                                   r_match, [tuple(arr[ok, j] for arr in jchords)
-                                             for j in range(len(directions))])[2]
+            jspread[ok] = _spreads(fld, directions, jittered[ok], spec.gauss_order,
+                                   [tuple(arr[ok, j] for arr in jchords)
+                                    for j in range(len(directions))])[2]
         transient = ~((jspread[0::2] > tolerance) & (jspread[1::2] > tolerance))
         persistent[bad_idx[transient]] = False
         n_transient = int(np.count_nonzero(transient))

@@ -317,6 +317,37 @@ def test_nu_rejects_levels_out_of_range_before_computing(levels, tmp_path, monke
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--domain", "omega_C", "--ratio", "0.25", "--scheme", "rho"],
+    ["--domain", "omega_C", "--ratio", "0.25"],
+    ["--domain", "omega_C", "--scheme", "rho"],
+    ["--domain", "bicone", "--ratio", "0.2"],
+    ["--domain", "square", "--field", "x2"],
+    ["--domain", "disk_minus_cantor"],
+    ["--domain", "cantor_comb", "--ratio", "0.3333333333333333", "--scheme", "third"],
+])
+def test_nu_rejects_domains_off_the_middle_thirds_stages(argv, tmp_path, monkeypatch, capsys):
+    # the stages are the middle-thirds cone union's, whatever the domain:
+    # on any other domain they would be reported under its config
+    calls = []
+    monkeypatch.setattr(calculus, "_stage_mean", lambda *a: calls.append(a) or 0.0)
+    field = [] if "--field" in argv else ["--field", "sign_y"]
+    assert main(["nu", *argv, *field, "--levels", "3", "--ny", "256",
+                 "--out", str(tmp_path)]) == 2
+    # a ratio other than 1/3 with the default scheme fails as it does in
+    # every command: the domain refuses it
+    assert "configuration error" in capsys.readouterr().err
+    assert calls == [] and not list(tmp_path.iterdir())
+
+
+def test_nu_takes_the_middle_thirds_domains_at_any_level(tmp_path, capsys):
+    for argv in (["--domain", "omega_C", "--ratio", "0.3333333333333333", "--scheme", "third"],
+                 ["--domain", "cone_union_cantor", "--level", "8"],
+                 ["--domain", "bicone", "--level", "6"]):
+        assert run(["nu", *argv, "--field", "sign_y", "--levels", "2"], tmp_path) == 0
+    capsys.readouterr()
+
+
 def test_nu_levels_stop_at_the_cost_cap(tmp_path, monkeypatch, capsys):
     # the gap tables reach stage 24, but past calculus.MAX_STAGE each stage
     # doubles the time and memory of the last: the cap is a configuration

@@ -176,7 +176,7 @@ def test_consistency_witnesses_of_equal_spread_come_in_probe_order(monkeypatch):
     # spreads, equal ones in probe order, not in an order the sort picks
     seen = {}
 
-    def spreads(fld, domain, directions, points, order, r_match, chords=None):
+    def spreads(fld, directions, points, order, chords):
         seen["probes"] = points
         n = points.shape[0]
         spread = np.where(np.arange(n) % 3 == 0, 2.2e-16, 4.4e-16)
@@ -238,6 +238,14 @@ def test_consistency_one_dimensional_crack():
     assert report_json["witnesses"]
 
 
+def _spreads_of(fld, dom, directions, probes, order):
+    """`trace._spreads` of the probes, with their exit chords along each
+    direction."""
+    chords = [geometry.exit_chords(dom, theta, probes, match_radius(dom))
+              for theta in directions]
+    return trace._spreads(fld, directions, probes, order, chords)
+
+
 @pytest.mark.parametrize("name, field", [("square", "sincos"),
                                          ("crack_square", "crack_2d"),
                                          ("omega_C", "x1x2")])
@@ -250,7 +258,7 @@ def test_batched_traces_match_directional_trace(name, field):
     directions = direction_table(4)
     probes = np.concatenate([
         measure.measure_atoms(dom, theta, SPEC).points[::37] for theta in directions])
-    values = trace._spreads(fld, dom, directions, probes, 16, match_radius(dom))[0]
+    values = _spreads_of(fld, dom, directions, probes, 16)[0]
     for theta, column in zip(directions, values.T):
         assert 0 < np.count_nonzero(np.isfinite(column)) < probes.shape[0]
         for z, value in zip(probes, column):
@@ -270,7 +278,7 @@ def test_batched_traces_match_directional_trace_on_oblique_probes(name):
     directions = direction_table(8)
     probes = np.concatenate([
         measure.measure_atoms(dom, theta, SPEC).points[::23] for theta in directions])
-    values = trace._spreads(fld, dom, directions[1::2], probes, 8, match_radius(dom))[0]
+    values = _spreads_of(fld, dom, directions[1::2], probes, 8)[0]
     for theta, column in zip(directions[1::2], values.T):
         assert np.count_nonzero(np.isfinite(column)) > 0
         for z, value in zip(probes, column):
@@ -283,12 +291,13 @@ TWO_D_KINDS = [name for name in fractal.DOMAIN_NAMES
 
 
 def _report_probes(dom, directions, n_offsets, probes_per_direction):
-    """The probe points of `consistency_report`, one array per direction."""
+    """The probe points of `consistency_report`, one array per direction:
+    the exit points of every stride-th atom of the direction's measure."""
     sets = []
     for theta in directions:
         grid = quadrature.chord_grid(dom, theta, n_offsets)
         stride = max(1, grid.n_chords // probes_per_direction)
-        sets.append(trace._probe_set(grid, theta, stride)[0])
+        sets.append(grid.endpoint_plus[::stride])
     return sets
 
 
@@ -370,31 +379,49 @@ def test_consistency_lookups_keep_the_sign_of_a_zero_in_a_direction():
     assert repr(warm.to_json()) == repr(cold.to_json())
 
 
+def _kept_arrays(entry):
+    """The arrays of a `trace._grid_memo` entry, through nested tuples."""
+    if isinstance(entry, tuple):
+        return [arr for value in entry for arr in _kept_arrays(value)]
+    return [entry] if isinstance(entry, np.ndarray) else []
+
+
 def test_consistency_lookups_are_freed_with_their_grid():
     dom, directions = unit_square(), direction_table(4, start_angle=0.3)
     quadrature.clear_cache()
     gc.collect()
     assert len(trace._grid_memo) == 0
     trace.consistency_report(get_field("sincos"), dom, directions, SPEC)
-    # probes, their chords and the mass errors on the four grids, the only
-    # grids a report reads
-    assert len(trace._grid_memo) == len(directions)
+    # one entry, with the grid of the table's first direction: the probes,
+    # their chords and the mass error; a smooth field disagrees nowhere,
+    # so no jittered probe is kept
+    assert [len(memo) for memo in trace._grid_memo.values()] == [1]
+    assert next(iter(trace._grid_memo)) is quadrature.chord_grid(dom, directions[0],
+                                                                 SPEC.n_offsets)
     quadrature.clear_cache()
     assert len(trace._grid_memo) == 0
 
     trace.consistency_report(get_field("sincos"), dom, directions, SPEC)
     # a slit field disagrees on the probes of the two directions that cross
     # the slit: their jittered probes, and those probes' chords along each
-    # of the four directions, are kept with those two grids
-    crack = fractal.named_domain("crack_square")
-    trace.consistency_report(get_field("crack_2d"), crack, direction_table(4), SPEC)
-    jittered = [key for memo in trace._grid_memo.values() for key in memo
-                if "jittered" in key]
-    assert len(jittered) == 2
-    kept = [weakref.ref(value) for memo in trace._grid_memo.values()
-            for entry in memo.values() if isinstance(entry, tuple) for value in entry]
+    # of the four directions, are kept in one entry beside the report's
+    # lookups, with rows for the disagreeing probes only
+    crack, table = fractal.named_domain("crack_square"), direction_table(4)
+    rep = trace.consistency_report(get_field("crack_2d"), crack, table, SPEC)
+    jittered = [entry for memo in trace._grid_memo.values()
+                for key, entry in memo.items() if "jittered" in key]
+    assert len(jittered) == 1 and sum(len(memo) for memo in trace._grid_memo.values()) == 3
+    probes = np.concatenate(_report_probes(crack, table, SPEC.n_offsets, 160))
+    _, shared, spreads = _spreads_of(get_field("crack_2d"), crack, table, probes,
+                                     SPEC.gauss_order)
+    disagreeing = shared & (spreads > rep.tolerance)
+    assert np.any(disagreeing) and not np.all(disagreeing)
+    np.testing.assert_array_equal(jittered[0][0], disagreeing)
+    kept = [weakref.ref(arr) for memo in trace._grid_memo.values()
+            for entry in memo.values() for arr in _kept_arrays(entry)]
     # reports share them, so none is writable
     assert kept and not any(ref().flags.writeable for ref in kept)
+    del jittered
     # as many other grids as the cache keeps evict the report's grids
     for k in range(quadrature._CACHE_LIMIT):
         quadrature.chord_grid(dom, Direction.from_angle(1.0 + 1e-3 * k), 4)
@@ -439,8 +466,7 @@ def test_first_consistency_report_makes_the_cold_lookups(monkeypatch):
     rep = _crack_report(8)
     monkeypatch.undo()
     probes = np.concatenate(_report_probes(dom, directions, 256, 160))
-    _, shared, spreads = trace._spreads(get_field("crack_2d"), dom, directions, probes, 8,
-                                        match_radius(dom))
+    _, shared, spreads = _spreads_of(get_field("crack_2d"), dom, directions, probes, 8)
     bad = shared & (spreads > rep.tolerance)
     finite = np.concatenate(jittered)
     finite = finite[np.all(np.isfinite(finite), axis=1)]
@@ -501,6 +527,27 @@ def test_warm_consistency_reports_on_partly_shared_disagreements():
     # 341 and 495 disagreeing probes of 1,370, 285 of them in both
     assert (rows["bump"], rows["crack_2d"]) == (341, 495)
     assert rows["bump", "crack_2d"] == rows["crack_2d", "bump"] == 551
+
+
+def test_consistency_reports_on_other_direction_tables_share_no_lookups():
+    # direction_table(4) shares four grids with direction_table(8), among
+    # them the one that keeps the first report's lookups; a report on it,
+    # then one with another probe count, reports what it does on fresh grids
+    dom, spec = fractal.named_domain("bicone"), QuadratureSpec(n_offsets=1024)
+    assert {theta.key() for theta in direction_table(4)} <= {
+        theta.key() for theta in direction_table(8)}
+    runs = [(8, 160), (4, 160), (4, 40)]
+
+    def report(count, probes):
+        return repr(trace.consistency_report(get_field("crack_2d"), dom, direction_table(count),
+                                             spec, probes_per_direction=probes).to_json())
+
+    cold = []
+    for run in runs:
+        quadrature.clear_cache()
+        cold.append(report(*run))
+    quadrature.clear_cache()
+    assert [report(*run) for run in runs] == cold
 
 
 def test_concurrent_consistency_reports_match_cold_ones():
