@@ -126,19 +126,22 @@ def _row_starts(rows, n: int) -> np.ndarray:
     return np.searchsorted(rows, np.arange(n + 1))
 
 
-def points_along(base: np.ndarray, s: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def points_along(base: np.ndarray, s: np.ndarray, vec: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Points base + s * vec, with one line foot per row of base (n, d), or
     one row for all lines, and s (n,) or (n, q) the parameters along each
     line; shape s.shape + (d,).
 
     The points are computed coordinate by coordinate into a (d,) + s.shape
-    buffer, which is returned as an s.shape + (d,) view: coordinate k,
-    out[..., k], is one contiguous block, and out.reshape(-1, d) stays a
-    view.  Each element is s * vec[k] + base[:, k], rounded as a row-major
-    buffer would round it; only the memory layout differs.
+    buffer (out, when given), which is returned as an s.shape + (d,) view:
+    coordinate k, out[..., k], is one contiguous block, and
+    out.reshape(-1, d) stays a view.  Each element is s * vec[k] +
+    base[:, k], rounded as a row-major buffer would round it; only the
+    memory layout differs.
     """
     lead = (-1,) + (1,) * (s.ndim - 1)
-    out = np.empty((base.shape[1],) + s.shape)
+    if out is None:
+        out = np.empty((base.shape[1],) + s.shape)
     for k in range(base.shape[1]):
         np.multiply(s, vec[k], out=out[k])
         out[k] += base[:, k].reshape(lead)
@@ -188,9 +191,19 @@ class Direction:
 
     @classmethod
     def from_angle(cls, angle: float) -> "Direction":
+        """The direction (cos angle, sin angle), bit for bit what the
+        constructor makes of it, in scalar math: its norm is 1 to within a
+        few ulp, so the constructor never divides, and its snap keeps
+        np.round's signed zeros."""
         if not math.isfinite(angle):
             raise ValidationError(f"direction angle must be finite, got {angle}")
-        return cls([math.cos(angle), math.sin(angle)])
+        c, s = math.cos(angle), math.sin(angle)
+        if abs(c - round(c)) < 1e-15 and abs(s - round(s)) < 1e-15:
+            c, s = math.copysign(float(round(c)), c), math.copysign(float(round(s)), s)
+        self = cls.__new__(cls)
+        self.vector = np.array([c, s])
+        self.vector.setflags(write=False)
+        return self
 
     @property
     def dim(self) -> int:

@@ -145,24 +145,47 @@ def chord_reduce(vals, w) -> np.ndarray:
     return np.einsum("ij,j->i", vals, w)
 
 
-def chord_means(theta: Direction, t, alpha, length, order: int, node_arrays):
+def chord_means(theta, t, alpha, length, order: int, node_arrays):
     """Gauss means (`chord_reduce`, weights summing to 1) of each node array
     that `node_arrays(points, s, rows)` yields on the chords ]alpha, alpha +
     length[ at offsets t, _BLOCK chords at a time: rows slices a block,
     points (m, q, d) are coordinate-major (see `points_along`) and s (m, q)
-    = alpha + ((x + 1) / 2) * length live only while node_arrays keeps them."""
+    = alpha + ((x + 1) / 2) * length live only while node_arrays keeps them.
+
+    theta is the one Direction of every chord, or a sequence of runs
+    (Direction, count): consecutive runs of chords, each along its own
+    direction, so that one call covers the chords of many directions (the
+    exit traces of a consistency report, say).  Each run's nodes are built
+    with its own direction's components, float for float as a call on that
+    run alone builds them, and in the run form node_arrays(points, s, rows,
+    runs) also gets the runs of the block, as (Direction, slice of the
+    block's rows) pairs, empty runs left out."""
     _check_order(order)
     x, w = _gauss.nodes(order)
     half, w = (x + 1.0) * 0.5, 0.5 * w
+    single = isinstance(theta, Direction)
+    runs = [(theta, length.size)] if single else list(theta)
+    dim = runs[0][0].dim
     blocks = []
     # an empty grid still makes one (empty) block, so every mean is an array
     for lo in range(0, max(length.size, 1), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         s = np.multiply.outer(length[rows], half)
         s += alpha[rows, None]
-        feet = _feet(t[rows], offset_normal(theta))
-        arrays = node_arrays(points_along(feet, s, theta.vector), s, rows)
-        del s
+        points = np.empty((dim,) + s.shape)
+        pieces, start = [], 0
+        for direction, count in runs:
+            a, b = max(start, lo) - lo, min(start + count, lo + s.shape[0]) - lo
+            start += count
+            if a < b:
+                piece = slice(a, b)
+                points_along(_feet(t[lo + a:lo + b], offset_normal(direction)), s[piece],
+                             direction.vector, out=points[:, piece])
+                pieces.append((direction, piece))
+        points = points.transpose(1, 2, 0)
+        arrays = (node_arrays(points, s, rows) if single
+                  else node_arrays(points, s, rows, pieces))
+        del s, points
         blocks.append([chord_reduce(v, w) for v in arrays])
     return [np.concatenate(sums) for sums in zip(*blocks)]
 

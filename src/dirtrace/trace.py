@@ -51,20 +51,30 @@ from .quadrature import (
 )
 
 
-def _trace_terms(fld, theta: Direction, pts, s, alpha, beta):
-    """Yield u + (s - alpha) du, then u - (beta - s) du in the same buffer
-    (chord averages: the exit and entry traces) at the nodes pts, s of the
-    chords ]alpha, beta[; return u and du = du/dtheta."""
+def _trace_terms(fld, theta, pts, s, alpha, beta):
+    """Yield u + (s - alpha) du, then, unless beta is None, u - (beta - s)
+    du in the same buffer (chord averages: the exit and entry traces) at
+    the nodes pts, s of the chords ]alpha, beta[; return u and du =
+    du/dtheta.  theta is one Direction, or the runs (Direction, rows) of a
+    block of `chord_means` in its run form, and du along each run is
+    grad @ vector of its rows, as `dderiv_many` computes it."""
     flat = pts.reshape(-1, pts.shape[-1])
     u = np.asarray(fld.eval_many(flat), dtype=float).reshape(s.shape)
-    du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(s.shape)
+    if isinstance(theta, Direction):
+        du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(s.shape)
+    else:
+        grad, q = fld.grad_many(flat), s.shape[1]
+        du = np.empty(s.shape)
+        for direction, rows in theta:
+            du[rows] = (grad[rows.start * q:rows.stop * q] @ direction.vector).reshape(-1, q)
     buf = np.subtract(s, alpha[:, None])
     buf *= du
     buf += u
     yield buf
-    np.subtract(beta[:, None], s, out=buf)
-    buf *= du
-    yield np.subtract(u, buf, out=buf)
+    if beta is not None:
+        np.subtract(beta[:, None], s, out=buf)
+        buf *= du
+        yield np.subtract(u, buf, out=buf)
     return u, du
 
 
@@ -372,18 +382,47 @@ class ConsistencyReport:
         }
 
 
+# Gauss nodes per `chord_means` call of `_spreads`: consecutive directions
+# share a call until it would hold more nodes than this, and a direction
+# with more runs alone.  Larger calls fault tens of MB of transient arrays
+# in again on every call: warm bicone `bump` reports at 32 directions,
+# 1,024 offsets and 160 probes took 104-135 ms with no cap, 71-98 ms with
+# this one (2-core host).  Every report of the consistency_warm benchmark
+# fits in one call.
+_SPREAD_NODES = 2**15
+
+
 def _spreads(fld, directions, points: np.ndarray, order: int, chords):
     """Traces at points along every direction, as (values, shared,
     spreads): values (n, directions) is NaN where a direction does not
-    reach a point (the slice through it has no chord exiting there), shared
-    marks the points two or more directions reach, and spreads holds
-    max - min of their values there (0 elsewhere).  chords[j] is
-    `exit_chords` of the points along directions[j]."""
+    reach a point (the slice through it has no chord exiting there) or its
+    trace there is not finite, shared marks the points two or more
+    directions reach, and spreads holds max - min of their values there (0
+    elsewhere).  chords[j] is `exit_chords` of the points along
+    directions[j].  The exit traces of consecutive directions come from
+    one `chord_means` call per batch of at most `_SPREAD_NODES` nodes (or
+    one direction)."""
     values = np.full((points.shape[0], len(directions)), np.nan)
-    for j, (theta, (t, a, b, found)) in enumerate(zip(directions, chords)):
-        if np.any(found):
-            gplus = _chord_traces(fld, theta, t[found], a[found], b[found], order)[0]
-            values[found, j] = np.where(np.isfinite(gplus), gplus, np.nan)
+    batches, nodes = [], 0
+    for j, (_, _, _, found) in enumerate(chords):
+        idx = np.nonzero(found)[0]
+        if not idx.size:
+            continue
+        if not batches or nodes + idx.size * order > _SPREAD_NODES:
+            batches.append([])
+            nodes = 0
+        batches[-1].append((j, idx))
+        nodes += idx.size * order
+    for batch in batches:
+        t, a, b = (np.concatenate([chords[j][k][idx] for j, idx in batch]) for k in range(3))
+        gplus = chord_means(
+            [(directions[j], idx.size) for j, idx in batch], t, a, b - a, order,
+            lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, a[rows], None))[0]
+        start = 0
+        for j, idx in batch:
+            values[idx, j] = gplus[start:start + idx.size]
+            start += idx.size
+    values[~np.isfinite(values)] = np.nan
     shared = np.isfinite(values).sum(axis=1) >= 2
     spreads = np.zeros(points.shape[0])
     with np.errstate(invalid="ignore"):
@@ -539,6 +578,12 @@ def consistency_report(fld, domain: Domain, directions,
     disagree, and only for those that no earlier report has looked up.
     Reports on other direction tables share none of it, not even the
     lookups of a grid they both use.
+
+    The exit traces at the probes (and at the jittered probes) along every
+    direction come from one `chord_means` call in its run form, one run of
+    chords per direction: one field evaluation, one gradient and one
+    reduction for all of them, in batches of at most `_SPREAD_NODES`
+    nodes.  A trace is the float that a call on its direction alone gives.
     """
     check_tolerance(tolerance)
     spec = spec or QuadratureSpec()
@@ -587,9 +632,9 @@ def consistency_report(fld, domain: Domain, directions,
         ok = np.all(np.isfinite(jittered), axis=1)
         jspread = np.zeros(jittered.shape[0])
         if np.any(ok):
+            # one gather per array, then a column per direction
             jspread[ok] = _spreads(fld, directions, jittered[ok], spec.gauss_order,
-                                   [tuple(arr[ok, j] for arr in jchords)
-                                    for j in range(len(directions))])[2]
+                                   list(zip(*(arr[ok].T for arr in jchords))))[2]
         transient = ~((jspread[0::2] > tolerance) & (jspread[1::2] > tolerance))
         persistent[bad_idx[transient]] = False
         n_transient = int(np.count_nonzero(transient))
@@ -602,6 +647,7 @@ def consistency_report(fld, domain: Domain, directions,
     # largest spread first; equal spreads in probe order
     order = np.argsort(-spreads, kind="stable")
     pool = persistent if np.any(persistent) else shared
+    labels = [",".join(f"{c:+.6f}" for c in theta.vector.tolist()) for theta in directions]
     witnesses = []
     for i in order:
         if len(witnesses) >= 8:
@@ -610,11 +656,8 @@ def consistency_report(fld, domain: Domain, directions,
             continue
         witnesses.append(ConsistencyWitness(
             point=probes[i].copy(),
-            values={
-                ",".join(f"{c:+.6f}" for c in directions[j].vector):
-                    float(values[i, j])
-                for j in np.nonzero(np.isfinite(values[i]))[0]
-            },
+            values={labels[j]: float(values[i, j])
+                    for j in np.nonzero(np.isfinite(values[i]))[0]},
             spread=float(spreads[i]),
         ))
 

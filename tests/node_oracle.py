@@ -3,21 +3,24 @@ oracle for the blocked, coordinate-major nodes of `quadrature.chord_means`.
 
 `geometry.points_along` fills one contiguous block per coordinate and
 returns a transposed view, and `quadrature.chord_means` builds its node
-parameters in place, _BLOCK chords at a time.  The functions below build
-every node of every chord in one fresh row-major array.  Both reduce with
-the package's one reduction, `quadrature.chord_reduce`, whose sum over a
-chord depends only on that chord, not on the batch or block it is
-computed in; so the two must agree float for float, and a difference is
-a difference in the nodes.  `replacements()` lists where each one stands
-in for the package's own.
+parameters in place, _BLOCK chords at a time, in its run form the nodes
+of each run of a block along that run's direction.  The functions below
+build every node of every chord in one fresh row-major array, a run at a
+time.  Both reduce with the package's one reduction,
+`quadrature.chord_reduce`, whose sum over a chord depends only on that
+chord, not on the batch or block it is computed in; so the two must agree
+float for float, and a difference is a difference in the nodes.
+`replacements()` lists where each one stands in for the package's own.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from dirtrace import _gauss
-from dirtrace.geometry import _feet, offset_normal
+from dirtrace.geometry import Direction, _feet, offset_normal
 from dirtrace.quadrature import chord_reduce
 
 
@@ -31,16 +34,36 @@ def points_along(base, s, vec):
     return out
 
 
+def _runs(theta, n):
+    """theta's runs as (Direction, rows) over its n chords: one run of
+    a Direction theta, the runs (Direction, count) of theta's run form."""
+    runs = [(theta, n)] if isinstance(theta, Direction) else theta
+    ends = list(accumulate(count for _, count in runs))
+    return [(direction, slice(end - count, end))
+            for (direction, count), end in zip(runs, ends)]
+
+
 def chord_nodes(theta, t, alpha, length, order):
-    """Points (n, q, d), arc offsets s (n, q) and weights w of all chords."""
+    """Points (n, q, d), arc offsets s (n, q) and weights w of all chords,
+    along one Direction theta or along each run (Direction, count) of
+    theta's run form."""
     x, w = _gauss.nodes(order)
     s = alpha[:, None] + (x + 1.0) * 0.5 * length[:, None]
-    return points_along(_feet(t, offset_normal(theta)), s, theta.vector), s, w
+    pts = np.concatenate([
+        points_along(_feet(t[rows], offset_normal(direction)), s[rows], direction.vector)
+        for direction, rows in _runs(theta, length.size)])
+    return pts, s, w
 
 
 def chord_means(theta, t, alpha, length, order, node_arrays):
     pts, s, w = chord_nodes(theta, t, alpha, length, order)
-    return [chord_reduce(v, 0.5 * w) for v in node_arrays(pts, s, slice(None))]
+    if isinstance(theta, Direction):
+        arrays = node_arrays(pts, s, slice(None))
+    else:
+        runs = [(direction, rows) for direction, rows in _runs(theta, length.size)
+                if rows.stop > rows.start]
+        arrays = node_arrays(pts, s, slice(None), runs)
+    return [chord_reduce(v, 0.5 * w) for v in arrays]
 
 
 def replacements():

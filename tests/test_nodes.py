@@ -103,6 +103,79 @@ def test_exit_traces_do_not_depend_on_the_batch(name, theta, order, monkeypatch)
             _same(got, want[sub])
 
 
+# axis, oblique and reversed directions, and the chords each run takes from
+# its grid: all, one, none, every other one
+RUNS = [(Direction([0.0, 1.0]), slice(None)), (Direction.from_angle(0.7), slice(0, 1)),
+        (Direction([-1.0, 0.0]), slice(0, 0)), (-Direction.from_angle(0.7), slice(None)),
+        (Direction.from_angle(2.3), slice(None, None, 2)), (Direction([1.0, 0.0]), slice(None))]
+
+
+def _run_chords(dom):
+    """The runs (Direction, count) of RUNS on dom and their chords' t,
+    alpha, beta, end to end."""
+    grids = [(theta, chord_grid(dom, theta, N_OFFSETS), take) for theta, take in RUNS]
+    runs = [(theta, grid.t[take].size) for theta, grid, take in grids]
+    t, alpha, beta = (np.concatenate([getattr(grid, name)[take] for _, grid, take in grids])
+                      for name in ("t", "alpha", "beta"))
+    return runs, t, alpha, beta
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+@pytest.mark.parametrize("name", PLANAR)
+def test_run_form_matches_one_call_per_direction(name, order, monkeypatch):
+    # chord_means over runs of chords, each along its own direction, builds
+    # every node and every mean float for float as one call per run does
+    runs, t, alpha, beta = _run_chords(fractal.named_domain(name))
+    counts = [count for _, count in runs]
+    assert counts[1] == 1 and counts[2] == 0
+    ends = np.cumsum(counts)
+    # three or four blocks, every boundary inside a run
+    block = next(b for b in range(ends[-1] // 3 + 1, ends[-1])
+                 if not set(range(b, ends[-1], b)) & set(ends.tolist()))
+    assert block < ends[-1] // 2
+    monkeypatch.setattr(quadrature, "_BLOCK", block)
+    fld = get_field("sincos")
+    got = []
+
+    def batched(pts, s, rows, pieces):
+        got.append((rows, pts, s, pieces))
+        return trace._trace_terms(fld, pieces, pts, s, alpha[rows], beta[rows])
+
+    means = chord_means(runs, t, alpha, beta - alpha, order, batched)
+    assert [rows.start for rows, _, _, _ in got] == list(range(0, ends[-1], block))
+    # the runs of each block, the empty one left out, cover the block
+    pieces = [(theta, rows.start + piece.start, rows.start + piece.stop)
+              for rows, _, _, block_pieces in got for theta, piece in block_pieces]
+    assert [lo for _, lo, _ in pieces] == [0] + [hi for _, _, hi in pieces[:-1]]
+    assert sum(hi - lo for _, lo, hi in pieces) == ends[-1]
+
+    want_pts, want_s, want_means = [], [], []
+    for (theta, count), end in zip(runs, ends):
+        mine = slice(end - count, end)
+        one = []
+
+        def single(pts, s, rows, theta=theta, mine=mine, one=one):
+            one.append((pts, s))
+            return trace._trace_terms(fld, theta, pts, s, alpha[mine][rows], beta[mine][rows])
+
+        want_means.append(chord_means(theta, t[mine], alpha[mine], beta[mine] - alpha[mine],
+                                      order, single))
+        want_pts += [pts for pts, _ in one]
+        want_s += [s for _, s in one]
+    _same(np.concatenate([pts for _, pts, _, _ in got]), np.concatenate(want_pts))
+    _same(np.concatenate([s for _, _, s, _ in got]), np.concatenate(want_s))
+    for k, got_means in enumerate(means):
+        _same(got_means, np.concatenate([m[k] for m in want_means]))
+
+    oracle = node_oracle.chord_nodes(runs, t, alpha, beta - alpha, order)
+    _same(np.concatenate([pts for _, pts, _, _ in got]), oracle[0])
+    args = (runs, t, alpha, beta - alpha, order,
+            lambda pts, s, rows, pieces: trace._trace_terms(fld, pieces, pts, s, alpha[rows],
+                                                            beta[rows]))
+    for got_means, want in zip(means, node_oracle.chord_means(*args), strict=True):
+        _same(got_means, want)
+
+
 def _panel_reports(domain, theta, spec):
     f = get_field("sincos" if domain.dim == 2 else "sin1")
     return [repr(quadrature.volume_integral(domain, f, spec, theta, panel=0.1)),

@@ -564,6 +564,49 @@ def test_concurrent_consistency_reports_match_cold_ones():
     assert warm == cold
 
 
+# cusp_pow is finite on the cusp (y > 0) and infinite on the bicone's
+# lower half, where traces are not finite and numpy warns of the invalid
+# values on the way (as one call per direction did)
+CAP_CASES = [("bicone", "bump"), ("bicone", "sign_y"), ("square", "bump"),
+             ("crack_square", "crack_2d"), ("cusp", "cusp_pow"),
+             pytest.param("bicone", "cusp_pow", marks=pytest.mark.filterwarnings(
+                 "ignore:invalid value encountered:RuntimeWarning"))]
+
+
+@pytest.mark.parametrize("count", [4, 8, 32])
+@pytest.mark.parametrize("name, field", CAP_CASES)
+def test_consistency_reports_do_not_depend_on_the_batch_cap(name, field, count,
+                                                            monkeypatch):
+    # one direction per chord_means call, as one call per direction made
+    # them, or every direction of a pass in one call: the same report
+    dom, fld = fractal.named_domain(name), get_field(field)
+    directions = direction_table(count, start_angle=0.1)
+    spec = QuadratureSpec(n_offsets=256, gauss_order=8)
+    chord_means, calls = trace.chord_means, []
+
+    def counted(runs, *args):
+        means = chord_means(runs, *args)
+        calls.append((len(runs), bool(np.all(np.isfinite(means[0])))))
+        return means
+
+    monkeypatch.setattr(trace, "chord_means", counted)
+    reports = []
+    for cap in (1, 2**40):
+        monkeypatch.setattr(trace, "_SPREAD_NODES", cap)
+        calls.clear()
+        reports.append(repr(trace.consistency_report(fld, dom, directions, spec,
+                                                     probes_per_direction=40).to_json()))
+        sizes = [size for size, _ in calls]
+        if cap == 1:
+            assert max(sizes) == 1
+        else:
+            # the probes' pass, and the jittered probes' when probes disagree
+            assert len(sizes) <= 2 and sizes[0] > count // 2
+        finite = all(finite for _, finite in calls)
+        assert finite == ((name, field) != ("bicone", "cusp_pow"))
+    assert reports[0] == reports[1]
+
+
 def _counted(fld, counts):
     def wrapper(fn):
         def inner(pts):
