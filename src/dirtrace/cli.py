@@ -20,6 +20,12 @@ the others reject it with exit 2.  A NaN, infinite or negative
 line, and falls back to the full parser for anything else (help, --version,
 no arguments, an unknown command), so every message and exit code is the
 full parser's.
+
+A one-shot command imports only what it runs: the package's exports load
+on first use, this module imports at its top only what parsing needs
+(`fractal` for the --domain help), and each `_cmd_*` handler imports the
+modules it calls when it runs, so `measure` or `staircase` never loads
+`trace`, `calculus` or `oned`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, calculus, fields, fractal, oned, trace
+from . import __version__, fractal
 from .errors import (
     DirtraceError,
     InvalidRatio,
@@ -42,9 +48,6 @@ from .errors import (
     ValidationError,
     check_tolerance,
 )
-from .geometry import Bicone, ConeUnionCantor, Direction, direction_table
-from .measure import measure_atoms, total_mass_result
-from .quadrature import QuadratureSpec, h1_norm
 
 _CONFIG_ERRORS = (ValidationError, UnknownName, InvalidRatio, OverlappingGaps)
 
@@ -112,6 +115,8 @@ def _write_csv(args, config: dict, header: list[str], rows) -> None:
 
 
 def _spec_from(args) -> QuadratureSpec:
+    from .quadrature import QuadratureSpec
+
     return QuadratureSpec(n_offsets=args.ny, gauss_order=args.gauss)
 
 
@@ -126,6 +131,8 @@ def _domain_from(args):
 
 
 def _direction_from(args, dim: int) -> Direction:
+    from .geometry import Direction, direction_table
+
     if getattr(args, "angle", None) is not None:
         if dim == 1:
             raise ValidationError("--angle is only meaningful in dimension two")
@@ -158,6 +165,8 @@ def _common_config(args, **extra) -> dict:
 
 
 def _cmd_measure(args) -> int:
+    from .measure import measure_atoms, total_mass_result
+
     domain = _domain_from(args)
     theta = _direction_from(args, domain.dim)
     spec = _spec_from(args)
@@ -187,6 +196,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from . import fields, trace
+
     domain = _domain_from(args)
     theta = _direction_from(args, domain.dim)
     spec = _spec_from(args)
@@ -214,6 +225,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_ibp(args) -> int:
+    from . import calculus, fields
+
     domain = _domain_from(args)
     theta = _direction_from(args, domain.dim)
     spec = _spec_from(args)
@@ -234,6 +247,8 @@ def _cmd_ibp(args) -> int:
 
 
 def _cmd_lebesgue(args) -> int:
+    from . import fields, trace
+
     domain = _domain_from(args)
     theta = _direction_from(args, domain.dim)
     spec = _spec_from(args)
@@ -259,6 +274,10 @@ def _cmd_lebesgue(args) -> int:
 
 
 def _cmd_nu(args) -> int:
+    from . import calculus, fields
+    from .geometry import Bicone, ConeUnionCantor
+    from .quadrature import h1_norm
+
     domain = _domain_from(args)
     # the stages sit at heights 3**-n / 2 over the middle-thirds Cantor set:
     # they belong to the cone union of ratio 1/3 and the bicone built on it
@@ -332,6 +351,8 @@ def _cmd_staircase(args) -> int:
 
 
 def _cmd_oned(args) -> int:
+    from . import fields, oned
+
     # checked even where a refuted membership leaves it unused
     oned.check_truncation(args.truncation)
     domain = _domain_from(args)
@@ -368,6 +389,9 @@ def _cmd_oned(args) -> int:
 
 
 def _cmd_consistency(args) -> int:
+    from . import fields, trace
+    from .geometry import Direction, direction_table
+
     domain = _domain_from(args)
     spec = _spec_from(args)
     fld = fields.parse_field(args.field)

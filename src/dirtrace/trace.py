@@ -395,13 +395,14 @@ _SPREAD_NODES = 2**15
 def _spreads(fld, directions, points: np.ndarray, order: int, chords):
     """Traces at points along every direction, as (values, shared,
     spreads): values (n, directions) is NaN where a direction does not
-    reach a point (the slice through it has no chord exiting there) or its
-    trace there is not finite, shared marks the points two or more
-    directions reach, and spreads holds max - min of their values there (0
-    elsewhere).  chords[j] is `exit_chords` of the points along
-    directions[j].  The exit traces of consecutive directions come from
-    one `chord_means` call per batch of at most `_SPREAD_NODES` nodes (or
-    one direction)."""
+    reach a point (the slice through it has no chord exiting there),
+    shared marks the points two or more directions reach, and spreads
+    holds max - min of their values there (0 elsewhere).  chords[j] is
+    `exit_chords` of the points along directions[j].  The exit traces of
+    consecutive directions come from one `chord_means` call per batch of
+    at most `_SPREAD_NODES` nodes (or one direction).  Raises
+    DivergentChordIntegral, with no numpy warning on the way, where a
+    trace is not finite."""
     values = np.full((points.shape[0], len(directions)), np.nan)
     batches, nodes = [], 0
     for j, (_, _, _, found) in enumerate(chords):
@@ -415,18 +416,18 @@ def _spreads(fld, directions, points: np.ndarray, order: int, chords):
         nodes += idx.size * order
     for batch in batches:
         t, a, b = (np.concatenate([chords[j][k][idx] for j, idx in batch]) for k in range(3))
-        gplus = chord_means(
-            [(directions[j], idx.size) for j, idx in batch], t, a, b - a, order,
-            lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, a[rows], None))[0]
+        with np.errstate(all="ignore"):
+            gplus = chord_means(
+                [(directions[j], idx.size) for j, idx in batch], t, a, b - a, order,
+                lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, a[rows], None))[0]
+        _finite_traces(gplus)
         start = 0
         for j, idx in batch:
             values[idx, j] = gplus[start:start + idx.size]
             start += idx.size
-    values[~np.isfinite(values)] = np.nan
     shared = np.isfinite(values).sum(axis=1) >= 2
     spreads = np.zeros(points.shape[0])
-    with np.errstate(invalid="ignore"):
-        spreads[shared] = np.nanmax(values[shared], axis=1) - np.nanmin(values[shared], axis=1)
+    spreads[shared] = np.nanmax(values[shared], axis=1) - np.nanmin(values[shared], axis=1)
     return values, shared, spreads
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirtrace import __version__, _cantor, calculus, cli, fields, fractal
+from dirtrace import __version__, _cantor, calculus, cli, fields, fractal, quadrature
 from dirtrace.cli import _COMMANDS, _CSV_CHUNK_ROWS, _config_hash, _write_csv, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -297,6 +297,15 @@ def test_nu_rejects_a_bad_stage_before_computing_the_norm(tmp_path, capsys):
     assert "not finite on a stage interval" in capsys.readouterr().err
 
 
+def test_consistency_rejects_traces_that_are_not_finite(tmp_path, capsys):
+    # cusp_pow is infinite on the bicone's lower half: a computation error
+    # (3) with no report, not probes counted as unreached
+    argv = ["consistency", "--domain", "bicone", "--field", "cusp_pow", "--directions", "8"]
+    assert run(argv, tmp_path) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("levels", [-1, fractal.MAX_LEVEL + 1])
 def test_nu_rejects_levels_out_of_range_before_computing(levels, tmp_path, monkeypatch,
                                                          capsys):
@@ -308,7 +317,7 @@ def test_nu_rejects_levels_out_of_range_before_computing(levels, tmp_path, monke
         raise RuntimeError("a rejected --levels reached the computation")
 
     monkeypatch.setattr(calculus, "_stage_mean", lambda *a: calls.append(a) or 0.0)
-    monkeypatch.setattr(cli, "h1_norm", refuse)
+    monkeypatch.setattr(quadrature, "h1_norm", refuse)
     code = main(["nu", "--domain", "omega_C", "--field", "sign_y", "--levels", str(levels),
                  "--out", str(tmp_path)])
     assert code == 2

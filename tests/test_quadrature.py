@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dirtrace import calculus, fractal, measure, quadrature, trace
+from dirtrace import _gauss, calculus, fractal, measure, quadrature, trace
 from dirtrace.errors import UnresolvedSingularity, ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import (Cusp, Direction, Domain, IntervalUnion, Polygon,
@@ -39,6 +39,27 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         QuadratureSpec(n_offsets=2**22 + 1)
     assert QuadratureSpec(n_offsets=2).n_offsets == 2
+
+
+def _within_ulps(got, want, ulps) -> bool:
+    return bool(np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))))
+
+
+@pytest.mark.parametrize("order", quadrature._GAUSS_ORDERS)
+def test_gauss_rules_are_the_legendre_rules(order):
+    # the literal rules copy numpy's leggauss floats; numpy is unpinned, so
+    # they are checked against it to 2 ulp, not bit for bit, and against
+    # sympy's 50-digit rule: the nodes to 2 ulp, the weights to 1e-14
+    # relative, as leggauss's weights are up to 63 ulp off (numpy 2.4)
+    sympy = pytest.importorskip("sympy.integrals.quadrature")
+    x, w = _gauss.nodes(order)
+    assert x.shape == w.shape == (order,) and not (x.flags.writeable or w.flags.writeable)
+    assert np.all(np.diff(x) > 0)
+    lx, lw = np.polynomial.legendre.leggauss(order)
+    assert _within_ulps(x, lx, 2) and _within_ulps(w, lw, 2)
+    ex, ew = (np.array([float(v) for v in vals]) for vals in sympy.gauss_legendre(order, 50))
+    assert _within_ulps(x, ex, 2)
+    np.testing.assert_allclose(w, ew, rtol=1e-14, atol=0.0)
 
 
 def test_square_volume_is_exact():

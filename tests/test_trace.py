@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dirtrace import cli, fields, fractal, geometry, measure, quadrature, trace
-from dirtrace.errors import NotDirectionalBoundary, UnresolvedSingularity, ValidationError
+from dirtrace.errors import (DivergentChordIntegral, NotDirectionalBoundary, UnresolvedSingularity,
+                            ValidationError)
 from dirtrace.fields import get_field
 from dirtrace.geometry import Cusp, Direction, Polygon, direction_table, match_radius
 from dirtrace.quadrature import QuadratureSpec, norm_theta
@@ -564,13 +565,10 @@ def test_concurrent_consistency_reports_match_cold_ones():
     assert warm == cold
 
 
-# cusp_pow is finite on the cusp (y > 0) and infinite on the bicone's
-# lower half, where traces are not finite and numpy warns of the invalid
-# values on the way (as one call per direction did)
+# cusp_pow is finite on the cusp (y > 0); on the bicone see
+# test_consistency_reports_reject_traces_that_are_not_finite
 CAP_CASES = [("bicone", "bump"), ("bicone", "sign_y"), ("square", "bump"),
-             ("crack_square", "crack_2d"), ("cusp", "cusp_pow"),
-             pytest.param("bicone", "cusp_pow", marks=pytest.mark.filterwarnings(
-                 "ignore:invalid value encountered:RuntimeWarning"))]
+             ("crack_square", "crack_2d"), ("cusp", "cusp_pow")]
 
 
 @pytest.mark.parametrize("count", [4, 8, 32])
@@ -602,9 +600,22 @@ def test_consistency_reports_do_not_depend_on_the_batch_cap(name, field, count,
         else:
             # the probes' pass, and the jittered probes' when probes disagree
             assert len(sizes) <= 2 and sizes[0] > count // 2
-        finite = all(finite for _, finite in calls)
-        assert finite == ((name, field) != ("bicone", "cusp_pow"))
+        assert all(finite for _, finite in calls)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("cap", [1, 2**40])
+def test_consistency_reports_reject_traces_that_are_not_finite(cap, monkeypatch):
+    # cusp_pow is infinite on the bicone's lower half: whether one direction
+    # or all of them share a chord_means call, the report fails as
+    # chord_trace_values does, and with no numpy warning (the suite makes
+    # warnings errors), rather than counting those probes as unreached
+    monkeypatch.setattr(trace, "_SPREAD_NODES", cap)
+    dom, fld = fractal.named_domain("bicone"), get_field("cusp_pow")
+    with pytest.raises(DivergentChordIntegral, match="not finite"):
+        trace.consistency_report(fld, dom, direction_table(8, start_angle=0.1),
+                                 QuadratureSpec(n_offsets=256, gauss_order=8),
+                                 probes_per_direction=40)
 
 
 def _counted(fld, counts):
