@@ -74,13 +74,19 @@ def _polynomial(modules) -> set:
     return {m for m in modules if m == "numpy.polynomial" or m.startswith("numpy.polynomial.")}
 
 
+@pytest.fixture(scope="module")
+def numpy_polynomial(tmp_path_factory) -> set:
+    # numpy 1.x loads numpy.polynomial itself; the Gauss rules need none of it
+    return _polynomial(_loaded("import numpy", tmp_path_factory.mktemp("numpy")))
+
+
 @pytest.mark.parametrize("argv, unused", [
     (None, UNUSED_BY_MEASURE),
     (["measure", "--domain", "square", "--ny", "64"], UNUSED_BY_MEASURE),
     # a Gauss rule on every chord
     (["ibp", "--domain", "square", "--u", "x1", "--v", "x2", "--ny", "64"], {"dirtrace.oned"}),
 ])
-def test_a_command_imports_only_what_it_runs(argv, unused, tmp_path):
+def test_a_command_imports_only_what_it_runs(argv, unused, tmp_path, numpy_polynomial):
     # `import dirtrace.cli`, or what `python -m dirtrace <argv>` runs
     code = "import dirtrace.cli" if argv is None else (
         f"import runpy; sys.argv[1:] = {argv!r}; "
@@ -88,7 +94,6 @@ def test_a_command_imports_only_what_it_runs(argv, unused, tmp_path):
     loaded = _loaded(code, tmp_path)
     assert "dirtrace.cli" in loaded
     assert not loaded & unused
-    # numpy 1.x loads numpy.polynomial itself; the Gauss rules need none of it
-    assert _polynomial(loaded) <= _polynomial(_loaded("import numpy", tmp_path))
+    assert _polynomial(loaded) <= numpy_polynomial
     if argv is not None:
         assert len(list(tmp_path.iterdir())) == (2 if argv[0] == "measure" else 1)
