@@ -39,7 +39,7 @@ from .quadrature import (
     offset_estimate,
     volume_integrals,
 )
-from .trace import _finite_traces, _trace_terms, chord_trace_values
+from .trace import _finite_means, _trace_terms, chord_trace_values
 
 # A report passes when its residual is within this many error bars.
 _PASS_FACTOR = 3.0
@@ -84,15 +84,15 @@ def _ibp_sides(u, v, domain, theta, spec):
     grid = chord_grid(domain, theta, spec.n_offsets)
     alpha, beta, lengths, chord_dt = grid.alpha, grid.beta, grid.lengths, grid.chord_dt
 
-    def node_arrays(pts, s, rows):
-        uu, du = yield from _trace_terms(u, theta, pts, s, alpha[rows], beta[rows])
-        vv, dv = yield from _trace_terms(v, theta, pts, s, alpha[rows], beta[rows])
+    def node_arrays(pts, s, rows, runs):
+        uu, du = yield from _trace_terms(u, runs, pts, s, alpha[rows], beta[rows])
+        vv, dv = yield from _trace_terms(v, runs, pts, s, alpha[rows], beta[rows])
         pair = np.multiply(uu, dv)
         pair += vv * du
         yield pair
 
-    *traces, pair = chord_means(theta, grid.t, alpha, lengths, spec.gauss_order, node_arrays)
-    up, um, vp, vm = _finite_traces(*traces)
+    up, um, vp, vm, pair = _finite_means(4, [(theta, grid.n_chords)], grid.t, alpha, lengths,
+                                         spec.gauss_order, node_arrays)
     lhs = grid.sums(_rule_terms(pair, lengths, chord_dt))
     rhs = grid.sums((up * vp - um * vm) * chord_dt)
     if not (np.isfinite(lhs[0]) and np.isfinite(rhs[0])):
@@ -213,8 +213,8 @@ def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     y = 0.5 * (3.0 ** (-n))
     lo = a - y
     means, weight_means = chord_means(
-        _horizontal(), np.full(a.size, height), lo, (b + y) - lo, order,
-        lambda pts, s, rows: (fld.eval_many(pts.reshape(-1, 2)), np.ones(s.shape)))
+        [(_horizontal(), a.size)], np.full(a.size, height), lo, (b + y) - lo, order,
+        lambda pts, s, rows, runs: (fld.eval_many(pts.reshape(-1, 2)), np.ones(s.shape)))
     # Normalizing by the weight sum computed with the same reduction keeps
     # constant fields exact: each row becomes x / x.
     means /= weight_means

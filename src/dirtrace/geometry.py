@@ -15,13 +15,16 @@ whole table with array operations on the row boundaries.
 
 Points on lines, the foot t * perp plus s * theta, come from one builder
 everywhere in the package: `points_along(_feet(t, perp), s, theta.vector)`
-(midpoints, exits, Gauss nodes and probes alike).  It
+(midpoints, exits, Gauss nodes and probes alike), perp being
+`Direction.perp_vector`: zeros(1) in 1D, where the offset hyperplane is
+the origin and a grid holds the one line once, at offset 0 of width 1.  It
 stores the points coordinate-major, one contiguous block per coordinate
 behind the usual (..., d) view, so a field reading p[:, k] reads
 contiguous memory; each coordinate is still s * theta_k + foot_k, so the
 floats do not depend on the layout.
 
-Chords are computed in closed form for every kind: interval unions,
+Chords are computed in closed form for every kind of the direction's
+dimension: interval unions (the intervals, negated and reversed along -1),
 polygons (strictly convex ones clip each line against their edge
 half-planes, other polygons pair the edge crossings into inside cells by
 membership), and five kinds that share one cut, `_band_minus`: an open
@@ -30,10 +33,10 @@ or range (the slit rectangle and the slit disk), Cantor points and the
 triangles over the gaps (the cone unions, whose horizontal sections lose
 the sections of the gaps longer than twice their height), the teeth
 between the gaps (the Cantor comb), and the sets +-x >= y**3 between
-closed-form cubic roots (the cusp).  Endpoints are
-exact up to rounding.  Chords shorter than EPS_EXACT are dropped, and a
-slice is flagged when two crossings sit closer than RESOLUTION_FACTOR times
-that length (a thin feature at the limit of resolution).
+closed-form cubic roots (the cusp).  Endpoints are exact up to rounding.
+Chords shorter than EPS_EXACT are dropped, and a slice is flagged when two
+crossings sit closer than RESOLUTION_FACTOR times that length (a thin
+feature at the limit of resolution); intervals, exact input, are neither.
 
 Membership owns the rounding: every kind's `contains_many` counts the
 points within `Domain._rounding` of its boundary (2**12 ulps of the
@@ -220,15 +223,14 @@ class Direction:
 
     @property
     def perp_vector(self) -> np.ndarray:
-        """Canonical unit normal spanning the offset hyperplane.
+        """Canonical unit normal spanning the offset hyperplane; zeros(1)
+        in 1D, where the hyperplane is the origin and the one line's foot.
 
         The sign convention makes theta and -theta share the same normal,
         so the two opposite directions see identical offset grids.
         """
-        if self.dim != 2:
-            raise ValidationError("perp_vector is only defined in 2D")
-        p = np.array([-self.vector[1], self.vector[0]])
-        if p[0] < 0.0 or (p[0] == 0.0 and p[1] < 0.0):
+        p = np.zeros(1) if self.dim == 1 else np.array([-self.vector[1], self.vector[0]])
+        if p[0] < 0.0 or (p[0] == 0.0 and p[-1] < 0.0):
             p = -p
         p.setflags(write=False)
         return p
@@ -407,13 +409,12 @@ class IntervalUnion(Domain):
     def params(self) -> dict:
         return {"intervals": tuple(map(tuple, self.intervals.tolist()))}
 
-    def slices_1d(self, sign: int) -> np.ndarray:
-        if sign > 0:
-            return self.intervals.copy()
-        flipped = np.column_stack(
-            (-self.intervals[::-1, 1], -self.intervals[::-1, 0])
-        )
-        return flipped
+    def line_slices(self, theta: Direction, ts: np.ndarray):
+        # every offset's line is the one line: the intervals as given along
+        # +1, negated and reversed along -1
+        seg = self.intervals if theta.vector[0] > 0 else -self.intervals[::-1, ::-1]
+        return (np.repeat(np.arange(ts.size), len(seg)), np.tile(seg[:, 0], ts.size),
+                np.tile(seg[:, 1], ts.size))
 
 
 # ---------------------------------------------------------------------------
@@ -1125,10 +1126,17 @@ class SlitRectangle(Domain):
 # Chord computation
 
 
+def _check_dim(domain: Domain, theta: Direction) -> None:
+    if theta.dim != domain.dim:
+        raise ValidationError(f"a {theta.dim}D direction on a {domain.dim}D domain")
+
+
 def hyperplane_range(domain: Domain, theta: Direction) -> tuple[float, float]:
-    """Projection of the bounding box onto the offset hyperplane."""
+    """Projection of the bounding box onto the offset hyperplane; in 1D,
+    where it is the origin, the unit cell (-0.5, 0.5): one offset, 0."""
+    _check_dim(domain, theta)
     if domain.dim == 1:
-        return (0.0, 0.0)
+        return (-0.5, 0.5)
     p = theta.perp_vector
     lo, hi = domain.bbox
     corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
@@ -1176,20 +1184,16 @@ def chord_table(domain: Domain, theta: Direction, ts):
     of every chord fail membership as computed: they lie on the boundary,
     within the rounding band that `contains_many` counts as boundary.
     """
+    _check_dim(domain, theta)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if domain.dim == 1:
-        if not isinstance(domain, IntervalUnion):
-            raise ValidationError("only interval unions are supported in 1D")
-        sign = 1 if theta.vector[0] > 0 else -1
-        segs = domain.slices_1d(sign)
-        return (np.repeat(np.arange(ts.size), len(segs)), np.tile(segs[:, 0], ts.size),
-                np.tile(segs[:, 1], ts.size), np.zeros(ts.size, dtype=bool))
-
     raw = domain.line_slices(theta, ts)
     if raw is None and theta.is_axis():
         raw = _axis_slices(domain, theta, ts)
     if raw is None:
         raise ValidationError(f"no closed-form chords for kind {domain.kind!r} along {theta!r}")
+    if domain.dim == 1:
+        # exact input, where one flagged line would be the whole measure
+        return (*raw, np.zeros(ts.size, dtype=bool))
     return _trim(ts, *raw)
 
 
@@ -1209,29 +1213,21 @@ def slice_lines(domain: Domain, theta: Direction, ts) -> tuple[list[np.ndarray],
 
 def chords(domain: Domain, theta: Direction, y) -> list[Chord]:
     """Ordered maximal open segments of the line through y along theta."""
-    if domain.dim == 1:
-        t = 0.0
-        base = np.zeros(1)
-    else:
-        y = np.asarray(y, dtype=float).reshape(2)
-        p = theta.perp_vector
-        t = float(y @ p)
-        base = t * p
+    _check_dim(domain, theta)
+    p = theta.perp_vector
+    t = float(np.asarray(y, dtype=float).reshape(domain.dim) @ p)
     intervals, flags = slice_lines(domain, theta, np.array([t]))
-    flagged = bool(flags[0])
-    return [
-        Chord(theta, base, float(a), float(b), flagged)
-        for a, b in intervals[0]
-    ]
+    return [Chord(theta, t * p, float(a), float(b), bool(flags[0])) for a, b in intervals[0]]
 
 
 def exit_distance(domain: Domain, x, theta: Direction) -> float:
     """Distance travelled from x along theta before leaving the domain."""
     x = np.asarray(x, dtype=float).reshape(-1)
+    lines = chords(domain, theta, x)  # rejects a direction of another dimension first
     if not domain.contains(x):
         raise PointOutsideDomain(f"{x.tolist()} is not inside the domain")
-    s = float(x @ theta.vector) if domain.dim == 2 else float(x[0] * theta.vector[0])
-    for ch in chords(domain, theta, x if domain.dim == 2 else None):
+    s = float(x @ theta.vector)
+    for ch in lines:
         if ch.alpha <= s <= ch.beta:
             return ch.beta - s
     raise PointOutsideDomain(
@@ -1244,12 +1240,6 @@ def exit_point(domain: Domain, x, theta: Direction) -> np.ndarray:
     return x + exit_distance(domain, x, theta) * theta.vector
 
 
-def offset_normal(theta: Direction) -> np.ndarray:
-    """Unit normal of the offset hyperplane (the zero vector in 1D, where
-    the one line runs through the origin)."""
-    return np.zeros(1) if theta.dim == 1 else theta.perp_vector
-
-
 def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
                 offsets=None):
     """The chord exiting at each point, for a batch of points.
@@ -1260,14 +1250,17 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
     Returns (t, alpha, beta, found): the offsets, the chords (NaN where
     none is found) and whether that exit is within r_match of the point.
     """
+    _check_dim(domain, theta)
     points = np.asarray(points, dtype=float).reshape(-1, theta.dim)
     n = points.shape[0]
-    perp = offset_normal(theta)
+    perp = theta.perp_vector
     if offsets is None:
         # one coordinate at a time: a matrix-vector product rounds
         # differently by batch size, and a point must get the same offset
         # in every batch
-        offsets = np.zeros(n) if theta.dim == 1 else points[:, 0] * perp[0] + points[:, 1] * perp[1]
+        offsets = points[:, 0] * perp[0]
+        for k in range(1, theta.dim):
+            offsets += points[:, k] * perp[k]
     offsets = np.asarray(offsets, dtype=float)
 
     rows, alpha, beta, flags = chord_table(domain, theta, offsets)
@@ -1277,8 +1270,8 @@ def exit_chords(domain: Domain, theta: Direction, points, r_match: float,
     # np.linalg.norm(..., axis=1) without a reduction over the short axis
     diff = points_along(_feet(offsets, perp)[rows], beta, theta.vector) - points[rows]
     sq = diff[:, 0] * diff[:, 0]
-    if theta.dim == 2:
-        sq += diff[:, 1] * diff[:, 1]
+    for k in range(1, theta.dim):
+        sq += diff[:, k] * diff[:, k]
     dist = np.sqrt(sq)
     order = np.lexsort((dist, rows))
     starts = _row_starts(rows, n)
@@ -1322,7 +1315,7 @@ def opposite_endpoint(
     """Other endpoint of the chord exiting at z, and the chord's length
     (see `_exit_chord` for r_match)."""
     t, alpha, beta = _exit_chord(domain, theta, z, r_match)
-    return t[0] * offset_normal(theta) + alpha[0] * theta.vector, float(beta[0] - alpha[0])
+    return t[0] * theta.perp_vector + alpha[0] * theta.vector, float(beta[0] - alpha[0])
 
 
 # ---------------------------------------------------------------------------

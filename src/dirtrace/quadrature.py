@@ -30,10 +30,12 @@ at n/3 and n/9, read from the same rows.  Offsets whose slice carried the
 thin-feature flag are excluded from all sums and surface as a flag count
 in every result.
 
-Every Gauss rule on chords is `chord_means`, whose value for a chord
-depends only on that chord, not on the batch or block it is computed in;
-sums over chords are one np.sum, and row sums one np.bincount, in a fixed
-order, so values and error bars are bit-identical from run to run.
+Every Gauss rule on chords is `chord_means`, in one call form: runs of
+chords, each along its own direction.  Its value for a chord depends only
+on that chord, not on the batch or block it is computed in; sums over
+chords are one np.sum, and row sums one np.bincount, in a fixed order, so
+values and error bars are bit-identical from run to run.  The 1-D line is
+a grid of one offset, 0, of width 1.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .geometry import (
     _feet,
     chord_table,
     hyperplane_range,
-    offset_normal,
     points_along,
 )
 
@@ -145,26 +146,24 @@ def chord_reduce(vals, w) -> np.ndarray:
     return np.einsum("ij,j->i", vals, w)
 
 
-def chord_means(theta, t, alpha, length, order: int, node_arrays):
+def chord_means(runs, t, alpha, length, order: int, node_arrays):
     """Gauss means (`chord_reduce`, weights summing to 1) of each node array
-    that `node_arrays(points, s, rows)` yields on the chords ]alpha, alpha +
-    length[ at offsets t, _BLOCK chords at a time: rows slices a block,
-    points (m, q, d) are coordinate-major (see `points_along`) and s (m, q)
-    = alpha + ((x + 1) / 2) * length live only while node_arrays keeps them.
+    that `node_arrays(points, s, rows, runs)` yields on the chords ]alpha,
+    alpha + length[ at offsets t, _BLOCK chords at a time: rows slices a
+    block, points (m, q, d) are coordinate-major (see `points_along`) and s
+    (m, q) = alpha + ((x + 1) / 2) * length live only while node_arrays
+    keeps them.
 
-    theta is the one Direction of every chord, or a sequence of runs
-    (Direction, count): consecutive runs of chords, each along its own
-    direction, so that one call covers the chords of many directions (the
-    exit traces of a consistency report, say).  Each run's nodes are built
-    with its own direction's components, float for float as a call on that
-    run alone builds them, and in the run form node_arrays(points, s, rows,
-    runs) also gets the runs of the block, as (Direction, slice of the
-    block's rows) pairs, empty runs left out."""
+    runs is a sequence of runs (Direction, count) of consecutive chords,
+    each along its own direction, so that one call covers the chords of
+    one direction or of many (the exit traces of a consistency report,
+    say).  Each run's nodes are built with its own direction's components,
+    float for float as a call on that run alone builds them, and
+    node_arrays gets the block's runs as (Direction, slice of its rows)
+    pairs, empty runs left out."""
     _check_order(order)
     x, w = _gauss.nodes(order)
     half, w = (x + 1.0) * 0.5, 0.5 * w
-    single = isinstance(theta, Direction)
-    runs = [(theta, length.size)] if single else list(theta)
     dim = runs[0][0].dim
     blocks = []
     # an empty grid still makes one (empty) block, so every mean is an array
@@ -179,12 +178,11 @@ def chord_means(theta, t, alpha, length, order: int, node_arrays):
             start += count
             if a < b:
                 piece = slice(a, b)
-                points_along(_feet(t[lo + a:lo + b], offset_normal(direction)), s[piece],
+                points_along(_feet(t[lo + a:lo + b], direction.perp_vector), s[piece],
                              direction.vector, out=points[:, piece])
                 pieces.append((direction, piece))
         points = points.transpose(1, 2, 0)
-        arrays = (node_arrays(points, s, rows) if single
-                  else node_arrays(points, s, rows, pieces))
+        arrays = node_arrays(points, s, rows, pieces)
         del s, points
         blocks.append([chord_reduce(v, w) for v in arrays])
     return [np.concatenate(sums) for sums in zip(*blocks)]
@@ -200,16 +198,11 @@ class ChordGrid:
 
     def __init__(self, domain: Domain, theta: Direction, n_offsets: int) -> None:
         self.theta = theta
-        self.dim = domain.dim
-        if domain.dim == 1:
-            ts = np.zeros(1)
-            dt = 1.0
-            widths = np.ones(1)
-            counts = np.ones(1, dtype=np.int64)
-        else:
-            lo, hi = hyperplane_range(domain, theta)
-            dt = (hi - lo) / n_offsets
-            ts, widths, counts = _offset_cells(domain, theta, lo, hi, n_offsets)
+        lo, hi = hyperplane_range(domain, theta)
+        # n_offsets per axis of the offset hyperplane: one in 1D, the origin
+        n = n_offsets ** (domain.dim - 1)
+        dt = (hi - lo) / n
+        ts, widths, counts = _offset_cells(domain, theta, lo, hi, n)
         rows, alpha, beta, flags = chord_table(domain, theta, ts)
         keep = ~flags[rows]
 
@@ -222,7 +215,6 @@ class ChordGrid:
         self.dt = float(dt)
         self.flagged_offsets = int(np.count_nonzero(flags))
         self.lengths = self.beta - self.alpha
-        self._perp = offset_normal(theta)
         for arr in (self.offsets, self.offset_widths, self.segment_counts,
                     self.offset_index, self.alpha, self.beta, self.lengths):
             arr.setflags(write=False)
@@ -248,12 +240,12 @@ class ChordGrid:
     @property
     def endpoint_plus(self) -> np.ndarray:
         """Exit endpoint of each chord, (n, d)."""
-        return points_along(_feet(self.t, self._perp), self.beta, self.theta.vector)
+        return points_along(_feet(self.t, self.theta.perp_vector), self.beta, self.theta.vector)
 
     @property
     def endpoint_minus(self) -> np.ndarray:
         """Entry endpoint of each chord, (n, d)."""
-        return points_along(_feet(self.t, self._perp), self.alpha, self.theta.vector)
+        return points_along(_feet(self.t, self.theta.perp_vector), self.alpha, self.theta.vector)
 
     @property
     def n_chords(self) -> int:
@@ -302,12 +294,6 @@ def _as_eval(f):
     return f.eval_many if hasattr(f, "eval_many") else f
 
 
-def default_direction(domain: Domain) -> Direction:
-    if domain.dim == 1:
-        return Direction([1.0])
-    return Direction([1.0, 0.0])
-
-
 def _rule_terms(means, length, row_dt):
     """Per-chord terms of the volume rule from per-chord Gauss means."""
     terms = means * length * row_dt
@@ -332,11 +318,11 @@ def _rule_sums(domain, integrands, theta, spec, panel=None):
         length = length[ci] / m[ci]
         t, alpha, row_dt = t[ci], alpha[ci] + pj * length, row_dt[ci]
 
-    def node_arrays(pts, s, rows):
+    def node_arrays(pts, s, rows, runs):
         del s  # no arc offsets: freed before the integrands run
-        yield from integrands(pts.reshape(-1, grid.dim))
+        yield from integrands(pts.reshape(-1, pts.shape[-1]))
 
-    means = chord_means(theta, t, alpha, length, spec.gauss_order, node_arrays)
+    means = chord_means([(theta, t.size)], t, alpha, length, spec.gauss_order, node_arrays)
     return [grid.sums(_rule_terms(v, length, row_dt), ci) for v in means]
 
 
@@ -413,7 +399,7 @@ def volume_integrals(domain: Domain, integrands, spec: QuadratureSpec | None = N
     reported honestly.
     """
     spec = spec or QuadratureSpec()
-    theta = direction or default_direction(domain)
+    theta = direction or Direction(np.eye(domain.dim)[0])  # the first axis
     values, errors, coarse = offset_estimate(_rule_sums(domain, integrands, theta, spec, panel))
     if panel is not None:
         alt = replace(spec, gauss_order=4 if spec.gauss_order != 4 else 8)

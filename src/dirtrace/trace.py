@@ -34,7 +34,6 @@ from .geometry import (
     _feet,
     exit_chords,
     match_radius,
-    offset_normal,
     points_along,
 )
 from .quadrature import (
@@ -47,26 +46,22 @@ from .quadrature import (
     chord_grid,
     chord_means,
     offset_estimate,
-    volume_integral,
 )
 
 
-def _trace_terms(fld, theta, pts, s, alpha, beta):
+def _trace_terms(fld, runs, pts, s, alpha, beta):
     """Yield u + (s - alpha) du, then, unless beta is None, u - (beta - s)
     du in the same buffer (chord averages: the exit and entry traces) at
-    the nodes pts, s of the chords ]alpha, beta[; return u and du =
-    du/dtheta.  theta is one Direction, or the runs (Direction, rows) of a
-    block of `chord_means` in its run form, and du along each run is
-    grad @ vector of its rows, as `dderiv_many` computes it."""
+    the nodes pts, s of the chords ]alpha, beta[ of a block of
+    `chord_means`; return u and du = du/dtheta.  Along each of the block's
+    runs (Direction, rows), du is grad @ vector of its rows, as
+    `dderiv_many` computes it."""
     flat = pts.reshape(-1, pts.shape[-1])
     u = np.asarray(fld.eval_many(flat), dtype=float).reshape(s.shape)
-    if isinstance(theta, Direction):
-        du = np.asarray(fld.dderiv_many(flat, theta), dtype=float).reshape(s.shape)
-    else:
-        grad, q = fld.grad_many(flat), s.shape[1]
-        du = np.empty(s.shape)
-        for direction, rows in theta:
-            du[rows] = (grad[rows.start * q:rows.stop * q] @ direction.vector).reshape(-1, q)
+    grad, q = fld.grad_many(flat), s.shape[1]
+    du = np.empty(s.shape)
+    for direction, rows in runs:
+        du[rows] = (grad[rows.start * q:rows.stop * q] @ direction.vector).reshape(-1, q)
     buf = np.subtract(s, alpha[:, None])
     buf *= du
     buf += u
@@ -78,18 +73,22 @@ def _trace_terms(fld, theta, pts, s, alpha, beta):
     return u, du
 
 
+def _finite_means(traces: int, runs, t, alpha, length, order: int, node_arrays):
+    """`chord_means` with numpy's warnings off; DivergentChordIntegral where
+    one of its first `traces` arrays, the traces, is not finite."""
+    with np.errstate(all="ignore"):
+        means = chord_means(runs, t, alpha, length, order, node_arrays)
+    if not all(np.all(np.isfinite(g)) for g in means[:traces]):
+        raise DivergentChordIntegral("chord integrand not finite at a quadrature node")
+    return means
+
+
 def _chord_traces(fld, theta: Direction, t, alpha, beta, order: int):
     """Exit and entry traces on the chords ]alpha, beta[ of the lines at
-    offsets t; not finite where u or du/dtheta is not finite at a node."""
-    return chord_means(
-        theta, t, alpha, beta - alpha, order,
-        lambda pts, s, rows: _trace_terms(fld, theta, pts, s, alpha[rows], beta[rows]))
-
-
-def _finite_traces(*traces):
-    if not all(np.all(np.isfinite(g)) for g in traces):
-        raise DivergentChordIntegral("chord integrand not finite at a quadrature node")
-    return traces
+    offsets t (see `_finite_means`)."""
+    return _finite_means(
+        2, [(theta, t.size)], t, alpha, beta - alpha, order,
+        lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, alpha[rows], beta[rows]))
 
 
 def chord_trace_values(fld, grid, order: int):
@@ -97,8 +96,7 @@ def chord_trace_values(fld, grid, order: int):
 
     Returns (gamma_plus, gamma_minus), each of shape (n_chords,).
     """
-    return _finite_traces(*_chord_traces(fld, grid.theta, grid.t, grid.alpha, grid.beta,
-                                         order))
+    return _chord_traces(fld, grid.theta, grid.t, grid.alpha, grid.beta, order)
 
 
 @dataclass(frozen=True)
@@ -170,15 +168,14 @@ def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
     grid = chord_grid(domain, theta, spec.n_offsets)
     alpha, beta = grid.alpha, grid.beta
 
-    def node_arrays(pts, s, rows):
-        u, du = yield from _trace_terms(fld, theta, pts, s, alpha[rows], beta[rows])
+    def node_arrays(pts, s, rows, runs):
+        u, du = yield from _trace_terms(fld, runs, pts, s, alpha[rows], beta[rows])
         sq = np.multiply(u, u)
         sq += du * du
         yield sq
 
-    gplus, gminus, sq = chord_means(theta, grid.t, alpha, grid.lengths, spec.gauss_order,
-                                   node_arrays)
-    gplus, gminus = _finite_traces(gplus, gminus)
+    gplus, gminus, sq = _finite_means(2, [(theta, grid.n_chords)], grid.t, alpha, grid.lengths,
+                                      spec.gauss_order, node_arrays)
     norm_sq = grid.sums(_rule_terms(sq, grid.lengths, grid.chord_dt))
     return TraceField(
         theta=theta,
@@ -210,8 +207,7 @@ def trace_norm_sq(fld, domain: Domain, theta: Direction,
 def directional_trace(fld, domain: Domain, theta: Direction, z,
                       order: int = 16) -> float:
     """Trace of the field at one boundary point, along one direction."""
-    return float(_finite_traces(*_chord_traces(fld, theta, *_exit_chord(domain, theta, z),
-                                               order))[0][0])
+    return float(_chord_traces(fld, theta, *_exit_chord(domain, theta, z), order)[0][0])
 
 
 def _check_depth(eps: float) -> None:
@@ -224,8 +220,9 @@ def _depth_means(fld, theta: Direction, t, beta, lengths, eps: float,
     """Gauss mean of the field over the last eps (at most the whole chord)
     of each chord of the given lengths ending at beta on its line at t."""
     depth = np.minimum(eps, lengths)
-    return chord_means(theta, t, beta - depth, depth, order,
-                       lambda pts, s, rows: [fld.eval_many(pts.reshape(-1, pts.shape[-1]))])[0]
+    return chord_means(
+        [(theta, t.size)], t, beta - depth, depth, order,
+        lambda pts, s, rows, runs: [fld.eval_many(pts.reshape(-1, pts.shape[-1]))])[0]
 
 
 def lebesgue_average(fld, domain: Domain, theta: Direction, z, eps: float,
@@ -257,24 +254,28 @@ def lebesgue_comparison(fld, domain: Domain, theta: Direction, eps: float,
 def lebesgue_comparisons(fld, domain: Domain, theta: Direction, eps_values,
                          spec: QuadratureSpec | None = None) -> list[LebesgueCheck]:
     """`lebesgue_comparison` at each depth of eps_values, with the exit
-    traces and the derivative norm, which no depth changes, computed once."""
+    traces and the derivative norm, which no depth changes, computed once,
+    from one set of Gauss nodes on the grid."""
     eps_values = list(eps_values)
     for eps in eps_values:
         _check_depth(eps)
     spec = spec or QuadratureSpec()
     grid = chord_grid(domain, theta, spec.n_offsets)
-    gplus, _ = chord_trace_values(fld, grid, spec.gauss_order)
-    t, weights = grid.t, grid.weights
-    gaps = []
+    t, alpha, lengths, weights = grid.t, grid.alpha, grid.lengths, grid.weights
+
+    def node_arrays(pts, s, rows, runs):
+        _, du = yield from _trace_terms(fld, runs, pts, s, alpha[rows], None)
+        yield np.multiply(du, du)
+
+    gplus, dsq = _finite_means(1, [(theta, t.size)], t, alpha, lengths, spec.gauss_order,
+                               node_arrays)
+    # the volume rule of (du/dtheta)^2, as volume_integral computes it
+    sums = [grid.sums(_rule_terms(dsq, lengths, grid.chord_dt))]
     for eps in eps_values:
-        means = _depth_means(fld, theta, t, grid.beta, grid.lengths, eps, spec.gauss_order)
-        gaps.append(grid.sums(weights * (gplus - means) ** 2))
-    values, errors, _ = offset_estimate(gaps)
-
-    def dsq(pts):
-        return fld.dderiv_many(pts, theta) ** 2
-
-    dnorm = volume_integral(domain, dsq, spec, theta).value
+        means = _depth_means(fld, theta, t, grid.beta, lengths, eps, spec.gauss_order)
+        sums.append(grid.sums(weights * (gplus - means) ** 2))
+    (dnorm, *values), (_, *errors), (coarse, *_) = offset_estimate(sums)
+    _check_settled(dnorm, coarse)
     return [LebesgueCheck(eps, value, eps * domain.diameter * dnorm, error)
             for eps, value, error in zip(eps_values, values, errors)]
 
@@ -416,11 +417,9 @@ def _spreads(fld, directions, points: np.ndarray, order: int, chords):
         nodes += idx.size * order
     for batch in batches:
         t, a, b = (np.concatenate([chords[j][k][idx] for j, idx in batch]) for k in range(3))
-        with np.errstate(all="ignore"):
-            gplus = chord_means(
-                [(directions[j], idx.size) for j, idx in batch], t, a, b - a, order,
-                lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, a[rows], None))[0]
-        _finite_traces(gplus)
+        gplus = _finite_means(
+            1, [(directions[j], idx.size) for j, idx in batch], t, a, b - a, order,
+            lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, a[rows], None))[0]
         start = 0
         for j, idx in batch:
             values[idx, j] = gplus[start:start + idx.size]
@@ -443,7 +442,7 @@ def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
     t, _, b, found = exit_chords(domain, theta, np.repeat(points, 2, axis=0),
                                  np.inf, offsets=ts)
     out = np.full((ts.size, points.shape[1]), np.nan)
-    out[found] = points_along(_feet(t[found], offset_normal(theta)), b[found], theta.vector)
+    out[found] = points_along(_feet(t[found], theta.perp_vector), b[found], theta.vector)
     return out
 
 
@@ -500,7 +499,7 @@ def _lookups(domain: Domain, directions, n_offsets: int, probes_per_direction: i
             line = grid.offset_index[::stride]
             t = grid.offsets[line]
             parts.append((np.full(t.size, j),
-                          points_along(_feet(t, offset_normal(theta)), grid.beta[::stride],
+                          points_along(_feet(t, theta.perp_vector), grid.beta[::stride],
                                        theta.vector),
                           grid.lengths[::stride] * grid.offset_widths[line], t))
     if not parts:

@@ -3,8 +3,8 @@ oracle for the blocked, coordinate-major nodes of `quadrature.chord_means`.
 
 `geometry.points_along` fills one contiguous block per coordinate and
 returns a transposed view, and `quadrature.chord_means` builds its node
-parameters in place, _BLOCK chords at a time, in its run form the nodes
-of each run of a block along that run's direction.  The functions below
+parameters in place, _BLOCK chords at a time, the nodes of each run of a
+block along that run's direction.  The functions below
 build every node of every chord in one fresh row-major array, a run at a
 time.  Both reduce with the package's one reduction,
 `quadrature.chord_reduce`, whose sum over a chord depends only on that
@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from dirtrace import _gauss
-from dirtrace.geometry import Direction, _feet, offset_normal
+from dirtrace.geometry import _feet
 from dirtrace.quadrature import chord_reduce
 
 
@@ -34,36 +34,28 @@ def points_along(base, s, vec):
     return out
 
 
-def _runs(theta, n):
-    """theta's runs as (Direction, rows) over its n chords: one run of
-    a Direction theta, the runs (Direction, count) of theta's run form."""
-    runs = [(theta, n)] if isinstance(theta, Direction) else theta
+def _rows(runs):
+    """The runs (Direction, count) as (Direction, rows), end to end."""
     ends = list(accumulate(count for _, count in runs))
     return [(direction, slice(end - count, end))
             for (direction, count), end in zip(runs, ends)]
 
 
-def chord_nodes(theta, t, alpha, length, order):
+def chord_nodes(runs, t, alpha, length, order):
     """Points (n, q, d), arc offsets s (n, q) and weights w of all chords,
-    along one Direction theta or along each run (Direction, count) of
-    theta's run form."""
+    each run (Direction, count) along its own direction."""
     x, w = _gauss.nodes(order)
     s = alpha[:, None] + (x + 1.0) * 0.5 * length[:, None]
     pts = np.concatenate([
-        points_along(_feet(t[rows], offset_normal(direction)), s[rows], direction.vector)
-        for direction, rows in _runs(theta, length.size)])
+        points_along(_feet(t[rows], direction.perp_vector), s[rows], direction.vector)
+        for direction, rows in _rows(runs)])
     return pts, s, w
 
 
-def chord_means(theta, t, alpha, length, order, node_arrays):
-    pts, s, w = chord_nodes(theta, t, alpha, length, order)
-    if isinstance(theta, Direction):
-        arrays = node_arrays(pts, s, slice(None))
-    else:
-        runs = [(direction, rows) for direction, rows in _runs(theta, length.size)
-                if rows.stop > rows.start]
-        arrays = node_arrays(pts, s, slice(None), runs)
-    return [chord_reduce(v, 0.5 * w) for v in arrays]
+def chord_means(runs, t, alpha, length, order, node_arrays):
+    pts, s, w = chord_nodes(runs, t, alpha, length, order)
+    pieces = [(direction, rows) for direction, rows in _rows(runs) if rows.stop > rows.start]
+    return [chord_reduce(v, 0.5 * w) for v in node_arrays(pts, s, slice(None), pieces)]
 
 
 def replacements():

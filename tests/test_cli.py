@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 import shlex
+import warnings
 from argparse import Namespace
 from pathlib import Path
 
@@ -303,6 +304,20 @@ def test_consistency_rejects_traces_that_are_not_finite(tmp_path, capsys):
     argv = ["consistency", "--domain", "bicone", "--field", "cusp_pow", "--directions", "8"]
     assert run(argv, tmp_path) == 3
     assert "not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["trace", "--field", "cusp_pow"],
+                                  ["ibp", "--u", "cusp_pow", "--v", "x1"],
+                                  ["lebesgue", "--field", "cusp_pow"]], ids=lambda a: a[0])
+def test_trace_commands_reject_fields_that_are_not_finite(argv, tmp_path, capsys):
+    # cusp_pow is infinite on the bicone's lower half: a computation error
+    # (3) with no report and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--domain", "bicone"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Warning" not in err
     assert not list(tmp_path.iterdir())
 
 

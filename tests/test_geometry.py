@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dirtrace import _cantor, fractal, geometry, quadrature
+from dirtrace import _cantor, fractal, geometry, measure, quadrature
 from dirtrace.errors import (
     NotDirectionalBoundary,
     PointOutsideDomain,
@@ -997,3 +997,51 @@ def test_crossing_path_keeps_every_clipped_chord_far_from_the_origin(dom, angles
         ts = _grazing_offsets(dom, theta, 1e-13 * dom._scale)
         np.testing.assert_array_equal(dom._crossing_slices(theta, ts)[0],
                                       dom.line_slices(theta, ts)[0])
+
+
+# --- the 1-D line -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_offsets", [2, 64, 4096])
+def test_interval_union_chords_are_its_intervals(n_offsets):
+    # along +1 the intervals as given, along -1 negated and reversed, never
+    # trimmed or flagged (not even below EPS_EXACT), on one line at offset
+    # 0 of width 1 at any offset count
+    dom = IntervalUnion([(0.0, 1e-14), (0.5, 1.0)])
+    assert 1e-14 < geometry.EPS_EXACT
+    want = {1.0: [(0.0, 1e-14), (0.5, 1.0)], -1.0: [(-1.0, -0.5), (-1e-14, -0.0)]}
+    for sign, intervals in want.items():
+        theta = Direction([sign])
+        assert theta.perp_vector.tolist() == [0.0] and not np.signbit(theta.perp_vector[0])
+        grid = quadrature.chord_grid(dom, theta, n_offsets)
+        assert grid.offsets.tolist() == [0.0] and grid.offset_widths.tolist() == [1.0]
+        assert grid.dt == 1.0 and grid.segment_counts.tolist() == [1]
+        assert grid.flagged_offsets == 0 and grid.offset_index.tolist() == [0, 0]
+        assert list(zip(grid.alpha.tolist(), grid.beta.tolist())) == intervals
+        lines, flags = slice_lines(dom, theta, [0.0, 0.25])
+        assert [row.tolist() for row in lines] == [[list(c) for c in intervals]] * 2
+        assert not flags.any()
+        assert [(c.alpha, c.beta) for c in chords(dom, theta, [0.7])] == intervals
+    assert exit_distance(dom, [0.7], Direction([-1.0])) == pytest.approx(0.2, abs=1e-15)
+    assert exit_distance(dom, [0.7], Direction([1.0])) == pytest.approx(0.3, abs=1e-15)
+
+
+@pytest.mark.parametrize("name, theta", [("crack_interval", E1), ("square", Direction([-1.0]))],
+                         ids=["planar_direction_on_interval", "line_direction_on_square"])
+def test_directions_of_another_dimension_are_rejected(name, theta):
+    dom = fractal.named_domain(name)
+    point = np.full(dom.dim, 0.5)
+    assert dom.contains(point)
+    calls = {
+        "chord_grid": lambda: quadrature.chord_grid(dom, theta, 16),
+        "measure_atoms": lambda: measure.measure_atoms(dom, theta,
+                                                       quadrature.QuadratureSpec(n_offsets=16)),
+        "hyperplane_range": lambda: geometry.hyperplane_range(dom, theta),
+        "slice_lines": lambda: slice_lines(dom, theta, [0.0]),
+        "exit_chords": lambda: geometry.exit_chords(dom, theta, point[None], 1.0),
+        "chords": lambda: chords(dom, theta, point),
+        "exit_distance": lambda: exit_distance(dom, point, theta),
+    }
+    for call in calls.values():
+        with pytest.raises(ValidationError, match="direction on a"):
+            call()

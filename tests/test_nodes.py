@@ -35,9 +35,18 @@ def _same(a, b):
 def _blocks(theta, grid, order):
     """(rows, points, s) of every block `chord_means` builds on the grid."""
     out = []
-    chord_means(theta, grid.t, grid.alpha, grid.lengths, order,
-               lambda pts, s, rows: out.append((rows, pts, s)) or ())
+    chord_means([(theta, grid.n_chords)], grid.t, grid.alpha, grid.lengths, order,
+                lambda pts, s, rows, runs: out.append((rows, pts, s)) or ())
     return out
+
+
+def _dderiv_terms(fld, theta, pts, s, alpha, beta):
+    """The exit and entry terms of `trace._trace_terms`, with du from
+    `ScalarField.dderiv_many` along theta on the whole block."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    u = fld.eval_many(flat).reshape(s.shape)
+    du = fld.dderiv_many(flat, theta).reshape(s.shape)
+    return [(s - alpha[:, None]) * du + u, u - (beta[:, None] - s) * du]
 
 
 @pytest.mark.parametrize("order", [4, 8, 16])
@@ -51,19 +60,25 @@ def test_node_pipeline_matches_the_row_major_oracle(name, theta, order, monkeypa
     monkeypatch.setattr(quadrature, "_BLOCK", block)
     blocks = _blocks(theta, grid, order)
     assert [rows.start for rows, _, _ in blocks] == list(range(0, grid.n_chords, block))
-    want_pts, want_s, _ = node_oracle.chord_nodes(theta, grid.t, grid.alpha,
-                                                  grid.lengths, order)
+    runs = [(theta, grid.n_chords)]
+    want_pts, want_s, _ = node_oracle.chord_nodes(runs, grid.t, grid.alpha, grid.lengths,
+                                                  order)
     _same(np.concatenate([pts for _, pts, _ in blocks]), want_pts)
     _same(np.concatenate([s for _, _, s in blocks]), want_s)
 
     fld = get_field("sincos")
     alpha, beta = grid.alpha, grid.beta
 
-    def node_arrays(pts, s, rows):
-        return trace._trace_terms(fld, theta, pts, s, alpha[rows], beta[rows])
+    def node_arrays(pts, s, rows, runs):
+        return trace._trace_terms(fld, runs, pts, s, alpha[rows], beta[rows])
 
-    args = (theta, grid.t, alpha, grid.lengths, order, node_arrays)
-    for got, want in zip(chord_means(*args), node_oracle.chord_means(*args), strict=True):
+    def reference(pts, s, rows, runs):
+        assert runs == [(theta, slice(0, grid.n_chords))]
+        return _dderiv_terms(fld, theta, pts, s, alpha, beta)
+
+    args = (runs, grid.t, alpha, grid.lengths, order)
+    oracle = node_oracle.chord_means(*args, reference)
+    for got, want in zip(chord_means(*args, node_arrays), oracle, strict=True):
         _same(got, want)
 
 
@@ -124,7 +139,8 @@ def _run_chords(dom):
 @pytest.mark.parametrize("name", PLANAR)
 def test_run_form_matches_one_call_per_direction(name, order, monkeypatch):
     # chord_means over runs of chords, each along its own direction, builds
-    # every node and every mean float for float as one call per run does
+    # every node and every mean float for float as one call per run does,
+    # and takes du as dderiv_many does
     runs, t, alpha, beta = _run_chords(fractal.named_domain(name))
     counts = [count for _, count in runs]
     assert counts[1] == 1 and counts[2] == 0
@@ -154,12 +170,12 @@ def test_run_form_matches_one_call_per_direction(name, order, monkeypatch):
         mine = slice(end - count, end)
         one = []
 
-        def single(pts, s, rows, theta=theta, mine=mine, one=one):
+        def single(pts, s, rows, runs, theta=theta, mine=mine, one=one):
             one.append((pts, s))
-            return trace._trace_terms(fld, theta, pts, s, alpha[mine][rows], beta[mine][rows])
+            return _dderiv_terms(fld, theta, pts, s, alpha[mine][rows], beta[mine][rows])
 
-        want_means.append(chord_means(theta, t[mine], alpha[mine], beta[mine] - alpha[mine],
-                                      order, single))
+        want_means.append(chord_means([(theta, count)], t[mine], alpha[mine],
+                                      beta[mine] - alpha[mine], order, single))
         want_pts += [pts for pts, _ in one]
         want_s += [s for _, s in one]
     _same(np.concatenate([pts for _, pts, _, _ in got]), np.concatenate(want_pts))

@@ -374,20 +374,22 @@ def test_divergence_outside_the_first_level_is_caught_by_the_second():
     assert abs(c3 - c9) > 0.4 * abs(c3)
 
 
-def _counted(fld, points):
-    def wrapper(fn):
+def _counted(fld, points, grads):
+    def wrapper(fn, calls):
         def inner(pts):
-            points.append(len(pts))
+            calls.append(len(pts))
             return fn(pts)
         return inner
-    return dataclasses.replace(fld, _eval=wrapper(fld._eval), _grad=wrapper(fld._grad))
+    return dataclasses.replace(fld, _eval=wrapper(fld._eval, points),
+                               _grad=wrapper(fld._grad, grads))
 
 
 def test_every_estimate_reads_one_grid_and_one_node_set(monkeypatch):
     # each of the nine estimating callers builds its grids at spec's offset
     # count only (reflection_check one per sense, the consistency report one
     # per direction) and, where its value is one rule, evaluates u (and its
-    # gradient) once per Gauss node of that grid
+    # gradient) once per Gauss node of that grid; the Lebesgue comparison
+    # also reads u at its depth nodes, but its gradient once, on the grid
     built = []
 
     class CountedGrid(quadrature.ChordGrid):
@@ -400,12 +402,13 @@ def test_every_estimate_reads_one_grid_and_one_node_set(monkeypatch):
     directions = [theta, Direction.from_angle(2.1), Direction.from_angle(3.9)]
     u, v = get_field("x1x2"), get_field("sincos")
     nodes = 1  # one u (or gradient) point per Gauss node of the grid
+    gradient = 2  # one gradient call, on the Gauss nodes of the grid
     calls = [
         (lambda f: volume_integral(dom, f, spec, theta), 1, nodes),
         (lambda f: boundary_integral(dom, theta, f, spec), 1, None),
         (lambda f: trace.trace_norm_sq(f, dom, theta, spec), 1, nodes),
         (lambda f: trace.trace_inequalities(f, dom, theta, spec), 1, nodes),
-        (lambda f: trace.lebesgue_comparison(f, dom, theta, 0.01, spec), 1, None),
+        (lambda f: trace.lebesgue_comparison(f, dom, theta, 0.01, spec), 1, gradient),
         (lambda f: calculus.integration_by_parts(f, v, dom, theta, spec), 1, nodes),
         (lambda f: calculus.paired_identity(f, v, dom, theta, spec), 1, nodes),
         (lambda f: measure.reflection_check(dom, theta, lambda p: p[:, 1] > 0.0, spec), 2,
@@ -416,12 +419,14 @@ def test_every_estimate_reads_one_grid_and_one_node_set(monkeypatch):
     for call, grids, per_node in calls:
         quadrature.clear_cache()
         built.clear()
-        points = []
-        call(_counted(u, points))
+        points, grads = [], []
+        call(_counted(u, points, grads))
         assert built == [spec.n_offsets] * grids
-        if per_node:
-            n_chords = chord_grid(dom, theta, spec.n_offsets).n_chords
-            assert set(points) == {n_chords * spec.gauss_order}
+        n_nodes = chord_grid(dom, theta, spec.n_offsets).n_chords * spec.gauss_order
+        if per_node == nodes:
+            assert set(points + grads) == {n_nodes}
+        elif per_node == gradient:
+            assert grads == [n_nodes]
     quadrature.clear_cache()
 
 

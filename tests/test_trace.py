@@ -2,13 +2,14 @@
 
 import dataclasses
 import gc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dirtrace import cli, fields, fractal, geometry, measure, quadrature, trace
+from dirtrace import calculus, cli, fields, fractal, geometry, measure, quadrature, trace
 from dirtrace.errors import (DivergentChordIntegral, NotDirectionalBoundary, UnresolvedSingularity,
                             ValidationError)
 from dirtrace.fields import get_field
@@ -616,6 +617,35 @@ def test_consistency_reports_reject_traces_that_are_not_finite(cap, monkeypatch)
         trace.consistency_report(fld, dom, direction_table(8, start_angle=0.1),
                                  QuadratureSpec(n_offsets=256, gauss_order=8),
                                  probes_per_direction=40)
+
+
+def _not_finite_calls():
+    # cusp_pow is infinite on the bicone's lower half, where the chord of
+    # the lowest exit point lies
+    dom, spec = fractal.named_domain("bicone"), QuadratureSpec(n_offsets=256)
+    fld, v = get_field("cusp_pow"), get_field("x1")
+    grid = quadrature.chord_grid(dom, E1, spec.n_offsets)
+    z = grid.endpoint_plus[np.argmin(grid.endpoint_plus[:, 1])]
+    return {
+        "chord_trace_values": lambda: trace.chord_trace_values(fld, grid, spec.gauss_order),
+        "directional_trace": lambda: trace.directional_trace(fld, dom, E1, z),
+        "trace_field": lambda: trace.trace_field(fld, dom, E1, spec),
+        "trace_inequalities": lambda: trace.trace_inequalities(fld, dom, E1, spec),
+        "lebesgue_comparisons": lambda: trace.lebesgue_comparisons(fld, dom, E1, [0.01, 0.1],
+                                                                   spec),
+        "integration_by_parts_u": lambda: calculus.integration_by_parts(fld, v, dom, E1, spec),
+        "integration_by_parts_v": lambda: calculus.integration_by_parts(v, fld, dom, E1, spec),
+        "paired_identity": lambda: calculus.paired_identity(fld, v, dom, E1, spec),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_not_finite_calls()))
+def test_traces_of_fields_that_are_not_finite_fail_quietly(entry):
+    # DivergentChordIntegral, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentChordIntegral, match="not finite"):
+            _not_finite_calls()[entry]()
 
 
 def _counted(fld, counts):
