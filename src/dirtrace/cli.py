@@ -19,7 +19,9 @@ the others reject it with exit 2.  A NaN, infinite or negative
 `main` builds the parser of the one sub-command named first on the command
 line, and falls back to the full parser for anything else (help, --version,
 no arguments, an unknown command), so every message and exit code is the
-full parser's.
+full parser's.  Each parser is built once per process, at its first use,
+and reused: it depends only on the command, argparse makes a new namespace
+per parse and reads the terminal width only when it prints.
 
 A one-shot command imports only what it runs: the package's exports load
 on first use, this module imports at its top only what parsing needs
@@ -52,7 +54,10 @@ from .errors import (
 _CONFIG_ERRORS = (ValidationError, UnknownName, InvalidRatio, OverlappingGaps)
 
 # CSV rows formatted per write; larger chunks are faster (more repeated
-# values share one repr) and raise peak memory.
+# values share one repr) and raise peak memory.  Each chunk also keeps the
+# sorted distinct bit patterns of the chunk before it with their texts, so a
+# value repeated from one chunk to the next is formatted once, and at most
+# two chunks' texts are held at a time.
 _CSV_CHUNK_ROWS = 256
 
 
@@ -97,18 +102,26 @@ def _write_json(args, config: dict, results: dict) -> None:
 
 def _write_csv(args, config: dict, header: list[str], rows) -> None:
     # a few rows at a time: a table of atoms can run to many megabytes as text.
-    # repr runs once per distinct bit pattern of a chunk (bits keep 0.0 and
-    # -0.0 apart); tables repeat many values, so larger chunks repeat more.
+    # repr runs once per distinct bit pattern of a chunk that the chunk before
+    # did not hold (bits keep 0.0, -0.0 and NaN payloads apart); tables repeat
+    # many values, so larger chunks repeat more.
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     path = _report_path(args, config, "csv")
+    keys, texts = np.empty(0, np.uint64), np.empty(0, object)
     with path.open("w") as fh:
         fh.write(f"# dirtrace {__version__} config {_config_hash(config)}\n")
         fh.write(",".join(header) + "\n")
         for start in range(0, table.shape[0], _CSV_CHUNK_ROWS):
             values = table[start:start + _CSV_CHUNK_ROWS].ravel()
-            _, first, inverse = np.unique(values.view(np.uint64), return_index=True,
-                                          return_inverse=True)
-            text = np.array([repr(v) for v in values[first].tolist()], dtype=object)
+            bits, first, inverse = np.unique(values.view(np.uint64), return_index=True,
+                                             return_inverse=True)
+            at = np.searchsorted(keys, bits)
+            held = at < keys.size
+            held[held] = keys[at[held]] == bits[held]
+            text = np.empty(bits.size, dtype=object)
+            text[held] = texts[at[held]]
+            text[~held] = [repr(v) for v in values[first[~held]].tolist()]
+            keys, texts = bits, text
             cells = text[inverse.reshape(-1, len(header))].tolist()
             fh.write("".join(",".join(row) + "\n" for row in cells))
     print(path)
@@ -497,11 +510,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# command (None for the full parser) -> its parser, built at first use
+_PARSERS: dict = {}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a known command needs only its own sub-parser; anything else (help,
     # --version, none, an unknown or abbreviated command) gets the full one
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command not in _PARSERS:
+        _PARSERS[command] = build_parser(command)
+    parser = _PARSERS[command]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

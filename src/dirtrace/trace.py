@@ -218,10 +218,11 @@ def _check_depth(eps: float) -> None:
 def _depth_means(fld, theta: Direction, t, beta, lengths, eps: float,
                  order: int) -> np.ndarray:
     """Gauss mean of the field over the last eps (at most the whole chord)
-    of each chord of the given lengths ending at beta on its line at t."""
+    of each chord of the given lengths ending at beta on its line at t
+    (DivergentChordIntegral where it is not finite, see `_finite_means`)."""
     depth = np.minimum(eps, lengths)
-    return chord_means(
-        [(theta, t.size)], t, beta - depth, depth, order,
+    return _finite_means(
+        1, [(theta, t.size)], t, beta - depth, depth, order,
         lambda pts, s, rows, runs: [fld.eval_many(pts.reshape(-1, pts.shape[-1]))])[0]
 
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import warnings
 from argparse import Namespace
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +152,12 @@ def test_a_command_builds_only_its_own_sub_parser(tmp_path, monkeypatch, capsys)
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    # parsers are built once per process: start from none built
+    monkeypatch.setattr(cli, "_PARSERS", {})
     assert run(["staircase", "--level", "2", "--pmax", "2"], tmp_path) == 0
+    assert built == ["staircase"]
+    # the second run reuses the staircase parser
+    assert run(["staircase", "--level", "3", "--pmax", "2"], tmp_path) == 0
     assert built == ["staircase"]
     assert main(["--version"]) == 0
     assert built[1:] == list(_COMMANDS)
@@ -460,7 +466,7 @@ def _old_csv(config, header, rows):
 
 
 @pytest.mark.parametrize("case", ["specials", "signed_zeros", "nan_payloads", "repeats",
-                                  "empty", "long", "tuples"])
+                                  "boundaries", "empty", "long", "tuples"])
 def test_csv_writer_matches_per_element_repr(tmp_path, case, capsys):
     header = ["a", "b", "c"]
     if case == "specials":
@@ -481,6 +487,16 @@ def test_csv_writer_matches_per_element_repr(tmp_path, case, capsys):
         rng = np.random.default_rng(5)
         values = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, -2.5, np.nan, 1e-300])
         rows = rng.choice(values, size=(2 * _CSV_CHUNK_ROWS + 11, 3))
+    elif case == "boundaries":
+        # column a holds 0.0 through one chunk and -0.0 through the next, and
+        # b's NaN payload changes at each boundary, so a value carried over
+        # from the chunk before must match its bits, not its float value
+        rows = np.zeros((3 * _CSV_CHUNK_ROWS, 3))
+        rows[_CSV_CHUNK_ROWS:2 * _CSV_CHUNK_ROWS, 0] = -0.0
+        payloads = np.array([0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001],
+                            dtype=np.uint64).view(np.float64)
+        rows[:, 1] = np.repeat(payloads, _CSV_CHUNK_ROWS)
+        rows[:, 2] = np.arange(rows.shape[0]) % 7 - 3.5
     elif case == "empty":
         rows = np.zeros((0, 3))
     elif case == "long":
@@ -495,3 +511,31 @@ def test_csv_writer_matches_per_element_repr(tmp_path, case, capsys):
     capsys.readouterr()
     (path,) = tmp_path.glob("measure_*.csv")
     assert path.read_text() == _old_csv(config, header, rows)
+
+
+def test_csv_writer_formats_a_value_once_per_run_of_chunks_that_hold_it(tmp_path, monkeypatch,
+                                                                         capsys):
+    # chunks a a b a a: a value held by a run of consecutive chunks is
+    # formatted once for that run, so a value of a only runs twice, and the
+    # -0.0 and 1.0 that b shares with a run through all five chunks
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, _CSV_CHUNK_ROWS, 3))
+    a[0], b[0] = [0.0, -0.0, 1.0], [-0.0, 1.0, 5.0]
+    rows = np.concatenate([a, a, b, a, a])
+    formatted = []
+
+    def counting_repr(x):
+        formatted.append(x.hex())
+        return repr(x)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    config = {"command": "measure", "case": "runs"}
+    _write_csv(Namespace(out=str(tmp_path), command="measure"), config, ["a", "b", "c"], rows)
+    monkeypatch.undo()
+    capsys.readouterr()
+    expected = Counter({x.hex(): 2 for x in a.ravel().tolist()})
+    expected.update(x.hex() for x in b.ravel().tolist())
+    expected.update({(-0.0).hex(): -2, (1.0).hex(): -2})
+    assert Counter(formatted) == expected
+    (path,) = tmp_path.glob("measure_*.csv")
+    assert path.read_text() == _old_csv(config, ["a", "b", "c"], rows)

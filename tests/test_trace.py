@@ -633,6 +633,8 @@ def _not_finite_calls():
         "trace_inequalities": lambda: trace.trace_inequalities(fld, dom, E1, spec),
         "lebesgue_comparisons": lambda: trace.lebesgue_comparisons(fld, dom, E1, [0.01, 0.1],
                                                                    spec),
+        # returned inf: only the depth nodes were evaluated, with no check
+        "lebesgue_average": lambda: trace.lebesgue_average(fld, dom, E1, z, 0.1),
         "integration_by_parts_u": lambda: calculus.integration_by_parts(fld, v, dom, E1, spec),
         "integration_by_parts_v": lambda: calculus.integration_by_parts(v, fld, dom, E1, spec),
         "paired_identity": lambda: calculus.paired_identity(fld, v, dom, E1, spec),
@@ -646,6 +648,22 @@ def test_traces_of_fields_that_are_not_finite_fail_quietly(entry):
         warnings.simplefilter("error")
         with pytest.raises(DivergentChordIntegral, match="not finite"):
             _not_finite_calls()[entry]()
+
+
+def test_lebesgue_depth_pass_rejects_a_field_not_finite_at_its_nodes():
+    # x1, but infinite in the last 0.001 of the square, which no Gauss node
+    # of a whole chord reaches (order 8: the last lies 0.0199 from the end):
+    # the exit traces are finite, and only the depth-0.001 means are not
+    x1 = get_field("x1")
+    fld = dataclasses.replace(x1, _eval=lambda pts: np.where(pts[:, 0] > 0.999, np.inf,
+                                                             x1.eval_many(pts)))
+    spec = QuadratureSpec(n_offsets=64, gauss_order=8)
+    assert np.isfinite(trace.lebesgue_comparisons(fld, unit_square(), E1, [0.1], spec)[0]
+                       .deviation_sq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentChordIntegral, match="not finite"):
+            trace.lebesgue_comparisons(fld, unit_square(), E1, [0.1, 0.001], spec)
 
 
 def _counted(fld, counts):
