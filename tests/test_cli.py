@@ -531,7 +531,6 @@ def test_csv_writer_formats_a_value_once_per_run_of_chunks_that_hold_it(tmp_path
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
     config = {"command": "measure", "case": "runs"}
     _write_csv(Namespace(out=str(tmp_path), command="measure"), config, ["a", "b", "c"], rows)
-    monkeypatch.undo()
     capsys.readouterr()
     expected = Counter({x.hex(): 2 for x in a.ravel().tolist()})
     expected.update(x.hex() for x in b.ravel().tolist())
