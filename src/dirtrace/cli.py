@@ -21,7 +21,10 @@ line, and falls back to the full parser for anything else (help, --version,
 no arguments, an unknown command), so every message and exit code is the
 full parser's.  Each parser is built once per process, at its first use,
 and reused: it depends only on the command, argparse makes a new namespace
-per parse and reads the terminal width only when it prints.
+per parse and reads the terminal width only when it prints.  Domains are
+reused the same way: `fractal.named_domain` shares one read-only instance
+per catalogue entry and parameters, so commands run in one process build
+each --domain (with its --ratio, --level and --scheme) once.
 
 A one-shot command imports only what it runs: the package's exports load
 on first use, this module imports at its top only what parsing needs

@@ -19,7 +19,7 @@ staircases differ by at most 2**-(p+1) in the sup norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -218,23 +218,43 @@ _CATALOGUE = {
     "crack_square": (partial(geometry.SlitRectangle, 0.0, 1.0, -1.0, 1.0, 0.5, 0.0, 1.0), False),
 }
 DOMAIN_NAMES = tuple(_CATALOGUE)
-_BY_KEY = {name.lower(): entry for name, entry in _CATALOGUE.items()}
-_BY_KEY["cone_union_cantor"] = _CATALOGUE["omega_C"]
+_BY_KEY = {name.lower(): name for name in _CATALOGUE}
+_BY_KEY["cone_union_cantor"] = "omega_C"
+# Distinct (entry, parameters) pairs kept built; a closed_form_sweep pass
+# of the benchmark uses 5.
+_INTERNED = 16
+
+
+@lru_cache(maxsize=_INTERNED)
+def _interned(name: str, params: tuple) -> geometry.Domain:
+    return _CATALOGUE[name][0](**{key: value for key, _, value in params})
 
 
 def named_domain(name: str, **params) -> geometry.Domain:
-    """Construct one of the catalogued example domains by name.
+    """One of the catalogued example domains, by name.
 
     Cantor-based kinds accept ratio, level and scheme overrides; the
-    remaining kinds take no parameters.
+    remaining kinds take no parameters.  A catalogue domain is shared and
+    read-only: equal names (in any case, aliases included) and equal
+    parameters of equal types return the same instance, built once and
+    kept in a bounded least-recently-used table, and every array it holds
+    is read-only.  Constructing the class directly gives a private instance.
+    Parameters that fail validation raise on every call; nothing failed is
+    kept.
     """
-    entry = _BY_KEY.get(str(name).strip().lower())
-    if entry is None:
+    key = _BY_KEY.get(str(name).strip().lower())
+    if key is None:
         raise UnknownName(
             f"unknown domain {name!r}; known names: {', '.join(DOMAIN_NAMES)}"
         )
-    make, cantor = entry
+    make, cantor = _CATALOGUE[key]
     unknown = set(params) - ({"ratio", "level", "scheme"} if cantor else set())
     if unknown:
         raise ValidationError(f"unexpected parameters: {sorted(unknown)}")
-    return make(**params)
+    # typed: level=8.0 equals level=8 but must still be rejected
+    typed = tuple(sorted((k, type(v), v) for k, v in params.items()))
+    try:
+        hash(typed)
+    except TypeError:  # an unhashable value: built as before, never kept
+        return make(**params)
+    return _interned(key, typed)

@@ -76,6 +76,13 @@ def _cross(a, b) -> float:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """`arr`, set read-only: `fractal.named_domain` shares each catalogue
+    domain, and so its arrays, with every caller."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _no_chords():
     return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
 
@@ -449,6 +456,8 @@ class Polygon(Domain):
         self._bands = (1e-12 * max(self._scale, 1.0) * np.maximum(reach, 1.0)
                        + self._rounding * reach)
         self._margins = 4.0 * (self._bands + self._rounding * reach)
+        for arr in (lo, hi, self._edge_to, self._bands, self._margins):
+            _read_only(arr)
 
     @property
     def bbox(self):
@@ -731,7 +740,7 @@ class _CantorKind(Domain):
         self.ratio = float(ratio)
         self.level = int(level)
         self.scheme = str(scheme)
-        self._gaps_sorted = _cantor.sorted_gaps(self.ratio, self.level, self.scheme)
+        self._gaps_sorted = _read_only(_cantor.sorted_gaps(self.ratio, self.level, self.scheme))
 
     def params(self) -> dict:
         return {"ratio": self.ratio, "level": self.level, "scheme": self.scheme}
@@ -925,7 +934,9 @@ class CantorComb(_CantorKind):
         the table, found by two searches and widened by one tooth on each
         side; a tooth the line misses is cut empty.  The tooth that holds
         the computed axis crossing, as membership finds it, is widened to
-        the crossing, so a line through a gap end still splits there.
+        the crossing, so a line through a gap end still splits there; a
+        line through the tooth's corner at the axis splits there too, into
+        two chords that abut at the crossing.
         """
         if theta.is_axis():
             return None
@@ -955,6 +966,10 @@ class CantorComb(_CantorKind):
         held = (k == crossing[rows]) & (inset[rows] <= 0.0)
         lo[held] = np.minimum(lo[held], s0[rows[held]])
         hi[held] = np.maximum(hi[held], s0[rows[held]])
+        # a line that leaves that tooth within the band membership counts
+        # as the axis runs through its corner: the tooth cuts the crossing
+        corner = held & ((hi - lo) * abs(vy) <= self._rounding)
+        lo[corner] = hi[corner] = s0[rows[corner]]
         return _band_minus(band_lo, band_hi, rows, lo, hi)
 
     def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
@@ -983,7 +998,7 @@ class DiskMinusCantor(_CantorKind):
 
     kind = "disk_minus_cantor"
 
-    CENTER = np.array([0.5, 0.0])
+    CENTER = _read_only(np.array([0.5, 0.0]))
     RADIUS = 2.0
 
     @property

@@ -179,3 +179,104 @@ def test_named_domain_parameter_handling():
         fractal.named_domain("pentagon")
     with pytest.raises(ValidationError):
         fractal.named_domain("square", ratio=0.25)
+
+
+# --- the shared catalogue domains --------------------------------------------
+
+
+def test_named_domain_shares_one_instance_per_entry_and_parameters():
+    for name in fractal.DOMAIN_NAMES:
+        assert fractal.named_domain(name) is fractal.named_domain(f" {name.upper()} ")
+    assert fractal.named_domain("cone_union_cantor") is fractal.named_domain("omega_C")
+    assert (fractal.named_domain("Cone_Union_Cantor", scheme="rho", ratio=0.25, level=5)
+            is fractal.named_domain("omega_c", level=5, ratio=0.25, scheme="rho"))
+    assert fractal.named_domain("cantor_comb", level=4) is fractal.named_domain(
+        "CANTOR_COMB", level=4)
+
+
+def test_named_domain_builds_other_parameters_apart():
+    comb = fractal.named_domain("cantor_comb", level=4)
+    others = [fractal.named_domain("cantor_comb", level=5),
+              fractal.named_domain("cantor_comb", level=4, ratio=0.2),
+              fractal.named_domain("cantor_comb", level=4, scheme="third", ratio=1.0 / 3.0),
+              fractal.named_domain("disk_minus_cantor", level=4),
+              fractal.named_domain("omega_C", level=4),
+              fractal.named_domain("bicone", level=4)]
+    assert len({id(dom) for dom in [comb, *others]}) == 1 + len(others)
+    assert [dom.params() for dom in others[:3]] == [
+        {"ratio": 0.25, "level": 5, "scheme": "rho"},
+        {"ratio": 0.2, "level": 4, "scheme": "rho"},
+        {"ratio": 1.0 / 3.0, "level": 4, "scheme": "third"}]
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through instance and class
+    attributes, tuples, lists and dicts."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif isinstance(obj, geometry.Domain):
+        yield from _arrays(vars(obj), seen)
+        for cls in type(obj).__mro__:
+            yield from _arrays([v for v in vars(cls).values() if isinstance(v, np.ndarray)],
+                               seen)
+
+
+@pytest.mark.parametrize("name", fractal.DOMAIN_NAMES)
+def test_every_array_of_a_catalogue_domain_is_read_only(name):
+    dom = fractal.named_domain(name)
+    theta = geometry.Direction.from_angle(0.7) if dom.dim == 2 else geometry.Direction([1.0])
+    ts = np.linspace(*geometry.hyperplane_range(dom, theta), 16)
+    geometry.chord_table(dom, theta, ts)  # lazily kept values are kept now
+    arrays = list(_arrays(dom, set()))
+    assert arrays or name == "cusp"
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+    # the bounding box is the caller's own
+    lo, hi = dom.bbox
+    lo += 1.0
+    np.testing.assert_array_equal(dom.bbox[0], lo - 1.0)
+
+
+def test_named_domain_rejects_what_it_rejected_and_keeps_no_failure():
+    fractal.named_domain("cantor_comb", level=8)  # 8.0 == 8, and is still refused
+    kept = fractal._interned.cache_info().currsize
+    for params, error in (({"level": [8]}, ValidationError), ({"level": 8.0}, ValidationError),
+                          ({"ratio": "x"}, ValueError), ({"ratio": 0.45}, InvalidRatio)):
+        for _ in range(2):
+            with pytest.raises(Exception) as info:
+                fractal.named_domain("cantor_comb", **params)
+            assert type(info.value) is error
+    for name in ("heptagon", "square_minus_cantor"):
+        with pytest.raises(UnknownName):
+            fractal.named_domain(name)
+    assert fractal._interned.cache_info().currsize == kept
+
+
+def test_named_domain_keeps_a_bounded_number_of_domains():
+    first = fractal.named_domain("cantor_comb", level=0)
+    for k in range(fractal._INTERNED):
+        fractal.named_domain("cantor_comb", level=0, ratio=0.2 + 0.001 * k)
+    assert fractal._interned.cache_info().currsize == fractal._INTERNED
+    assert fractal.named_domain("cantor_comb", level=0) is not first
+
+
+def test_direct_construction_builds_a_private_domain():
+    vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    square = fractal.named_domain("square")
+    own = geometry.Polygon(vertices)
+    assert own is not square and own is not geometry.Polygon(vertices)
+    assert own.cache_key() == square.cache_key()
+    comb = geometry.CantorComb(level=4)
+    assert comb is not fractal.named_domain("cantor_comb", level=4)
+    assert comb.cache_key() == fractal.named_domain("cantor_comb", level=4).cache_key()

@@ -634,9 +634,11 @@ def test_oblique_closed_forms_agree_with_the_scan(name, theta):
     lo, hi = geometry.hyperplane_range(dom, theta)
     ts = lo + (hi - lo) * (np.arange(64) + 0.5) / 64
     rows, alpha, beta, flags = geometry.chord_table(dom, theta, ts)
-    # a diagonal runs one of its 64 lines through tooth corners
-    diagonal = name == "cantor_comb" and abs(abs(tv[0]) - abs(tv[1])) <= 1e-15
-    assert rows.size and np.count_nonzero(flags) == (1 if diagonal else 0)
+    # at 3pi/4 one of the comb's 64 lines touches the top corner of a gap
+    # column, a true tangency; the line through a tooth corner at the axis
+    # (offset 27 at pi/4 and along [1, 1]) splits there and is not flagged
+    tangent = name == "cantor_comb" and tv[0] < 0.0 < tv[1] and abs(tv[0] + tv[1]) <= 1e-15
+    assert rows.size and np.count_nonzero(flags) == (1 if tangent else 0)
 
     def points(s):
         return ts[rows, None] * p[None, :] + s[:, None] * tv[None, :]
@@ -678,13 +680,31 @@ def _without_corner_slivers(theta, ts, table):
     return (rows[~sliver], lo[~sliver], hi[~sliver]), np.unique(rows[sliver])
 
 
+def _split_at_tooth_corners(dom, theta, ts, table):
+    """The chord table (rows, lo, hi) with each chord end that lies within
+    the membership band of the line's axis crossing, beside a chord that
+    ends at the crossing, moved onto the crossing; and the lines moved."""
+    rows, lo, hi = (col.copy() for col in table)
+    s0 = ((0.0 - ts * theta.perp_vector[1]) / theta.vector[1])[rows]
+    band = dom._rounding / abs(theta.vector[1])
+    same = rows[1:] == rows[:-1]
+    after = np.append(False, same & (hi[:-1] == s0[1:]) & (lo[1:] != s0[1:])
+                      & (np.abs(lo[1:] - s0[1:]) <= band))
+    before = np.append(same & (lo[1:] == s0[:-1]) & (hi[:-1] != s0[:-1])
+                       & (np.abs(hi[:-1] - s0[:-1]) <= band), False)
+    lo[after], hi[before] = s0[after], s0[before]
+    return (rows, lo, hi), np.unique(rows[after | before])
+
+
 def test_comb_cut_matches_the_earlier_column_join():
     # bit for bit on oblique grids of levels 0-8 (1,024 offsets up to level
     # 6, 256 throughout), except where the join kept a few-ulp sliver of a
     # gap column beside the tooth that holds the axis crossing (and so
     # flagged the line): the cut removes it with the tooth, as membership
-    # does
-    slivers = set()
+    # does; and where a line runs through a tooth's corner at the axis
+    # (the join left a few-ulp gap before the gap column and flagged the
+    # line): the cut splits it at the crossing into two abutting chords
+    slivers, corners = set(), set()
     for level in range(9):
         dom = fractal.named_domain("cantor_comb", level=level)
         for angle in (0.35, 0.25 * np.pi, 0.9, 0.75 * np.pi, 2.6, -0.4):
@@ -694,9 +714,17 @@ def test_comb_cut_matches_the_earlier_column_join():
                     dom, theta, *geometry.hyperplane_range(dom, theta), n)
                 want, lines = _without_corner_slivers(
                     theta, ts, cantor_chord_oracle.comb_line_slices(dom, theta, ts))
-                _assert_same_bits(dom.line_slices(theta, ts), want)
+                want, split = _split_at_tooth_corners(dom, theta, ts, want)
+                got = dom.line_slices(theta, ts)
+                _assert_same_bits(got, want)
+                assert not np.any(geometry._trim(ts, *got)[3][split])
                 slivers |= {(angle, n, int(i)) for i in lines}
+                corners |= {(level, angle, n, int(i)) for i in split}
     assert slivers == {(0.25 * np.pi, 1024, 664), (0.75 * np.pi, 256, 95)}
+    assert corners == ({(level, 0.25 * np.pi, 256, i)
+                        for level in range(3, 9) for i in (95, 141, 167)}
+                       | {(level, 0.25 * np.pi, 1024, i)
+                          for level in range(4, 7) for i in (359, 421, 463, 589, 647)})
 
 
 @pytest.mark.parametrize("angle", [0.25 * np.pi, 0.75 * np.pi])
