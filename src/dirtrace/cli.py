@@ -24,7 +24,8 @@ and reused: it depends only on the command, argparse makes a new namespace
 per parse and reads the terminal width only when it prints.  Domains are
 reused the same way: `fractal.named_domain` shares one read-only instance
 per catalogue entry and parameters, so commands run in one process build
-each --domain (with its --ratio, --level and --scheme) once.
+each --domain (with its --ratio, --level and --scheme) once, up to the
+default --level 12.
 
 A one-shot command imports only what it runs: the package's exports load
 on first use, this module imports at its top only what parsing needs

@@ -223,6 +223,9 @@ _BY_KEY["cone_union_cantor"] = "omega_C"
 # Distinct (entry, parameters) pairs kept built; a closed_form_sweep pass
 # of the benchmark uses 5.
 _INTERNED = 16
+# Deepest gap table kept, the catalogue's default: 8,191 rows.  A table has
+# 2**(level + 1) - 1 rows, so 16 kept at MAX_LEVEL would hold 8.6 GB.
+_KEPT_LEVEL = 12
 
 
 @lru_cache(maxsize=_INTERNED)
@@ -231,16 +234,17 @@ def _interned(name: str, params: tuple) -> geometry.Domain:
 
 
 def named_domain(name: str, **params) -> geometry.Domain:
-    """One of the catalogued example domains, by name.
+    """Return one of the catalogued example domains, by name.
 
     Cantor-based kinds accept ratio, level and scheme overrides; the
     remaining kinds take no parameters.  A catalogue domain is shared and
     read-only: equal names (in any case, aliases included) and equal
     parameters of equal types return the same instance, built once and
     kept in a bounded least-recently-used table, and every array it holds
-    is read-only.  Constructing the class directly gives a private instance.
-    Parameters that fail validation raise on every call; nothing failed is
-    kept.
+    is read-only.  Levels above the catalogue's default 12 are built on
+    every call, so their large gap tables go with the caller's domain.
+    Constructing the class directly gives a private instance.  Parameters
+    that fail validation raise on every call; nothing failed is kept.
     """
     key = _BY_KEY.get(str(name).strip().lower())
     if key is None:
@@ -257,4 +261,7 @@ def named_domain(name: str, **params) -> geometry.Domain:
         hash(typed)
     except TypeError:  # an unhashable value: built as before, never kept
         return make(**params)
+    level = params.get("level", 0)
+    if isinstance(level, (int, np.integer)) and level > _KEPT_LEVEL:
+        return make(**params)  # a deeper table is freed with its domain
     return _interned(key, typed)

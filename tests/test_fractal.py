@@ -269,6 +269,11 @@ def test_named_domain_keeps_a_bounded_number_of_domains():
         fractal.named_domain("cantor_comb", level=0, ratio=0.2 + 0.001 * k)
     assert fractal._interned.cache_info().currsize == fractal._INTERNED
     assert fractal.named_domain("cantor_comb", level=0) is not first
+    # a gap table deeper than the default's is never kept
+    deep = fractal.named_domain("disk_minus_cantor", level=fractal._KEPT_LEVEL + 1)
+    assert fractal.named_domain("disk_minus_cantor", level=fractal._KEPT_LEVEL + 1) is not deep
+    assert fractal.named_domain("disk_minus_cantor", level=fractal._KEPT_LEVEL) is (
+        fractal.named_domain("disk_minus_cantor", level=fractal._KEPT_LEVEL))
 
 
 def test_direct_construction_builds_a_private_domain():
