@@ -189,24 +189,10 @@ def distance(x: float, ratio: float = 1.0 / 3.0, scheme: str = "third") -> float
     return float(distance_many(np.array([x]), sorted_gaps(ratio, 0, scheme), ratio, scheme)[0])
 
 
-def removed_length(ratio: float, level: int) -> float:
-    """Total length of all gaps up to depth `level` (rho scheme)."""
-    _check_ratio(ratio)
-    return float(sum((2.0**k) * ratio ** (k + 1) for k in range(level + 1)))
-
-
 def total_gap_length(ratio: float) -> float:
-    """Limit of removed_length: ratio / (1 - 2 ratio), or 1 at ratio 1/3."""
+    """Total length of the gaps of every depth (rho scheme): the sum of
+    2**k ratio**(k + 1), ratio / (1 - 2 ratio), or 1 at ratio 1/3."""
     _check_ratio(ratio)
     if abs(ratio - 1.0 / 3.0) < 1e-15:
         return 1.0
     return ratio / (1.0 - 2.0 * ratio)
-
-
-def max_useful_level(ratio: float, feature: float) -> int:
-    """Smallest level whose gaps are all shorter than `feature`."""
-    _check_ratio(ratio)
-    level = 0
-    while ratio ** (level + 1) >= feature and level < _MAX_DEPTH:
-        level += 1
-    return level

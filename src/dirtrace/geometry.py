@@ -23,17 +23,19 @@ behind the usual (..., d) view, so a field reading p[:, k] reads
 contiguous memory; each coordinate is still s * theta_k + foot_k, so the
 floats do not depend on the layout.
 
-Chords are computed in closed form for every kind of the direction's
-dimension: interval unions (the intervals, negated and reversed along -1),
-polygons (strictly convex ones clip each line against their edge
-half-planes, other polygons pair the edge crossings into inside cells by
-membership), and five kinds that share one cut, `_band_minus`: an open
-band of each line minus closed removed intervals.  Those are a slit point
-or range (the slit rectangle and the slit disk), Cantor points and the
-triangles over the gaps (the cone unions, whose horizontal sections lose
-the sections of the gaps longer than twice their height), the teeth
-between the gaps (the Cantor comb), and the sets +-x >= y**3 between
-closed-form cubic roots (the cusp).  Endpoints are exact up to rounding.
+Every kind computes the chords of every direction of its dimension with
+one closed form, `line_slices`: interval unions (the intervals, negated
+and reversed along -1), polygons (strictly convex ones clip each line
+against their edge half-planes, other polygons pair the edge crossings
+into inside cells by membership), and five kinds that share one cut,
+`_band_minus`: an open band of each line minus closed removed intervals.
+Those are a slit point or range (the slit rectangle and the slit disk),
+Cantor points and the triangles over the gaps (the cone unions, whose
+vertical lines start at membership's distance to the Cantor set), the
+teeth between the gaps (the Cantor comb), and the sets +-x >= y**3
+between closed-form cubic roots (the cusp).  The cusp and the comb read
+an axis line's chords off the moving coordinate x as s = (x - base) / v,
+v = +-1, which is exact.  Endpoints are exact up to rounding.
 Chords shorter than EPS_EXACT are dropped, and a slice is flagged when two
 crossings sit closer than RESOLUTION_FACTOR times that length (a thin
 feature at the limit of resolution); intervals, exact input, are neither.
@@ -121,6 +123,18 @@ def _band_minus(band_lo, band_hi, rows, r_lo, r_hi):
     end[:-1] = np.where(rows[1:] == rows[:-1], nxt[1:], end[:-1])
     keep = end > start
     return rows[keep], start[keep], end[keep]
+
+
+def _along(rows, lo, hi, base, v: float):
+    """The chords ]lo, hi[ of the moving coordinate on axis lines rows
+    (sorted by row and lo), base[i] that coordinate of line i's foot and
+    v = +-1 the direction's component along it, in the line parameter
+    s = (x - base) / v: exact, and reversed line by line along -1."""
+    lo, hi = (lo - base[rows]) / v, (hi - base[rows]) / v
+    if v > 0.0:
+        return rows, lo, hi
+    order = np.lexsort((-np.arange(rows.size), rows))
+    return rows[order], hi[order], lo[order]
 
 
 def _runs(first, count):
@@ -261,8 +275,8 @@ class Direction:
 
 def direction_table(count: int, start_angle: float = 0.0) -> list[Direction]:
     """`count` equally spaced planar directions starting at `start_angle`."""
-    if count < 1:
-        raise ValidationError("need at least one direction")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValidationError(f"direction count must be an integer >= 1, got {count!r}")
     return [
         Direction.from_angle(start_angle + 2.0 * math.pi * k / count)
         for k in range(count)
@@ -310,19 +324,12 @@ class Domain:
         raise NotImplementedError
 
     # -- optional closed forms ----------------------------------------------
-    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
-        """Open intervals of the moving coordinate along axis lines.
-
-        `fixed_axis` is the coordinate held at values[i] on line i;
-        intervals are in the other coordinate.  Returns the flat table
-        (rows, lo, hi) sorted by (row, lo), or None when no closed form
-        exists.
-        """
-        return None
-
     def line_slices(self, theta: Direction, ts: np.ndarray):
-        """Closed-form chords for arbitrary directions as a flat table
-        (rows, alpha, beta) sorted by (row, alpha), or None."""
+        """Closed-form chords of the lines at offsets ts along theta, as a
+        flat table (rows, alpha, beta) sorted by (row, alpha); None for a
+        kind without them.  Each kind answers every direction of its
+        dimension with one closed form (vertical lines of a cone union take
+        membership's distance to the Cantor set)."""
         return None
 
     def offset_breakpoints(self, theta: Direction):
@@ -666,32 +673,29 @@ class Cusp(Domain):
         b = self._rounding
         return (y < 1.0 - b) & (np.abs(x) < y * y * y - b)
 
-    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
-        # Powers go through Python's float pow: numpy's power rounds
-        # differently in the last bit.
-        if fixed_axis == 1:  # horizontal lines at heights values
-            rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
-            w = np.array([v**3 for v in values[rows].tolist()])
-            return rows, -w, w
-        # vertical lines at x = values
-        rows = np.nonzero((values > -1.0) & (values < 1.0))[0]
-        lo = np.array([abs(v) ** (1.0 / 3.0) for v in values[rows].tolist()])
-        keep = lo < 1.0
-        return rows[keep], lo[keep], np.ones(np.count_nonzero(keep))
-
     def line_slices(self, theta: Direction, ts: np.ndarray):
         """The band b**(1/3) < y < 1 of each line (b the rounding; below it
         membership is empty) minus the closed sets sign * x >= y**3, which
         are disjoint for y > 0: with x = x0 + m y on the line, y <= r1 and
         r2 <= y <= r3 for the real roots of y**3 - sign (m y + x0).  A root
         maps to s through y on steep lines and through x = sign y**3 on
-        flat ones, where its error moves s less."""
-        if theta.is_axis():
-            return None
+        flat ones, where its error moves s less.  Axis lines take the
+        section |x| < y**3 or y > |x|**(1/3) directly."""
         vx, vy = theta.vector
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
         bx, by = ts * p[0], ts * p[1]
+        # Powers go through Python's float pow: numpy's power rounds
+        # differently in the last bit.
+        if vy == 0.0:
+            rows = np.nonzero((by > 0.0) & (by < 1.0))[0]
+            w = np.array([y**3 for y in by[rows].tolist()])
+            return _along(rows, -w, w, bx, vx)
+        if vx == 0.0:
+            rows = np.nonzero((bx > -1.0) & (bx < 1.0))[0]
+            lo = np.array([abs(x) ** (1.0 / 3.0) for x in bx[rows].tolist()])
+            keep = lo < 1.0
+            return _along(rows[keep], lo[keep], np.ones(np.count_nonzero(keep)), by, vy)
         m = vx / vy
         ends = []
         for sign in (1.0, -1.0):
@@ -777,48 +781,37 @@ class ConeUnionCantor(_CantorKind):
             out[band] = self._dist(x[band]) < y[band] - b
         return out
 
-    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
-        if fixed_axis == 1:
-            # the band -h < x < 1 + h at height h minus the sections
-            # [c + h, d - h] of the gaps longer than 2h, which are the
-            # longest ones: counted from the sorted lengths, a gap of
-            # length exactly 2h does not cut
-            rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
-            h = values[rows]
-            c, d = self._gaps_sorted.T
-            longest = np.argsort(c - d, kind="stable")
-            lengths = (d - c)[longest[::-1]]
-            count = lengths.size - np.searchsorted(lengths, 2.0 * h, side="right")
-            sub, at = _runs(np.zeros(h.size, dtype=np.int64), count)
-            gap = longest[at]
-            sub, lo, hi = _band_minus(-h, 1.0 + h, sub, c[gap] + h[sub], d[gap] - h[sub])
-            return rows[sub], lo, hi
-        d = self._dist(values)
-        rows = np.nonzero(d < 1.0)[0]
-        return rows, d[rows], np.ones(rows.size)
-
     def line_slices(self, theta: Direction, ts: np.ndarray):
-        if theta.is_axis():
-            return None
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
-        return self._oblique_chords(ts * p[0], ts * p[1], *theta.vector)
+        return self._line_chords(ts * p[0], ts * p[1], *theta.vector)
 
-    def _oblique_chords(self, bx, by, vx: float, vy: float):
-        """Flat chord table of the lines (bx, by) + s (vx, vy), vx, vy != 0.
+    def _line_chords(self, bx, by, vx: float, vy: float):
+        """Flat chord table of the lines (bx, by) + s (vx, vy).
 
         In the band 0 < y < 1 the complement is the closed wedges x + y <= 0
         and x - y >= 1 and the triangles {y >= 0, x - y >= c, x + y <= d}
         over the gaps (c, d) up to `level`, each an s-interval of a line.
         A gap's triangle lies in the triangle over every surviving interval
         around it, so the gap tree is walked only below triangles a line meets.
+        A vertical line is inside from membership's distance to the Cantor
+        set, which descends below `level`, up to y = 1.
         """
+        if vx == 0.0:
+            d = self._dist(bx)
+            rows = np.nonzero(d < 1.0)[0]
+            return _along(rows, d[rows], np.ones(rows.size), by, vy)
         n = bx.size
         u0, w0 = bx - by, bx + by
         du, dw = vx - vy, vx + vy
         # y >= 0 bounds both the band and every triangle, so the axis
         # crossing is one computed number per line
         y_lo, y_hi = _at_least(by, vy, 0.0)
+        if vy == 0.0:
+            # the closed ranges would keep a horizontal line on y = 0 or
+            # y = 1 whole: it has no chords
+            out = (by <= 0.0) | (by >= 1.0)
+            y_lo[out], y_hi[out] = np.inf, -np.inf
         top_lo, top_hi = _at_least(-by, -vy, -1.0)
         band_lo, band_hi = np.maximum(y_lo, top_lo), np.minimum(y_hi, top_hi)
 
@@ -881,24 +874,15 @@ class Bicone(Domain):
         meet there abut with a zero gap: two chords, as membership counts
         the crossing, within rounding of the axis, as boundary.
         """
-        if theta.is_axis():
-            return None
         tv = theta.vector
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
         bx, by = ts * p[0], ts * p[1]
-        halves = (self.upper._oblique_chords(bx, by, tv[0], tv[1]),
-                  self.upper._oblique_chords(bx, -by, tv[0], -tv[1]))
+        halves = (self.upper._line_chords(bx, by, tv[0], tv[1]),
+                  self.upper._line_chords(bx, -by, tv[0], -tv[1]))
         rows, lo, hi = (np.concatenate(col) for col in zip(*halves))
         order = np.lexsort((lo, rows))
         return rows[order], lo[order], hi[order]
-
-    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
-        if fixed_axis == 1:
-            return self.upper.coordinate_slices(1, np.abs(values))
-        # the band -1 < y < 1 minus the closed gap |y| <= dist(x, C)
-        d = self.upper._dist(values)
-        return _band_minus(np.full(d.size, -1.0), np.ones(d.size), np.arange(d.size), -d, d)
 
 
 class CantorComb(_CantorKind):
@@ -937,13 +921,28 @@ class CantorComb(_CantorKind):
         the crossing, so a line through a gap end still splits there; a
         line through the tooth's corner at the axis splits there too, into
         two chords that abut at the crossing.
+
+        A horizontal line is the rectangle's chord below the axis and the
+        gaps from y = 0 up; a vertical one runs from y = -1 to the tooth
+        it meets at y = 0, or to y = 1 in a gap column.
         """
-        if theta.is_axis():
-            return None
         vx, vy = theta.vector
         p = theta.perp_vector
         ts = np.asarray(ts, dtype=float)
         bx, by = ts * p[0], ts * p[1]
+        if vy == 0.0:
+            below = np.nonzero((by > -1.0) & (by < 0.0))[0]
+            above = np.nonzero((by >= 0.0) & (by < 1.0))[0]
+            c, d = self._gaps_sorted.T
+            rows = np.concatenate((below, np.repeat(above, c.size)))
+            lo = np.concatenate((np.zeros(below.size), np.tile(c, above.size)))
+            hi = np.concatenate((np.ones(below.size), np.tile(d, above.size)))
+            order = np.argsort(rows, kind="stable")
+            return _along(rows[order], lo[order], hi[order], bx, vx)
+        if vx == 0.0:
+            rows = np.nonzero((bx > 0.0) & (bx < 1.0))[0]
+            column = _cantor.gap_search(bx[rows], self._gaps_sorted)[1] > self._rounding
+            return _along(rows, np.full(rows.size, -1.0), np.where(column, 1.0, 0.0), by, vy)
         x0, x1 = (0.0 - bx) / vx, (1.0 - bx) / vx
         y0, y1 = (-1.0 - by) / vy, (1.0 - by) / vy
         band_lo = np.maximum(np.minimum(x0, x1), np.minimum(y0, y1))
@@ -971,22 +970,6 @@ class CantorComb(_CantorKind):
         corner = held & ((hi - lo) * abs(vy) <= self._rounding)
         lo[corner] = hi[corner] = s0[rows[corner]]
         return _band_minus(band_lo, band_hi, rows, lo, hi)
-
-    def coordinate_slices(self, fixed_axis: int, values: np.ndarray):
-        if fixed_axis == 1:
-            below = np.nonzero((values > -1.0) & (values < 0.0))[0]
-            above = np.nonzero((values >= 0.0) & (values < 1.0))[0]
-            n = self._gaps_sorted.shape[0]
-            rows = np.concatenate((below, np.repeat(above, n)))
-            lo = np.concatenate((np.zeros(below.size),
-                                 np.tile(self._gaps_sorted[:, 0], above.size)))
-            hi = np.concatenate((np.ones(below.size),
-                                 np.tile(self._gaps_sorted[:, 1], above.size)))
-            order = np.argsort(rows, kind="stable")
-            return rows[order], lo[order], hi[order]
-        rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
-        column = _cantor.gap_search(values[rows], self._gaps_sorted)[1] > self._rounding
-        return rows, np.full(rows.size, -1.0), np.where(column, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1159,18 +1142,6 @@ def hyperplane_range(domain: Domain, theta: Direction) -> tuple[float, float]:
     return float(proj.min()), float(proj.max())
 
 
-def _axis_slices(domain: Domain, theta: Direction, ts: np.ndarray):
-    tv = theta.vector
-    moving = 0 if tv[0] != 0.0 else 1
-    flat = domain.coordinate_slices(1 - moving, np.asarray(ts, dtype=float))
-    if flat is None or tv[moving] > 0:
-        return flat
-    # reversed direction: negate and reverse the chords of every line
-    rows, lo, hi = flat
-    order = np.lexsort((-np.arange(rows.size), rows))
-    return rows[order], -hi[order], -lo[order]
-
-
 def _trim(ts, rows, alpha, beta):
     """Drop short chords and compute the per-slice flags."""
     # Exact endpoints only have rounding noise, so chords are kept all the
@@ -1202,8 +1173,6 @@ def chord_table(domain: Domain, theta: Direction, ts):
     _check_dim(domain, theta)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     raw = domain.line_slices(theta, ts)
-    if raw is None and theta.is_axis():
-        raw = _axis_slices(domain, theta, ts)
     if raw is None:
         raise ValidationError(f"no closed-form chords for kind {domain.kind!r} along {theta!r}")
     if domain.dim == 1:

@@ -5,9 +5,14 @@ column above the axis, in blocks of (line, gap) cells, and joins the
 lower rectangle chord with the column that touches it when the axis
 crossing falls inside a gap.  `apex_slices` lays out the horizontal
 sections {x : dist(x, C) < h} of a cone union once per count of gaps
-longer than 2h.  The package cuts both from a band with
-`geometry._band_minus`; both must give bit-identical chords, signs of
-zero included.
+longer than 2h.  `axis_slices` holds the axis closed forms of the cusp,
+the cone union, the bicone and the comb as sections of the moving
+coordinate, negated and reversed along -E1 and -E2.  The package cuts
+every line of these kinds from a band with `geometry._band_minus` or reads
+it off the moving coordinate; the chords must be bit-identical, signs of
+zero included, except where a cone union's triangle shrinks to its apex
+on the line: the package splits the chord at that point, which membership
+rejects, and `apex_slices` keeps it whole.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from dirtrace import _cantor
+from dirtrace.geometry import Bicone, CantorComb, ConeUnionCantor, Cusp
 
 
 def _min(a, b):
@@ -100,9 +106,60 @@ def apex_slices(cone, heights):
     return rows[order], lo[order], hi[order]
 
 
-def cone_coordinate_slices(cone, values):
-    """Horizontal chords of the cone union at heights values, as the
-    package's `coordinate_slices(1, values)` returns them."""
-    rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
-    sub, lo, hi = apex_slices(cone, values[rows])
-    return rows[sub], lo, hi
+def _coordinate_slices(dom, fixed_axis, values):
+    """Sections (rows, lo, hi) of the moving coordinate on the axis lines
+    where coordinate `fixed_axis` is values[i], sorted by (row, lo)."""
+    if isinstance(dom, Bicone):
+        if fixed_axis == 1:
+            return _coordinate_slices(dom.upper, 1, np.abs(values))
+        # -1 < y < 1 less the closed gap |y| <= dist(x, C)
+        d = dom.upper._dist(values)
+        rows = np.nonzero(d < 1.0)[0]
+        ones = np.ones(rows.size)
+        return (np.repeat(rows, 2), np.column_stack((-ones, d[rows])).ravel(),
+                np.column_stack((-d[rows], ones)).ravel())
+    if isinstance(dom, ConeUnionCantor):
+        if fixed_axis == 1:
+            rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
+            sub, lo, hi = apex_slices(dom, values[rows])
+            return rows[sub], lo, hi
+        d = dom._dist(values)
+        rows = np.nonzero(d < 1.0)[0]
+        return rows, d[rows], np.ones(rows.size)
+    if isinstance(dom, CantorComb):
+        gaps = dom._gaps_sorted
+        if fixed_axis == 1:
+            below = np.nonzero((values > -1.0) & (values < 0.0))[0]
+            above = np.nonzero((values >= 0.0) & (values < 1.0))[0]
+            rows = np.concatenate((below, np.repeat(above, gaps.shape[0])))
+            lo = np.concatenate((np.zeros(below.size), np.tile(gaps[:, 0], above.size)))
+            hi = np.concatenate((np.ones(below.size), np.tile(gaps[:, 1], above.size)))
+            order = np.argsort(rows, kind="stable")
+            return rows[order], lo[order], hi[order]
+        rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
+        column = _cantor.gap_search(values[rows], gaps)[1] > dom._rounding
+        return rows, np.full(rows.size, -1.0), np.where(column, 1.0, 0.0)
+    assert isinstance(dom, Cusp)
+    # Python's float pow, as the package rounds
+    if fixed_axis == 1:
+        rows = np.nonzero((values > 0.0) & (values < 1.0))[0]
+        w = np.array([v**3 for v in values[rows].tolist()])
+        return rows, -w, w
+    rows = np.nonzero((values > -1.0) & (values < 1.0))[0]
+    lo = np.array([abs(v) ** (1.0 / 3.0) for v in values[rows].tolist()])
+    keep = lo < 1.0
+    return rows[keep], lo[keep], np.ones(np.count_nonzero(keep))
+
+
+def axis_slices(dom, theta, ts):
+    """Flat chord table (rows, lo, hi), before trimming, of a cusp, cone
+    union, bicone or comb along an axis direction theta: the sections of
+    the moving coordinate at the offsets ts, whose lines hold the other
+    coordinate at ts, and along a negative direction each line's sections
+    negated and in reverse order."""
+    moving = 0 if theta.vector[0] != 0.0 else 1
+    rows, lo, hi = _coordinate_slices(dom, 1 - moving, np.asarray(ts, dtype=float))
+    if theta.vector[moving] > 0.0:
+        return rows, lo, hi
+    order = np.lexsort((-np.arange(rows.size), rows))
+    return rows[order], -hi[order], -lo[order]

@@ -35,10 +35,11 @@ def test_depth_column_is_heap_depth():
 
 @pytest.mark.parametrize("ratio,scheme", [(1.0 / 3.0, "third"), (0.25, "rho"), (0.1, "rho")])
 def test_removed_length_matches_gap_sum(ratio, scheme):
+    # 2**k gaps of length ratio**(k + 1) at each depth k
     for level in (0, 1, 3, 6):
         table = _cantor.gap_table(ratio, level, scheme)
         total = float(np.sum(table[:, 1] - table[:, 0]))
-        assert abs(total - _cantor.removed_length(ratio, level)) < 1e-12
+        assert abs(total - sum(2.0**k * ratio ** (k + 1) for k in range(level + 1))) < 1e-12
 
 
 def test_gaps_disjoint_and_inside_unit():
@@ -85,7 +86,8 @@ def test_level_intervals_structure():
     assert starts.size == 64
     # surviving length after L rounds plus removed length is the unit interval
     survived = float(np.sum(ends - starts))
-    assert abs(survived + _cantor.removed_length(0.25, 5) - 1.0) < 1e-12
+    removed = sum(2.0**k * 0.25 ** (k + 1) for k in range(6))
+    assert abs(survived + removed - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("ratio, scheme", [(1.0 / 3.0, "third"), (0.25, "rho"), (0.1, "rho"),

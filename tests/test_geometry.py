@@ -1,5 +1,7 @@
 """Directions, domains, chord decompositions and exit maps."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -92,6 +94,12 @@ def test_direction_table_spacing():
     gaps = np.diff(angles) % (2.0 * np.pi)
     np.testing.assert_allclose(gaps, 2.0 * np.pi / 16.0, atol=1e-12)
     np.testing.assert_allclose(table[0].vector, [1.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("count", [2.5, True, np.float64(4.0), "4", 0, -3])
+def test_direction_table_rejects_bad_counts(count):
+    with pytest.raises(ValidationError):
+        direction_table(count)
 
 
 def test_direction_negation_and_axis():
@@ -756,27 +764,72 @@ def test_comb_lines_through_a_gap_end_split_there(angle):
         _assert_same_bits((rows, alpha, beta), want)
 
 
+def _assert_same_but_apex_splits(dom, theta, ts, got, want):
+    """Chord tables (rows, alpha, beta, flags) equal bit for bit once each
+    run of abutting chords is joined in both, where every point at which
+    two chords of `got` abut fails membership."""
+    def joined(rows, alpha, beta):
+        abut = (rows[1:] == rows[:-1]) & (alpha[1:] == beta[:-1])
+        start, end = np.insert(~abut, 0, True), np.append(~abut, True)
+        return (rows[start], alpha[start], beta[end]), rows[1:][abut], alpha[1:][abut]
+
+    (table, rows, s), (want_table, _, _) = joined(*got[:3]), joined(*want[:3])
+    _assert_same_bits((*table, got[3]), (*want_table, want[3]))
+    feet = geometry._feet(ts[rows], theta.perp_vector)
+    assert not np.any(dom.contains_many(points_along(feet, s, theta.vector)))
+
+
 @pytest.mark.parametrize("ratio, scheme", [(1.0 / 3.0, "third"), (1.0 / 3.0, "rho"),
                                            (0.25, "rho")])
-def test_cone_sections_match_the_earlier_apex_slices(ratio, scheme, monkeypatch):
+def test_cone_sections_match_the_earlier_apex_slices(ratio, scheme):
     # horizontal chords of omega_C and the bicone at levels 0-12, in both
-    # senses, on a grid and at the heights h where a gap is exactly 2h long
-    tables = []
+    # senses, against the sections of `apex_slices`: bit for bit on a grid,
+    # and at the heights h where a gap is exactly 2h long (which the grids
+    # of ratio 0.25 hold) equal but for splits at the triangles' apexes
     for level in range(13):
         cone = ConeUnionCantor(ratio, level, scheme)
         lengths = np.diff(cone._gaps_sorted, axis=1).ravel()
         half = 0.5 * np.unique(lengths[lengths > 1e-3])
         for dom in (cone, Bicone(ratio, level, scheme)):
             for theta in (E1, -E1):
-                ts, _, _ = quadrature._offset_cells(
+                grid, _, _ = quadrature._offset_cells(
                     dom, theta, *geometry.hyperplane_range(dom, theta), 1024)
-                ts = np.concatenate((ts, half, -half))
-                tables.append((dom, theta, ts, geometry.chord_table(dom, theta, ts)))
-    monkeypatch.setattr(ConeUnionCantor, "coordinate_slices",
-                        lambda self, axis, values:
-                        cantor_chord_oracle.cone_coordinate_slices(self, values))
-    for dom, theta, ts, got in tables:
-        _assert_same_bits(got, geometry.chord_table(dom, theta, ts))
+                for ts in (grid, np.concatenate((half, -half))):
+                    got = geometry.chord_table(dom, theta, ts)
+                    want = geometry._trim(ts, *cantor_chord_oracle.axis_slices(dom, theta, ts))
+                    if ratio == 0.25 or ts is not grid:
+                        _assert_same_but_apex_splits(dom, theta, ts, got, want)
+                    else:
+                        _assert_same_bits(got, want)
+
+
+def test_axis_chords_match_the_earlier_axis_closed_forms():
+    # the cusp, the cone union, the bicone and the comb along +-E1 and
+    # +-E2 (the zero component of -E1 is -0.0, of the angle pi +0.0)
+    # against the sections of the moving coordinate, negated and reversed
+    # along a negative direction: bit for bit, signs of zero included,
+    # but for the cone unions' splits at apexes at ratio 0.25
+    directions = (E1, -E1, Direction.from_angle(np.pi), E2, -E2,
+                  Direction.from_angle(-0.5 * np.pi))
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1e-4, 1.22e-4, -1e-4, -1.22e-4])
+    domains = [Cusp()] + [kind(ratio, level, scheme)
+                          for ratio, scheme in ((1.0 / 3.0, "third"), (1.0 / 3.0, "rho"),
+                                                (0.25, "rho"))
+                          for level in (0, 3, 8, 12)
+                          for kind in (ConeUnionCantor, Bicone, CantorComb)]
+    for i, (dom, theta) in enumerate(itertools.product(domains, directions)):
+        # 64 to 4,096 offsets in turn; a comb's horizontal lines carry one
+        # chord per gap
+        n = 64 if isinstance(dom, CantorComb) and theta.vector[1] == 0.0 else 4 ** (3 + i % 4)
+        grid, _, _ = quadrature._offset_cells(
+            dom, theta, *geometry.hyperplane_range(dom, theta), n)
+        ts = np.concatenate((grid, special))
+        got = geometry.chord_table(dom, theta, ts)
+        want = geometry._trim(ts, *cantor_chord_oracle.axis_slices(dom, theta, ts))
+        if dom.params().get("ratio") == 0.25 and not isinstance(dom, CantorComb):
+            _assert_same_but_apex_splits(dom, theta, ts, got, want)
+        else:
+            _assert_same_bits(got, want)
 
 
 def _cubic_cases():
