@@ -36,6 +36,7 @@ from .quadrature import (
     _rule_terms,
     chord_grid,
     chord_means,
+    grid_means,
     offset_estimate,
     volume_integrals,
 )
@@ -91,8 +92,8 @@ def _ibp_sides(u, v, domain, theta, spec):
         pair += vv * du
         yield pair
 
-    up, um, vp, vm, pair = _finite_means(4, [(theta, grid.n_chords)], grid.t, alpha, lengths,
-                                         spec.gauss_order, node_arrays)
+    up, um, vp, vm, pair = _finite_means(4, grid_means, grid, theta, spec.gauss_order,
+                                         node_arrays)
     lhs = grid.sums(_rule_terms(pair, lengths, chord_dt))
     rhs = grid.sums((up * vp - um * vm) * chord_dt)
     if not (np.isfinite(lhs[0]) and np.isfinite(rhs[0])):

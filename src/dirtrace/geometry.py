@@ -259,9 +259,6 @@ class Direction:
     def key(self) -> tuple:
         return tuple(float(c) for c in self.vector)
 
-    def is_axis(self) -> bool:
-        return bool(np.any(self.vector == 0.0)) or self.dim == 1
-
     def __repr__(self) -> str:
         comps = ", ".join(f"{c:+.12g}" for c in self.vector)
         return f"Direction([{comps}])"

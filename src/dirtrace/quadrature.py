@@ -36,6 +36,17 @@ on that chord, not on the batch or block it is computed in; sums over
 chords are one np.sum, and row sums one np.bincount, in a fixed order, so
 values and error bars are bit-identical from run to run.  The 1-D line is
 a grid of one offset, 0, of width 1.
+
+The rules over a cached grid's own chords (`grid_means`: the volume rule
+without panels, the traces, the trace pass of the Lebesgue comparisons
+and both sides of integration by parts) read the grid's Gauss nodes, s
+and the points, from a read-only set kept with the grid per Gauss order,
+built on first use by `chord_means` itself, so every float is the one a
+fresh build gives.  A grid keeps a set only when it fits one block of
+_BLOCK nodes, and all cached grids together keep at most _BLOCK nodes
+(6 MiB in 2-D), the first sets to arrive; a set goes when its grid leaves
+the cache.  Derived chords (panels, depth means, exit chords of probes,
+stage intervals) build their nodes block by block on every call.
 """
 
 from __future__ import annotations
@@ -60,10 +71,15 @@ from .geometry import (
 
 _GAUSS_ORDERS = (4, 8, 16)
 
-# Chords per block of Gauss nodes in `chord_means`; no float depends on it.
-# 4096 was measured slower: glibc malloc then trims each call's transient
-# arrays (above twice its largest freed mmap chunk) and refaults them.
-_BLOCK = 32768
+# Gauss nodes per block of `chord_means` (32,768 chords at order 8, 16,384
+# at order 16), and the most nodes that all cached grids keep together
+# (`grid_means`; 2**18 (d + 1) floats, 6 MiB in 2-D).  No float depends on
+# it.  Small blocks cost refaults: glibc malloc trims each call's transient
+# arrays (above twice its largest freed mmap chunk) and faults them in
+# again.  A warm_reductions pass (seed 1) made about 2,500 minor faults
+# with blocks of 2**17 nodes, and 0-8 with 3 * 2**16 or 2**18, as with the
+# 32,768-chord blocks before (2-core host).
+_BLOCK = 2**18
 
 # Keep this many chord grids alive; grids are rebuilt transparently.
 _CACHE_LIMIT = 160
@@ -149,10 +165,10 @@ def chord_reduce(vals, w) -> np.ndarray:
 def chord_means(runs, t, alpha, length, order: int, node_arrays):
     """Gauss means (`chord_reduce`, weights summing to 1) of each node array
     that `node_arrays(points, s, rows, runs)` yields on the chords ]alpha,
-    alpha + length[ at offsets t, _BLOCK chords at a time: rows slices a
-    block, points (m, q, d) are coordinate-major (see `points_along`) and s
-    (m, q) = alpha + ((x + 1) / 2) * length live only while node_arrays
-    keeps them.
+    alpha + length[ at offsets t, a block of at most _BLOCK nodes (one
+    chord at least) at a time: rows slices a block, points (m, q, d) are
+    coordinate-major (see `points_along`) and s (m, q) = alpha + ((x + 1)
+    / 2) * length live only while node_arrays keeps them.
 
     runs is a sequence of runs (Direction, count) of consecutive chords,
     each along its own direction, so that one call covers the chords of
@@ -165,10 +181,11 @@ def chord_means(runs, t, alpha, length, order: int, node_arrays):
     x, w = _gauss.nodes(order)
     half, w = (x + 1.0) * 0.5, 0.5 * w
     dim = runs[0][0].dim
+    step = max(1, _BLOCK // order)
     blocks = []
     # an empty grid still makes one (empty) block, so every mean is an array
-    for lo in range(0, max(length.size, 1), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
+    for lo in range(0, max(length.size, 1), step):
+        rows = slice(lo, lo + step)
         s = np.multiply.outer(length[rows], half)
         s += alpha[rows, None]
         points = np.empty((dim,) + s.shape)
@@ -218,6 +235,9 @@ class ChordGrid:
         for arr in (self.offsets, self.offset_widths, self.segment_counts,
                     self.offset_index, self.alpha, self.beta, self.lengths):
             arr.setflags(write=False)
+        # Gauss order -> read-only (s, points) of the grid's own chords
+        # (`grid_means`), while the grid is cached; None outside the cache
+        self._kept = None
 
     # Arrays that are cheap to derive are derived on demand rather than
     # kept with every cached grid; callers that use one several times keep
@@ -268,6 +288,8 @@ class ChordGrid:
 
 _cache_lock = threading.Lock()
 _cache: "OrderedDict[tuple, ChordGrid]" = OrderedDict()
+# Gauss nodes that the cached grids keep, all together: at most _BLOCK
+_kept_total = 0
 
 
 def chord_grid(domain: Domain, theta: Direction, n_offsets: int) -> ChordGrid:
@@ -279,15 +301,77 @@ def chord_grid(domain: Domain, theta: Direction, n_offsets: int) -> ChordGrid:
             return grid
     grid = ChordGrid(domain, theta, n_offsets)
     with _cache_lock:
-        _cache[key] = grid
-        while len(_cache) > _CACHE_LIMIT:
-            _cache.popitem(last=False)
-    return grid
+        # a grid that another thread cached meanwhile is the one kept
+        cached = _cache.setdefault(key, grid)
+        if cached is grid:
+            grid._kept = {}
+            while len(_cache) > _CACHE_LIMIT:
+                _release(_cache.popitem(last=False)[1])
+    return cached
+
+
+def _release(grid: ChordGrid) -> None:
+    """Drop the node sets of a grid that leaves the cache (under _cache_lock)."""
+    global _kept_total
+    _kept_total -= sum(s.size for s, _ in grid._kept.values())
+    grid._kept = None
 
 
 def clear_cache() -> None:
     with _cache_lock:
+        for grid in _cache.values():
+            _release(grid)
         _cache.clear()
+
+
+def _own_nodes(grid: ChordGrid, order: int):
+    """(s, points) of every chord of a cached grid along its direction at a
+    Gauss order, read-only, as `chord_means` builds them in one block, and
+    kept with the grid while the kept sets of all grids stay within _BLOCK
+    nodes (the first sets to arrive are kept); None when the grid is not
+    cached, its nodes do not fit one block or the budget is spent."""
+    global _kept_total
+    nodes = grid.n_chords * order
+    with _cache_lock:
+        kept = grid._kept
+        if kept is None or nodes > _BLOCK:
+            return None
+        if order in kept:
+            return kept[order]
+        if _kept_total + nodes > _BLOCK:
+            return None
+    built = []
+    chord_means([(grid.theta, grid.n_chords)], grid.t, grid.alpha, grid.lengths, order,
+                lambda points, s, rows, runs: built.append((s, points)) or ())
+    (s, points), = built
+    s.setflags(write=False)
+    points.setflags(write=False)
+    with _cache_lock:
+        kept = grid._kept
+        if kept is None:  # the grid left the cache meanwhile
+            return s, points
+        # another thread may have kept a set meanwhile, or spent the budget
+        if order not in kept and _kept_total + nodes <= _BLOCK:
+            kept[order] = s, points
+            _kept_total += nodes
+        return kept.get(order, (s, points))
+
+
+def grid_means(grid: ChordGrid, theta: Direction, order: int, node_arrays):
+    """`chord_means` of node_arrays on every chord of the grid along theta,
+    float for float, from the node set that the grid keeps at the order
+    (`_own_nodes`) when theta is the grid's own direction bit for bit; the
+    node set is read-only, so node_arrays must not write into it."""
+    _check_order(order)
+    n = grid.n_chords
+    nodes = (_own_nodes(grid, order)
+             if theta.vector.tobytes() == grid.theta.vector.tobytes() else None)
+    if nodes is None:
+        return chord_means([(theta, n)], grid.t, grid.alpha, grid.lengths, order, node_arrays)
+    s, points = nodes
+    w = 0.5 * _gauss.nodes(order)[1]
+    runs = [(theta, slice(0, n))] if n else []
+    return [chord_reduce(v, w) for v in node_arrays(points, s, slice(0, n), runs)]
 
 
 def _as_eval(f):
@@ -302,27 +386,37 @@ def _rule_terms(means, length, row_dt):
     return terms
 
 
-def _rule_sums(domain, integrands, theta, spec, panel=None):
+def _panels(grid: ChordGrid, panel: float):
+    """The grid's chords cut into panels of at most `panel` arc length, as
+    (chord of each panel, t, alpha, length, row_dt) of the panels.
+
+    Composite rule: chords much longer than the integrand's feature scale
+    are cut into panels so the per-chord Gauss error cannot hide below the
+    offset error estimate."""
+    m = np.maximum(1, np.ceil(grid.lengths / panel).astype(np.int64))
+    ci = np.repeat(np.arange(grid.n_chords), m)
+    pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
+    length = grid.lengths[ci] / m[ci]
+    return ci, grid.t[ci], grid.alpha[ci] + pj * length, length, grid.chord_dt[ci]
+
+
+def _rule_sums(domain, integrands, theta, spec, panels=None):
     """`ChordGrid.sums` of the chord rule at spec, one per array that
-    `integrands(points)` yields, all from one set of nodes on spec's grid."""
+    `integrands(points)` yields, all from one set of nodes on the chords of
+    spec's grid, or on their `_panels`."""
     grid = chord_grid(domain, theta, spec.n_offsets)
-    t, alpha, length, row_dt = grid.t, grid.alpha, grid.lengths, grid.chord_dt
-    ci = None
-    if panel is not None:
-        # Composite rule: chords much longer than the integrand's feature
-        # scale are cut into panels so the per-chord Gauss error cannot
-        # hide below the offset error estimate.
-        m = np.maximum(1, np.ceil(length / panel).astype(np.int64))
-        ci = np.repeat(np.arange(grid.n_chords), m)
-        pj = np.arange(ci.size) - np.repeat(np.cumsum(m) - m, m)
-        length = length[ci] / m[ci]
-        t, alpha, row_dt = t[ci], alpha[ci] + pj * length, row_dt[ci]
 
     def node_arrays(pts, s, rows, runs):
-        del s  # no arc offsets: freed before the integrands run
+        del s  # no arc offsets (a built set is freed before the integrands run)
         yield from integrands(pts.reshape(-1, pts.shape[-1]))
 
-    means = chord_means([(theta, t.size)], t, alpha, length, spec.gauss_order, node_arrays)
+    if panels is None:
+        ci, length, row_dt = None, grid.lengths, grid.chord_dt
+        means = grid_means(grid, theta, spec.gauss_order, node_arrays)
+    else:
+        ci, t, alpha, length, row_dt = panels
+        means = chord_means([(theta, t.size)], t, alpha, length, spec.gauss_order,
+                            node_arrays)
     return [grid.sums(_rule_terms(v, length, row_dt), ci) for v in means]
 
 
@@ -400,14 +494,18 @@ def volume_integrals(domain: Domain, integrands, spec: QuadratureSpec | None = N
     """
     spec = spec or QuadratureSpec()
     theta = direction or Direction(np.eye(domain.dim)[0])  # the first axis
-    values, errors, coarse = offset_estimate(_rule_sums(domain, integrands, theta, spec, panel))
+    grid = chord_grid(domain, theta, spec.n_offsets)
+    # both rules read one split into panels
+    panels = None if panel is None else _panels(grid, panel)
+    values, errors, coarse = offset_estimate(
+        _rule_sums(domain, integrands, theta, spec, panels))
     if panel is not None:
         alt = replace(spec, gauss_order=4 if spec.gauss_order != 4 else 8)
-        alt_values = [v for v, _, _ in _rule_sums(domain, integrands, theta, alt, panel)]
+        alt_values = [v for v, _, _ in _rule_sums(domain, integrands, theta, alt, panels)]
         errors = [e + abs(v - a) for e, v, a in zip(errors, values, alt_values)]
     for v, c in zip(values, coarse):
         _check_settled(v, c)
-    flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
+    flags = grid.flagged_offsets
     return [IntegralResult(v, e, flags, spec.n_offsets, spec.gauss_order)
             for v, e in zip(values, errors)]
 

@@ -45,6 +45,7 @@ from .quadrature import (
     _rule_terms,
     chord_grid,
     chord_means,
+    grid_means,
     offset_estimate,
 )
 
@@ -73,11 +74,12 @@ def _trace_terms(fld, runs, pts, s, alpha, beta):
     return u, du
 
 
-def _finite_means(traces: int, runs, t, alpha, length, order: int, node_arrays):
-    """`chord_means` with numpy's warnings off; DivergentChordIntegral where
-    one of its first `traces` arrays, the traces, is not finite."""
+def _finite_means(traces: int, rule, *args):
+    """rule(*args), `chord_means` or `grid_means`, with numpy's warnings
+    off; DivergentChordIntegral where one of its first `traces` arrays, the
+    traces, is not finite."""
     with np.errstate(all="ignore"):
-        means = chord_means(runs, t, alpha, length, order, node_arrays)
+        means = rule(*args)
     if not all(np.all(np.isfinite(g)) for g in means[:traces]):
         raise DivergentChordIntegral("chord integrand not finite at a quadrature node")
     return means
@@ -87,16 +89,20 @@ def _chord_traces(fld, theta: Direction, t, alpha, beta, order: int):
     """Exit and entry traces on the chords ]alpha, beta[ of the lines at
     offsets t (see `_finite_means`)."""
     return _finite_means(
-        2, [(theta, t.size)], t, alpha, beta - alpha, order,
+        2, chord_means, [(theta, t.size)], t, alpha, beta - alpha, order,
         lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, alpha[rows], beta[rows]))
 
 
 def chord_trace_values(fld, grid, order: int):
-    """Exit and entry traces for every chord of a grid.
+    """Exit and entry traces for every chord of a grid, from its kept
+    nodes (`grid_means`), float for float those of `_chord_traces`.
 
     Returns (gamma_plus, gamma_minus), each of shape (n_chords,).
     """
-    return _chord_traces(fld, grid.theta, grid.t, grid.alpha, grid.beta, order)
+    alpha, beta = grid.alpha, grid.beta
+    return _finite_means(
+        2, grid_means, grid, grid.theta, order,
+        lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, alpha[rows], beta[rows]))
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,8 @@ def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
         sq += du * du
         yield sq
 
-    gplus, gminus, sq = _finite_means(2, [(theta, grid.n_chords)], grid.t, alpha, grid.lengths,
-                                      spec.gauss_order, node_arrays)
+    gplus, gminus, sq = _finite_means(2, grid_means, grid, theta, spec.gauss_order,
+                                      node_arrays)
     norm_sq = grid.sums(_rule_terms(sq, grid.lengths, grid.chord_dt))
     return TraceField(
         theta=theta,
@@ -222,7 +228,7 @@ def _depth_means(fld, theta: Direction, t, beta, lengths, eps: float,
     (DivergentChordIntegral where it is not finite, see `_finite_means`)."""
     depth = np.minimum(eps, lengths)
     return _finite_means(
-        1, [(theta, t.size)], t, beta - depth, depth, order,
+        1, chord_means, [(theta, t.size)], t, beta - depth, depth, order,
         lambda pts, s, rows, runs: [fld.eval_many(pts.reshape(-1, pts.shape[-1]))])[0]
 
 
@@ -268,8 +274,7 @@ def lebesgue_comparisons(fld, domain: Domain, theta: Direction, eps_values,
         _, du = yield from _trace_terms(fld, runs, pts, s, alpha[rows], None)
         yield np.multiply(du, du)
 
-    gplus, dsq = _finite_means(1, [(theta, t.size)], t, alpha, lengths, spec.gauss_order,
-                               node_arrays)
+    gplus, dsq = _finite_means(1, grid_means, grid, theta, spec.gauss_order, node_arrays)
     # the volume rule of (du/dtheta)^2, as volume_integral computes it
     sums = [grid.sums(_rule_terms(dsq, lengths, grid.chord_dt))]
     for eps in eps_values:
@@ -419,7 +424,7 @@ def _spreads(fld, directions, points: np.ndarray, order: int, chords):
     for batch in batches:
         t, a, b = (np.concatenate([chords[j][k][idx] for j, idx in batch]) for k in range(3))
         gplus = _finite_means(
-            1, [(directions[j], idx.size) for j, idx in batch], t, a, b - a, order,
+            1, chord_means, [(directions[j], idx.size) for j, idx in batch], t, a, b - a, order,
             lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, a[rows], None))[0]
         start = 0
         for j, idx in batch:

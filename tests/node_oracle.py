@@ -3,8 +3,9 @@ oracle for the blocked, coordinate-major nodes of `quadrature.chord_means`.
 
 `geometry.points_along` fills one contiguous block per coordinate and
 returns a transposed view, and `quadrature.chord_means` builds its node
-parameters in place, _BLOCK chords at a time, the nodes of each run of a
-block along that run's direction.  The functions below
+parameters in place, a block of at most _BLOCK nodes at a time (a
+grid keeps its one-block set for `quadrature.grid_means`), the nodes of
+each run of a block along that run's direction.  The functions below
 build every node of every chord in one fresh row-major array, a run at a
 time.  Both reduce with the package's one reduction,
 `quadrature.chord_reduce`, whose sum over a chord depends only on that

@@ -306,7 +306,8 @@ def test_variational_residual_evaluates_the_candidate_gradient_once_per_rule(mon
         calculus.variational_residual(counted, dom, tests, QuadratureSpec(n_offsets=256))
         return list(calls)
 
-    monkeypatch.setattr(quadrature, "_BLOCK", 4096)
+    # blocks of 4,096 chords at spec's order 8 (8,192 at the other order, 4)
+    monkeypatch.setattr(quadrature, "_BLOCK", 4096 * 8)
     blocked = evaluated()
     monkeypatch.setattr(quadrature, "_BLOCK", 2**40)
     # spec and the other Gauss order on spec's grid, for all 16 tests

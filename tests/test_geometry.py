@@ -104,8 +104,6 @@ def test_direction_table_rejects_bad_counts(count):
 
 def test_direction_negation_and_axis():
     assert np.allclose((-E1).vector, [-1.0, 0.0])
-    assert E1.is_axis() and E2.is_axis()
-    assert not Direction.from_angle(0.3).is_axis()
 
 
 # --- membership ------------------------------------------------------------

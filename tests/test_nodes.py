@@ -7,6 +7,10 @@ float must agree bit for bit, and a chord's value must not depend on the
 batch or block it is computed in.
 """
 
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from dirtrace import calculus, fractal, quadrature, trace
 from dirtrace.errors import ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import Direction, IntervalUnion, Polygon
-from dirtrace.quadrature import QuadratureSpec, chord_grid, chord_means
+from dirtrace.quadrature import QuadratureSpec, chord_grid, chord_means, grid_means
 
 PLANAR = [name for name in fractal.DOMAIN_NAMES if fractal.named_domain(name).dim == 2]
 DIRECTIONS = [Direction([0.0, 1.0]), Direction.from_angle(0.7)]
@@ -54,10 +58,10 @@ def _dderiv_terms(fld, theta, pts, s, alpha, beta):
 @pytest.mark.parametrize("name", PLANAR)
 def test_node_pipeline_matches_the_row_major_oracle(name, theta, order, monkeypatch):
     grid = chord_grid(fractal.named_domain(name), theta, N_OFFSETS)
-    # five or six blocks, the last one short
+    # five or six blocks of `block` chords, the last one short
     block = grid.n_chords // 5 + 1
     assert block > 3 and grid.n_chords % block
-    monkeypatch.setattr(quadrature, "_BLOCK", block)
+    monkeypatch.setattr(quadrature, "_BLOCK", block * order)
     blocks = _blocks(theta, grid, order)
     assert [rows.start for rows, _, _ in blocks] == list(range(0, grid.n_chords, block))
     runs = [(theta, grid.n_chords)]
@@ -86,7 +90,7 @@ def test_node_pipeline_matches_the_row_major_oracle(name, theta, order, monkeypa
 def test_node_coordinates_are_contiguous_blocks(theta, monkeypatch):
     # each coordinate a field reads, p[:, k] of the flattened nodes, is one
     # contiguous block of memory
-    monkeypatch.setattr(quadrature, "_BLOCK", 5)
+    monkeypatch.setattr(quadrature, "_BLOCK", 5 * 8)
     grid = chord_grid(fractal.named_domain("triangle"), theta, N_OFFSETS)
     for _, pts, _ in _blocks(theta, grid, 8):
         flat = pts.reshape(-1, pts.shape[-1])
@@ -107,7 +111,7 @@ def test_exit_traces_do_not_depend_on_the_batch(name, theta, order, monkeypatch)
     fld = get_field("sincos")
     want = trace.chord_trace_values(fld, grid, order)[0]
     block = max(16, grid.n_chords // 5)
-    monkeypatch.setattr(quadrature, "_BLOCK", block)
+    monkeypatch.setattr(quadrature, "_BLOCK", block * order)
     t, alpha, beta = grid.t, grid.alpha, grid.beta
     _same(trace._chord_traces(fld, theta, t, alpha, beta, order)[0], want)
     rng = np.random.default_rng(11)
@@ -149,7 +153,7 @@ def test_run_form_matches_one_call_per_direction(name, order, monkeypatch):
     block = next(b for b in range(ends[-1] // 3 + 1, ends[-1])
                  if not set(range(b, ends[-1], b)) & set(ends.tolist()))
     assert block < ends[-1] // 2
-    monkeypatch.setattr(quadrature, "_BLOCK", block)
+    monkeypatch.setattr(quadrature, "_BLOCK", block * order)
     fld = get_field("sincos")
     got = []
 
@@ -208,12 +212,15 @@ def test_block_size_changes_no_float(domain, theta, n_offsets, monkeypatch):
     grid = chord_grid(domain, theta, n_offsets)
     if domain.dim == 2:
         panels = np.maximum(1, np.ceil(grid.lengths / 0.1)).sum()
-        assert panels == 34897 and panels % quadrature._BLOCK
+        assert panels == 34897 and panels % (quadrature._BLOCK // 16)
     else:
         assert grid.n_chords == 1
     want = _panel_reports(domain, theta, spec)
+    # blocks of 3, 4,096 and 2**40 chords; a fresh grid keeps no nodes from
+    # the block size before
     for block in (3, 4096, 2**40):
-        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        monkeypatch.setattr(quadrature, "_BLOCK", block * 16)
+        quadrature.clear_cache()
         assert _panel_reports(domain, theta, spec) == want
 
 
@@ -235,8 +242,11 @@ def test_block_size_changes_no_error_bar(name, monkeypatch):
     dom, theta = fractal.named_domain(name), Direction.from_angle(0.8)
     spec = QuadratureSpec(n_offsets=512)
     want = _estimating_reports(dom, theta, spec)
+    # blocks of 7 and 4,096 chords at spec's order, on fresh grids, which
+    # keep no nodes from the block size before
     for block in (7, 4096):
-        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        monkeypatch.setattr(quadrature, "_BLOCK", block * spec.gauss_order)
+        quadrature.clear_cache()
         assert _estimating_reports(dom, theta, spec) == want
 
 
@@ -297,3 +307,212 @@ def test_reductions_match_the_row_major_oracle(monkeypatch):
         want = _reports()
     assert got == want
 
+
+
+# --- node sets kept with their grid -------------------------------------------
+
+
+def _counted_builds(monkeypatch):
+    """The list of the node builder's `points_along` calls, one entry (the
+    shape of s) each; the chord endpoints (s of one dimension) left out."""
+    calls = []
+    points_along = quadrature.points_along
+
+    def counted(base, s, *args, **kwargs):
+        if s.ndim == 2:
+            calls.append(s.shape)
+        return points_along(base, s, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "points_along", counted)
+    return calls
+
+
+def test_second_warm_call_builds_no_nodes(monkeypatch):
+    dom, theta = fractal.named_domain("omega_C"), DIRECTIONS[1]
+    spec = QuadratureSpec(n_offsets=256, gauss_order=16)
+    u, v = get_field("sincos"), get_field("x1x2")
+    quadrature.clear_cache()
+    grid = chord_grid(dom, theta, spec.n_offsets)
+    calls = _counted_builds(monkeypatch)
+    reductions = {
+        "volume_integral": lambda: quadrature.volume_integral(dom, u, spec, theta),
+        "chord_trace_values": lambda: [
+            g.tobytes() for g in trace.chord_trace_values(u, grid, spec.gauss_order)],
+        "trace_inequalities": lambda: trace.trace_inequalities(u, dom, theta, spec),
+        "integration_by_parts": lambda: calculus.integration_by_parts(u, v, dom, theta, spec),
+        # its depth means build their nodes on every call
+        "lebesgue_comparisons": lambda: trace.lebesgue_comparisons(u, dom, theta, [0.1], spec),
+    }
+    depth = {"lebesgue_comparisons": 1}
+    first = {}
+    for name, call in reductions.items():
+        calls.clear()
+        first[name] = repr(call())
+        # the first call on the grid at this order builds its one node set
+        assert len(calls) == depth.get(name, 0) + (name == "volume_integral"), name
+    for name, call in reductions.items():
+        calls.clear()
+        assert repr(call()) == first[name]
+        assert len(calls) == depth.get(name, 0), name
+    assert calls == [(grid.n_chords, 16)]
+    # another order is another set
+    calls.clear()
+    trace.chord_trace_values(u, grid, 8)
+    trace.chord_trace_values(u, grid, 8)
+    assert calls == [(grid.n_chords, 8)]
+    assert sorted(grid._kept) == [8, 16]
+    quadrature.clear_cache()
+
+
+def _node_sets(grid, theta, order):
+    """The (points, s) that `grid_means` hands its callback."""
+    got = []
+    grid_means(grid, theta, order, lambda pts, s, rows, runs: got.append((pts, s)) or ())
+    return got
+
+
+def _add_to_s(pts, s, rows, runs):
+    s += 1.0
+    return [s]
+
+
+def _zero_a_coordinate(pts, s, rows, runs):
+    flat = pts.reshape(-1, pts.shape[-1])
+    flat[:, 0] = 0.0
+    return [s]
+
+
+def test_kept_nodes_are_read_only():
+    dom, theta = fractal.named_domain("triangle"), DIRECTIONS[1]
+    quadrature.clear_cache()
+    grid = chord_grid(dom, theta, N_OFFSETS)
+    ((pts, s),) = _node_sets(grid, theta, 8)
+    assert grid._kept[8] == (s, pts)
+    assert _node_sets(grid, theta, 8)[0][1] is s
+    for arr in (s, pts, pts.reshape(-1, pts.shape[-1])):
+        assert not arr.flags.writeable
+    want = [arr.copy() for arr in (pts, s)]
+    for writes in (_add_to_s, _zero_a_coordinate):
+        with pytest.raises(ValueError, match="read-only"):
+            grid_means(grid, theta, 8, writes)
+    for kept, before in zip((pts, s), want):
+        _same(kept, before)
+    quadrature.clear_cache()
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+@pytest.mark.parametrize("name", fractal.DOMAIN_NAMES)
+def test_kept_nodes_give_the_means_of_a_cold_build(name, order, monkeypatch):
+    dom = fractal.named_domain(name)
+    theta = DIRECTIONS[1] if dom.dim == 2 else Direction([1.0])
+    fld = get_field("sincos" if dom.dim == 2 else "sin1")
+    quadrature.clear_cache()
+    grid = chord_grid(dom, theta, N_OFFSETS)
+    alpha, beta = grid.alpha, grid.beta
+
+    def node_arrays(pts, s, rows, runs):
+        return trace._trace_terms(fld, runs, pts, s, alpha[rows], beta[rows])
+
+    cold = chord_means([(theta, grid.n_chords)], grid.t, alpha, grid.lengths, order,
+                       node_arrays)
+    # the comb's grid (93,050 chords) fits only a larger block
+    monkeypatch.setattr(quadrature, "_BLOCK", max(quadrature._BLOCK, grid.n_chords * order))
+    built = grid_means(grid, theta, order, node_arrays)
+    assert order in grid._kept
+    kept = grid_means(grid, theta, order, node_arrays)
+    for want, got_built, got_kept in zip(cold, built, kept, strict=True):
+        _same(got_built, want)
+        _same(got_kept, want)
+    quadrature.clear_cache()
+
+
+def _kept_sizes():
+    """The node count of every set that the cached grids keep."""
+    with quadrature._cache_lock:
+        return [s.size for grid in quadrature._cache.values() for s, _ in grid._kept.values()]
+
+
+def test_kept_nodes_stay_within_one_block_and_leave_with_their_grid(monkeypatch):
+    square, fld = fractal.named_domain("square"), get_field("sincos")
+    quadrature.clear_cache()
+    assert quadrature._kept_total == 0
+    monkeypatch.setattr(quadrature, "_CACHE_LIMIT", 2)
+    vertical, oblique = (chord_grid(square, theta, N_OFFSETS) for theta in DIRECTIONS)
+    assert (vertical.n_chords, oblique.n_chords) == (32, 33)
+    want = {order: trace._chord_traces(fld, oblique.theta, oblique.t, oblique.alpha,
+                                       oblique.beta, order) for order in (8, 16)}
+    monkeypatch.setattr(quadrature, "_BLOCK", 40 * 8)
+    # over one block at order 16: nothing kept
+    trace.chord_trace_values(fld, oblique, 16)
+    assert not oblique._kept
+    # the first set to arrive is kept, and no set beyond the budget
+    trace.chord_trace_values(fld, vertical, 8)
+    assert sorted(vertical._kept) == [8]
+    for grid, order in ((oblique, 8), (vertical, 4), (vertical, 8)):
+        trace.chord_trace_values(fld, grid, order)
+    assert not oblique._kept and sorted(vertical._kept) == [8]
+    assert quadrature._kept_total == sum(_kept_sizes()) == 32 * 8 <= quadrature._BLOCK
+    for order, values in want.items():
+        for got, expected in zip(trace.chord_trace_values(fld, oblique, order), values,
+                                 strict=True):
+            _same(got, expected)
+    # LRU eviction frees the set: the oblique grid, used last, stays
+    kept = weakref.ref(vertical._kept[8][0])
+    chord_grid(square, Direction.from_angle(2.3), N_OFFSETS)
+    assert vertical._kept is None and kept() is None
+    assert quadrature._kept_total == 0
+    # a grid outside the cache keeps nothing
+    trace.chord_trace_values(fld, vertical, 8)
+    assert vertical._kept is None and quadrature._kept_total == 0
+    trace.chord_trace_values(fld, oblique, 8)
+    assert sorted(oblique._kept) == [8] and quadrature._kept_total == 33 * 8
+    kept = weakref.ref(oblique._kept[8][0])
+    quadrature.clear_cache()
+    assert oblique._kept is None and kept() is None and quadrature._kept_total == 0
+
+
+def test_threads_on_one_cold_grid_get_the_same_floats():
+    dom, theta, order = fractal.named_domain("cusp"), DIRECTIONS[1], 16
+    fld = get_field("sincos")
+    cold = quadrature.ChordGrid(dom, theta, 256)  # outside the cache: keeps nothing
+    want = trace._chord_traces(fld, theta, cold.t, cold.alpha, cold.beta, order)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            quadrature.clear_cache()
+            start, got = threading.Barrier(4), [None] * 4
+
+            def run(k):
+                start.wait(timeout=60)
+                grid = chord_grid(dom, theta, 256)
+                got[k] = grid, trace.chord_trace_values(fld, grid, order)
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            grid = got[0][0]
+            # one grid, one kept set, counted once
+            assert all(other is grid for other, _ in got)
+            assert sorted(grid._kept) == [order]
+            assert quadrature._kept_total == grid.n_chords * order
+            for _, values in got:
+                for a, b in zip(values, want, strict=True):
+                    _same(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+        quadrature.clear_cache()
+
+
+def test_panel_rules_share_one_split(monkeypatch):
+    calls, panels = [], quadrature._panels
+    monkeypatch.setattr(quadrature, "_panels", lambda *args: calls.append(args) or panels(*args))
+    square, fld = fractal.named_domain("square"), get_field("sincos")
+    spec = QuadratureSpec(n_offsets=256, gauss_order=16)
+    got = repr(quadrature.volume_integral(square, fld, spec, DIRECTIONS[1], panel=0.1))
+    assert len(calls) == 1
+    monkeypatch.setattr(quadrature, "_panels", panels)
+    assert repr(quadrature.volume_integral(square, fld, spec, DIRECTIONS[1], panel=0.1)) == got
