@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidRatio, ValidationError
+from .errors import InvalidRatio, check_integer
 
 # Recursive descent stops refining once the bracketing interval is this
 # short; points that deep are reported as lying on the set.  Each level
@@ -43,10 +43,7 @@ def _check_ratio(ratio: float) -> None:
 
 
 def _check_level(level: int) -> None:
-    if not isinstance(level, (int, np.integer)) or not (0 <= level <= MAX_LEVEL):
-        raise ValidationError(
-            f"level must be an integer in [0, {MAX_LEVEL}], got {level!r}"
-        )
+    check_integer("level", level, 0, MAX_LEVEL)
 
 
 def _split(a: np.ndarray, b: np.ndarray, depth: int, ratio: float, scheme: str):

@@ -21,13 +21,12 @@ converges geometrically and a tail bound encloses the limit.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _cantor
-from .errors import NonIntegrablePairing, UnresolvedSingularity, ValidationError
+from .errors import NonIntegrablePairing, UnresolvedSingularity, ValidationError, check_integer
 from .fields import ScalarField, get_field
 from .geometry import Direction, Domain
 from .quadrature import (
@@ -78,11 +77,10 @@ class IbpReport:
         }
 
 
-def _ibp_sides(u, v, domain, theta, spec):
+def _ibp_sides(u, v, grid, order: int):
     """`ChordGrid.sums` of lhs, rhs and the bracket <G+u, G+v> - <G-u, G-v>
-    on spec's chord grid, from one evaluation of each field at the Gauss
-    nodes."""
-    grid = chord_grid(domain, theta, spec.n_offsets)
+    on the chord grid, from one evaluation of each field at the Gauss nodes
+    of the order."""
     alpha, beta, lengths, chord_dt = grid.alpha, grid.beta, grid.lengths, grid.chord_dt
 
     def node_arrays(pts, s, rows, runs):
@@ -92,8 +90,7 @@ def _ibp_sides(u, v, domain, theta, spec):
         pair += vv * du
         yield pair
 
-    up, um, vp, vm, pair = _finite_means(4, grid_means, grid, theta, spec.gauss_order,
-                                         node_arrays)
+    up, um, vp, vm, pair = _finite_means(4, grid_means, grid, order, node_arrays)
     lhs = grid.sums(_rule_terms(pair, lengths, chord_dt))
     rhs = grid.sums((up * vp - um * vm) * chord_dt)
     if not (np.isfinite(lhs[0]) and np.isfinite(rhs[0])):
@@ -111,11 +108,11 @@ def integration_by_parts(u: ScalarField, v: ScalarField, domain: Domain,
                          spec: QuadratureSpec | None = None) -> IbpReport:
     """Both sides of the chord-paired integration by parts identity."""
     spec = spec or QuadratureSpec()
+    grid = chord_grid(domain, theta, spec.n_offsets)
     (lhs, rhs, _), (err_lhs, err_rhs, _), (_, rhs_c, _) = offset_estimate(
-        _ibp_sides(u, v, domain, theta, spec))
+        _ibp_sides(u, v, grid, spec.gauss_order))
     _check_settled(rhs, rhs_c, NonIntegrablePairing, "boundary pairing does not settle")
-    flags = chord_grid(domain, theta, spec.n_offsets).flagged_offsets
-    return IbpReport(theta, lhs, rhs, err_lhs, err_rhs, flags,
+    return IbpReport(theta, lhs, rhs, err_lhs, err_rhs, grid.flagged_offsets,
                      spec.n_offsets, spec.gauss_order)
 
 
@@ -182,7 +179,7 @@ def paired_identity(u: ScalarField, v: ScalarField, domain: Domain,
     """<G+u, G+v> - <G-u, G-v> against the volume pairing of u and v."""
     spec = spec or QuadratureSpec()
     (lhs, _, bracket), (err_lhs, _, err_bracket), _ = offset_estimate(
-        _ibp_sides(u, v, domain, theta, spec))
+        _ibp_sides(u, v, chord_grid(domain, theta, spec.n_offsets), spec.gauss_order))
     return PairedIdentityReport(
         theta=theta,
         volume_pairing=lhs,
@@ -196,14 +193,6 @@ def paired_identity(u: ScalarField, v: ScalarField, domain: Domain,
 # Cantor-boundary limit functionals
 
 
-@functools.cache
-def _horizontal() -> Direction:
-    """The direction (1, 0) of every stage mean, built on first use: built
-    at import, its norm check would make a BLAS call there and leave more
-    memory resident in every process, also those that take no stage mean."""
-    return Direction([1.0, 0.0])
-
-
 def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     """Average of interval averages of the field at one height.
 
@@ -214,7 +203,7 @@ def _stage_mean(fld: ScalarField, n: int, height: float, order: int) -> float:
     y = 0.5 * (3.0 ** (-n))
     lo = a - y
     means, weight_means = chord_means(
-        [(_horizontal(), a.size)], np.full(a.size, height), lo, (b + y) - lo, order,
+        [(Direction.from_angle(0.0), a.size)], np.full(a.size, height), lo, (b + y) - lo, order,
         lambda pts, s, rows, runs: (fld.eval_many(pts.reshape(-1, 2)), np.ones(s.shape)))
     # Normalizing by the weight sum computed with the same reduction keeps
     # constant fields exact: each row becomes x / x.
@@ -378,8 +367,7 @@ def bump_tests(domain: Domain, count: int = 16) -> list[ScalarField]:
     """
     if domain.dim != 2:
         raise ValidationError("bump tests are planar")
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValidationError(f"count must be an integer >= 1, got {count!r}")
+    check_integer("count", count, 1)
     if domain.kind == "bicone":
         grids = [[(a, sgn * h, 0.15) for a in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
                   for h in (0.45, 0.75) for sgn in (1.0, -1.0)]]

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the tolerance check."""
+"""Exception types shared across the package, and the tolerance and
+integer checks."""
 
 import math
+import numbers
 
 
 class DirtraceError(Exception):
@@ -57,3 +59,12 @@ def check_tolerance(tolerance) -> None:
     the caller's default."""
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValidationError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+
+
+def check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Reject a value that is not an integer in [lo, hi] (hi None: no upper
+    end): a float, even a whole one, or a bool, which would pass as 0 or 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo or (hi is not None and value > hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{name} must be an integer {span}, got {value!r}")

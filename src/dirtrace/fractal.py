@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _cantor, geometry
 from ._cantor import MAX_LEVEL
-from .errors import OverlappingGaps, UnknownName, ValidationError
+from .errors import OverlappingGaps, UnknownName, ValidationError, check_integer
 
 # Each staircase round can only halve segment masses; beyond this the
 # masses fall under double precision resolution.
@@ -139,10 +139,7 @@ def _breakpoints(c, d, m) -> np.ndarray:
 def _rounds(gaps, alpha: float, beta: float, p_max: int, margin: float):
     """Segments [c, d] with masses 2**-m of rounds 0 .. p_max, in window order,
     stopping once no segment contains a gap (later rounds repeat the last)."""
-    if not isinstance(p_max, (int, np.integer)) or not (0 <= p_max <= MAX_STAIRCASE_DEPTH):
-        raise ValidationError(
-            f"p_max must be an integer in [0, {MAX_STAIRCASE_DEPTH}], got {p_max!r}"
-        )
+    check_integer("p_max", p_max, 0, MAX_STAIRCASE_DEPTH)
     a, b, orig = _prepare_gaps(gaps, alpha, beta, margin)
     # Split preference of each gap: longest first, ties to the smallest
     # original index; the sentinel lets a reduceat range end at len(a).

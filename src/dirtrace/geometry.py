@@ -63,6 +63,7 @@ from .errors import (
     PointOutsideDomain,
     UnknownName,
     ValidationError,
+    check_integer,
 )
 
 # Shortest closed-form chord kept.  Closed-form endpoints are exact to
@@ -272,8 +273,7 @@ class Direction:
 
 def direction_table(count: int, start_angle: float = 0.0) -> list[Direction]:
     """`count` equally spaced planar directions starting at `start_angle`."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValidationError(f"direction count must be an integer >= 1, got {count!r}")
+    check_integer("direction count", count, 1)
     return [
         Direction.from_angle(start_angle + 2.0 * math.pi * k / count)
         for k in range(count)

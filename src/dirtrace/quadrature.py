@@ -44,9 +44,12 @@ and the points, from a read-only set kept with the grid per Gauss order,
 built on first use by `chord_means` itself, so every float is the one a
 fresh build gives.  A grid keeps a set only when it fits one block of
 _BLOCK nodes, and all cached grids together keep at most _BLOCK nodes
-(6 MiB in 2-D), the first sets to arrive; a set goes when its grid leaves
-the cache.  Derived chords (panels, depth means, exit chords of probes,
-stage intervals) build their nodes block by block on every call.
+(6 MiB in 2-D), the first sets to arrive.  A grid keeps its node sets and
+its callers' entries (`kept_entry`) in one store, freed when it leaves the
+cache, which keys it by the bits of its direction: a cached grid's
+direction is the caller's, the signs of its zeros included.  Derived
+chords (panels, depth means, exit chords of probes, stage intervals)
+build their nodes block by block on every call.
 """
 
 from __future__ import annotations
@@ -54,12 +57,12 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _gauss
-from .errors import UnresolvedSingularity, ValidationError
+from .errors import UnresolvedSingularity, ValidationError, check_integer
 from .geometry import (
     Direction,
     Domain,
@@ -102,8 +105,7 @@ class QuadratureSpec:
     gauss_order: int = 8
 
     def __post_init__(self) -> None:
-        if not (2 <= self.n_offsets <= 2**22):
-            raise ValidationError(f"n_offsets out of range: {self.n_offsets!r}")
+        check_integer("n_offsets", self.n_offsets, 2, 2**22)
         _check_order(self.gauss_order)
 
 
@@ -150,8 +152,8 @@ def _offset_cells(domain, theta, lo, hi, n_offsets):
 
 
 def _check_order(order) -> None:
-    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
-            or order not in _GAUSS_ORDERS):
+    check_integer("gauss_order", order, min(_GAUSS_ORDERS), max(_GAUSS_ORDERS))
+    if order not in _GAUSS_ORDERS:
         raise ValidationError(f"gauss_order must be one of {_GAUSS_ORDERS}, got {order!r}")
 
 
@@ -235,8 +237,9 @@ class ChordGrid:
         for arr in (self.offsets, self.offset_widths, self.segment_counts,
                     self.offset_index, self.alpha, self.beta, self.lengths):
             arr.setflags(write=False)
-        # Gauss order -> read-only (s, points) of the grid's own chords
-        # (`grid_means`), while the grid is cached; None outside the cache
+        # what the grid keeps while it is cached, None outside the cache:
+        # Gauss order -> read-only (s, points) of its own chords
+        # (`grid_means`), and a tuple -> a caller's entry (`kept_entry`)
         self._kept = None
 
     # Arrays that are cheap to derive are derived on demand rather than
@@ -288,12 +291,10 @@ class ChordGrid:
 
 _cache_lock = threading.Lock()
 _cache: "OrderedDict[tuple, ChordGrid]" = OrderedDict()
-# Gauss nodes that the cached grids keep, all together: at most _BLOCK
-_kept_total = 0
 
 
 def chord_grid(domain: Domain, theta: Direction, n_offsets: int) -> ChordGrid:
-    key = (domain.cache_key(), theta.key(), int(n_offsets))
+    key = (domain.cache_key(), theta.vector.tobytes(), int(n_offsets))
     with _cache_lock:
         grid = _cache.get(key)
         if grid is not None:
@@ -305,23 +306,37 @@ def chord_grid(domain: Domain, theta: Direction, n_offsets: int) -> ChordGrid:
         cached = _cache.setdefault(key, grid)
         if cached is grid:
             grid._kept = {}
-            while len(_cache) > _CACHE_LIMIT:
-                _release(_cache.popitem(last=False)[1])
+            while len(_cache) > _CACHE_LIMIT:  # all it keeps goes with it
+                _cache.popitem(last=False)[1]._kept = None
     return cached
-
-
-def _release(grid: ChordGrid) -> None:
-    """Drop the node sets of a grid that leaves the cache (under _cache_lock)."""
-    global _kept_total
-    _kept_total -= sum(s.size for s, _ in grid._kept.values())
-    grid._kept = None
 
 
 def clear_cache() -> None:
     with _cache_lock:
         for grid in _cache.values():
-            _release(grid)
+            grid._kept = None
         _cache.clear()
+
+
+def _kept_nodes() -> int:
+    """Gauss nodes in the node sets of all cached grids (under _cache_lock)."""
+    return sum(value[0].size for grid in _cache.values()
+               for key, value in grid._kept.items() if key in _GAUSS_ORDERS)
+
+
+def kept_entry(grid: ChordGrid, key: tuple, update=None):
+    """The entry that a cached grid keeps under key, None if none; with
+    update, first replace it by update(entry), quick and not writing into
+    the shared entry it gets, under the cache lock and so on the latest
+    entry (kept only while the grid is cached)."""
+    with _cache_lock:
+        kept = grid._kept
+        entry = None if kept is None else kept.get(key)
+        if update is not None:
+            entry = update(entry)
+            if kept is not None:
+                kept[key] = entry
+        return entry
 
 
 def _own_nodes(grid: ChordGrid, order: int):
@@ -330,7 +345,6 @@ def _own_nodes(grid: ChordGrid, order: int):
     kept with the grid while the kept sets of all grids stay within _BLOCK
     nodes (the first sets to arrive are kept); None when the grid is not
     cached, its nodes do not fit one block or the budget is spent."""
-    global _kept_total
     nodes = grid.n_chords * order
     with _cache_lock:
         kept = grid._kept
@@ -338,7 +352,7 @@ def _own_nodes(grid: ChordGrid, order: int):
             return None
         if order in kept:
             return kept[order]
-        if _kept_total + nodes > _BLOCK:
+        if _kept_nodes() + nodes > _BLOCK:
             return None
     built = []
     chord_means([(grid.theta, grid.n_chords)], grid.t, grid.alpha, grid.lengths, order,
@@ -351,26 +365,25 @@ def _own_nodes(grid: ChordGrid, order: int):
         if kept is None:  # the grid left the cache meanwhile
             return s, points
         # another thread may have kept a set meanwhile, or spent the budget
-        if order not in kept and _kept_total + nodes <= _BLOCK:
+        if order not in kept and _kept_nodes() + nodes <= _BLOCK:
             kept[order] = s, points
-            _kept_total += nodes
         return kept.get(order, (s, points))
 
 
-def grid_means(grid: ChordGrid, theta: Direction, order: int, node_arrays):
-    """`chord_means` of node_arrays on every chord of the grid along theta,
-    float for float, from the node set that the grid keeps at the order
-    (`_own_nodes`) when theta is the grid's own direction bit for bit; the
-    node set is read-only, so node_arrays must not write into it."""
+def grid_means(grid: ChordGrid, order: int, node_arrays):
+    """`chord_means` of node_arrays on every chord of the grid along its
+    direction, float for float, from the node set that the grid keeps at
+    the order (`_own_nodes`); the node set is read-only, so node_arrays
+    must not write into it."""
     _check_order(order)
     n = grid.n_chords
-    nodes = (_own_nodes(grid, order)
-             if theta.vector.tobytes() == grid.theta.vector.tobytes() else None)
+    nodes = _own_nodes(grid, order)
     if nodes is None:
-        return chord_means([(theta, n)], grid.t, grid.alpha, grid.lengths, order, node_arrays)
+        return chord_means([(grid.theta, n)], grid.t, grid.alpha, grid.lengths, order,
+                           node_arrays)
     s, points = nodes
     w = 0.5 * _gauss.nodes(order)[1]
-    runs = [(theta, slice(0, n))] if n else []
+    runs = [(grid.theta, slice(0, n))] if n else []
     return [chord_reduce(v, w) for v in node_arrays(points, s, slice(0, n), runs)]
 
 
@@ -400,11 +413,10 @@ def _panels(grid: ChordGrid, panel: float):
     return ci, grid.t[ci], grid.alpha[ci] + pj * length, length, grid.chord_dt[ci]
 
 
-def _rule_sums(domain, integrands, theta, spec, panels=None):
-    """`ChordGrid.sums` of the chord rule at spec, one per array that
-    `integrands(points)` yields, all from one set of nodes on the chords of
-    spec's grid, or on their `_panels`."""
-    grid = chord_grid(domain, theta, spec.n_offsets)
+def _rule_sums(grid, integrands, order: int, panels=None):
+    """`ChordGrid.sums` of the chord rule at the Gauss order, one per array
+    that `integrands(points)` yields, all from one set of nodes on the
+    grid's chords, or on their `_panels`."""
 
     def node_arrays(pts, s, rows, runs):
         del s  # no arc offsets (a built set is freed before the integrands run)
@@ -412,11 +424,10 @@ def _rule_sums(domain, integrands, theta, spec, panels=None):
 
     if panels is None:
         ci, length, row_dt = None, grid.lengths, grid.chord_dt
-        means = grid_means(grid, theta, spec.gauss_order, node_arrays)
+        means = grid_means(grid, order, node_arrays)
     else:
         ci, t, alpha, length, row_dt = panels
-        means = chord_means([(theta, t.size)], t, alpha, length, spec.gauss_order,
-                            node_arrays)
+        means = chord_means([(grid.theta, t.size)], t, alpha, length, order, node_arrays)
     return [grid.sums(_rule_terms(v, length, row_dt), ci) for v in means]
 
 
@@ -498,10 +509,10 @@ def volume_integrals(domain: Domain, integrands, spec: QuadratureSpec | None = N
     # both rules read one split into panels
     panels = None if panel is None else _panels(grid, panel)
     values, errors, coarse = offset_estimate(
-        _rule_sums(domain, integrands, theta, spec, panels))
+        _rule_sums(grid, integrands, spec.gauss_order, panels))
     if panel is not None:
-        alt = replace(spec, gauss_order=4 if spec.gauss_order != 4 else 8)
-        alt_values = [v for v, _, _ in _rule_sums(domain, integrands, theta, alt, panels)]
+        alt = 4 if spec.gauss_order != 4 else 8
+        alt_values = [v for v, _, _ in _rule_sums(grid, integrands, alt, panels)]
         errors = [e + abs(v - a) for e, v, a in zip(errors, values, alt_values)]
     for v, c in zip(values, coarse):
         _check_settled(v, c)

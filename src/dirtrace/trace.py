@@ -14,19 +14,25 @@ points are found by recomputing chords (never by accidental coincidence
 of atoms): a probe point from one direction's atoms is reachable in
 another direction exactly when the slice through it has a chord exiting
 there.  A finite direction family can only ever refute agreement, so a
-clean report says "not refuted", not "proved".
+clean report says "not refuted", not "proved".  The lookups of a report
+that need no field are kept with a cached grid (`quadrature.kept_entry`).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergentChordIntegral, InsufficientOverlap, ValidationError, check_tolerance
+from .errors import (
+    DivergentChordIntegral,
+    InsufficientOverlap,
+    ValidationError,
+    check_integer,
+    check_tolerance,
+)
 from .geometry import (
     Direction,
     Domain,
@@ -40,12 +46,12 @@ from .quadrature import (
     ChordGrid,
     IntegralResult,
     QuadratureSpec,
-    _cache_lock,
     _check_settled,
     _rule_terms,
     chord_grid,
     chord_means,
     grid_means,
+    kept_entry,
     offset_estimate,
 )
 
@@ -101,7 +107,7 @@ def chord_trace_values(fld, grid, order: int):
     """
     alpha, beta = grid.alpha, grid.beta
     return _finite_means(
-        2, grid_means, grid, grid.theta, order,
+        2, grid_means, grid, order,
         lambda pts, s, rows, runs: _trace_terms(fld, runs, pts, s, alpha[rows], beta[rows]))
 
 
@@ -164,14 +170,14 @@ class TraceField:
 
 def trace_field(fld, domain: Domain, theta: Direction,
                 spec: QuadratureSpec | None = None) -> TraceField:
-    return _trace_field(fld, domain, theta, spec or QuadratureSpec())[0]
+    spec = spec or QuadratureSpec()
+    return _trace_field(fld, chord_grid(domain, theta, spec.n_offsets), spec)[0]
 
 
-def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
-    """The trace field, and the `ChordGrid.sums` of the volume rule of
-    u^2 + (du/dtheta)^2 (what `norm_theta` squares) from the same node
-    values."""
-    grid = chord_grid(domain, theta, spec.n_offsets)
+def _trace_field(fld, grid: ChordGrid, spec: QuadratureSpec):
+    """The trace field on the grid at spec's Gauss order, and the
+    `ChordGrid.sums` of the volume rule of u^2 + (du/dtheta)^2 (what
+    `norm_theta` squares) from the same node values."""
     alpha, beta = grid.alpha, grid.beta
 
     def node_arrays(pts, s, rows, runs):
@@ -180,11 +186,10 @@ def _trace_field(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
         sq += du * du
         yield sq
 
-    gplus, gminus, sq = _finite_means(2, grid_means, grid, theta, spec.gauss_order,
-                                      node_arrays)
+    gplus, gminus, sq = _finite_means(2, grid_means, grid, spec.gauss_order, node_arrays)
     norm_sq = grid.sums(_rule_terms(sq, grid.lengths, grid.chord_dt))
     return TraceField(
-        theta=theta,
+        theta=grid.theta,
         points=grid.endpoint_plus,
         values=gplus,
         opposite_values=gminus,
@@ -204,8 +209,8 @@ def trace_norm_sq(fld, domain: Domain, theta: Direction,
     """Boundary L2 norm squared of the trace, with its offset-rule error."""
     spec = spec or QuadratureSpec()
     grid = chord_grid(domain, theta, spec.n_offsets)
-    terms = trace_field(fld, domain, theta, spec).norm_terms()[0]
-    (value,), (error,), _ = offset_estimate([grid.sums(terms)])
+    gplus = chord_trace_values(fld, grid, spec.gauss_order)[0]
+    (value,), (error,), _ = offset_estimate([grid.sums(grid.weights * gplus**2)])
     return IntegralResult(value, error, grid.flagged_offsets,
                           spec.n_offsets, spec.gauss_order, method="trace_norm_sq")
 
@@ -274,7 +279,7 @@ def lebesgue_comparisons(fld, domain: Domain, theta: Direction, eps_values,
         _, du = yield from _trace_terms(fld, runs, pts, s, alpha[rows], None)
         yield np.multiply(du, du)
 
-    gplus, dsq = _finite_means(1, grid_means, grid, theta, spec.gauss_order, node_arrays)
+    gplus, dsq = _finite_means(1, grid_means, grid, spec.gauss_order, node_arrays)
     # the volume rule of (du/dtheta)^2, as volume_integral computes it
     sums = [grid.sums(_rule_terms(dsq, lengths, grid.chord_dt))]
     for eps in eps_values:
@@ -331,8 +336,8 @@ def trace_inequalities(fld, domain: Domain, theta: Direction,
 
 def _trace_inequalities(fld, domain: Domain, theta: Direction, spec: QuadratureSpec):
     """The report, and the trace field it was computed from."""
-    tf, (sq, _, rows) = _trace_field(fld, domain, theta, spec)
     grid = chord_grid(domain, theta, spec.n_offsets)
+    tf, (sq, _, rows) = _trace_field(fld, grid, spec)
     # in the report's field order; norm_theta_sq squares the rounded norm,
     # as norm_theta(...) ** 2 does
     sums = [grid.sums(terms) for terms in tf.norm_terms()]
@@ -460,8 +465,13 @@ class _Lookups(NamedTuple):
     """What consistency reports read from their chord grids alone, whatever
     the field: each probe's source direction (its index in the table),
     exit point, atom weight and offset, each direction's grid dt, the
-    probes' `exit_chords` along each direction, and the largest null-rule
-    error of a direction's measure mass."""
+    probes' `exit_chords` along each direction, the largest null-rule
+    error of a direction's measure mass, and, row by row as reports need
+    them, the probes' jittered probes and their exit chords
+    (`_jittered_lookups`; None before the first).  One per report
+    configuration (direction table, probe count and matching radius), kept
+    with the grid of the table's first direction (`kept_entry`); shared,
+    so read-only and replaced, never written in place."""
 
     source: np.ndarray
     points: np.ndarray
@@ -470,21 +480,7 @@ class _Lookups(NamedTuple):
     dt: np.ndarray
     chords: tuple
     mass_error: float
-
-
-# One `_Lookups` per report configuration (direction table, probe count
-# and matching radius, on the domain and resolution of the grid), and
-# beside it, row by row as reports need them, the probes' jittered probes
-# and their exit chords along each direction; both kept with the grid of
-# the table's first direction, their arrays read-only, as reports share
-# them.  An entry lives as long as that grid (the grid cache drops it, and
-# so it).
-_grid_memo: "weakref.WeakKeyDictionary[ChordGrid, dict]" = weakref.WeakKeyDictionary()
-
-
-def _memo_get(grid: ChordGrid, key):
-    with _cache_lock:
-        return _grid_memo.get(grid, {}).get(key)
+    jittered: tuple | None = None
 
 
 def _read_only(arrays):
@@ -525,13 +521,14 @@ def _jittered_lookups(domain: Domain, directions, grid: ChordGrid, key, lookups:
     (t, alpha, beta, found) with one column per direction (NaN chords
     where a jittered probe is not finite).
 
-    Both are kept with grid under key, one row per probe, and looked up
-    only for the probes that no report has looked up yet: each source
-    direction's jittered probes in one `_jittered_probes` call, then the
-    finite ones along each direction in one batch.  The entry is replaced,
-    never written in place, so a report keeps reading the entry it was
-    given while another fills rows.  idx must be sorted."""
-    entry = _memo_get(grid, key)
+    Both are kept in `_Lookups.jittered`, a mask of the probes looked up
+    and one row per probe, and looked up only for the probes that no
+    report has looked up yet: each source direction's jittered probes in
+    one `_jittered_probes` call, then the finite ones along each direction
+    in one batch.  The fresh rows join a copy of the latest entry that
+    grid keeps under key (of lookups, once the grid has left the cache),
+    so no report's rows are lost.  idx must be sorted."""
+    entry = lookups.jittered
     rows = idx if entry is None else idx[~entry[0][idx]]
     if rows.size:
         source = lookups.source[rows]
@@ -547,10 +544,10 @@ def _jittered_lookups(domain: Domain, directions, grid: ChordGrid, key, lookups:
                 t[ok, j], a[ok, j], b[ok, j], found[ok, j] = exit_chords(
                     domain, theta, points[ok], r_match)
         fresh = [arr.reshape(rows.size, 2, -1) for arr in (points, t, a, b, found)]
-        with _cache_lock:
-            memo = _grid_memo.setdefault(grid, {})
-            old = memo.get(key)
-            n = lookups.source.size
+
+        def merge(latest):
+            latest = lookups if latest is None else latest
+            old, n = latest.jittered, latest.source.size
             entry = ((np.zeros(n, dtype=bool),
                       *(np.zeros((n,) + arr.shape[1:], dtype=arr.dtype) for arr in fresh))
                      if old is None else tuple(arr.copy() for arr in old))
@@ -558,7 +555,9 @@ def _jittered_lookups(domain: Domain, directions, grid: ChordGrid, key, lookups:
             for kept, arr in zip(entry[1:], fresh):
                 kept[rows] = arr
             _read_only(entry)
-            memo[key] = entry
+            return latest._replace(jittered=entry)
+
+        entry = kept_entry(grid, key, merge).jittered
     jittered, *chords = (arr[idx].reshape(2 * idx.size, -1) for arr in entry[1:])
     return jittered, chords
 
@@ -596,22 +595,15 @@ def consistency_report(fld, domain: Domain, directions,
     directions = list(directions)
     if len(directions) < 2:
         raise ValidationError("need at least two directions")
-    if (isinstance(probes_per_direction, bool)
-            or not isinstance(probes_per_direction, (int, np.integer))
-            or probes_per_direction < 1):
-        raise ValidationError(
-            f"probes_per_direction must be an integer >= 1, got {probes_per_direction!r}")
+    check_integer("probes_per_direction", probes_per_direction, 1)
     r_match = match_radius(domain)
 
     grid = chord_grid(domain, directions[0], spec.n_offsets)
-    # the direction vectors' bytes: directions equal up to the sign of a
-    # zero share a grid, not every float computed from them
     key = (tuple(theta.vector.tobytes() for theta in directions), probes_per_direction, r_match)
-    lookups = _memo_get(grid, key)
+    lookups = kept_entry(grid, key)
     if lookups is None:
-        lookups = _lookups(domain, directions, spec.n_offsets, probes_per_direction, r_match)
-        with _cache_lock:
-            lookups = _grid_memo.setdefault(grid, {}).setdefault(key, lookups)
+        fresh = _lookups(domain, directions, spec.n_offsets, probes_per_direction, r_match)
+        lookups = kept_entry(grid, key, lambda latest: fresh if latest is None else latest)
     probes, weights = lookups.points, lookups.weights
 
     values, shared, spreads = _spreads(fld, directions, probes, spec.gauss_order,
@@ -633,8 +625,8 @@ def consistency_report(fld, domain: Domain, directions,
     n_transient = 0
     bad_idx = np.nonzero(bad)[0]
     if bad_idx.size:
-        jittered, jchords = _jittered_lookups(domain, directions, grid, key + ("jittered",),
-                                              lookups, bad_idx, r_match)
+        jittered, jchords = _jittered_lookups(domain, directions, grid, key, lookups, bad_idx,
+                                              r_match)
         ok = np.all(np.isfinite(jittered), axis=1)
         jspread = np.zeros(jittered.shape[0])
         if np.any(ok):

@@ -364,10 +364,10 @@ def test_second_warm_call_builds_no_nodes(monkeypatch):
     quadrature.clear_cache()
 
 
-def _node_sets(grid, theta, order):
+def _node_sets(grid, order):
     """The (points, s) that `grid_means` hands its callback."""
     got = []
-    grid_means(grid, theta, order, lambda pts, s, rows, runs: got.append((pts, s)) or ())
+    grid_means(grid, order, lambda pts, s, rows, runs: got.append((pts, s)) or ())
     return got
 
 
@@ -386,15 +386,15 @@ def test_kept_nodes_are_read_only():
     dom, theta = fractal.named_domain("triangle"), DIRECTIONS[1]
     quadrature.clear_cache()
     grid = chord_grid(dom, theta, N_OFFSETS)
-    ((pts, s),) = _node_sets(grid, theta, 8)
+    ((pts, s),) = _node_sets(grid, 8)
     assert grid._kept[8] == (s, pts)
-    assert _node_sets(grid, theta, 8)[0][1] is s
+    assert _node_sets(grid, 8)[0][1] is s
     for arr in (s, pts, pts.reshape(-1, pts.shape[-1])):
         assert not arr.flags.writeable
     want = [arr.copy() for arr in (pts, s)]
     for writes in (_add_to_s, _zero_a_coordinate):
         with pytest.raises(ValueError, match="read-only"):
-            grid_means(grid, theta, 8, writes)
+            grid_means(grid, 8, writes)
     for kept, before in zip((pts, s), want):
         _same(kept, before)
     quadrature.clear_cache()
@@ -417,9 +417,9 @@ def test_kept_nodes_give_the_means_of_a_cold_build(name, order, monkeypatch):
                        node_arrays)
     # the comb's grid (93,050 chords) fits only a larger block
     monkeypatch.setattr(quadrature, "_BLOCK", max(quadrature._BLOCK, grid.n_chords * order))
-    built = grid_means(grid, theta, order, node_arrays)
+    built = grid_means(grid, order, node_arrays)
     assert order in grid._kept
-    kept = grid_means(grid, theta, order, node_arrays)
+    kept = grid_means(grid, order, node_arrays)
     for want, got_built, got_kept in zip(cold, built, kept, strict=True):
         _same(got_built, want)
         _same(got_kept, want)
@@ -435,7 +435,7 @@ def _kept_sizes():
 def test_kept_nodes_stay_within_one_block_and_leave_with_their_grid(monkeypatch):
     square, fld = fractal.named_domain("square"), get_field("sincos")
     quadrature.clear_cache()
-    assert quadrature._kept_total == 0
+    assert quadrature._kept_nodes() == 0
     monkeypatch.setattr(quadrature, "_CACHE_LIMIT", 2)
     vertical, oblique = (chord_grid(square, theta, N_OFFSETS) for theta in DIRECTIONS)
     assert (vertical.n_chords, oblique.n_chords) == (32, 33)
@@ -451,7 +451,7 @@ def test_kept_nodes_stay_within_one_block_and_leave_with_their_grid(monkeypatch)
     for grid, order in ((oblique, 8), (vertical, 4), (vertical, 8)):
         trace.chord_trace_values(fld, grid, order)
     assert not oblique._kept and sorted(vertical._kept) == [8]
-    assert quadrature._kept_total == sum(_kept_sizes()) == 32 * 8 <= quadrature._BLOCK
+    assert quadrature._kept_nodes() == sum(_kept_sizes()) == 32 * 8 <= quadrature._BLOCK
     for order, values in want.items():
         for got, expected in zip(trace.chord_trace_values(fld, oblique, order), values,
                                  strict=True):
@@ -460,15 +460,15 @@ def test_kept_nodes_stay_within_one_block_and_leave_with_their_grid(monkeypatch)
     kept = weakref.ref(vertical._kept[8][0])
     chord_grid(square, Direction.from_angle(2.3), N_OFFSETS)
     assert vertical._kept is None and kept() is None
-    assert quadrature._kept_total == 0
+    assert quadrature._kept_nodes() == 0
     # a grid outside the cache keeps nothing
     trace.chord_trace_values(fld, vertical, 8)
-    assert vertical._kept is None and quadrature._kept_total == 0
+    assert vertical._kept is None and quadrature._kept_nodes() == 0
     trace.chord_trace_values(fld, oblique, 8)
-    assert sorted(oblique._kept) == [8] and quadrature._kept_total == 33 * 8
+    assert sorted(oblique._kept) == [8] and quadrature._kept_nodes() == 33 * 8
     kept = weakref.ref(oblique._kept[8][0])
     quadrature.clear_cache()
-    assert oblique._kept is None and kept() is None and quadrature._kept_total == 0
+    assert oblique._kept is None and kept() is None and quadrature._kept_nodes() == 0
 
 
 def test_threads_on_one_cold_grid_get_the_same_floats():
@@ -498,7 +498,7 @@ def test_threads_on_one_cold_grid_get_the_same_floats():
             # one grid, one kept set, counted once
             assert all(other is grid for other, _ in got)
             assert sorted(grid._kept) == [order]
-            assert quadrature._kept_total == grid.n_chords * order
+            assert quadrature._kept_nodes() == grid.n_chords * order
             for _, values in got:
                 for a, b in zip(values, want, strict=True):
                     _same(a, b)

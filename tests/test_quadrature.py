@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dirtrace import _gauss, calculus, fractal, measure, quadrature, trace
+from dirtrace import _cantor, _gauss, calculus, fractal, measure, quadrature, trace
 from dirtrace.errors import UnresolvedSingularity, ValidationError
 from dirtrace.fields import get_field
 from dirtrace.geometry import (Cusp, Direction, Domain, IntervalUnion, Polygon,
-                               hyperplane_range, points_along)
+                               direction_table, hyperplane_range, points_along)
 from dirtrace.quadrature import (
     ChordGrid,
     QuadratureSpec,
@@ -39,6 +39,61 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         QuadratureSpec(n_offsets=2**22 + 1)
     assert QuadratureSpec(n_offsets=2).n_offsets == 2
+
+
+_INTEGER_ARGUMENTS = {
+    "n_offsets": lambda v: QuadratureSpec(n_offsets=v),
+    "gauss_order": lambda v: QuadratureSpec(gauss_order=v),
+    "direction_table": direction_table,
+    "bump_tests": lambda v: calculus.bump_tests(fractal.named_domain("square"), v),
+    "probes_per_direction": lambda v: trace.consistency_report(
+        get_field("x1x2"), fractal.named_domain("square"), direction_table(4),
+        QuadratureSpec(n_offsets=64), probes_per_direction=v),
+    "level": _cantor.level_intervals,
+    "comb_level": lambda v: fractal.named_domain("cantor_comb", level=v),
+    "p_max": lambda v: fractal.staircase_levels([(0.25, 0.75)], 0.0, 1.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [256.7, np.float64(256.0), True],
+                         ids=["fraction", "whole_float", "bool"])
+@pytest.mark.parametrize("name", _INTEGER_ARGUMENTS)
+def test_integer_arguments_reject_floats_and_bools_before_any_grid(name, value):
+    # a float n_offsets used to reach numpy (a TypeError) on a cold grid and
+    # the grid of its integer part on a warm one; True passed as level 1
+    quadrature.clear_cache()
+    with pytest.raises(ValidationError, match="must be an integer"):
+        _INTEGER_ARGUMENTS[name](value)
+    assert not quadrature._cache
+
+
+def _values(obj):
+    """repr of every field of a result, its arrays as lists, so that every
+    float counts, the sign of a zero included."""
+    return repr([v.tolist() if isinstance(v, np.ndarray) else v for v in vars(obj).values()])
+
+
+def test_results_along_a_direction_do_not_depend_on_a_grid_of_its_zero_flip():
+    # direction_table(16)[12] is (-0.0, -1.0): equal to (0.0, -1.0), with
+    # other bits, so each has a grid of its own and its own endpoints
+    square, fld, spec = fractal.named_domain("square"), get_field("x1x2"), SPEC
+    theta, flipped = direction_table(16)[12], Direction([0.0, -1.0])
+    assert theta == flipped and theta.vector.tobytes() != flipped.vector.tobytes()
+
+    def results():
+        return [_values(measure.measure_atoms(square, theta, spec)),
+                _values(trace.trace_field(fld, square, theta, spec)),
+                repr(volume_integral(square, fld, spec, theta))]
+
+    quadrature.clear_cache()
+    fresh = results()
+    quadrature.clear_cache()
+    chord_grid(square, flipped, spec.n_offsets)
+    assert results() == fresh
+    # the flip's grid is another grid
+    assert chord_grid(square, flipped, spec.n_offsets).theta.vector.tobytes() == (
+        flipped.vector.tobytes())
+    quadrature.clear_cache()
 
 
 def _within_ulps(got, want, ulps) -> bool:
@@ -341,7 +396,7 @@ def test_nested_coarse_values_are_the_coarser_midpoint_rules():
     fld = get_field("sincos")
     grid = chord_grid(unit_square(), E1, spec.n_offsets)
     assert grid.segment_counts.tolist() == [576]
-    sums = quadrature._rule_sums(unit_square(), lambda p: [fld.eval_many(p)], E1, spec)
+    sums = quadrature._rule_sums(grid, lambda p: [fld.eval_many(p)], spec.gauss_order)
     (fine,), (err,), ((c3, c9),) = offset_estimate(sums)
     for n, coarse in ((192, c3), (64, c9)):
         direct = volume_integral(unit_square(), fld, QuadratureSpec(n_offsets=n)).value
@@ -367,8 +422,8 @@ def test_divergence_outside_the_first_level_is_caught_by_the_second():
     # at 256 offsets 0.5 sits a sixth into an n/3 cell and the n/3 rule
     # stays within 40% of the fine one; the n/3 - n/9 check raises
     spec = QuadratureSpec(n_offsets=256)
-    sums = quadrature._rule_sums(unit_square(),
-                                 lambda p: [1.0 / (p[:, 1] - 0.5) ** 2], E1, spec)
+    sums = quadrature._rule_sums(chord_grid(unit_square(), E1, spec.n_offsets),
+                                 lambda p: [1.0 / (p[:, 1] - 0.5) ** 2], spec.gauss_order)
     (fine,), _, ((c3, c9),) = offset_estimate(sums)
     assert abs(fine - c3) < 0.4 * abs(fine)
     assert abs(c3 - c9) > 0.4 * abs(c3)

@@ -1,7 +1,7 @@
 """Directional traces, Lebesgue comparisons and cross-direction agreement."""
 
 import dataclasses
-import gc
+import sys
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -367,8 +367,8 @@ def test_consistency_report_reuses_its_grid_lookups(monkeypatch):
 
 
 def test_consistency_lookups_keep_the_sign_of_a_zero_in_a_direction():
-    # direction_table(8) holds (-0.0, -1.0), which shares its grid with
-    # (0.0, -1.0); their probes on y = 0 sit at y = -0.0 and y = 0.0
+    # direction_table(8) holds (-0.0, -1.0), which equals (0.0, -1.0) but
+    # has a grid of its own; their probes on y = 0 sit at y = -0.0 and y = 0.0
     dom, spec = fractal.named_domain("triangle"), QuadratureSpec(n_offsets=128)
     table = direction_table(8)
     assert any(np.signbit(theta.vector[theta.vector == 0.0]).any() for theta in table)
@@ -382,54 +382,90 @@ def test_consistency_lookups_keep_the_sign_of_a_zero_in_a_direction():
 
 
 def _kept_arrays(entry):
-    """The arrays of a `trace._grid_memo` entry, through nested tuples."""
+    """The arrays of an entry that a grid keeps, through nested tuples."""
     if isinstance(entry, tuple):
         return [arr for value in entry for arr in _kept_arrays(value)]
     return [entry] if isinstance(entry, np.ndarray) else []
 
 
+def _kept_lookups():
+    """(grid, entry) of every `_Lookups` that the cached grids keep."""
+    with quadrature._cache_lock:
+        return [(grid, entry) for grid in quadrature._cache.values()
+                for key, entry in grid._kept.items() if isinstance(key, tuple)]
+
+
 def test_consistency_lookups_are_freed_with_their_grid():
     dom, directions = unit_square(), direction_table(4, start_angle=0.3)
     quadrature.clear_cache()
-    gc.collect()
-    assert len(trace._grid_memo) == 0
     trace.consistency_report(get_field("sincos"), dom, directions, SPEC)
     # one entry, with the grid of the table's first direction: the probes,
     # their chords and the mass error; a smooth field disagrees nowhere,
     # so no jittered probe is kept
-    assert [len(memo) for memo in trace._grid_memo.values()] == [1]
-    assert next(iter(trace._grid_memo)) is quadrature.chord_grid(dom, directions[0],
-                                                                 SPEC.n_offsets)
+    (grid, entry), = _kept_lookups()
+    assert grid is quadrature.chord_grid(dom, directions[0], SPEC.n_offsets)
+    assert entry.jittered is None
+    kept = [weakref.ref(arr) for arr in _kept_arrays(entry)]
+    del entry
     quadrature.clear_cache()
-    assert len(trace._grid_memo) == 0
+    assert grid._kept is None and not _kept_lookups()
+    assert all(ref() is None for ref in kept)
 
     trace.consistency_report(get_field("sincos"), dom, directions, SPEC)
     # a slit field disagrees on the probes of the two directions that cross
     # the slit: their jittered probes, and those probes' chords along each
-    # of the four directions, are kept in one entry beside the report's
-    # lookups, with rows for the disagreeing probes only
+    # of the four directions, join the report's one entry, with rows for
+    # the disagreeing probes only
     crack, table = fractal.named_domain("crack_square"), direction_table(4)
     rep = trace.consistency_report(get_field("crack_2d"), crack, table, SPEC)
-    jittered = [entry for memo in trace._grid_memo.values()
-                for key, entry in memo.items() if "jittered" in key]
-    assert len(jittered) == 1 and sum(len(memo) for memo in trace._grid_memo.values()) == 3
+    entries = [entry for _, entry in _kept_lookups()]
+    jittered = [entry.jittered for entry in entries if entry.jittered is not None]
+    assert len(jittered) == 1 and len(entries) == 2
     probes = np.concatenate(_report_probes(crack, table, SPEC.n_offsets, 160))
     _, shared, spreads = _spreads_of(get_field("crack_2d"), crack, table, probes,
                                      SPEC.gauss_order)
     disagreeing = shared & (spreads > rep.tolerance)
     assert np.any(disagreeing) and not np.all(disagreeing)
     np.testing.assert_array_equal(jittered[0][0], disagreeing)
-    kept = [weakref.ref(arr) for memo in trace._grid_memo.values()
-            for entry in memo.values() for arr in _kept_arrays(entry)]
+    kept = [weakref.ref(arr) for entry in entries for arr in _kept_arrays(entry)]
     # reports share them, so none is writable
     assert kept and not any(ref().flags.writeable for ref in kept)
-    del jittered
+    del entries, jittered
     # as many other grids as the cache keeps evict the report's grids
     for k in range(quadrature._CACHE_LIMIT):
         quadrature.chord_grid(dom, Direction.from_angle(1.0 + 1e-3 * k), 4)
-    gc.collect()
-    assert len(trace._grid_memo) == 0
+    assert not _kept_lookups()
     assert all(ref() is None for ref in kept)
+
+
+@pytest.mark.parametrize("evict", ["lru", "clear_cache"])
+def test_a_grid_frees_its_node_sets_and_lookups_together(evict, monkeypatch):
+    dom, directions = fractal.named_domain("crack_square"), direction_table(4)
+    fld = get_field("crack_2d")
+    quadrature.clear_cache()
+    monkeypatch.setattr(quadrature, "_CACHE_LIMIT", len(directions))
+    trace.consistency_report(fld, dom, directions, SPEC)
+    grid = quadrature.chord_grid(dom, directions[0], SPEC.n_offsets)
+    trace.chord_trace_values(fld, grid, SPEC.gauss_order)
+    # one store: the report's lookups with its jittered rows, then the node
+    # set of the Gauss order
+    (_, lookups), (order, nodes) = grid._kept.items()
+    assert order == SPEC.gauss_order and lookups.jittered is not None
+    assert quadrature._kept_nodes() == grid.n_chords * order
+    kept = [weakref.ref(arr) for arr in _kept_arrays(nodes) + _kept_arrays(lookups)]
+    del nodes, lookups
+    if evict == "lru":
+        # the report's other grids are used after it, then one more grid
+        for theta in directions[1:]:
+            quadrature.chord_grid(dom, theta, SPEC.n_offsets)
+        quadrature.chord_grid(dom, Direction.from_angle(1.0), SPEC.n_offsets)
+        assert len(quadrature._cache) == len(directions)
+    else:
+        quadrature.clear_cache()
+    # freed at once, with no garbage collection
+    assert grid._kept is None and quadrature._kept_nodes() == 0
+    assert all(ref() is None for ref in kept)
+    quadrature.clear_cache()
 
 
 def _counted_lookups(monkeypatch):
@@ -505,8 +541,8 @@ def test_consistency_report_on_the_same_disagreements_looks_up_nothing(monkeypat
 
 def _jittered_rows():
     """Probes whose jittered probes are kept with the cached grids."""
-    return sum(int(np.count_nonzero(entry[0])) for memo in trace._grid_memo.values()
-               for key, entry in memo.items() if "jittered" in key)
+    return sum(int(np.count_nonzero(entry.jittered[0])) for _, entry in _kept_lookups()
+               if entry.jittered is not None)
 
 
 def test_warm_consistency_reports_on_partly_shared_disagreements():
@@ -564,6 +600,36 @@ def test_concurrent_consistency_reports_match_cold_ones():
     with ThreadPoolExecutor(max_workers=2) as pool:
         warm = list(pool.map(lambda gauss: repr(_crack_report(gauss).to_json()), (8, 16)))
     assert warm == cold
+
+
+def test_concurrent_reports_on_partly_shared_disagreements_keep_every_row():
+    # four reports, more than the cores, fill different jittered rows of
+    # one entry at once; each fill joins the latest entry, so no row is lost
+    dom, directions = fractal.named_domain("bicone"), direction_table(8)
+    spec, names = QuadratureSpec(n_offsets=1024), ["bump", "crack_2d"] * 2
+
+    def report(name):
+        return repr(trace.consistency_report(get_field(name), dom, directions, spec).to_json())
+
+    cold = {}
+    for name in names[:2]:
+        quadrature.clear_cache()
+        cold[name] = report(name)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            quadrature.clear_cache()
+            for theta in directions:
+                quadrature.chord_grid(dom, theta, spec.n_offsets)
+            with ThreadPoolExecutor(max_workers=len(names)) as pool:
+                warm = list(pool.map(report, names, timeout=120))
+            assert warm == [cold[name] for name in names]
+            # as after the two reports one after the other
+            assert _jittered_rows() == 551
+    finally:
+        sys.setswitchinterval(interval)
+        quadrature.clear_cache()
 
 
 # cusp_pow is finite on the cusp (y > 0); on the bicone see
@@ -682,8 +748,8 @@ def _separate_inequalities(fld, domain, theta, spec):
     grid = quadrature.chord_grid(domain, theta, spec.n_offsets)
     fine = trace.trace_field(fld, domain, theta, spec)
     nrm = norm_theta(fld, domain, theta, spec)
-    (_, _, rows), = quadrature._rule_sums(domain, quadrature._theta_integrands(fld, theta),
-                                          theta, spec)
+    (_, _, rows), = quadrature._rule_sums(grid, quadrature._theta_integrands(fld, theta),
+                                          spec.gauss_order)
     sums = [grid.sums(terms) for terms in fine.norm_terms()] + [(nrm**2, 0.0, rows)]
     _, errors, _ = quadrature.offset_estimate(sums, floor=0.0)
     error = sum(errors) + 1e-12 * (1.0 + nrm**2)
