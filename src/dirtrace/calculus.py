@@ -10,7 +10,8 @@ quadrature error, which the report carries.
 
 The paired fields G+ and G- repackage exit and entry traces so that the
 difference of their boundary inner products reproduces the volume
-pairing; their atoms live on the same measure.
+pairing.  A `PairedBoundaryField` is a `measure.DirectionalMeasure` with
+G+ and G- on its atoms, the atoms of the trace field of the same grid.
 
 The nu functionals probe the Cantor-supported boundary of the cone
 union: at stage n, average the field over slightly extended level-n
@@ -21,6 +22,7 @@ converges geometrically and a tail bound encloses the limit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from . import _cantor
 from .errors import NonIntegrablePairing, UnresolvedSingularity, ValidationError, check_integer
 from .fields import ScalarField, get_field
 from .geometry import Direction, Domain
+from .measure import DirectionalMeasure
 from .quadrature import (
     QuadratureSpec,
     _check_settled,
@@ -97,7 +100,7 @@ def _ibp_sides(u, v, grid, order: int):
         raise NonIntegrablePairing("boundary pairing failed to produce finite sums")
     gu_plus, gu_minus = _paired(up, um, lengths)
     gv_plus, gv_minus = _paired(vp, vm, lengths)
-    weights = lengths * chord_dt
+    weights = grid.weights
     plus, minus = weights * gu_plus * gv_plus, weights * gu_minus * gv_minus
     bracket = float(np.sum(plus)) - float(np.sum(minus))
     return lhs, rhs, (bracket, abs(bracket), grid.row_sums(plus - minus))
@@ -117,15 +120,11 @@ def integration_by_parts(u: ScalarField, v: ScalarField, domain: Domain,
 
 
 @dataclass(frozen=True)
-class PairedBoundaryField:
-    """G+ and G- values of one field over the atoms of one direction."""
+class PairedBoundaryField(DirectionalMeasure):
+    """G+ and G- values of one field on the atoms of one directional measure."""
 
-    theta: Direction
-    points: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    weights: np.ndarray
-    lengths: np.ndarray
 
     def inner_plus(self, other: "PairedBoundaryField") -> float:
         return float(np.sum(self.weights * self.plus * other.plus))
@@ -147,14 +146,7 @@ def paired_boundary_field(fld: ScalarField, domain: Domain, theta: Direction,
     spec = spec or QuadratureSpec()
     grid = chord_grid(domain, theta, spec.n_offsets)
     plus, minus = _paired(*chord_trace_values(fld, grid, spec.gauss_order), grid.lengths)
-    return PairedBoundaryField(
-        theta=theta,
-        points=grid.endpoint_plus,
-        plus=plus,
-        minus=minus,
-        weights=grid.weights,
-        lengths=grid.lengths,
-    )
+    return PairedBoundaryField._on_grid(grid, spec.n_offsets, plus=plus, minus=minus)
 
 
 @dataclass(frozen=True)
@@ -221,11 +213,13 @@ MAX_STAGE = 20
 
 
 def check_last_stage(n: int, name: str, first: int) -> None:
-    """Raise ValidationError unless first <= n <= MAX_STAGE."""
-    if not first <= n <= MAX_STAGE:
+    """Raise ValidationError unless n is an integer (`check_integer`) and
+    first <= n <= MAX_STAGE."""
+    if isinstance(n, numbers.Integral) and not first <= n <= MAX_STAGE:
         raise ValidationError(
             f"{name} must lie in [{first}, {MAX_STAGE}], got {n!r} (stage n averages over "
             f"2**n intervals: past stage {MAX_STAGE} each stage doubles time and memory)")
+    check_integer(name, n, first, MAX_STAGE)
 
 
 def nu_value(fld: ScalarField, n: int, order: int = 8, mirror: bool = False) -> float:

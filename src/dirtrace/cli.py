@@ -9,12 +9,14 @@ produced it.
 
 Exit codes: 0 on success, 2 for invalid configuration, 3 when a checked
 invariant fails beyond tolerance (or a computation cannot be completed
-reliably).  A --tolerance below the run's own reported error also exits 3:
-a gate passes only when both the discrepancy and the error bar are within
-the tolerance, so it never certifies more than the run can resolve.  Only
-the subcommands with a gate (measure, ibp, consistency) take --tolerance;
-the others reject it with exit 2.  A NaN, infinite or negative
---tolerance exits 2 too, before anything is computed.
+reliably).  measure, ibp and consistency take --tolerance, and the others
+reject it with exit 2.  measure and ibp gate on it: a --tolerance below
+the run's own reported error also exits 3, since a gate passes only when
+both the discrepancy and the error bar are within the tolerance, so it
+never certifies more than the run can resolve.  consistency does not gate:
+its tolerance is the spread threshold of the verdict, and the report is
+written with exit 0 whatever the verdict.  A NaN, infinite or negative
+--tolerance exits 2, before anything is computed.
 
 `main` builds the parser of the one sub-command named first on the command
 line, and falls back to the full parser for anything else (help, --version,
@@ -70,19 +72,6 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _np_default(obj):
-    # results dicts mix plain values with numpy scalars from the reports
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _report_path(args, config: dict, suffix: str) -> Path:
     """<out>/<command>_<config hash>.<suffix>, creating <out> if needed."""
     out = Path(args.out)
@@ -98,9 +87,7 @@ def _write_json(args, config: dict, results: dict) -> None:
         "results": results,
     }
     path = _report_path(args, config, "json")
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2, default=_np_default) + "\n"
-    )
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(path)
 
 
@@ -348,7 +335,7 @@ def _cmd_staircase(args) -> int:
     bounds = [2.0 ** (-1 - p) for p in range(len(sups))]
     values = stair.breakpoints[:, 1]
     monotone = bool(np.all(np.diff(values) >= 0.0))
-    endpoints_exact = values[0] == 0.0 and values[-1] == 1.0
+    endpoints_exact = bool(values[0] == 0.0 and values[-1] == 1.0)
     ok = monotone and endpoints_exact and all(
         s <= b + 1e-15 for s, b in zip(sups, bounds)
     )
@@ -432,7 +419,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_tolerance(p: argparse.ArgumentParser) -> None:
-    # only the subcommands that gate on a tolerance take the flag
+    # only measure and ibp (which gate on it) and consistency take the flag
     p.add_argument("--tolerance", type=float, default=None)
 
 

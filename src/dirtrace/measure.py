@@ -6,7 +6,11 @@ domain.  On a chord grid that is a purely discrete object, one atom per
 chord, sitting at the exit endpoint and weighing chord length times
 offset step.  Total mass therefore reproduces the volume, and reflecting
 the direction moves every atom to the entry endpoint of the same chord
-without changing its weight.
+without changing its weight.  `DirectionalMeasure` is the one record of a
+direction's atoms, filled from a cached grid in one place; a trace field
+(`trace.TraceField`) and a paired field (`calculus.PairedBoundaryField`)
+are the same record with a field's values on its atoms, and all of them
+write their atom tables through its `to_rows` and `row_header`.
 
 For polygons the measure has a density against arc length: opposite
 chord length times the positive part of the direction-normal inner
@@ -25,8 +29,8 @@ import numpy as np
 from . import _gauss
 from .errors import NotDirectionalBoundary, ValidationError
 from .geometry import Direction, Domain, Polygon, exit_chords, match_radius
-from .quadrature import (IntegralResult, QuadratureSpec, _as_eval, boundary_integral,
-                         chord_grid, offset_estimate)
+from .quadrature import (ChordGrid, IntegralResult, QuadratureSpec, _as_eval,
+                         boundary_integral, chord_grid, offset_estimate)
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,8 @@ class DirectionalMeasure:
 
     Parallel arrays over atoms: `points` are exit endpoints, `opposite`
     the entry endpoints of the same chords, `lengths` the chord lengths,
-    `weights` the masses.
+    `weights` the masses.  `TraceField` and `PairedBoundaryField` extend
+    it with a field's values on these atoms.
     """
 
     theta: Direction
@@ -48,6 +53,18 @@ class DirectionalMeasure:
     n_offsets: int
     flagged_offsets: int
 
+    # (column, attribute) of the values that `to_rows` writes: the first
+    # after the exit point, the others after the entry point
+    _value_columns = (("weight", "weights"),)
+
+    @classmethod
+    def _on_grid(cls, grid: ChordGrid, n_offsets: int, **values):
+        """The record of a cached grid's atoms, with the subclass's values."""
+        return cls(theta=grid.theta, points=grid.endpoint_plus, weights=grid.weights,
+                   lengths=grid.lengths, opposite=grid.endpoint_minus, offsets=grid.t,
+                   dt=grid.dt, n_offsets=n_offsets, flagged_offsets=grid.flagged_offsets,
+                   **values)
+
     @property
     def n_atoms(self) -> int:
         return self.points.shape[0]
@@ -59,39 +76,28 @@ class DirectionalMeasure:
         mask = np.asarray(predicate(self.points), dtype=bool)
         return float(np.sum(self.weights[mask]))
 
+    def _columns(self) -> list:
+        """(name, values) of each column of the atom table."""
+        (first, attr), *rest = self._value_columns
+        d = self.points.shape[1]
+        return ([("offset", self.offsets)]
+                + [(f"z{i+1}", self.points[:, i]) for i in range(d)]
+                + [(first, getattr(self, attr)), ("length", self.lengths)]
+                + [(f"zhat{i+1}", self.opposite[:, i]) for i in range(d)]
+                + [(name, getattr(self, attr)) for name, attr in rest])
+
     def to_rows(self) -> np.ndarray:
-        return np.column_stack([
-            self.offsets,
-            self.points,
-            self.weights,
-            self.lengths,
-            self.opposite,
-        ])
+        return np.column_stack([values for _, values in self._columns()])
 
     def row_header(self) -> list[str]:
-        d = self.points.shape[1]
-        names = ["offset"]
-        names += [f"z{i+1}" for i in range(d)]
-        names += ["weight", "length"]
-        names += [f"zhat{i+1}" for i in range(d)]
-        return names
+        return [name for name, _ in self._columns()]
 
 
 def measure_atoms(domain: Domain, theta: Direction,
                   spec: QuadratureSpec | None = None) -> DirectionalMeasure:
     spec = spec or QuadratureSpec()
-    grid = chord_grid(domain, theta, spec.n_offsets)
-    return DirectionalMeasure(
-        theta=theta,
-        points=grid.endpoint_plus,
-        weights=grid.weights,
-        lengths=grid.lengths,
-        opposite=grid.endpoint_minus,
-        offsets=grid.t,
-        dt=grid.dt,
-        n_offsets=spec.n_offsets,
-        flagged_offsets=grid.flagged_offsets,
-    )
+    return DirectionalMeasure._on_grid(chord_grid(domain, theta, spec.n_offsets),
+                                       spec.n_offsets)
 
 
 def total_mass_result(domain: Domain, theta: Direction,

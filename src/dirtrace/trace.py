@@ -6,7 +6,8 @@ endpoint is the chord average of u - (beta - s) du/dtheta.  For u smooth
 up to the boundary both averages collapse to the boundary values; for u
 merely square integrable with a square integrable chord derivative they
 are the canonical representatives, and one set of Gauss nodes per chord
-evaluates both at once.
+evaluates both at once.  A trace field (`TraceField`) is a
+`measure.DirectionalMeasure` with the exit and entry traces on its atoms.
 
 Omnidirectional consistency asks whether traces taken along different
 directions agree where the directions share boundary points.  Shared
@@ -42,6 +43,7 @@ from .geometry import (
     match_radius,
     points_along,
 )
+from .measure import DirectionalMeasure
 from .quadrature import (
     ChordGrid,
     IntegralResult,
@@ -112,25 +114,15 @@ def chord_trace_values(fld, grid, order: int):
 
 
 @dataclass(frozen=True)
-class TraceField:
-    """Traces of one field over all atoms of one directional measure."""
+class TraceField(DirectionalMeasure):
+    """Exit traces (`values`) and entry traces (`opposite_values`) of one
+    field on the atoms of one directional measure."""
 
-    theta: Direction
-    points: np.ndarray
     values: np.ndarray
     opposite_values: np.ndarray
-    opposite: np.ndarray
-    weights: np.ndarray
-    lengths: np.ndarray
-    offsets: np.ndarray
-    dt: float
-    n_offsets: int
     gauss_order: int
-    flagged_offsets: int
 
-    @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
+    _value_columns = (("trace", "values"), ("opposite_trace", "opposite_values"))
 
     def norm_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-atom terms of `norm_sq`, `pair_sum_sq` and `diff_quotient_sq`."""
@@ -147,25 +139,6 @@ class TraceField:
 
     def diff_quotient_sq(self) -> float:
         return float(np.sum(self.norm_terms()[2]))
-
-    def to_rows(self) -> np.ndarray:
-        return np.column_stack([
-            self.offsets,
-            self.points,
-            self.values,
-            self.lengths,
-            self.opposite,
-            self.opposite_values,
-        ])
-
-    def row_header(self) -> list[str]:
-        d = self.points.shape[1]
-        names = ["offset"]
-        names += [f"z{i+1}" for i in range(d)]
-        names += ["trace", "length"]
-        names += [f"zhat{i+1}" for i in range(d)]
-        names += ["opposite_trace"]
-        return names
 
 
 def trace_field(fld, domain: Domain, theta: Direction,
@@ -188,20 +161,8 @@ def _trace_field(fld, grid: ChordGrid, spec: QuadratureSpec):
 
     gplus, gminus, sq = _finite_means(2, grid_means, grid, spec.gauss_order, node_arrays)
     norm_sq = grid.sums(_rule_terms(sq, grid.lengths, grid.chord_dt))
-    return TraceField(
-        theta=grid.theta,
-        points=grid.endpoint_plus,
-        values=gplus,
-        opposite_values=gminus,
-        opposite=grid.endpoint_minus,
-        weights=grid.weights,
-        lengths=grid.lengths,
-        offsets=grid.t,
-        dt=grid.dt,
-        n_offsets=spec.n_offsets,
-        gauss_order=spec.gauss_order,
-        flagged_offsets=grid.flagged_offsets,
-    ), norm_sq
+    return TraceField._on_grid(grid, spec.n_offsets, values=gplus, opposite_values=gminus,
+                               gauss_order=spec.gauss_order), norm_sq
 
 
 def trace_norm_sq(fld, domain: Domain, theta: Direction,
@@ -495,15 +456,12 @@ def _lookups(domain: Domain, directions, n_offsets: int, probes_per_direction: i
     along each direction over all of them."""
     grids = [chord_grid(domain, theta, n_offsets) for theta in directions]
     parts = []
-    for j, (grid, theta) in enumerate(zip(grids, directions)):
+    for j, grid in enumerate(grids):
         if grid.n_chords:
             stride = max(1, grid.n_chords // probes_per_direction)
-            line = grid.offset_index[::stride]
-            t = grid.offsets[line]
-            parts.append((np.full(t.size, j),
-                          points_along(_feet(t, theta.perp_vector), grid.beta[::stride],
-                                       theta.vector),
-                          grid.lengths[::stride] * grid.offset_widths[line], t))
+            t = grid.t[::stride]
+            parts.append((np.full(t.size, j), grid.endpoint_plus[::stride],
+                          grid.weights[::stride], t))
     if not parts:
         raise InsufficientOverlap("no boundary atoms to probe")
     source, points, weights, offsets = (np.concatenate(arrs) for arrs in zip(*parts))

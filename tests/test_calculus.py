@@ -168,6 +168,23 @@ def test_stage_functionals_check_their_stage_first(stage_functional, n, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [2.0, 2.5, np.float64(2.0), True],
+                         ids=["2.0", "2.5", "float64", "True"])
+@pytest.mark.parametrize("stage_functional, name", [
+    (calculus.nu_value, "n"),
+    (calculus.mirror_gap, "n"),
+    (lambda fld, n: calculus.nu_sequence(fld, n, 1.0), "n_max"),
+], ids=["nu_value", "mirror_gap", "nu_sequence"])
+def test_stages_must_be_integers(stage_functional, name, n, monkeypatch):
+    # a whole or fractional float and a bool are not stages: each is refused
+    # under the stage's own name before any stage mean is taken
+    calls = []
+    monkeypatch.setattr(calculus, "_stage_mean", lambda *a: calls.append(a) or 0.0)
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer in \["):
+        stage_functional(get_field("sincos"), n)
+    assert calls == []
+
+
 def test_nu_sequence_stops_at_the_cost_cap(monkeypatch):
     # stage n averages over 2**n intervals: the last stage is capped where
     # each further stage would double the time and memory, not where the

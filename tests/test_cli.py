@@ -114,6 +114,22 @@ def test_measure_tolerance_below_error_exits_3(tmp_path):
     assert res["mass_matches_volume"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["--domain", "crack_square", "--field", "crack_2d"],
+    ["--domain", "crack_square", "--field", "crack_2d", "--tolerance", "0"],
+    ["--domain", "square", "--field", "x1x2", "--tolerance", "0"],
+], ids=["slit", "slit-tolerance-0", "square-tolerance-0"])
+def test_consistency_tolerance_sets_the_verdict_not_the_exit_code(argv, tmp_path):
+    # consistency has no gate: an "out" verdict, from the slit field's jump
+    # or from a tolerance below the float noise of a smooth field, still
+    # exits 0 with its report written
+    assert run(["consistency", "--directions", "8"] + argv, tmp_path) == 0
+    res = json.loads(next(tmp_path.glob("consistency_*.json")).read_text())["results"]
+    assert res["verdict"] == "out" and res["disagreement_mass"] > 0.9
+    if "--tolerance" in argv:
+        assert res["tolerance"] == 0.0
+
+
 def test_bad_flag_exits_2(tmp_path, capsys):
     assert main(["staircase", "--domain", "square"]) == 2
     capsys.readouterr()

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from dirtrace import fractal
+from dirtrace import calculus, fractal, trace
 from dirtrace.fields import get_field
 from dirtrace.geometry import Direction, Polygon, direction_table
 from dirtrace.measure import (
+    DirectionalMeasure,
     family_sup_norm,
     measure_atoms,
     polygon_density_report,
@@ -120,3 +121,53 @@ def test_measure_rows_export():
     rows = mu.to_rows()
     header = mu.row_header()
     assert rows.shape == (mu.n_atoms, len(header))
+
+
+_ATOM_FIELDS = ("theta", "points", "weights", "lengths", "opposite", "offsets", "dt",
+                "n_offsets", "flagged_offsets")
+
+
+@pytest.mark.parametrize("domain, theta", [
+    (fractal.named_domain("omega_C"), Direction.from_angle(0.35)),
+    (fractal.named_domain("crack_interval"), Direction([-1.0])),
+])
+def test_measure_trace_and_paired_fields_share_the_atoms_of_one_grid(domain, theta):
+    fld = get_field("x1x2" if domain.dim == 2 else "crack_1d")
+    records = [measure_atoms(domain, theta, SPEC), trace.trace_field(fld, domain, theta, SPEC),
+               calculus.paired_boundary_field(fld, domain, theta, SPEC)]
+    mu = records[0]
+    assert mu.n_atoms > 1
+    for record in records:
+        assert isinstance(record, DirectionalMeasure)
+        for name in _ATOM_FIELDS:
+            a, b = getattr(record, name), getattr(mu, name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+                # the signs of zeros too
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            else:
+                assert a == b and type(a) is type(b), name
+
+
+def test_atom_table_headers():
+    fld = get_field("x1x2")
+    sq = unit_square()
+    assert measure_atoms(sq, E1, SPEC).row_header() == [
+        "offset", "z1", "z2", "weight", "length", "zhat1", "zhat2"]
+    assert trace.trace_field(fld, sq, E1, SPEC).row_header() == [
+        "offset", "z1", "z2", "trace", "length", "zhat1", "zhat2", "opposite_trace"]
+    line = fractal.named_domain("crack_interval")
+    theta = Direction([-1.0])
+    assert measure_atoms(line, theta, SPEC).row_header() == [
+        "offset", "z1", "weight", "length", "zhat1"]
+    assert trace.trace_field(get_field("crack_1d"), line, theta, SPEC).row_header() == [
+        "offset", "z1", "trace", "length", "zhat1", "opposite_trace"]
+
+
+def test_atom_table_columns():
+    tf = trace.trace_field(get_field("x1x2"), unit_square(), E1, SPEC)
+    assert np.array_equal(tf.to_rows(), np.column_stack([
+        tf.offsets, tf.points, tf.values, tf.lengths, tf.opposite, tf.opposite_values]))
+    mu = measure_atoms(unit_square(), E1, SPEC)
+    assert np.array_equal(mu.to_rows(), np.column_stack([
+        mu.offsets, mu.points, mu.weights, mu.lengths, mu.opposite]))
