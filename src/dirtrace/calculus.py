@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _cantor
+from . import _cantor, quadrature
 from .errors import NonIntegrablePairing, UnresolvedSingularity, ValidationError, check_integer
 from .fields import ScalarField, get_field
 from .geometry import Direction, Domain
@@ -43,10 +43,6 @@ from .quadrature import (
     volume_integrals,
 )
 from .trace import _finite_means, _trace_terms, chord_trace_values
-
-# A report passes when its residual is within this many error bars.
-_PASS_FACTOR = 3.0
-
 
 @dataclass(frozen=True)
 class IbpReport:
@@ -64,7 +60,7 @@ class IbpReport:
         return abs(self.lhs - self.rhs)
 
     def passes(self) -> bool:
-        return self.residual <= _PASS_FACTOR * (self.err_lhs + self.err_rhs)
+        return self.residual <= quadrature._PASS_FACTOR * (self.err_lhs + self.err_rhs)
 
     def to_json(self) -> dict:
         return {
@@ -162,7 +158,7 @@ class PairedIdentityReport:
         return abs(self.volume_pairing - self.bracket)
 
     def passes(self) -> bool:
-        return self.residual <= _PASS_FACTOR * (self.err_volume + self.err_bracket)
+        return self.residual <= quadrature._PASS_FACTOR * (self.err_volume + self.err_bracket)
 
 
 def paired_identity(u: ScalarField, v: ScalarField, domain: Domain,
@@ -289,7 +285,7 @@ class VariationalReport:
 
     def passes(self) -> bool:
         return all(
-            abs(r.value) <= _PASS_FACTOR * r.error for r in self.residuals
+            abs(r.value) <= quadrature._PASS_FACTOR * r.error for r in self.residuals
         )
 
 

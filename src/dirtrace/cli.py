@@ -229,7 +229,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_ibp(args) -> int:
-    from . import calculus, fields
+    from . import calculus, fields, quadrature
 
     domain = _domain_from(args)
     theta = _direction_from(args, domain.dim)
@@ -239,7 +239,7 @@ def _cmd_ibp(args) -> int:
     report = calculus.integration_by_parts(u, v, domain, theta, spec)
     tol = args.tolerance
     if tol is None:
-        tol = max(3.0 * (report.err_lhs + report.err_rhs), 1e-12)
+        tol = max(quadrature._PASS_FACTOR * (report.err_lhs + report.err_rhs), 1e-12)
     config = _common_config(args, domain=args.domain, u=args.u, v=args.v,
                             theta=list(map(float, theta.vector)))
     ok = report.residual <= tol and report.err_lhs + report.err_rhs <= tol
@@ -251,7 +251,7 @@ def _cmd_ibp(args) -> int:
 
 
 def _cmd_lebesgue(args) -> int:
-    from . import fields, trace
+    from . import fields, quadrature, trace
 
     domain = _domain_from(args)
     theta = _direction_from(args, domain.dim)
@@ -260,7 +260,7 @@ def _cmd_lebesgue(args) -> int:
     checks = trace.lebesgue_comparisons(fld, domain, theta, args.eps, spec)
     config = _common_config(args, domain=args.domain, field=args.field,
                             theta=list(map(float, theta.vector)), eps=args.eps)
-    ok = all(c.deviation_sq <= c.bound + 3.0 * c.error for c in checks)
+    ok = all(c.deviation_sq <= c.bound + quadrature._PASS_FACTOR * c.error for c in checks)
     results = {
         "checks": [
             {
@@ -357,7 +357,9 @@ def _cmd_staircase(args) -> int:
 def _cmd_oned(args) -> int:
     from . import fields, oned
 
-    # checked even where a refuted membership leaves it unused
+    # checked even where a refuted membership leaves them unused
+    for n in args.n:
+        oned.check_n(n)
     oned.check_truncation(args.truncation)
     domain = _domain_from(args)
     if domain.dim != 1:

@@ -257,18 +257,20 @@ class Direction:
         p.setflags(write=False)
         return p
 
-    def key(self) -> tuple:
-        return tuple(float(c) for c in self.vector)
+    def key(self) -> bytes:
+        """The bits of the vector, the key of a cache: (0.0, -1.0) and
+        (-0.0, -1.0) compare equal but have other keys."""
+        return self.vector.tobytes()
 
     def __repr__(self) -> str:
         comps = ", ".join(f"{c:+.12g}" for c in self.vector)
         return f"Direction([{comps}])"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Direction) and self.key() == other.key()
+        return isinstance(other, Direction) and self.vector.tolist() == other.vector.tolist()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(tuple(self.vector.tolist()))
 
 
 def direction_table(count: int, start_angle: float = 0.0) -> list[Direction]:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _gauss
-from .errors import NotInH1tr, ValidationError, check_tolerance
+from .errors import NotInH1tr, ValidationError, check_integer, check_tolerance
 from .fractal import Staircase, build_staircase
 from .geometry import IntervalUnion
 
@@ -207,6 +207,12 @@ def check_truncation(truncation) -> None:
         raise ValidationError(f"truncation must be finite and positive, got {truncation!r}")
 
 
+def check_n(n) -> None:
+    """Reject a tail exponent n that is not an integer in [0, 1074]: 2**-1074
+    is the last nonzero threshold, so every larger n gives one approximant."""
+    check_integer("n", n, 0, 1074)
+
+
 def continuous_approximation(u: PiecewiseH1, n: int,
                              truncation: float | None = None) -> ApproximationResult:
     """Continuous H1 approximant at tail threshold 2**-n.
@@ -217,6 +223,7 @@ def continuous_approximation(u: PiecewiseH1, n: int,
     unselected interval (so only the input's own derivative mass and the
     truncation gap contribute there).
     """
+    check_n(n)
     check_truncation(truncation)
     report = membership_report(u)
     if report.verdict == "out":
@@ -248,10 +255,8 @@ def continuous_approximation(u: PiecewiseH1, n: int,
     right_nb = np.concatenate([sel_idx, [-1]])
     keep = hi > lo
     lo, hi, left_nb, right_nb = lo[keep], hi[keep], left_nb[keep], right_nb[keep]
-    # The unselected intervals inside each window are those in first:last;
-    # each unselected interval is bridged by the first window reaching it.
-    first = np.searchsorted(starts, lo - 1e-14, side="left")
-    last = np.searchsorted(ends, hi + 1e-14, side="right")
+    # Each unselected interval is bridged by the first window reaching it:
+    # window k owns unsel[owned[k]:owned[k + 1]].
     owner = np.searchsorted(hi + 1e-12, ends[unsel], side="left")
     owned = np.searchsorted(owner, np.arange(lo.size + 1), side="left")
 
@@ -271,12 +276,12 @@ def continuous_approximation(u: PiecewiseH1, n: int,
         right_val = float(from_right[j]) if j >= 0 else left_val
         if left_val is None:
             left_val = right_val = 0.0 if right_val is None else right_val
-        inner = intervals[first[k]:last[k]][~selected_mask[first[k]:last[k]]]
+        rows = unsel[owned[k]:owned[k + 1]]
+        inner = intervals[rows]
         # Enough rounds to consume every gap (worst case one per round).
         stair = build_staircase(inner, a, b, min(len(inner) + 1, 48),
                                 margin=1e-9 * (b - a))
         components.append(BridgeComponent(a, b, left_val, right_val, stair))
-        rows = unsel[owned[k]:owned[k + 1]]
         step = right_val - left_val
         vv[rows] = left_val + step * stair(t[rows])
         dv[rows] = step * _stair_slope(stair, t[rows])

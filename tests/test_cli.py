@@ -272,6 +272,62 @@ def test_oned_bad_truncation_exits_2(domain, field, truncation, tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("n", [["-1"], ["-2000"], ["1075"], ["4", "-1"]])
+@pytest.mark.parametrize("domain, field", [("cantor_complement", "x1"),
+                                           ("crack_interval", "crack_1d")])
+def test_oned_bad_n_exits_2(domain, field, n, tmp_path, capsys):
+    # every --n is checked before any work, also where the membership is
+    # refuted and no approximant is built
+    argv = ["oned", "--domain", domain, "--field", field, "--n", *n, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "n must be an integer in [0, 1074]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("factor, passes", [(3.0, True), (1.5, False)])
+def test_report_gates_read_the_one_pass_factor(factor, passes, monkeypatch):
+    # residuals of two error bars (0.2 against 0.1)
+    from dirtrace.geometry import Direction
+    from dirtrace.quadrature import IntegralResult
+    from dirtrace.trace import TraceInequalityReport
+
+    monkeypatch.setattr(quadrature, "_PASS_FACTOR", factor)
+    theta = Direction([1.0, 0.0])
+    assert calculus.IbpReport(theta, 1.0, 1.2, 0.05, 0.05, 0, 64, 8).passes() is passes
+    assert calculus.PairedIdentityReport(theta, 1.0, 1.2, 0.05, 0.05).passes() is passes
+    residual = IntegralResult(0.2, 0.1, 0, 64, 8)
+    assert calculus.VariationalReport([residual], 0.2, 0.1).passes() is passes
+    # a diff-quotient slack of -0.2
+    assert TraceInequalityReport(theta, 0.0, 0.0, 1.2, 1.0, 1.0, 0.1).holds is passes
+
+
+def test_cli_gates_read_the_one_pass_factor(monkeypatch, tmp_path, capsys):
+    # each gate flips where the factor crosses its report's ratio of
+    # residual to error bar
+    from dirtrace.geometry import Direction
+    from dirtrace.quadrature import QuadratureSpec
+    from dirtrace.trace import lebesgue_comparisons
+
+    square, theta = fractal.named_domain("square"), Direction.from_angle(0.3)
+    spec = QuadratureSpec(n_offsets=256, gauss_order=8)
+    ibp = calculus.integration_by_parts(fields.get_field("x1x2"), fields.get_field("x1px2"),
+                                        square, theta, spec)
+    # the default tolerance is factor error bars, and the error bar must be
+    # within it too
+    flip = max(ibp.residual / (ibp.err_lhs + ibp.err_rhs), 1.0)
+    for factor, code in ((2.0 * flip, 0), (0.5, 3)):
+        monkeypatch.setattr(quadrature, "_PASS_FACTOR", factor)
+        assert run(["ibp", "--domain", "square", "--u", "x1x2", "--v", "x1px2",
+                    "--angle", "0.3"], tmp_path) == code
+    check, = lebesgue_comparisons(fields.get_field("x1x2"), square, theta, [0.1], spec)
+    flip = (check.deviation_sq - check.bound) / check.error
+    for factor, code in ((flip + 1.0, 0), (flip - 1.0, 3)):
+        monkeypatch.setattr(quadrature, "_PASS_FACTOR", factor)
+        assert run(["lebesgue", "--domain", "square", "--field", "x1x2", "--angle", "0.3",
+                    "--eps", "0.1"], tmp_path) == code
+    capsys.readouterr()
+
+
 def test_readme_commands_run(tmp_path, capsys):
     commands = [line.strip() for line in README.read_text().splitlines()
                 if line.strip().startswith("python3 -m dirtrace ")]

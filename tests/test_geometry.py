@@ -106,6 +106,18 @@ def test_direction_negation_and_axis():
     assert np.allclose((-E1).vector, [-1.0, 0.0])
 
 
+@pytest.mark.parametrize("vector", [[0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
+def test_zero_sign_variants_are_equal_with_other_keys(vector):
+    # caches key a direction by its bits: the two signs of a zero give
+    # equal directions with one hash, and two keys
+    theta = Direction(vector)
+    flipped = Direction(np.where(theta.vector == 0.0, -0.0, theta.vector))
+    assert np.signbit(flipped.vector).tolist() != np.signbit(theta.vector).tolist()
+    assert theta == flipped and hash(theta) == hash(flipped) and len({theta, flipped}) == 1
+    assert theta.key() != flipped.key()
+    assert theta.key() == Direction(vector).key() == theta.vector.tobytes()
+
+
 # --- membership ------------------------------------------------------------
 
 
@@ -591,6 +603,7 @@ def test_line_through_polygon_vertices_has_one_chord(name, theta, point):
     assert dom.contains(mid)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("name, angle", [
     (name, angle)
     for name in ("square", "triangle", "crack_square", "disk_minus_cantor",
@@ -846,6 +859,7 @@ def _cubic_cases():
     return cases
 
 
+@pytest.mark.blas_threads
 def test_cubic_roots_match_mpmath():
     # each real root against mpmath's at 40 digits: within a few rounding
     # errors of the cubic's terms over its slope there (the root's

@@ -21,6 +21,8 @@ from dirtrace.fields import get_field
 from dirtrace.geometry import Direction, IntervalUnion, Polygon
 from dirtrace.quadrature import QuadratureSpec, chord_grid, chord_means, grid_means
 
+pytestmark = pytest.mark.blas_threads
+
 PLANAR = [name for name in fractal.DOMAIN_NAMES if fractal.named_domain(name).dim == 2]
 DIRECTIONS = [Direction([0.0, 1.0]), Direction.from_angle(0.7)]
 N_OFFSETS = 32

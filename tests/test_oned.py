@@ -93,6 +93,24 @@ def test_truncation_must_be_finite_and_positive(truncation):
         oned.continuous_approximation(u, 4, truncation)
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, True, np.float64(4.0), 1075])
+@pytest.mark.parametrize("domain, field", [(cantor_domain(4), "x1"),
+                                           (crack_domain(), "crack_1d")])
+def test_tail_exponent_must_be_an_integer_in_range(domain, field, n):
+    # checked before the membership, so a refuted field rejects it too
+    u = oned.PiecewiseH1.from_field(get_field(field), domain.intervals)
+    with pytest.raises(ValidationError, match=r"n must be an integer in \[0, 1074\]"):
+        oned.continuous_approximation(u, n)
+
+
+@pytest.mark.parametrize("n", [0, 1074])
+def test_tail_exponent_range_ends_are_accepted(n):
+    # 2**-1074 is the last nonzero threshold
+    u = oned.PiecewiseH1.from_field(get_field("x1"), cantor_domain(4).intervals)
+    res = oned.continuous_approximation(u, n)
+    assert res.n == n and np.isfinite(res.distance)
+
+
 def test_truncation_caps_the_approximant():
     dom = cantor_domain(4)
     iv = np.asarray(dom.intervals)

@@ -73,6 +73,7 @@ def _values(obj):
     return repr([v.tolist() if isinstance(v, np.ndarray) else v for v in vars(obj).values()])
 
 
+@pytest.mark.blas_threads
 def test_results_along_a_direction_do_not_depend_on_a_grid_of_its_zero_flip():
     # direction_table(16)[12] is (-0.0, -1.0): equal to (0.0, -1.0), with
     # other bits, so each has a grid of its own and its own endpoints
@@ -343,6 +344,7 @@ def test_offset_cells_drop_breakpoints_that_differ_by_rounding():
                 assert ts.size == 256
 
 
+@pytest.mark.blas_threads
 def test_offset_estimate_reads_the_fine_rows_only():
     # rows affine within each segment: the null rule leaves exactly the
     # floor, the nested rules give the fine value back, errors are floats
@@ -357,6 +359,7 @@ def test_offset_estimate_reads_the_fine_rows_only():
     assert coarse == [(0.25, 0.25), (2.0, 2.0), (-1.0, -1.0)]
 
 
+@pytest.mark.blas_threads
 def test_null_rule_hand_formula_with_leftover_cells():
     # 7 cells in segments of 5 and 2: interior cells 1, 2, 3 of the first
     # segment only; the n/3 rule takes cells 0-2 as one triple (3 R_1) and
@@ -374,6 +377,7 @@ def test_null_rule_hand_formula_with_leftover_cells():
     assert c9 == value
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("name", ["square", "triangle", "omega_C", "cusp"])
 def test_row_sums_add_each_offsets_terms_in_chord_order(name):
     # the rows of a result add its per-chord terms offset by offset, in

@@ -176,22 +176,21 @@ def test_consistency_slit_field_is_out():
 def test_consistency_witnesses_of_equal_spread_come_in_probe_order(monkeypatch):
     # spreads that tie at rounding level: the witnesses are the largest
     # spreads, equal ones in probe order, not in an order the sort picks
-    seen = {}
+    dom, directions = unit_square(), direction_table(4, start_angle=0.3)
+    probes = np.concatenate(_report_probes(dom, directions, SPEC.n_offsets, 160))
 
-    def spreads(fld, directions, points, order, chords):
-        seen["probes"] = points
-        n = points.shape[0]
+    def spreads(fld, directions, order, table):
+        n = table[0].shape[1]
         spread = np.where(np.arange(n) % 3 == 0, 2.2e-16, 4.4e-16)
         values = np.full((n, len(directions)), np.nan)
         values[:, 0], values[:, 1] = 0.0, spread
         return values, np.ones(n, dtype=bool), spread
 
     monkeypatch.setattr(trace, "_spreads", spreads)
-    rep = trace.consistency_report(get_field("sincos"), unit_square(),
-                                   direction_table(4, start_angle=0.3), SPEC, tolerance=1.0)
-    assert rep.verdict == "in" and seen["probes"].shape[0] > 12
+    rep = trace.consistency_report(get_field("sincos"), dom, directions, SPEC, tolerance=1.0)
+    assert rep.verdict == "in" and rep.n_probes == probes.shape[0] > 12
     np.testing.assert_array_equal([w.point for w in rep.witnesses],
-                                  seen["probes"][[1, 2, 4, 5, 7, 8, 10, 11]])
+                                  probes[[1, 2, 4, 5, 7, 8, 10, 11]])
     assert [w.spread for w in rep.witnesses] == [4.4e-16] * 8
 
 
@@ -241,13 +240,12 @@ def test_consistency_one_dimensional_crack():
 
 
 def _spreads_of(fld, dom, directions, probes, order):
-    """`trace._spreads` of the probes, with their exit chords along each
-    direction."""
-    chords = [geometry.exit_chords(dom, theta, probes, match_radius(dom))
-              for theta in directions]
-    return trace._spreads(fld, directions, probes, order, chords)
+    """`trace._spreads` of the probes, with their `_exit_table`."""
+    table = trace._exit_table(dom, directions, probes, match_radius(dom))
+    return trace._spreads(fld, directions, order, table)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("name, field", [("square", "sincos"),
                                          ("crack_square", "crack_2d"),
                                          ("omega_C", "x1x2")])
@@ -271,6 +269,7 @@ def test_batched_traces_match_directional_trace(name, field):
                     trace.directional_trace(fld, dom, theta, z, order=16)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("name", ["square", "disk_minus_cantor", "bicone"])
 def test_batched_traces_match_directional_trace_on_oblique_probes(name):
     # Oblique offsets are computed one coordinate at a time, so a probe
@@ -310,6 +309,7 @@ def _assert_same_chords(got, want):
         np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("count", [4, 8])
 @pytest.mark.parametrize("name", TWO_D_KINDS)
 def test_exit_chords_of_report_probes_do_not_depend_on_the_batch(name, count):
@@ -336,6 +336,7 @@ def test_exit_chords_of_report_probes_do_not_depend_on_the_batch(name, count):
                                 [a[i:i + 1] for a in whole])
 
 
+@pytest.mark.blas_threads
 def test_consistency_report_reuses_its_grid_lookups(monkeypatch):
     # A second report on the same domain, directions, resolution and probe
     # count, with another field and Gauss order, looks up only the jittered
@@ -395,6 +396,7 @@ def _kept_lookups():
                 for key, entry in grid._kept.items() if isinstance(key, tuple)]
 
 
+@pytest.mark.blas_threads
 def test_consistency_lookups_are_freed_with_their_grid():
     dom, directions = unit_square(), direction_table(4, start_angle=0.3)
     quadrature.clear_cache()
@@ -438,6 +440,7 @@ def test_consistency_lookups_are_freed_with_their_grid():
     assert all(ref() is None for ref in kept)
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("evict", ["lru", "clear_cache"])
 def test_a_grid_frees_its_node_sets_and_lookups_together(evict, monkeypatch):
     dom, directions = fractal.named_domain("crack_square"), direction_table(4)
@@ -493,6 +496,7 @@ def _crack_report(gauss):
                                     QuadratureSpec(n_offsets=256, gauss_order=gauss))
 
 
+@pytest.mark.blas_threads
 def test_first_consistency_report_makes_the_cold_lookups(monkeypatch):
     # On fresh grids a report looks up what it did before jittered probes
     # were kept: its probes along each direction, the two shifted lines of
@@ -520,6 +524,48 @@ def test_first_consistency_report_makes_the_cold_lookups(monkeypatch):
         np.testing.assert_array_equal(points, finite)
 
 
+@pytest.mark.blas_threads
+def test_exit_table_finds_no_chord_at_a_non_finite_point():
+    # one contiguous, read-only row per direction; the finite points get
+    # the chords of one `exit_chords` batch over them
+    dom, directions = fractal.named_domain("crack_square"), direction_table(4)
+    r_match = match_radius(dom)
+    points = np.concatenate(_report_probes(dom, directions, 256, 8))
+    points[::3, 0] = np.nan
+    points[1::5, 1] = -np.inf
+    ok = np.all(np.isfinite(points), axis=1)
+    table = trace._exit_table(dom, directions, points, r_match)
+    for arr in table:
+        assert arr.shape == (len(directions), points.shape[0])
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+    t, alpha, beta, found = table
+    assert np.all(np.isnan(np.stack([t, alpha, beta])[:, :, ~ok])) and not np.any(found[:, ~ok])
+    assert np.any(found[:, ok])
+    for j, theta in enumerate(directions):
+        _assert_same_chords([arr[j, ok] for arr in table],
+                            geometry.exit_chords(dom, theta, points[ok], r_match))
+
+
+@pytest.mark.blas_threads
+def test_kept_jittered_chords_are_the_exit_table_of_the_jittered_probes(monkeypatch):
+    # the jittered probes that a report makes, in order, against the
+    # columns kept for the probes it looked them up for
+    dom, directions = fractal.named_domain("crack_square"), direction_table(4)
+    quadrature.clear_cache()
+    _, jittered = _counted_lookups(monkeypatch)
+    _crack_report(8)
+    monkeypatch.undo()
+    (_, entry), = _kept_lookups()
+    looked_up, *kept = entry.jittered
+    fresh = trace._exit_table(dom, directions, np.concatenate(jittered), match_radius(dom))
+    assert fresh[0].shape[1] == 2 * np.count_nonzero(looked_up) > 0
+    for arr in kept:
+        assert arr.shape == (len(directions), looked_up.size, 2)
+    _assert_same_chords([arr[:, looked_up].reshape(len(directions), -1) for arr in kept], fresh)
+    quadrature.clear_cache()
+
+
+@pytest.mark.blas_threads
 def test_consistency_report_on_the_same_disagreements_looks_up_nothing(monkeypatch):
     # The Gauss-16 report disagrees where the Gauss-8 one did: it reads the
     # probes, the jittered probes and all their chords from the grids.
@@ -545,6 +591,7 @@ def _jittered_rows():
                if entry.jittered is not None)
 
 
+@pytest.mark.blas_threads
 def test_warm_consistency_reports_on_partly_shared_disagreements():
     # bump and crack_2d disagree on overlapping probe sets: whichever
     # report comes second looks up only the probes that are new to it, and
@@ -567,6 +614,7 @@ def test_warm_consistency_reports_on_partly_shared_disagreements():
     assert rows["bump", "crack_2d"] == rows["crack_2d", "bump"] == 551
 
 
+@pytest.mark.blas_threads
 def test_consistency_reports_on_other_direction_tables_share_no_lookups():
     # direction_table(4) shares four grids with direction_table(8), among
     # them the one that keeps the first report's lookups; a report on it,
@@ -588,6 +636,7 @@ def test_consistency_reports_on_other_direction_tables_share_no_lookups():
     assert [report(*run) for run in runs] == cold
 
 
+@pytest.mark.blas_threads
 def test_concurrent_consistency_reports_match_cold_ones():
     # two reports fill the same grids' jittered lookups at once
     cold = []
@@ -602,6 +651,7 @@ def test_concurrent_consistency_reports_match_cold_ones():
     assert warm == cold
 
 
+@pytest.mark.blas_threads
 def test_concurrent_reports_on_partly_shared_disagreements_keep_every_row():
     # four reports, more than the cores, fill different jittered rows of
     # one entry at once; each fill joins the latest entry, so no row is lost
@@ -638,6 +688,7 @@ CAP_CASES = [("bicone", "bump"), ("bicone", "sign_y"), ("square", "bump"),
              ("crack_square", "crack_2d"), ("cusp", "cusp_pow")]
 
 
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("count", [4, 8, 32])
 @pytest.mark.parametrize("name, field", CAP_CASES)
 def test_consistency_reports_do_not_depend_on_the_batch_cap(name, field, count,
