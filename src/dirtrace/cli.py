@@ -365,7 +365,7 @@ def _cmd_oned(args) -> int:
     if domain.dim != 1:
         raise ValidationError("the oned command needs a one-dimensional domain")
     fld = fields.parse_field(args.field)
-    u = oned.PiecewiseH1.from_field(fld, domain.intervals)
+    u = oned.PiecewiseH1(fld, domain)
     report = oned.membership_report(u)
     results = {
         "verdict": report.verdict,

@@ -9,13 +9,12 @@ approximant: truncate, keep the longest intervals until the leftover
 length is below 2**-n, and bridge across everything unselected with
 staircases that stay constant on unselected intervals.
 
-A function here is one field restricted to one `IntervalUnion`.  One
-16-point Gauss rule per interval, laid out as an (intervals, 16) array,
-serves every interval at once: one field evaluation gives both one-sided
-traces of every interval, the H1 norm and the Sobolev distance of an
-approximant.  Per-interval sums run along the rows (`np.sum(..., axis=1)`,
-whose rounding does not depend on how many rows there are), and sums
-over intervals accumulate in interval order.
+A function here is one field restricted to one `IntervalUnion`.  Every
+integral is the chord pipeline's along +1 at Gauss order 16: the +1
+chord grid holds each interval as one chord, in order, its exit and
+entry traces (`trace.chord_trace_values`) are the one-sided traces at
+the right and the left end, and the H1 norm and the Sobolev distance of
+an approximant are volume rules on that grid.
 """
 
 from __future__ import annotations
@@ -26,19 +25,17 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _gauss
+from . import quadrature, trace
 from .errors import NotInH1tr, ValidationError, check_integer, check_tolerance
 from .fractal import Staircase, build_staircase
-from .geometry import IntervalUnion
+from .geometry import Direction, IntervalUnion
 
-_ORDER = 16
+# Every integral runs along +1 (one Direction, kept: building one costs
+# about 50 us) at order 16, on the grid of `trace`'s default --ny.
+_PLUS = Direction([1.0])
+_SPEC = quadrature.QuadratureSpec(gauss_order=16)
 # Interior points per interval at which `PiecewiseH1.max_abs` samples |u|.
 _MAX_ABS_SAMPLES = 64
-
-
-def _in_order(terms: np.ndarray) -> float:
-    """Sum of terms added one after the other, as a running total would."""
-    return float(np.cumsum(terms)[-1])
 
 
 class PiecewiseH1:
@@ -52,28 +49,20 @@ class PiecewiseH1:
     def from_field(cls, fld, intervals) -> "PiecewiseH1":
         return cls(fld, IntervalUnion(np.asarray(intervals, dtype=float).reshape(-1, 2)))
 
-    def _values(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.field.eval_many(t.reshape(-1, 1)), float).reshape(t.shape)
+    @property
+    def _grid(self) -> quadrature.ChordGrid:
+        """The +1 chord grid: chord i is interval i."""
+        return quadrature.chord_grid(self.domain, _PLUS, _SPEC.n_offsets)
 
     @cached_property
-    def _rule(self):
-        """Gauss nodes t, weights w, values u and derivatives du, each
-        (intervals, 16)."""
-        a, b = self.domain.intervals.T
-        x, w = _gauss.nodes(_ORDER)
-        t = a[:, None] + (x + 1.0) * 0.5 * (b - a)[:, None]
-        du = np.asarray(self.field.grad_many(t.reshape(-1, 1)))[:, 0].reshape(t.shape)
-        return t, w * (0.5 * (b - a))[:, None], self._values(t), du
+    def _traces(self):
+        return tuple(trace.chord_trace_values(self.field, self._grid, _SPEC.gauss_order)[::-1])
 
     def traces(self):
         """(at a, at b): the canonical one-sided values of every interval
-        ]a, b[ at its left and its right endpoint."""
-        t, w, u, du = self._rule
-        a, b = self.domain.intervals.T
-        ell = b - a
-        left = np.sum(w * (u - (b[:, None] - t) * du), axis=1) / ell
-        right = np.sum(w * (u + (t - a[:, None]) * du), axis=1) / ell
-        return left, right
+        ]a, b[ at its left and its right endpoint, the entry and exit
+        traces of its chord along +1 (computed once)."""
+        return self._traces
 
     def _at(self, x, values) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -89,15 +78,17 @@ class PiecewiseH1:
         return self._at(x, lambda p: np.asarray(self.field.grad_many(p))[:, 0])
 
     def h1_norm_sq(self) -> float:
-        _, w, u, du = self._rule
-        return _in_order(np.sum(w * (u ** 2 + du ** 2), axis=1))
+        """Integral of u^2 + u'^2, the volume rule along +1."""
+        return quadrature.volume_integrals(
+            self.domain, quadrature._theta_integrands(self.field, _PLUS), _SPEC, _PLUS)[0].value
 
     def max_abs(self) -> float:
         """Largest |u| at _MAX_ABS_SAMPLES interior points per interval
         (intervals where u is NaN somewhere are passed over)."""
         a, b = self.domain.intervals.T
         t = np.linspace(a, b, _MAX_ABS_SAMPLES + 2, axis=1)[:, 1:-1]
-        peaks = np.max(np.abs(self._values(t)), axis=1)
+        values = np.asarray(self.field.eval_many(t.reshape(-1, 1)), float).reshape(t.shape)
+        peaks = np.max(np.abs(values), axis=1)
         return float(np.fmax.reduce(peaks, initial=0.0))
 
 
@@ -168,6 +159,19 @@ class BridgeComponent:
     right_value: float
     stair: Staircase
 
+    def __call__(self, x) -> np.ndarray:
+        """The bridge at x: left_value + (right_value - left_value) * stair(x)."""
+        return self.left_value + (self.right_value - self.left_value) * self.stair(x)
+
+    def slope(self, x) -> np.ndarray:
+        """The bridge's derivative at x."""
+        bp = self.stair.breakpoints
+        idx = np.clip(np.searchsorted(bp[:, 0], x, side="right") - 1, 0, len(bp) - 2)
+        dt = bp[idx + 1, 0] - bp[idx, 0]
+        dv = bp[idx + 1, 1] - bp[idx, 1]
+        step = self.right_value - self.left_value
+        return step * np.where(dt > 0.0, dv / np.maximum(dt, 1e-300), 0.0)
+
 
 @dataclass(frozen=True)
 class ApproximationResult:
@@ -187,17 +191,8 @@ class ApproximationResult:
         for comp in self.components:
             sel = (x >= comp.lo) & (x <= comp.hi)
             if np.any(sel):
-                frac = comp.stair(x[sel])
-                out[sel] = comp.left_value + (comp.right_value - comp.left_value) * frac
+                out[sel] = comp(x[sel])
         return out
-
-
-def _stair_slope(stair: Staircase, x: np.ndarray) -> np.ndarray:
-    bp = stair.breakpoints
-    idx = np.clip(np.searchsorted(bp[:, 0], x, side="right") - 1, 0, len(bp) - 2)
-    dt = bp[idx + 1, 0] - bp[idx, 0]
-    dv = bp[idx + 1, 1] - bp[idx, 1]
-    return np.where(dt > 0.0, dv / np.maximum(dt, 1e-300), 0.0)
 
 
 def check_truncation(truncation) -> None:
@@ -228,9 +223,7 @@ def continuous_approximation(u: PiecewiseH1, n: int,
     report = membership_report(u)
     if report.verdict == "out":
         w = report.witnesses[0]
-        raise NotInH1tr(
-            f"one-sided traces disagree at {w.point}: {w.left} vs {w.right}"
-        )
+        raise NotInH1tr(f"one-sided traces disagree at {w.point}: {w.left} vs {w.right}")
     if truncation is None:
         truncation = 1.0 + u.max_abs()
     M = float(truncation)
@@ -262,12 +255,7 @@ def continuous_approximation(u: PiecewiseH1, n: int,
 
     at_a, at_b = u.traces()
     from_left, from_right = np.clip(at_b, -M, M), np.clip(at_a, -M, M)
-    t, w, uu, du = u._rule
-    # Sobolev distance: exact zero on selected intervals when the truncation
-    # is inactive there; everything else integrates numerically.
-    vv = np.clip(uu, -M, M)
-    dv = np.where(np.abs(uu) < M, du, 0.0)
-    components = []
+    bridged = []
     for k, (a, b, i, j) in enumerate(zip(lo.tolist(), hi.tolist(),
                                          left_nb.tolist(), right_nb.tolist())):
         # a side without a selected neighbour takes the other side's value,
@@ -281,11 +269,23 @@ def continuous_approximation(u: PiecewiseH1, n: int,
         # Enough rounds to consume every gap (worst case one per round).
         stair = build_staircase(inner, a, b, min(len(inner) + 1, 48),
                                 margin=1e-9 * (b - a))
-        components.append(BridgeComponent(a, b, left_val, right_val, stair))
-        step = right_val - left_val
-        vv[rows] = left_val + step * stair(t[rows])
-        dv[rows] = step * _stair_slope(stair, t[rows])
-    dist_sq = _in_order(np.sum(w * ((vv - uu) ** 2 + (dv - du) ** 2), axis=1))
+        bridged.append((BridgeComponent(a, b, left_val, right_val, stair), rows))
+
+    # Sobolev distance: exact zero on selected intervals when the truncation
+    # is inactive there; everything else integrates numerically.
+    def node_arrays(pts, s, rows, runs):
+        flat = pts.reshape(-1, 1)
+        uu = np.asarray(u.field.eval_many(flat), dtype=float).reshape(s.shape)
+        du = np.asarray(u.field.grad_many(flat))[:, 0].reshape(s.shape)
+        vv, dv = np.clip(uu, -M, M), np.where(np.abs(uu) < M, du, 0.0)
+        for comp, chords in bridged:
+            mine = chords[(chords >= rows.start) & (chords < rows.stop)] - rows.start
+            vv[mine], dv[mine] = comp(s[mine]), comp.slope(s[mine])
+        yield (vv - uu) ** 2 + (dv - du) ** 2
+
+    grid = u._grid
+    means, = quadrature.grid_means(grid, _SPEC.gauss_order, node_arrays)
+    dist_sq = float(np.sum(quadrature._rule_terms(means, grid.lengths, grid.chord_dt)))
 
     return ApproximationResult(
         n=n,
@@ -294,5 +294,5 @@ def continuous_approximation(u: PiecewiseH1, n: int,
         selected=sel_idx,
         unselected_length=float(np.sum(lengths[~selected_mask])),
         window=(float(starts[0]), float(ends[-1])),
-        components=components,
+        components=[comp for comp, _ in bridged],
     )

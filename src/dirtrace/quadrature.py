@@ -35,11 +35,7 @@ chords, each along its own direction.  Its value for a chord depends only
 on that chord, not on the batch or block it is computed in; sums over
 chords are one np.sum, and row sums one np.bincount, in a fixed order, so
 values and error bars are bit-identical from run to run.  The 1-D line is
-a grid of one offset, 0, of width 1.  The one exception is `oned`, whose
-16-point rule over an interval union is pinned bit for bit to
-`tests/oned_oracle.py`: its one-sided traces may differ from those of
-`trace` in the last bits (the right-hand trace of `crack_1d` at x = 1 is
-0.0 there and 1.5612511283791264e-17 in `trace` at Gauss order 16).
+a grid of one offset, 0, of width 1, and `oned` reads its +1 grid.
 
 The rules over a cached grid's own chords (`grid_means`: the volume rule
 without panels, the traces, the trace pass of the Lebesgue comparisons

@@ -15,8 +15,9 @@ points are found by recomputing chords (never by accidental coincidence
 of atoms): a probe point from one direction's atoms is reachable in
 another direction exactly when the slice through it has a chord exiting
 there.  A finite direction family can only ever refute agreement, so a
-clean report says "not refuted", not "proved".  The lookups of a report
-that need no field are kept with a cached grid (`quadrature.kept_entry`).
+clean report says "not refuted", not "proved" (in 1-D, +1 and -1 are
+every direction, and a report on both decides).  A report's field-free
+lookups are kept with a cached grid (`quadrature.kept_entry`).
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _finite_means(traces: int, rule, *args):
     traces, is not finite."""
     with np.errstate(all="ignore"):
         means = rule(*args)
-    if not all(np.all(np.isfinite(g)) for g in means[:traces]):
+    if not all(np.isfinite(g).all() for g in means[:traces]):
         raise DivergentChordIntegral("chord integrand not finite at a quadrature node")
     return means
 
@@ -406,6 +407,9 @@ def _jittered_probes(domain: Domain, theta: Direction, points: np.ndarray,
     return out
 
 
+_DECIDED = ("one dimension: +1 and -1 are every direction and every atom is probed, "
+            "so the verdict is decided at this tolerance, not merely not refuted")
+
 # Largest share of the probed mass that may disagree in an "in" verdict.
 _MASS_TOLERANCE = 1e-6
 
@@ -456,12 +460,12 @@ def _exit_table(domain: Domain, directions, points: np.ndarray, r_match: float):
 def _lookups(domain: Domain, directions, n_offsets: int, probes_per_direction: int,
              r_match: float) -> _Lookups:
     """The `_Lookups` of a report: the probes (every stride-th atom of each
-    direction's measure) and their `_exit_table`."""
+    direction's measure, every atom in 1-D) and their `_exit_table`."""
     grids = [chord_grid(domain, theta, n_offsets) for theta in directions]
     parts = []
     for j, grid in enumerate(grids):
         if grid.n_chords:
-            stride = max(1, grid.n_chords // probes_per_direction)
+            stride = 1 if domain.dim == 1 else max(1, grid.n_chords // probes_per_direction)
             t = grid.t[::stride]
             parts.append((np.full(t.size, j), grid.endpoint_plus[::stride],
                           grid.weights[::stride], t))
@@ -561,10 +565,9 @@ def consistency_report(fld, domain: Domain, directions,
     probes, weights = lookups.points, lookups.weights
 
     values, shared, spreads = _spreads(fld, directions, spec.gauss_order, lookups.chords)
-    if not np.any(shared):
-        raise InsufficientOverlap(
-            "no probed boundary point was reachable from two directions"
-        )
+    decided = domain.dim == 1 and len({theta.vector[0] > 0 for theta in directions}) == 2
+    if not np.any(shared) and not decided:
+        raise InsufficientOverlap("no probed boundary point was reachable from two directions")
 
     if tolerance is None:
         # Ten times the largest offset-rule error of a direction's measure
@@ -602,11 +605,12 @@ def consistency_report(fld, domain: Domain, directions,
     return ConsistencyReport(
         verdict="out" if disagreement > _MASS_TOLERANCE else "in",
         tolerance=float(tolerance),
-        max_spread=float(np.max(spreads[shared])),
+        max_spread=float(np.max(spreads[shared], initial=0.0)),
         disagreement_mass=disagreement,
         probed_mass=probed_mass,
         n_probes=int(probes.shape[0]),
         n_shared=int(np.count_nonzero(shared)),
         transient_conflations=n_transient,
         witnesses=witnesses,
+        note=_DECIDED if decided else ConsistencyReport.note,
     )

@@ -284,6 +284,23 @@ def test_oned_bad_n_exits_2(domain, field, n, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("err", [0.0, 1e-6])
+@pytest.mark.parametrize("share, code", [(0.99, 0), (1.01, 3)])
+def test_measure_default_gate_is_ten_error_bars_plus_1e9(err, share, code, tmp_path,
+                                                        monkeypatch):
+    # a mass just inside or just outside 10 err + 1e-9 of the square's area
+    from dirtrace import measure
+    from dirtrace.quadrature import IntegralResult
+
+    mass = 1.0 + share * (10.0 * err + 1e-9)
+    monkeypatch.setattr(measure, "total_mass_result",
+                        lambda *args: IntegralResult(mass, err, 0, 256, 8, "boundary_atoms"))
+    assert run(["measure", "--domain", "square"], tmp_path) == code
+    results = json.loads(next(tmp_path.glob("measure_*.json")).read_text())["results"]
+    assert (results["total_mass"], results["error"]) == (mass, err)
+    assert results["mass_matches_volume"] is (code == 0)
+
+
 @pytest.mark.parametrize("factor, passes", [(3.0, True), (1.5, False)])
 def test_report_gates_read_the_one_pass_factor(factor, passes, monkeypatch):
     # residuals of two error bars (0.2 against 0.1)

@@ -13,7 +13,8 @@ from dirtrace import calculus, cli, fields, fractal, geometry, measure, quadratu
 from dirtrace.errors import (DivergentChordIntegral, NotDirectionalBoundary, UnresolvedSingularity,
                             ValidationError)
 from dirtrace.fields import get_field
-from dirtrace.geometry import Cusp, Direction, Polygon, direction_table, match_radius
+from dirtrace.geometry import (Cusp, Direction, IntervalUnion, Polygon, direction_table,
+                               match_radius)
 from dirtrace.quadrature import QuadratureSpec, norm_theta
 
 E1 = Direction([1.0, 0.0])
@@ -237,6 +238,25 @@ def test_consistency_one_dimensional_crack():
     report_json = rep.to_json()
     assert report_json["verdict"] == "out"
     assert report_json["witnesses"]
+
+
+@pytest.mark.parametrize("intervals, field, verdict, n_shared", [
+    ([(0.0, 1.0), (1.0, 2.0)], "crack_1d", "out", 2),
+    # no shared endpoint: vacuously "in"
+    (fractal.named_domain("cantor_complement", level=5).intervals, "x1", "in", 0),
+    # more atoms than probes_per_direction: the one disagreeing point of the
+    # 399 shared is found because every atom is probed
+    ([(k - 1.0, float(k)) for k in range(400)], "crack_1d", "out", 798),
+])
+def test_one_dimensional_consistency_is_decided(intervals, field, verdict, n_shared):
+    # +1 and -1 are every direction of the line
+    dom = IntervalUnion(intervals)
+    rep = trace.consistency_report(get_field(field), dom,
+                                   [Direction([1.0]), Direction([-1.0])], SPEC)
+    assert (rep.verdict, rep.n_shared, rep.n_probes) == (verdict, n_shared, 2 * len(intervals))
+    assert "decided" in rep.note
+    if not n_shared:
+        assert (rep.max_spread, rep.disagreement_mass, rep.witnesses) == (0.0, 0.0, [])
 
 
 def _spreads_of(fld, dom, directions, probes, order):
